@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from drolab.cost import CostFunction, Regularizer, expected_cost
+from drolab.cost import CostFunction, Regularizer, cost_table, expected_cost
 from drolab.lp import LPFailureError, solve_lp
 from drolab.support import DiscreteDistribution, SampleSet, SupportGrid, empirical, mixture
 
@@ -84,10 +84,6 @@ def dp_posterior_mean(spec: PriorSpec, data: SampleSet | None) -> DiscreteDistri
     return mixture(beta, spec.prior_estimate, empirical(data))
 
 
-def _moment_matrix(cf: CostFunction, grid: SupportGrid, decisions) -> np.ndarray:
-    return np.vstack([cf.atom_costs(grid, x) for x in decisions])
-
-
 def _project_to_moments(w: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:
     correction, *_ = np.linalg.lstsq(c, c @ w - d, rcond=None)
     return w - correction
@@ -149,7 +145,7 @@ def prior_from_regularizer(
     decisions = list(x_constraints)
     if not decisions:
         raise ValueError("need at least one constraint decision")
-    h = _moment_matrix(cf, grid, decisions)
+    h = cost_table(cf, grid, decisions)
     targets = np.array([f(x) for x in decisions], dtype=float)
     m = grid.size
     k = len(decisions)

@@ -15,9 +15,9 @@ import numpy as np
 
 import drolab
 from drolab.bayes import Infeasible, prior_from_regularizer
-from drolab.cost import DecisionSpace, Regularizer, make_cost, with_lipschitz_scale
-from drolab.divergence import AmbiguityBall, DivergenceKind
-from drolab.experiment import ConfigError, load_config, plan, run as run_experiment, verify_bounds
+from drolab.cost import DecisionSpace, Regularizer, cost_from_json
+from drolab.divergence import DIVERGENCE_KINDS, ORIENTATIONS, AmbiguityBall, DivergenceKind
+from drolab.experiment import METHODS, ConfigError, Problem, load_config, plan, run as run_experiment, verify_bounds
 from drolab.robustness import (
     DirichletPrior,
     absolute_measure,
@@ -26,14 +26,7 @@ from drolab.robustness import (
     relative_measure,
     set_robustness,
 )
-from drolab.solvers import (
-    solve_absolute_dro,
-    solve_bayes_dp,
-    solve_minmax_dro,
-    solve_regularized_saa,
-    solve_robust_satisficing,
-    solve_saa,
-)
+from drolab.solvers import solve_saa
 from drolab.support import DiscreteDistribution, SampleSet, SupportGrid, load_json
 
 
@@ -42,38 +35,29 @@ def _die_validation(message: str) -> None:
     sys.exit(1)
 
 
-def _divergence_kind(kind: str, p: float, orientation: str) -> DivergenceKind:
-    if kind == "wasserstein":
-        return DivergenceKind.wasserstein_order(p)
-    ctor = {"kl": DivergenceKind.kl, "chi2": DivergenceKind.chi2, "tv": DivergenceKind.tv}[kind]
-    return ctor(orientation)
+def _divergence_doc(kind: str, p: float, orientation: str) -> dict:
+    return {"kind": kind, "p": p, "orientation": orientation}
 
 
-def _load_problem(path: str) -> dict:
+def _ball_kind(kind: str, p: float, orientation: str) -> DivergenceKind:
+    """The divergence of a ball; kinds without a ball oracle are rejected."""
+    out = DivergenceKind.from_json(_divergence_doc(kind, p, orientation))
+    if not out.has_ball_oracle:
+        raise ConfigError(f"{out.label()} balls have no extremal-expectation oracle")
+    return out
+
+
+def _load_problem(path: str) -> Problem:
     doc = load_json(path)
     for key in ("grid", "center", "cost", "space"):
         if key not in doc:
             raise ConfigError(f"problem document misses {key!r}")
     grid = SupportGrid.from_json(doc["grid"])
-    center = DiscreteDistribution(grid, np.asarray(doc["center"]["weights"], dtype=float))
-    space_doc = doc["space"]
-    if "points" in space_doc:
-        space = DecisionSpace.from_points(space_doc["points"])
-    else:
-        iv = space_doc["interval"]
-        space = DecisionSpace.interval(iv["lo"], iv["hi"], iv["num"])
-    cost_doc = doc["cost"]
-    cf = make_cost(cost_doc["name"], grid=grid, space=space, params=cost_doc.get("params"))
-    if cost_doc.get("lip_scale") not in (None, 1.0):
-        cf = with_lipschitz_scale(cf, float(cost_doc["lip_scale"]))
-    out = {"grid": grid, "center": center, "cf": cf, "space": space}
-    if "prior" in doc:
-        out["prior"] = DiscreteDistribution(grid, np.asarray(doc["prior"]["weights"], dtype=float))
-    if "samples" in doc:
-        out["samples"] = SampleSet(
-            grid, np.asarray(doc["samples"]["indices"], dtype=np.int64), doc["samples"].get("seed")
-        )
-    return out
+    space = DecisionSpace.from_json(doc["space"])
+    prior = DiscreteDistribution.from_json(doc["prior"], grid) if "prior" in doc else None
+    samples = SampleSet(grid, doc["samples"]["indices"], doc["samples"].get("seed")) if "samples" in doc else None
+    center = DiscreteDistribution.from_json(doc["center"], grid)
+    return Problem(center, cost_from_json(doc["cost"], grid, space), space, prior=prior, samples=samples)
 
 
 @click.group()
@@ -85,9 +69,9 @@ def main() -> None:
 @main.command("divergence")
 @click.argument("a_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("b_path", type=click.Path(exists=True, dir_okay=False))
-@click.option("--kind", type=click.Choice(["wasserstein", "kl", "chi2", "tv"]), default="wasserstein")
+@click.option("--kind", type=click.Choice(DIVERGENCE_KINDS), default="wasserstein")
 @click.option("--p", type=float, default=1.0, help="Wasserstein order.")
-@click.option("--orientation", type=click.Choice(["forward", "reverse"]), default="forward")
+@click.option("--orientation", type=click.Choice(ORIENTATIONS), default="forward")
 def divergence_cmd(a_path: str, b_path: str, kind: str, p: float, orientation: str) -> None:
     """Print the divergence between two distribution documents."""
     try:
@@ -95,7 +79,7 @@ def divergence_cmd(a_path: str, b_path: str, kind: str, p: float, orientation: s
         a = DiscreteDistribution.from_json(doc_a)
         doc_b = load_json(b_path)
         b = DiscreteDistribution.from_json(doc_b, grid=a.grid if "atoms" not in doc_b else None)
-        value = _divergence_kind(kind, p, orientation).distance(b, a)
+        value = DivergenceKind.from_json(_divergence_doc(kind, p, orientation)).distance(b, a)
     except (ValueError, KeyError) as exc:
         _die_validation(str(exc))
         return
@@ -104,45 +88,26 @@ def divergence_cmd(a_path: str, b_path: str, kind: str, p: float, orientation: s
 
 @main.command("solve")
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--method",
-    type=click.Choice(["saa", "reg_saa", "bayes_dp", "minmax_dro", "abs_dro", "satisficing"]),
-    required=True,
-)
+@click.option("--method", type=click.Choice(list(METHODS)), required=True)
 @click.option("--eps", type=float, default=0.0, help="Ball radius for the DRO methods.")
-@click.option("--divergence", "div_kind", type=click.Choice(["wasserstein", "kl", "chi2", "tv"]), default="wasserstein")
+@click.option("--divergence", "div_kind", type=click.Choice(DIVERGENCE_KINDS), default="wasserstein")
 @click.option("--p", type=float, default=1.0)
-@click.option("--orientation", type=click.Choice(["forward", "reverse"]), default="forward")
-@click.option("--alpha", type=float, default=0.0, help="Prior concentration for bayes_dp.")
+@click.option("--orientation", type=click.Choice(ORIENTATIONS), default="forward")
+@click.option("--alpha", type=float, default=0.0, help="Prior concentration of the Bayesian mixture.")
 @click.option("--beta", type=float, default=None, help="Explicit mixture weight override.")
 @click.option("--lam", "--lambda", "lam", type=float, default=0.0, help="Regularization weight.")
-@click.option("--delta", type=float, default=0.0, help="Target slack for satisficing.")
+@click.option("--delta", type=float, default=0.0, help="Target slack above the best nominal value.")
 @click.option("--sided", type=click.Choice(["one", "two"]), default="one")
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write JSON here instead of stdout.")
 def solve_cmd(problem, method, eps, div_kind, p, orientation, alpha, beta, lam, delta, sided, output) -> None:
     """Solve one decision model described by a problem document."""
+    spec = METHODS[method]
+    entry = {"method": method, "eps": eps, "divergence": _divergence_doc(div_kind, p, orientation),
+             "alpha": alpha, "beta": beta, "lambda": lam, "delta": delta, "sided": sided}
     try:
-        prob = _load_problem(problem)
-        kind = _divergence_kind(div_kind, p, orientation)
-        if method == "saa":
-            sol = solve_saa(prob["center"], prob["cf"], prob["space"])
-        elif method == "reg_saa":
-            if "prior" not in prob:
-                raise ConfigError("reg_saa needs a 'prior' in the problem document")
-            from drolab.bayes import regularizer_from_prior
-
-            f = regularizer_from_prior(prob["prior"], prob["cf"])
-            sol = solve_regularized_saa(prob["center"], prob["cf"], f, lam, prob["space"])
-        elif method == "bayes_dp":
-            if "prior" not in prob or "samples" not in prob:
-                raise ConfigError("bayes_dp needs 'prior' and 'samples' in the problem document")
-            sol = solve_bayes_dp(prob["prior"], alpha, prob["samples"], prob["cf"], prob["space"], beta=beta)
-        elif method == "minmax_dro":
-            sol = solve_minmax_dro(AmbiguityBall(prob["center"], eps, kind), prob["cf"], prob["space"])
-        elif method == "abs_dro":
-            sol = solve_absolute_dro(AmbiguityBall(prob["center"], eps, kind), prob["cf"], prob["space"])
-        else:
-            sol = solve_robust_satisficing(prob["center"], prob["cf"], prob["space"], kind, sided, delta)
+        if spec.ball:
+            _ball_kind(div_kind, p, orientation)
+        sol = spec.solve(_load_problem(problem), entry)
     except (ConfigError, ValueError, KeyError) as exc:
         _die_validation(str(exc))
         return
@@ -165,9 +130,9 @@ def solve_cmd(problem, method, eps, div_kind, p, orientation, alpha, beta, lam, 
 @click.option("--x-index", type=int, default=None, help="Decision index into the space (default: nominal argmin).")
 @click.option("--ref", type=float, default=None, help="Reference value (default: best nominal value).")
 @click.option("--eps", type=float, default=0.0)
-@click.option("--divergence", "div_kind", type=click.Choice(["wasserstein", "kl", "chi2", "tv"]), default="wasserstein")
+@click.option("--divergence", "div_kind", type=click.Choice(DIVERGENCE_KINDS), default="wasserstein")
 @click.option("--p", type=float, default=1.0)
-@click.option("--orientation", type=click.Choice(["forward", "reverse"]), default="forward")
+@click.option("--orientation", type=click.Choice(ORIENTATIONS), default="forward")
 @click.option("--alpha", type=float, default=1.0, help="Dirichlet concentration for pac.")
 @click.option("--level", type=float, default=1.0, help="Robustness level L for pac.")
 @click.option("--draws", type=int, default=10000)
@@ -177,9 +142,9 @@ def measure_cmd(problem, measure_kind, variant, x_index, ref, eps, div_kind, p, 
                 alpha, level, draws, budget, seed) -> None:
     """Report a robustness measure of a decision (JSON on stdout)."""
     try:
+        kind = None if measure_kind == "pac" else _ball_kind(div_kind, p, orientation)
         prob = _load_problem(problem)
-        kind = _divergence_kind(div_kind, p, orientation)
-        center, cf, space = prob["center"], prob["cf"], prob["space"]
+        center, cf, space = prob.center, prob.cf, prob.space
         nominal = solve_saa(center, cf, space)
         x = space[x_index] if x_index is not None else nominal.x
         ref_value = nominal.objective_value if ref is None else ref
@@ -212,15 +177,14 @@ def prior_from_reg_cmd(spec_path: str, max_entropy: bool) -> None:
         doc = load_json(spec_path)
         grid = SupportGrid.from_json(doc["grid"])
         table = doc["f_table"]
-        points = [np.atleast_1d(np.asarray(x, dtype=float)) for x in table["points"]]
+        space = DecisionSpace.from_points(table["points"])
         values = [float(v) for v in table["values"]]
-        if len(points) != len(values):
+        if len(space) != len(values):
             raise ConfigError("f_table points and values must have equal length")
-        space = DecisionSpace.from_points(np.array([pt for pt in points]))
-        cf = make_cost(doc["cost"]["name"], grid=grid, space=space, params=doc["cost"].get("params"))
-        lookup = {tuple(pt.tolist()): v for pt, v in zip(points, values)}
+        cf = cost_from_json(doc["cost"], grid, space)
+        lookup = {tuple(x.tolist()): v for x, v in zip(space, values)}
         f = Regularizer(lambda x: lookup[tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())])
-        result = prior_from_regularizer(f, cf, points, grid, max_entropy=max_entropy)
+        result = prior_from_regularizer(f, cf, space, grid, max_entropy=max_entropy)
     except (ConfigError, ValueError, KeyError) as exc:
         _die_validation(str(exc))
         return

@@ -13,7 +13,7 @@ from typing import Callable
 
 import numpy as np
 
-from drolab.support import SupportGrid
+from drolab.support import ConfigError, SupportGrid
 
 
 class MissingLipschitzDataError(ValueError):
@@ -59,6 +59,14 @@ class DecisionSpace:
             raise ValueError("interval upper end below lower end")
         return cls(np.linspace(lo, hi, num)[:, None])
 
+    @classmethod
+    def from_json(cls, doc: dict) -> "DecisionSpace":
+        """Build ``{"points": [[...]]}`` or ``{"interval": {"lo", "hi", "num"}}``."""
+        if "points" in doc:
+            return cls.from_points(doc["points"])
+        iv = doc["interval"]
+        return cls.interval(iv["lo"], iv["hi"], iv["num"])
+
     def __len__(self) -> int:
         return self.points.shape[0]
 
@@ -103,10 +111,9 @@ class CostFunction:
 
 @dataclass(frozen=True)
 class Regularizer:
-    """Decision penalty ``f(x)`` with an optional default weight."""
+    """Decision penalty ``f(x)``."""
 
     fn: Callable[[np.ndarray], float]
-    weight: float = 0.0
 
     def __call__(self, x) -> float:
         val = float(self.fn(_as_decision(x)))
@@ -139,13 +146,9 @@ def with_lipschitz_scale(cf: CostFunction, scale: float) -> CostFunction:
 def measured_lipschitz_in_xi(cf: CostFunction, grid: SupportGrid, x) -> float:
     """Largest finite-difference quotient of h(x, .) over atom pairs."""
     vals = cf.atom_costs(grid, x)
-    best = 0.0
-    for i in range(grid.size):
-        for j in range(i + 1, grid.size):
-            d = grid.ground_metric[i, j]
-            if d > 0.0:
-                best = max(best, abs(vals[i] - vals[j]) / d)
-    return best
+    apart = grid.ground_metric > 0.0
+    quotients = np.abs(vals[:, None] - vals[None, :])[apart] / grid.ground_metric[apart]
+    return float(np.max(quotients, initial=0.0))
 
 
 def validate_cost(cf: CostFunction, grid: SupportGrid, space: DecisionSpace) -> None:
@@ -157,27 +160,23 @@ def validate_cost(cf: CostFunction, grid: SupportGrid, space: DecisionSpace) -> 
     table = cost_table(cf, grid, space)
     if cf.nonneg and np.min(table) < -1e-12:
         raise ValueError(f"cost {cf.name!r} is flagged nonnegative but attains {np.min(table)}")
+    # Each check compares |h(a) - h(b)| with bound * distance(a, b) over all
+    # pairs; the first offender in (row, a, b) order is reported.
     if cf.lip_in_xi is not None:
-        for k, x in enumerate(space):
-            bound = cf.lip_in_xi(x)
-            for i in range(grid.size):
-                for j in range(grid.size):
-                    gap = abs(table[k, i] - table[k, j])
-                    if gap > bound * grid.ground_metric[i, j] * (1.0 + 1e-9) + 1e-12:
-                        raise ValueError(
-                            f"declared lip_in_xi({x.tolist()})={bound} is beaten by atoms ({i},{j})"
-                        )
+        bounds = [cf.lip_in_xi(x) for x in space]
+        gaps = np.abs(table[:, :, None] - table[:, None, :])
+        beaten = gaps > np.array(bounds)[:, None, None] * grid.ground_metric * (1.0 + 1e-9) + 1e-12
+        if beaten.any():
+            k, i, j = np.argwhere(beaten)[0]
+            raise ValueError(f"declared lip_in_xi({space[k].tolist()})={bounds[k]} is beaten by atoms ({i},{j})")
     if cf.lip_in_x is not None:
-        for j in range(grid.size):
-            bound = cf.lip_in_x(grid.atoms[j])
-            for a in range(len(space)):
-                for b in range(len(space)):
-                    step = float(np.linalg.norm(space[a] - space[b]))
-                    gap = abs(table[a, j] - table[b, j])
-                    if gap > bound * step * (1.0 + 1e-9) + 1e-12:
-                        raise ValueError(
-                            f"declared lip_in_x(atom {j})={bound} is beaten by decisions ({a},{b})"
-                        )
+        bounds = [cf.lip_in_x(atom) for atom in grid.atoms]
+        steps = np.linalg.norm(space.points[:, None, :] - space.points[None, :, :], axis=2)
+        gaps = np.abs(table.T[:, :, None] - table.T[:, None, :])
+        beaten = gaps > np.array(bounds)[:, None, None] * steps * (1.0 + 1e-9) + 1e-12
+        if beaten.any():
+            j, a, b = np.argwhere(beaten)[0]
+            raise ValueError(f"declared lip_in_x(atom {j})={bounds[j]} is beaten by decisions ({a},{b})")
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +289,15 @@ def make_cost(
     except KeyError:
         raise KeyError(f"unknown cost {name!r}; available: {sorted(_BUILTINS)}") from None
     return factory(grid=grid, space=space, **(params or {}))
+
+
+def cost_from_json(doc: dict, grid: SupportGrid, space: DecisionSpace) -> CostFunction:
+    """Build ``{"name", "params", "lip_scale"}``; errors point at ``/cost``."""
+    try:
+        cf = make_cost(doc["name"], grid=grid, space=space, params=doc.get("params"))
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"/cost: {exc}") from exc
+    scale = doc.get("lip_scale")
+    if scale is not None and scale != 1.0:
+        cf = with_lipschitz_scale(cf, float(scale))
+    return cf

@@ -20,6 +20,8 @@ from drolab.lp import LPFailureError, solve_lp
 from drolab.support import DiscreteDistribution, GridMismatchError, SupportGrid
 
 _PHI_GENERATORS = ("kl", "chi2", "tv")
+DIVERGENCE_KINDS = ("wasserstein", *_PHI_GENERATORS)
+ORIENTATIONS = ("forward", "reverse")
 _MEMBERSHIP_SLACK = 1e-10
 
 
@@ -37,22 +39,9 @@ def _phi(generator: str, t: np.ndarray) -> np.ndarray:
     raise ValueError(f"unknown phi generator {generator!r}")
 
 
-def _phi_slope_at_infinity(generator: str) -> float:
-    # lim phi(t)/t as t -> inf: the cost per unit of mass placed where the
-    # reference distribution has none.
-    return {"kl": math.inf, "chi2": math.inf, "tv": 0.5}[generator]
-
-
-def _assert_generator_valid(generator: str) -> None:
-    # Convexity and phi(1)=0, spot-checked at sample points.
-    ts = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0])
-    vals = _phi(generator, ts)
-    if abs(_phi(generator, np.array([1.0]))[0]) > 1e-12:
-        raise ValueError(f"generator {generator!r} violates phi(1)=0")
-    for i in range(len(ts) - 2):
-        mid = _phi(generator, np.array([(ts[i] + ts[i + 2]) / 2.0]))[0]
-        if mid > (vals[i] + vals[i + 2]) / 2.0 + 1e-12:
-            raise ValueError(f"generator {generator!r} is not convex at sample points")
+# lim phi(t)/t as t -> inf: the cost per unit of mass placed where the
+# reference distribution has none.
+_PHI_SLOPE_AT_INFINITY = {"kl": math.inf, "chi2": math.inf, "tv": 0.5}
 
 
 @dataclass(frozen=True)
@@ -79,13 +68,23 @@ class DivergenceKind:
         else:
             if self.generator not in _PHI_GENERATORS:
                 raise ValueError(f"unknown phi generator {self.generator!r}")
-            if self.orientation not in ("forward", "reverse"):
+            if self.orientation not in ORIENTATIONS:
                 raise ValueError("orientation must be 'forward' or 'reverse'")
-            _assert_generator_valid(self.generator)
 
     @classmethod
     def wasserstein_order(cls, p: float = 1.0) -> "DivergenceKind":
         return cls("wasserstein", p=float(p))
+
+    @classmethod
+    def from_json(cls, doc: dict | None) -> "DivergenceKind":
+        """Build ``{"kind", "p", "orientation"}``; a missing document means W1."""
+        doc = doc or {"kind": "wasserstein"}
+        kind = doc["kind"]
+        if kind not in DIVERGENCE_KINDS:
+            raise ValueError(f"unknown divergence kind {kind!r}; available: {list(DIVERGENCE_KINDS)}")
+        if kind == "wasserstein":
+            return cls.wasserstein_order(doc.get("p", 1.0))
+        return cls("phi", generator=kind, orientation=doc.get("orientation", "forward"))
 
     @classmethod
     def kl(cls, orientation: str = "forward") -> "DivergenceKind":
@@ -123,6 +122,11 @@ class DivergenceKind:
         if self.generator == "chi2":
             return (1.0 - wmin) ** 2 / wmin + (1.0 - wmin)
         return 1.0  # tv is bounded by 1
+
+    @property
+    def has_ball_oracle(self) -> bool:
+        """Whether :func:`extremal_expectation` solves balls of this kind."""
+        return self.family == "wasserstein" or (self.generator == "kl" and self.orientation == "forward")
 
     def label(self) -> str:
         if self.family == "wasserstein":
@@ -181,11 +185,8 @@ def optimal_transport(a: DiscreteDistribution, b: DiscreteDistribution, p: float
     m = a.grid.size
     cost = (a.grid.ground_metric**p).reshape(-1)
     # Row marginals (mass leaving atom i of a), then column marginals.
-    a_eq = np.zeros((2 * m, m * m))
-    for i in range(m):
-        a_eq[i, i * m : (i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[m + j, j::m] = 1.0
+    eye = np.eye(m)
+    a_eq = np.vstack([np.repeat(eye, m, axis=1), np.tile(eye, m)])
     b_eq = np.concatenate([a.weights, b.weights])
     res = solve_lp(cost, a_eq=a_eq, b_eq=b_eq)
     if not res.ok:
@@ -217,7 +218,7 @@ def phi_divergence(a: DiscreteDistribution, b: DiscreteDistribution, generator: 
     total = float(np.sum(bw[pos] * _phi(generator, aw[pos] / bw[pos])))
     escaped = float(np.sum(aw[~pos]))
     if escaped > 0.0:
-        slope = _phi_slope_at_infinity(generator)
+        slope = _PHI_SLOPE_AT_INFINITY[generator]
         total = total + slope * escaped if math.isfinite(slope) else math.inf
     return total
 
@@ -228,10 +229,6 @@ def membership(ball: AmbiguityBall, q: DiscreteDistribution) -> bool:
     return ball.kind.distance(q, ball.center) <= ball.radius + _MEMBERSHIP_SLACK
 
 
-def _dirac_at(grid: SupportGrid, index: int) -> DiscreteDistribution:
-    return DiscreteDistribution.dirac(grid, index)
-
-
 def _wasserstein_extremal(ball: AmbiguityBall, costs: np.ndarray, maximize: bool) -> tuple[float, DiscreteDistribution]:
     center = ball.center
     m = center.grid.size
@@ -239,16 +236,14 @@ def _wasserstein_extremal(ball: AmbiguityBall, costs: np.ndarray, maximize: bool
     if eps >= center.grid.diameter:
         # The ball covers the whole simplex; a Dirac at the best atom wins.
         idx = int(np.argmax(costs)) if maximize else int(np.argmin(costs))
-        return float(costs[idx]), _dirac_at(center.grid, idx)
+        return float(costs[idx]), DiscreteDistribution.dirac(center.grid, idx)
     dist_pow = center.grid.ground_metric**ball.kind.p
     budget = eps**ball.kind.p
     scale = max(float(np.max(dist_pow)), 1e-30)
     # Variables pi[i, j]: mass of center atom j reassigned to atom i.
     obj = np.repeat(costs, m).astype(float)
     sign = -1.0 if maximize else 1.0
-    a_eq = np.zeros((m, m * m))
-    for j in range(m):
-        a_eq[j, j::m] = 1.0
+    a_eq = np.tile(np.eye(m), m)  # column marginals: mass taken from center atom j
     a_ub = (dist_pow / scale).reshape(1, -1)
     res = solve_lp(sign * obj, a_eq=a_eq, b_eq=center.weights, a_ub=a_ub, b_ub=[budget / scale])
     if not res.ok:
@@ -345,14 +340,10 @@ def extremal_expectation(
         raise ValueError("costs must be finite")
     if ball.radius == 0.0:
         return float(ball.center.expectation(c)), ball.center
-    maximize = sense == "max"
-    if ball.kind.family == "wasserstein":
-        return _wasserstein_extremal(ball, c, maximize)
-    if ball.kind.generator == "kl" and ball.kind.orientation == "forward":
-        return _kl_extremal(ball, c, maximize)
-    raise ValueError(
-        "extremal expectations are implemented for Wasserstein balls and forward KL balls"
-    )
+    if not ball.kind.has_ball_oracle:
+        raise ValueError("extremal expectations are implemented for Wasserstein balls and forward KL balls")
+    oracle = _wasserstein_extremal if ball.kind.family == "wasserstein" else _kl_extremal
+    return oracle(ball, c, sense == "max")
 
 
 def absolute_deviation(

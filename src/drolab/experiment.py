@@ -20,6 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
+from typing import Callable
 
 import jsonschema
 import numpy as np
@@ -34,20 +35,26 @@ from drolab.bounds import (
     relative_bound,
     uniform_bound,
 )
-from drolab.cost import CostFunction, DecisionSpace, make_cost, with_lipschitz_scale
+from drolab.cost import CostFunction, DecisionSpace, cost_from_json
 from drolab.divergence import AmbiguityBall, DivergenceKind
 from drolab.solvers import (
+    Solution,
+    solve_absolute_dro,
     solve_bayes_dp,
+    solve_minmax_dro,
     solve_regularized_saa,
     solve_robust_satisficing,
     solve_saa,
 )
 from drolab.support import (
     RNG_ALGORITHM,
+    ConfigError,
     DiscreteDistribution,
+    SampleSet,
     SupportGrid,
     derive_seed,
     empirical,
+    load_json,
     mixture,
     sample,
 )
@@ -56,8 +63,116 @@ CSV_HEADER = ["kind", "n", "seed", "x_star", "gap", "bound", "holds", "ingredien
 OUTPUT_DIR_ENV = "DROLAB_OUTPUT_DIR"
 
 
-class ConfigError(ValueError):
-    """Configuration rejected, with a JSON-pointer path when available."""
+@dataclass(frozen=True)
+class Problem:
+    """What a decision method reads: the nominal ``center`` (a replication's
+    empirical distribution in :func:`run`) and its setting; the truth ``p0``
+    is known to :func:`run` only."""
+
+    center: DiscreteDistribution
+    cf: CostFunction
+    space: DecisionSpace
+    prior: DiscreteDistribution | None = None
+    samples: SampleSet | None = None
+    p0: DiscreteDistribution | None = None
+
+    def need(self, field: str):
+        """A field problem documents may omit; raises when it is missing."""
+        if getattr(self, field) is None:
+            raise ConfigError(f"problem document misses {field!r}")
+        return getattr(self, field)
+
+
+# Method callables take (problem, method entry); `drolab solve` builds the entry
+# from its options.  They look solvers and bound suites up as this module's names
+# at call time, so rebinding those names (as tracers do) reaches every call.
+
+
+def _ball(prob: Problem, entry: dict) -> AmbiguityBall:
+    kind = DivergenceKind.from_json(entry.get("divergence"))
+    eps = entry.get("eps", "auto")
+    radius = kind.distance(prob.p0, prob.center) if eps == "auto" else eps
+    return AmbiguityBall(prob.center, float(radius), kind)
+
+
+def _solve_saa(prob: Problem, entry: dict) -> Solution:
+    return solve_saa(prob.center, prob.cf, prob.space)
+
+
+def _solve_reg_saa(prob: Problem, entry: dict) -> Solution:
+    f = regularizer_from_prior(prob.need("prior"), prob.cf)
+    return solve_regularized_saa(prob.center, prob.cf, f, float(entry["lambda"]), prob.space)
+
+
+def _solve_bayes_dp(prob: Problem, entry: dict) -> Solution:
+    alpha = float(entry.get("alpha", 0.0))
+    return solve_bayes_dp(prob.need("prior"), alpha, prob.need("samples"), prob.cf, prob.space, beta=entry.get("beta"))
+
+
+def _solve_satisficing(prob: Problem, entry: dict) -> Solution:
+    kind = DivergenceKind.from_json(entry.get("divergence"))
+    sided, delta = entry.get("sided", "two"), float(entry.get("delta", 0.0))
+    return solve_robust_satisficing(prob.center, prob.cf, prob.space, kind, sided, delta)
+
+
+def _uniform_at_solution(solve, nominal=lambda prob, sol: prob.center):
+    """SAA-family bound: one uniform deviation record at the solution."""
+
+    def bound(prob: Problem, entry: dict):
+        sol = solve(prob, entry)
+        return uniform_bound(prob.p0, nominal(prob, sol), prob.cf, DecisionSpace(np.array([sol.x]))), sol
+
+    return bound
+
+
+def _minmax_bound(prob: Problem, entry: dict):
+    gap, rec, sol = minmax_one_sided_bound(prob.p0, _ball(prob, entry), prob.cf, prob.space)
+    return [(gap, rec)], sol
+
+
+def _satisficing_bound(prob: Problem, entry: dict):
+    # relative_bound solves the two-sided zero-slack model; other settings are solved again.
+    kind = DivergenceKind.from_json(entry.get("divergence"))
+    pairs, sol = relative_bound(prob.p0, prob.center, prob.cf, prob.space, kind)
+    if entry.get("sided", "two") != "two" or float(entry.get("delta", 0.0)) != 0.0:
+        sol = _solve_satisficing(prob, entry)
+    return pairs, sol
+
+
+@dataclass(frozen=True)
+class MethodSpec:
+    """``solve`` backs ``drolab solve``; ``bound`` backs :func:`run`.  Config
+    entries carry every field in ``requires`` and exactly one in ``one_of``;
+    ``ball`` methods need a divergence with a ball oracle."""
+
+    solve: Callable[[Problem, dict], Solution]
+    bound: Callable[[Problem, dict], tuple[list[tuple[GapRecord, BoundRecord]], Solution]]
+    requires: tuple[str, ...] = ()
+    one_of: tuple[str, ...] = ()
+    ball: bool = False
+
+
+METHODS: dict[str, MethodSpec] = {
+    "saa": MethodSpec(_solve_saa, _uniform_at_solution(_solve_saa)),
+    "reg_saa": MethodSpec(_solve_reg_saa, _uniform_at_solution(_solve_reg_saa), requires=("prior", "lambda")),
+    "bayes_dp": MethodSpec(
+        _solve_bayes_dp,
+        _uniform_at_solution(
+            _solve_bayes_dp, lambda prob, sol: mixture(sol.diagnostics["beta"], prob.prior, prob.center)
+        ),
+        requires=("prior",),
+        one_of=("alpha", "beta"),
+    ),
+    "minmax_dro": MethodSpec(
+        lambda prob, entry: solve_minmax_dro(_ball(prob, entry), prob.cf, prob.space), _minmax_bound, ball=True
+    ),
+    "abs_dro": MethodSpec(
+        lambda prob, entry: solve_absolute_dro(_ball(prob, entry), prob.cf, prob.space),
+        lambda prob, entry: absolute_bound(prob.p0, _ball(prob, entry), prob.cf, prob.space),
+        ball=True,
+    ),
+    "satisficing": MethodSpec(_solve_satisficing, _satisficing_bound, ball=True),
+}
 
 
 def _schema() -> dict:
@@ -73,32 +188,28 @@ def validate_config(doc: dict) -> None:
         err = errors[0]
         pointer = "/" + "/".join(str(p) for p in err.absolute_path)
         raise ConfigError(f"{pointer}: {err.message}")
-    names = {"saa", "reg_saa", "bayes_dp", "minmax_dro", "abs_dro", "satisficing"}
-    for i, method in enumerate(doc["methods"]):
-        kind = method["method"]
-        if kind not in names:  # unreachable given the schema; defensive
-            raise ConfigError(f"/methods/{i}/method: unknown method {kind!r}")
-        if kind in ("reg_saa", "bayes_dp") and "prior" not in method:
-            raise ConfigError(f"/methods/{i}: {kind} needs a 'prior'")
-        if kind == "reg_saa" and "lambda" not in method:
-            raise ConfigError(f"/methods/{i}: reg_saa needs a 'lambda'")
-        if kind == "bayes_dp" and ("alpha" in method) == ("beta" in method):
-            raise ConfigError(f"/methods/{i}: bayes_dp needs exactly one of 'alpha'/'beta'")
+    for i, entry in enumerate(doc["methods"]):
+        name = entry["method"]
+        if name not in METHODS:
+            raise ConfigError(f"/methods/{i}/method: unknown method {name!r}; available: {list(METHODS)}")
+        spec = METHODS[name]
+        for field in spec.requires:
+            if field not in entry:
+                raise ConfigError(f"/methods/{i}: {name} needs a {field!r}")
+        if spec.one_of and sum(field in entry for field in spec.one_of) != 1:
+            choices = "/".join(repr(field) for field in spec.one_of)
+            raise ConfigError(f"/methods/{i}: {name} needs exactly one of {choices}")
+        try:
+            kind = DivergenceKind.from_json(entry.get("divergence"))
+        except ValueError as exc:
+            raise ConfigError(f"/methods/{i}/divergence/kind: {exc}") from exc
+        if spec.ball and not kind.has_ball_oracle:
+            raise ConfigError(f"/methods/{i}/divergence: {kind.label()} balls have no extremal-expectation oracle")
 
 
 def config_hash(doc: dict) -> str:
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def _divergence_from(doc: dict | None) -> DivergenceKind:
-    if not doc:
-        return DivergenceKind.wasserstein_order(1.0)
-    kind = doc["kind"]
-    if kind == "wasserstein":
-        return DivergenceKind.wasserstein_order(doc.get("p", 1.0))
-    ctor = {"kl": DivergenceKind.kl, "chi2": DivergenceKind.chi2, "tv": DivergenceKind.tv}[kind]
-    return ctor(doc.get("orientation", "forward"))
 
 
 @dataclass(frozen=True)
@@ -123,20 +234,8 @@ def resolve_config(doc: dict, output_override: str | None = None) -> ResolvedCon
         p0 = DiscreteDistribution(grid, np.asarray(doc["p0"]["weights"], dtype=float))
     except ValueError as exc:
         raise ConfigError(f"/p0/weights: {exc}") from exc
-    space_doc = doc["space"]
-    if "points" in space_doc:
-        space = DecisionSpace.from_points(space_doc["points"])
-    else:
-        iv = space_doc["interval"]
-        space = DecisionSpace.interval(iv["lo"], iv["hi"], iv["num"])
-    cost_doc = doc["cost"]
-    try:
-        cf = make_cost(cost_doc["name"], grid=grid, space=space, params=cost_doc.get("params"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"/cost: {exc}") from exc
-    scale = cost_doc.get("lip_scale")
-    if scale is not None and scale != 1.0:
-        cf = with_lipschitz_scale(cf, float(scale))
+    space = DecisionSpace.from_json(doc["space"])
+    cf = cost_from_json(doc["cost"], grid, space)
     for i, method in enumerate(doc["methods"]):
         if "prior" in method and len(method["prior"]["weights"]) != grid.size:
             raise ConfigError(f"/methods/{i}/prior/weights: expected {grid.size} weights")
@@ -156,110 +255,64 @@ def resolve_config(doc: dict, output_override: str | None = None) -> ResolvedCon
 
 
 def load_config(path: str | Path, output_override: str | None = None) -> ResolvedConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return resolve_config(doc, output_override)
+    return resolve_config(load_json(path), output_override)
 
 
 def _format_x(x) -> str:
     return ";".join(repr(float(v)) for v in np.atleast_1d(np.asarray(x, dtype=float)))
 
 
-def _row(kind: str, n: int, seed: int, x, gap: float, bound: float, holds: bool, ingredients: dict) -> dict:
+def _bound_row(n: int, seed: int, gap: GapRecord, rec: BoundRecord, method: str) -> dict:
+    ingredients = dict(rec.ingredients, method=method)
+    if rec.degenerate:
+        ingredients["degenerate"] = True
     return {
-        "kind": kind,
+        "kind": rec.kind,
         "n": n,
         "seed": seed,
-        "x_star": _format_x(x),
-        "gap": repr(float(gap)),
-        "bound": repr(float(bound)),
-        "holds": str(bool(holds)),
+        "x_star": _format_x(gap.x),
+        "gap": repr(float(rec.observed)),
+        "bound": repr(float(rec.bound)),
+        "holds": str(bool(rec.holds)),
         "ingredients_json": json.dumps(ingredients, sort_keys=True),
     }
 
 
-def _bound_row(n: int, seed: int, gap: GapRecord, rec: BoundRecord, method: str) -> dict:
-    ingredients = dict(rec.ingredients)
-    ingredients["method"] = method
-    if rec.degenerate:
-        ingredients["degenerate"] = True
-    return _row(rec.kind, n, seed, gap.x, rec.observed, rec.bound, rec.holds, ingredients)
-
-
-def _resolve_radius(spec, kind: DivergenceKind, p0, center) -> float:
-    if spec == "auto" or spec is None:
-        return float(kind.distance(p0, center))
-    return float(spec)
-
-
-def _run_method(cfg: ResolvedConfig, method: dict, n: int, rep: int) -> tuple[list[dict], dict]:
-    """Execute one method on one replication; returns (csv rows, solution summary)."""
+def _run_replication(cfg: ResolvedConfig, n: int, rep: int) -> tuple[int, int, list[dict], list[dict], list[str]]:
+    """Run all methods of one replication; errors recorded, not swallowed."""
     rep_seed = derive_seed(cfg.seed, n, rep)
     data = sample(cfg.p0, n, rep_seed)
     pbar = empirical(data)
-    name = method["method"]
-    kind = _divergence_from(method.get("divergence"))
-    rows: list[dict] = []
-
-    if name == "saa":
-        sol = solve_saa(pbar, cfg.cf, cfg.space)
-        nominal = pbar
-    elif name == "reg_saa":
-        prior = DiscreteDistribution(cfg.grid, np.asarray(method["prior"]["weights"], dtype=float))
-        f = regularizer_from_prior(prior, cfg.cf)
-        sol = solve_regularized_saa(pbar, cfg.cf, f, float(method["lambda"]), cfg.space)
-        nominal = pbar
-    elif name == "bayes_dp":
-        prior = DiscreteDistribution(cfg.grid, np.asarray(method["prior"]["weights"], dtype=float))
-        alpha = float(method.get("alpha", 0.0))
-        beta = method.get("beta")
-        sol = solve_bayes_dp(prior, alpha, data, cfg.cf, cfg.space, beta=beta)
-        nominal = mixture(sol.diagnostics["beta"], prior, pbar)
-    elif name == "minmax_dro":
-        radius = _resolve_radius(method.get("eps"), kind, cfg.p0, pbar)
-        ball = AmbiguityBall(pbar, radius, kind)
-        gap, rec, sol = minmax_one_sided_bound(cfg.p0, ball, cfg.cf, cfg.space)
-        rows.append(_bound_row(n, rep_seed, gap, rec, name))
-        return rows, {"method": name, "n": n, "rep": rep, "seed": rep_seed, "solution": sol.to_json()}
-    elif name == "abs_dro":
-        radius = _resolve_radius(method.get("eps"), kind, cfg.p0, pbar)
-        ball = AmbiguityBall(pbar, radius, kind)
-        pairs, sol = absolute_bound(cfg.p0, ball, cfg.cf, cfg.space)
-        rows.extend(_bound_row(n, rep_seed, g, r, name) for g, r in pairs)
-        return rows, {"method": name, "n": n, "rep": rep, "seed": rep_seed, "solution": sol.to_json()}
-    elif name == "satisficing":
-        sided = method.get("sided", "two")
-        delta = float(method.get("delta", 0.0))
-        pairs, sol = relative_bound(cfg.p0, pbar, cfg.cf, cfg.space, kind)
-        if sided != "two" or delta != 0.0:
-            sol = solve_robust_satisficing(pbar, cfg.cf, cfg.space, kind, sided, delta)
-        rows.extend(_bound_row(n, rep_seed, g, r, name) for g, r in pairs)
-        return rows, {"method": name, "n": n, "rep": rep, "seed": rep_seed, "solution": sol.to_json()}
-    else:  # unreachable after validation
-        raise ConfigError(f"unknown method {name!r}")
-
-    # SAA-family methods: one uniform deviation record at the solution.
-    pairs = uniform_bound(cfg.p0, nominal, cfg.cf, DecisionSpace(np.array([sol.x])))
-    gap, rec = pairs[0]
-    rows.append(_bound_row(n, rep_seed, gap, rec, name))
-    return rows, {"method": name, "n": n, "rep": rep, "seed": rep_seed, "solution": sol.to_json()}
-
-
-def _run_replication(doc: dict, n: int, rep: int) -> tuple[int, int, list[dict], list[dict], list[str]]:
-    """Worker: run all methods of one replication; errors recorded, not swallowed."""
-    cfg = resolve_config(doc)
     rows: list[dict] = []
     summaries: list[dict] = []
     errors: list[str] = []
-    for method in cfg.methods:
+    for entry in cfg.methods:
+        name = entry["method"]
+        spec = METHODS[name]
         try:
-            m_rows, summary = _run_method(cfg, method, n, rep)
+            prior = DiscreteDistribution.from_json(entry["prior"], cfg.grid) if "prior" in spec.requires else None
+            prob = Problem(pbar, cfg.cf, cfg.space, prior=prior, samples=data, p0=cfg.p0)
+            pairs, sol = spec.bound(prob, entry)
         except Exception as exc:  # recorded and re-raised through the run record
-            errors.append(f"n={n} rep={rep} method={method['method']}: {type(exc).__name__}: {exc}")
+            errors.append(f"n={n} rep={rep} method={name}: {type(exc).__name__}: {exc}")
             break
-        rows.extend(m_rows)
-        summaries.append(summary)
+        rows.extend(_bound_row(n, rep_seed, gap, rec, name) for gap, rec in pairs)
+        summaries.append({"method": name, "n": n, "rep": rep, "seed": rep_seed, "solution": sol.to_json()})
     return n, rep, rows, summaries, errors
+
+
+_worker_cfg: ResolvedConfig | None = None
+
+
+def _init_worker(doc: dict) -> None:
+    # Configs hold cost closures and cannot be pickled, so each pool worker
+    # resolves the raw document once.
+    global _worker_cfg
+    _worker_cfg = resolve_config(doc)
+
+
+def _run_in_worker(n: int, rep: int) -> tuple[int, int, list[dict], list[dict], list[str]]:
+    return _run_replication(_worker_cfg, n, rep)
 
 
 def _csv_bytes(rows: list[dict]) -> bytes:
@@ -294,13 +347,12 @@ def run(cfg: ResolvedConfig, jobs: int = 1) -> dict:
     """
     start = time.perf_counter()
     tasks = [(n, rep) for n in cfg.ns for rep in range(cfg.replications)]
-    outcomes = []
     if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(_run_replication, cfg.raw, n, rep) for n, rep in tasks]
+        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(cfg.raw,)) as pool:
+            futures = [pool.submit(_run_in_worker, n, rep) for n, rep in tasks]
             outcomes = [f.result() for f in futures]
     else:
-        outcomes = [_run_replication(cfg.raw, n, rep) for n, rep in tasks]
+        outcomes = [_run_replication(cfg, n, rep) for n, rep in tasks]
     outcomes.sort(key=lambda t: (t[0], t[1]))
 
     rows: list[dict] = []

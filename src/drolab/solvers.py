@@ -8,7 +8,7 @@ error; ties always break toward the lowest decision index.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -115,30 +115,25 @@ def solve_bayes_dp(
     return Solution(sol.x, sol.x_index, sol.objective_value, "bayes_dp", diagnostics=diag)
 
 
+def _search_ball(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace, method: str, evaluate) -> Solution:
+    # ``evaluate(costs, ref)`` gives one decision's (value, witness) over the
+    # ball; the solution minimizes the value and reports it as the measure.
+    table = cost_table(cf, ball.grid, space)
+    ref = float(np.min(table @ ball.center.weights))
+    values, witnesses = zip(*(evaluate(table[k], ref) for k in range(len(space))))
+    idx, ties = _argmin_lowest(np.array(values))
+    diagnostics = {"ties": ties, "nominal_ref": ref, "radius": ball.radius, "kind": ball.kind.label()}
+    return Solution(space[idx], idx, float(values[idx]), method, witnesses[idx], float(values[idx]), diagnostics)
+
+
 def solve_minmax_dro(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace) -> Solution:
     """Minimize the worst-case expected cost over the ball.
 
     The reported measure is the worst-case value minus the best nominal value
     at the ball's center (the one-sided deviation the solution guarantees).
     """
-    table = cost_table(cf, ball.grid, space)
-    ref = float(np.min(table @ ball.center.weights))
-    inner = np.empty(len(space))
-    witnesses: list[DiscreteDistribution] = []
-    for k in range(len(space)):
-        val, wit = extremal_expectation(ball, table[k], "max")
-        inner[k] = val
-        witnesses.append(wit)
-    idx, ties = _argmin_lowest(inner)
-    return Solution(
-        space[idx],
-        idx,
-        float(inner[idx]),
-        "minmax_dro",
-        witness=witnesses[idx],
-        measure=float(inner[idx] - ref),
-        diagnostics={"ties": ties, "nominal_ref": ref, "radius": ball.radius, "kind": ball.kind.label()},
-    )
+    sol = _search_ball(ball, cf, space, "minmax_dro", lambda c, ref: extremal_expectation(ball, c, "max"))
+    return replace(sol, measure=sol.objective_value - sol.diagnostics["nominal_ref"])
 
 
 def solve_absolute_dro(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace) -> Solution:
@@ -148,24 +143,7 @@ def solve_absolute_dro(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpa
     extremal expectations); the solution minimizes that deviation and carries
     the binding extremal distribution as witness.
     """
-    table = cost_table(cf, ball.grid, space)
-    ref = float(np.min(table @ ball.center.weights))
-    dev = np.empty(len(space))
-    witnesses: list[DiscreteDistribution] = []
-    for k in range(len(space)):
-        d, wit, _, _ = absolute_deviation(ball, table[k], ref)
-        dev[k] = d
-        witnesses.append(wit)
-    idx, ties = _argmin_lowest(dev)
-    return Solution(
-        space[idx],
-        idx,
-        float(dev[idx]),
-        "absolute_dro",
-        witness=witnesses[idx],
-        measure=float(dev[idx]),
-        diagnostics={"ties": ties, "nominal_ref": ref, "radius": ball.radius, "kind": ball.kind.label()},
-    )
+    return _search_ball(ball, cf, space, "absolute_dro", lambda c, ref: absolute_deviation(ball, c, ref)[:2])
 
 
 def satisficing_radius_grid(kind: DivergenceKind, center: DiscreteDistribution) -> np.ndarray:

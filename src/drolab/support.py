@@ -32,6 +32,10 @@ class GridMismatchError(ValueError):
     """Two objects that must share a grid do not."""
 
 
+class ConfigError(ValueError):
+    """Configuration rejected, with a JSON-pointer path when available."""
+
+
 def _as_points(atoms) -> np.ndarray:
     arr = np.asarray(atoms, dtype=float)
     if arr.ndim == 1:

@@ -151,6 +151,54 @@ class TestBuiltins:
             assert measured_lipschitz_in_xi(cf, grid, x) <= cf.lip_in_xi(x) * (1 + 1e-9)
 
 
+def _loop_measured_lipschitz(cf, grid, x):
+    vals = cf.atom_costs(grid, x)
+    best = 0.0
+    for i in range(grid.size):
+        for j in range(i + 1, grid.size):
+            d = grid.ground_metric[i, j]
+            if d > 0.0:
+                best = max(best, abs(vals[i] - vals[j]) / d)
+    return best
+
+
+def _loop_lipschitz_offender(cf, grid, space):
+    """First pair beating a declared constant, scanned the way the checks are specified."""
+    table = cost_table(cf, grid, space)
+    for k, x in enumerate(space):
+        bound = cf.lip_in_xi(x)
+        for i in range(grid.size):
+            for j in range(grid.size):
+                if abs(table[k, i] - table[k, j]) > bound * grid.ground_metric[i, j] * (1.0 + 1e-9) + 1e-12:
+                    return f"declared lip_in_xi({x.tolist()})={bound} is beaten by atoms ({i},{j})"
+    for j in range(grid.size):
+        bound = cf.lip_in_x(grid.atoms[j])
+        for a in range(len(space)):
+            for b in range(len(space)):
+                step = float(np.linalg.norm(space[a] - space[b]))
+                if abs(table[a, j] - table[b, j]) > bound * step * (1.0 + 1e-9) + 1e-12:
+                    return f"declared lip_in_x(atom {j})={bound} is beaten by decisions ({a},{b})"
+    return None
+
+
+@pytest.mark.parametrize("name", ["absolute", "squared", "newsvendor", "huber", "linreg"])
+def test_lipschitz_checks_match_loop_reference(name):
+    rng = np.random.default_rng(31)
+    for trial in range(8):
+        grid = random_grid(rng, int(rng.integers(2, 7)), dim=2 if name == "linreg" else 1)
+        space = DecisionSpace.interval(-2.0, 2.0, int(rng.integers(1, 6)))
+        cf = with_lipschitz_scale(make_cost(name, grid=grid, space=space), [1.0, 0.9, 0.5, 0.2][trial % 4])
+        for x in space:
+            assert measured_lipschitz_in_xi(cf, grid, x) == _loop_measured_lipschitz(cf, grid, x)
+        expected = _loop_lipschitz_offender(cf, grid, space)
+        if expected is None:
+            validate_cost(cf, grid, space)
+        else:
+            with pytest.raises(ValueError) as info:
+                validate_cost(cf, grid, space)
+            assert str(info.value) == expected
+
+
 def test_lipschitz_scaling_hook():
     cf = make_cost("absolute")
     scaled = with_lipschitz_scale(cf, 0.01)

@@ -17,6 +17,7 @@ from _oracles import (
 )
 from conftest import random_distribution, random_grid
 from drolab.divergence import (
+    _phi,
     AmbiguityBall,
     DivergenceKind,
     absolute_deviation,
@@ -39,6 +40,14 @@ class TestDivergenceKind:
     def test_generator_names_validated(self):
         with pytest.raises(ValueError):
             DivergenceKind("phi", generator="hellinger")
+
+    @pytest.mark.parametrize("generator", ["kl", "chi2", "tv"])
+    def test_builtin_generators_are_convex_with_phi_one_zero(self, generator):
+        ts = np.array([0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0])
+        vals = _phi(generator, ts)
+        assert abs(_phi(generator, np.array([1.0]))[0]) <= 1e-12
+        mids = _phi(generator, (ts[:-2] + ts[2:]) / 2.0)
+        assert np.all(mids <= (vals[:-2] + vals[2:]) / 2.0 + 1e-12)
 
     def test_orientation_flag(self, line_grid):
         a = DiscreteDistribution(line_grid, [1.0, 0.0, 0.0])

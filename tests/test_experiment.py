@@ -1,16 +1,20 @@
 """Config validation, the runner, persistence, and the CLI surface."""
 
 import json
+import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import drolab
 from drolab.cli import main
 from drolab.experiment import (
+    METHODS,
     ConfigError,
     config_hash,
     plan,
@@ -83,6 +87,34 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="/cost"):
             resolve_config(doc)
 
+    def test_ball_method_without_oracle_rejected(self, tmp_path):
+        doc = base_config(str(tmp_path))
+        doc["methods"][3]["divergence"] = {"kind": "tv"}
+        with pytest.raises(ConfigError, match="^/methods/3/divergence: tv balls"):
+            validate_config(doc)
+        for i in (3, 4, 5):
+            for div in ({"kind": "chi2"}, {"kind": "kl", "orientation": "reverse"}):
+                doc = base_config(str(tmp_path))
+                doc["methods"][i]["divergence"] = div
+                with pytest.raises(ConfigError, match=f"^/methods/{i}/divergence:"):
+                    validate_config(doc)
+        (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))
+        runner = CliRunner()
+        for args in (["solve", "--method", "minmax_dro", "--eps", "0.3"], ["measure", "--kind", "absolute"]):
+            result = runner.invoke(main, [*args, str(tmp_path / "prob.json"), "--divergence", "tv"])
+            assert result.exit_code == 1
+            assert "tv balls have no extremal-expectation oracle" in result.output
+
+    def test_unknown_method_and_kind_point_at_the_field(self, tmp_path):
+        doc = base_config(str(tmp_path))
+        doc["methods"][1]["method"] = "ridge"
+        with pytest.raises(ConfigError, match="^/methods/1/method: unknown method 'ridge'"):
+            validate_config(doc)
+        doc = base_config(str(tmp_path))
+        doc["methods"][0]["divergence"] = {"kind": "hellinger"}
+        with pytest.raises(ConfigError, match="^/methods/0/divergence/kind: unknown divergence kind 'hellinger'"):
+            validate_config(doc)
+
     def test_hash_stable_under_key_reordering(self, tmp_path):
         doc = base_config(str(tmp_path))
         reordered = json.loads(json.dumps(doc, sort_keys=True))
@@ -97,6 +129,7 @@ class TestRunner:
         record = run_experiment(cfg)
         assert time.perf_counter() - started < 5.0
         assert record["errors"] == []
+        assert [s["method"] for s in record["solutions"]] == list(METHODS)
         assert record["holds_violations"] == 0
         assert (tmp_path / "out" / "results.csv").exists()
         assert (tmp_path / "out" / "run_record.json").exists()
@@ -228,15 +261,25 @@ class TestCLI:
     def test_solve_remaining_methods_via_cli(self, tmp_path):
         (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))
         runner = CliRunner()
-        for args in (
+        cases = (
             ["--method", "saa"],
             ["--method", "reg_saa", "--lam", "0.5"],
+            ["--method", "bayes_dp", "--beta", "0.25"],
+            ["--method", "minmax_dro", "--eps", "0.3", "--divergence", "kl"],
             ["--method", "abs_dro", "--eps", "0.25"],
             ["--method", "satisficing", "--sided", "two"],
-        ):
+        )
+        assert [args[1] for args in cases] == list(METHODS)
+        for args in cases:
             result = runner.invoke(main, ["solve", str(tmp_path / "prob.json"), *args])
             assert result.exit_code == 0, result.output
             assert "objective_value" in json.loads(result.output)
+        doc = problem_doc()
+        doc["cost"]["name"] = "nonexistent"
+        (tmp_path / "bad.json").write_text(json.dumps(doc))
+        result = runner.invoke(main, ["solve", str(tmp_path / "bad.json"), "--method", "saa"])
+        assert result.exit_code == 1
+        assert "/cost" in result.output
 
     def test_solve_writes_output_file(self, tmp_path):
         (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))
@@ -316,8 +359,11 @@ class TestCLI:
     def test_module_entry_point(self, tmp_path):
         # The CLI is reachable as `python -m drolab` for environments where
         # the console script is not on PATH.
+        # The child imports the same drolab as this process, installed or not.
+        src = str(Path(drolab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
-            [sys.executable, "-m", "drolab", "--version"], capture_output=True, text=True
+            [sys.executable, "-m", "drolab", "--version"], capture_output=True, text=True, env=env
         )
         assert result.returncode == 0
         assert "drolab" in result.stdout
