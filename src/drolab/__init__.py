@@ -32,6 +32,7 @@ from drolab.divergence import (
     DivergenceKind,
     TransportPlan,
     extremal_expectation,
+    extremal_values,
     membership,
     optimal_transport,
     phi_divergence,
@@ -100,6 +101,7 @@ __all__ = [
     "expected_bounds",
     "expected_cost",
     "extremal_expectation",
+    "extremal_values",
     "local_measure",
     "make_cost",
     "membership",

@@ -19,7 +19,8 @@ from drolab.divergence import (
     AmbiguityBall,
     DivergenceKind,
     absolute_deviation,
-    extremal_expectation,
+    deviation_table,
+    extremal_values,
     membership,
 )
 from drolab.solvers import deviation_rate_profile, lipschitz_rate_certificate, satisficing_radius_grid
@@ -116,20 +117,21 @@ def relative_measure(
             diagnostics={"center_value": at_center, "ref_value": float(ref_value)},
         )
     radii = satisficing_radius_grid(kind, center)
-    val, best_k, witness, ratios = deviation_rate_profile(
-        center, costs, float(ref_value), 0.0, kind, "two", radii
+    rates, ratios, binding, witness = deviation_rate_profile(
+        center, costs[None, :], float(ref_value), 0.0, kind, "two", radii
     )
+    val = float(rates[0])
     certificate = lipschitz_rate_certificate(cf, kind, x)
     return RobustnessReport(
         np.atleast_1d(np.asarray(x, dtype=float)),
         "relative",
-        float(val),
-        witness=witness,
+        val,
+        witness=witness(0, binding[0]),
         diagnostics={
             "radius_grid": radii.tolist(),
-            "ratios": ratios,
-            "binding_radius": float(radii[best_k]) if best_k >= 0 else None,
-            "lower_bound": float(val),
+            "ratios": ratios[0].tolist(),
+            "binding_radius": float(radii[binding[0]]),
+            "lower_bound": val,
             "upper_certificate": certificate,
             "kind": kind.label(),
         },
@@ -158,16 +160,15 @@ def local_measure(
     cap = kind.radius_cap(center)
     nominal_idx = int(np.argmin(table @ center.weights))
     radii = [cap * 2.0**-k for k in LOCAL_SCALE_RANGE]
-    values = []
-    for eps in radii:
-        ball = AmbiguityBall(center, eps, kind)
-        if variant == "objective":
-            devs = [absolute_deviation(ball, table[k], float(ref_value))[0] for k in range(len(x_space))]
-            values.append(float(np.min(devs)) / eps)
-        else:
-            worst = [extremal_expectation(ball, table[k], "max")[0] for k in range(len(x_space))]
-            robust_idx = int(np.argmin(worst))
-            values.append(float(np.linalg.norm(x_space[robust_idx] - x_space[nominal_idx])) / eps)
+    if variant == "objective":
+        devs, _ = deviation_table(center, kind, table, radii, float(ref_value), "two")
+        values = [float(np.min(devs[:, r])) / eps for r, eps in enumerate(radii)]
+    else:
+        worst, _ = extremal_values(center, kind, table, radii, "max")
+        values = [
+            float(np.linalg.norm(x_space[int(np.argmin(worst[:, r]))] - x_space[nominal_idx])) / eps
+            for r, eps in enumerate(radii)
+        ]
     estimate = max(0.0, 2.0 * values[-1] - values[-2])
     tail_change = abs(values[-1] - values[-2]) / max(abs(values[-1]), abs(values[-2]), 1e-12)
     return RobustnessReport(
@@ -194,6 +195,11 @@ def _optimal_under(table: np.ndarray, weights: np.ndarray) -> tuple[int, float]:
 def _toward_dirac(ball: AmbiguityBall, index: int) -> DiscreteDistribution | None:
     """Furthest ball member on the segment from the center to a Dirac atom."""
     target = DiscreteDistribution.dirac(ball.grid, index)
+    if ball.kind.family == "wasserstein" and ball.kind.p == 1.0:
+        # W1 is a norm of the signed difference, so moving a share t of the
+        # way to the Dirac moves t times W1(Dirac, center) = sum_i w_i d_ij.
+        reach = float(ball.center.weights @ ball.grid.ground_metric[:, index])
+        return target if reach <= ball.radius else mixture(ball.radius / reach, target, ball.center)
     if membership(ball, target):
         return target
     lo, hi = 0.0, 1.0
@@ -220,8 +226,8 @@ def set_robustness(
 
     Evaluates the optimal value (``objective``) or optimizer displacement
     (``solution``) at the center, at every extremal witness, and at ``budget``
-    random ball members (maximal mixtures toward random Dirac atoms,
-    membership-checked).  Reported as a lower-bound estimate; the true
+    random ball members (the furthest mixtures toward random Dirac atoms
+    that stay in the ball).  Reported as a lower-bound estimate; the true
     supremum may be larger.
     """
     if variant not in ("objective", "solution"):
@@ -232,15 +238,14 @@ def set_robustness(
     base_idx, base_val = _optimal_under(table, ball.center.weights)
     candidates: list[DiscreteDistribution] = [ball.center]
     if ball.radius > 0.0:
-        for k in range(len(space)):
-            for sense in ("max", "min"):
-                candidates.append(extremal_expectation(ball, table[k], sense)[1])
+        witnesses = [extremal_values(ball.center, ball.kind, table, [ball.radius], s)[1] for s in ("max", "min")]
+        candidates.extend(witness(k, 0) for k in range(len(space)) for witness in witnesses)
     rng = rng_from_seed(seed)
     accepted = 0
     for _ in range(budget):
         j = int(rng.integers(ball.grid.size))
         cand = _toward_dirac(ball, j) if ball.radius > 0.0 else None
-        if cand is None or not membership(ball, cand):
+        if cand is None:
             continue
         candidates.append(cand)
         accepted += 1

@@ -9,17 +9,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from typing import Callable
 
 import numpy as np
 
 from drolab import bayes as _bayes
 from drolab.cost import CostFunction, DecisionSpace, Regularizer, cost_table
-from drolab.divergence import (
-    AmbiguityBall,
-    DivergenceKind,
-    absolute_deviation,
-    extremal_expectation,
-)
+from drolab.divergence import AmbiguityBall, DivergenceKind, absolute_deviation, deviation_table, extremal_values
 from drolab.support import DiscreteDistribution, SampleSet
 
 SATISFICING_RADII = 40
@@ -115,15 +111,23 @@ def solve_bayes_dp(
     return Solution(sol.x, sol.x_index, sol.objective_value, "bayes_dp", diagnostics=diag)
 
 
-def _search_ball(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace, method: str, evaluate) -> Solution:
-    # ``evaluate(costs, ref)`` gives one decision's (value, witness) over the
-    # ball; the solution minimizes the value and reports it as the measure.
+def _search_ball(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace, method: str, sided: str) -> Solution:
+    # The solution minimizes the worst-case value (one-sided) or the largest
+    # deviation from the best nominal value (two-sided) and reports it as the measure.
     table = cost_table(cf, ball.grid, space)
     ref = float(np.min(table @ ball.center.weights))
-    values, witnesses = zip(*(evaluate(table[k], ref) for k in range(len(space))))
+    if sided == "one":
+        worst, witness = extremal_values(ball.center, ball.kind, table, [ball.radius], "max")
+        values = worst[:, 0]
+    else:
+        values, witnesses = zip(*(absolute_deviation(ball, row, ref)[:2] for row in table))
+
+        def witness(k: int, r: int) -> DiscreteDistribution:
+            return witnesses[k]
+
     idx, ties = _argmin_lowest(np.array(values))
     diagnostics = {"ties": ties, "nominal_ref": ref, "radius": ball.radius, "kind": ball.kind.label()}
-    return Solution(space[idx], idx, float(values[idx]), method, witnesses[idx], float(values[idx]), diagnostics)
+    return Solution(space[idx], idx, float(values[idx]), method, witness(idx, 0), float(values[idx]), diagnostics)
 
 
 def solve_minmax_dro(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace) -> Solution:
@@ -132,7 +136,7 @@ def solve_minmax_dro(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace
     The reported measure is the worst-case value minus the best nominal value
     at the ball's center (the one-sided deviation the solution guarantees).
     """
-    sol = _search_ball(ball, cf, space, "minmax_dro", lambda c, ref: extremal_expectation(ball, c, "max"))
+    sol = _search_ball(ball, cf, space, "minmax_dro", "one")
     return replace(sol, measure=sol.objective_value - sol.diagnostics["nominal_ref"])
 
 
@@ -143,7 +147,7 @@ def solve_absolute_dro(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpa
     extremal expectations); the solution minimizes that deviation and carries
     the binding extremal distribution as witness.
     """
-    return _search_ball(ball, cf, space, "absolute_dro", lambda c, ref: absolute_deviation(ball, c, ref)[:2])
+    return _search_ball(ball, cf, space, "absolute_dro", "two")
 
 
 def satisficing_radius_grid(kind: DivergenceKind, center: DiscreteDistribution) -> np.ndarray:
@@ -153,32 +157,24 @@ def satisficing_radius_grid(kind: DivergenceKind, center: DiscreteDistribution) 
 
 def deviation_rate_profile(
     center: DiscreteDistribution,
-    costs: np.ndarray,
+    table: np.ndarray,
     ref: float,
     slack: float,
     kind: DivergenceKind,
     sided: str,
     radii: np.ndarray,
-) -> tuple[float, int, DiscreteDistribution | None, list[float]]:
-    """Supremum over the radius grid of (deviation - slack) / radius."""
-    best = -math.inf
-    best_k = -1
-    best_witness: DiscreteDistribution | None = None
-    ratios: list[float] = []
-    for k, eps in enumerate(radii):
-        ball = AmbiguityBall(center, float(eps), kind)
-        if sided == "one":
-            val, wit = extremal_expectation(ball, costs, "max")
-            deviation = val - ref
-        else:
-            deviation, wit, _, _ = absolute_deviation(ball, costs, ref)
-        ratio = (deviation - slack) / eps
-        ratios.append(float(ratio))
-        if ratio > best:
-            best = ratio
-            best_k = k
-            best_witness = wit
-    return max(best, 0.0), best_k, best_witness, ratios
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[int, int], DiscreteDistribution]]:
+    """Per cost row, the supremum over the radius grid of (deviation - slack) / radius.
+
+    Returns the suprema floored at 0, the rows-by-radii ratios, the index of
+    each row's binding radius (the first that attains the supremum) and the
+    witness of a (row, radius) cell, as :func:`deviation_table` gives it.
+    """
+    deviations, witness = deviation_table(center, kind, table, radii, ref, sided)
+    ratios = (deviations - slack) / radii
+    binding = np.argmax(ratios, axis=1)
+    rates = np.maximum(ratios[np.arange(binding.size), binding], 0.0)
+    return rates, ratios, binding, witness
 
 
 def lipschitz_rate_certificate(cf: CostFunction, kind: DivergenceKind, x) -> float:
@@ -218,38 +214,28 @@ def solve_robust_satisficing(
     if feasible.size == 0:
         raise RuntimeError("no decision meets the nominal target; this cannot happen for slack >= 0")
     radii = satisficing_radius_grid(kind, center)
-    best_idx = -1
-    best_val = math.inf
-    best_witness: DiscreteDistribution | None = None
-    best_ratios: list[float] = []
-    best_k = -1
-    for k in feasible:
-        val, arg_k, wit, ratios = deviation_rate_profile(
-            center, table[k], ref, target_slack, kind, sided, radii
-        )
-        if val < best_val:
-            best_val = val
-            best_idx = int(k)
-            best_witness = wit
-            best_ratios = ratios
-            best_k = arg_k
+    rates, ratios, binding, witness = deviation_rate_profile(
+        center, table[feasible], ref, target_slack, kind, sided, radii
+    )
+    best = int(np.argmin(rates))
+    best_idx, best_val = int(feasible[best]), float(rates[best])
     certificate = lipschitz_rate_certificate(cf, kind, space[best_idx])
     return Solution(
         space[best_idx],
         best_idx,
-        float(best_val),
+        best_val,
         "satisficing",
-        witness=best_witness,
-        measure=float(best_val),
+        witness=witness(best, binding[best]),
+        measure=best_val,
         diagnostics={
             "sided": sided,
             "target_slack": target_slack,
             "nominal_ref": ref,
             "feasible_count": int(feasible.size),
             "radius_grid": radii.tolist(),
-            "ratios": best_ratios,
-            "binding_radius": float(radii[best_k]) if best_k >= 0 else None,
-            "lower_bound": float(best_val),
+            "ratios": ratios[best].tolist(),
+            "binding_radius": float(radii[binding[best]]),
+            "lower_bound": best_val,
             "upper_certificate": certificate,
             "kind": kind.label(),
         },

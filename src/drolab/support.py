@@ -73,10 +73,10 @@ class SupportGrid:
             raise ValueError("ground metric must have a zero diagonal")
         metric = 0.5 * (metric + metric.T)
         np.fill_diagonal(metric, 0.0)
-        for i in range(m):
-            for j in range(i + 1, m):
-                if np.array_equal(atoms[i], atoms[j]):
-                    raise ValueError(f"atoms {i} and {j} coincide")
+        coincide = np.triu(np.all(atoms[:, None, :] == atoms[None, :, :], axis=2), 1)
+        if coincide.any():
+            i, j = np.argwhere(coincide)[0]
+            raise ValueError(f"atoms {i} and {j} coincide")
         if m <= _TRIANGLE_CHECK_MAX_ATOMS:
             for k in range(m):
                 detour = metric[:, k][:, None] + metric[k, :][None, :]

@@ -4,7 +4,9 @@ Nothing here touches the package's LP solver or dual machinery: transport
 problems are solved by exhaustive search over discretized coupling grids and
 enumerated polytope corners, and order-1 distances by enumerating the
 vertices of the potential polytope.  Values frozen into tests come from
-these.
+these.  Worst- and best-case expectations over Wasserstein balls also have
+their primal coupling LP here, solved by SciPy's HiGHS, as the reference for
+the package's dual oracle.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.optimize import linprog
 
 
 def rational_weights(rng: np.random.Generator, m: int, denominator: int) -> np.ndarray:
@@ -197,3 +200,34 @@ def extremal_oracle_w1(
     ok = corners[corner_dists <= eps + 1e-9]
     corner_best = float(np.max(ok @ costs)) if ok.size else -math.inf
     return scan_best, max(scan_best, corner_best)
+
+
+def ball_extremal_lp(
+    center: np.ndarray, metric: np.ndarray, order: float, costs: np.ndarray, eps: float, sense: str = "max"
+) -> tuple[float, np.ndarray]:
+    """Extremal expectation over an order-p Wasserstein ball, as the coupling LP.
+
+    Variables pi[i, j] >= 0 carry the mass of center atom j to atom i; the
+    columns sum to the center and the transport budget is
+    sum pi * d**order <= eps**order, divided by the budget so that HiGHS's
+    feasibility tolerance is relative to it (a tiny ball would otherwise
+    admit a budget overrun of the tolerance's size).  Returns the optimal
+    value and the row marginal of an optimal coupling.
+    """
+    m = center.size
+    dist_pow = metric**order
+    budget = eps**order
+    scale = budget if budget > 0.0 else max(float(np.max(dist_pow)), 1e-30)
+    sign = -1.0 if sense == "max" else 1.0
+    res = linprog(
+        sign * np.repeat(costs, m),
+        A_eq=np.tile(np.eye(m), m),
+        b_eq=center,
+        A_ub=(dist_pow / scale).reshape(1, -1),
+        b_ub=[budget / scale],
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(sign * res.fun), np.maximum(res.x.reshape(m, m).sum(axis=1), 0.0)

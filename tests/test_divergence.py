@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import (
+    ball_extremal_lp,
     extremal_oracle_w1,
     kl_divergence_vec,
     rational_weights,
@@ -21,7 +22,9 @@ from drolab.divergence import (
     AmbiguityBall,
     DivergenceKind,
     absolute_deviation,
+    deviation_table,
     extremal_expectation,
+    extremal_values,
     membership,
     optimal_transport,
     phi_divergence,
@@ -225,9 +228,10 @@ class TestExtremalExpectation:
                 costs = rng.normal(size=3)
                 eps = float(rng.uniform(0.01, 0.5))
                 ball = AmbiguityBall(center, eps, kind)
-                value, witness = extremal_expectation(ball, costs, "max")
-                assert membership(ball, witness)
-                assert witness.expectation(costs) <= value + 1e-7
+                for sense in ("max", "min"):
+                    value, witness = extremal_expectation(ball, costs, sense)
+                    assert membership(ball, witness)
+                    assert abs(witness.expectation(costs) - value) <= 1e-9
 
     def test_matches_simplex_scan_with_corner_candidates(self):
         # A named 3-atom instance: the scan plus polytope corners pins the
@@ -243,8 +247,6 @@ class TestExtremalExpectation:
 
     @pytest.mark.parametrize("trial", range(12))
     def test_matches_reference_solver_up_to_ten_atoms(self, trial):
-        from scipy.optimize import linprog
-
         rng = np.random.default_rng(5000 + trial)
         m = int(rng.integers(2, 11))
         grid = random_grid(rng, m)
@@ -257,20 +259,8 @@ class TestExtremalExpectation:
         eps = float(rng.uniform(0.0, 1.2) * grid.diameter)
         ball = AmbiguityBall(center, eps, DivergenceKind.wasserstein_order(1))
         val, _ = extremal_expectation(ball, costs, "max")
-        a_eq = np.zeros((m, m * m))
-        for j in range(m):
-            a_eq[j, j::m] = 1.0
-        ref = linprog(
-            -np.repeat(costs, m),
-            A_eq=a_eq,
-            b_eq=center.weights,
-            A_ub=grid.ground_metric.reshape(1, -1),
-            b_ub=[eps],
-            bounds=(0, None),
-            method="highs",
-        )
-        assert ref.status == 0
-        assert val == pytest.approx(-ref.fun, abs=1e-7)
+        ref, _ = ball_extremal_lp(center.weights, grid.ground_metric, 1.0, costs, eps, "max")
+        assert val == pytest.approx(ref, abs=1e-9)
 
     def test_monotone_in_radius(self, line_grid):
         rng = np.random.default_rng(3)
@@ -334,6 +324,123 @@ class TestExtremalExpectation:
         ball = AmbiguityBall(DiscreteDistribution.uniform(line_grid), 0.1, DivergenceKind.chi2())
         with pytest.raises(ValueError, match="implemented"):
             extremal_expectation(ball, [1.0, 2.0, 3.0], "max")
+
+
+def _random_ball_instance(rng, m, dim, empty, tied):
+    grid = random_grid(rng, m, dim)
+    w = rng.dirichlet(np.ones(m))
+    w[rng.choice(m, size=min(empty, m - 1), replace=False)] = 0.0
+    center = DiscreteDistribution(grid, w / w.sum())
+    if tied:  # a few distinct values, so argmax atoms and dual breakpoints tie
+        return center, rng.integers(-2, 3, size=(3, m)).astype(float)
+    return center, rng.normal(size=(3, m)) * rng.uniform(0.1, 10.0)
+
+
+# Radii as fractions of the grid diameter, from 0 through past the diameter.
+# The smallest positive one is the library's own radius-grid floor (1e-4).
+_RADIUS_FRACTIONS = st.sampled_from([0.0, 1e-4, 0.05, 0.3, 0.7, 1.0, 1.5]) | st.floats(1e-4, 1.2)
+
+
+class TestWassersteinDualOracle:
+    """The strong-dual ball oracle against the coupling LP solved by HiGHS."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 8),
+        dim=st.sampled_from([1, 2]),
+        p=st.sampled_from([1.0, 1.5, 2.0]),
+        empty=st.integers(0, 3),
+        tied=st.booleans(),
+        frac=_RADIUS_FRACTIONS,
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_coupling_lp_with_attaining_member_witness(self, seed, m, dim, p, empty, tied, frac):
+        rng = np.random.default_rng(seed)
+        center, table = _random_ball_instance(rng, m, dim, empty, tied)
+        ball = AmbiguityBall(center, frac * center.grid.diameter, DivergenceKind.wasserstein_order(p))
+        for costs in table:
+            for sense in ("max", "min"):
+                value, witness = extremal_expectation(ball, costs, sense)
+                ref, _ = ball_extremal_lp(center.weights, center.grid.ground_metric, p, costs, ball.radius, sense)
+                assert abs(value - ref) <= 1e-9 * max(1.0, abs(ref))
+                assert abs(witness.expectation(costs) - value) <= 1e-9 * max(1.0, abs(value))
+                assert membership(ball, witness)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 7),
+        dim=st.sampled_from([1, 2]),
+        p=st.sampled_from([1.0, 1.5, 2.0]),
+        empty=st.integers(0, 2),
+        tied=st.booleans(),
+        fracs=st.lists(_RADIUS_FRACTIONS, min_size=1, max_size=5),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_batched_values_equal_per_call_values(self, seed, m, dim, p, empty, tied, fracs):
+        rng = np.random.default_rng(seed)
+        center, table = _random_ball_instance(rng, m, dim, empty, tied)
+        kind = DivergenceKind.wasserstein_order(p)
+        radii = np.array(fracs) * center.grid.diameter
+        for sense in ("max", "min"):
+            values, witnesses = extremal_values(center, kind, table, radii, sense)
+            assert values.shape == (len(table), len(radii))
+            for k, costs in enumerate(table):
+                for r, eps in enumerate(radii):
+                    ball = AmbiguityBall(center, float(eps), kind)
+                    value, _ = extremal_expectation(ball, costs, sense)
+                    assert values[k, r] == value
+                    witness = witnesses(k, r)
+                    assert abs(witness.expectation(costs) - value) <= 1e-9 * max(1.0, abs(value))
+                    assert membership(ball, witness)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 6),
+        dim=st.sampled_from([1, 2]),
+        p=st.sampled_from([1.0, 2.0]),
+        empty=st.integers(0, 2),
+        tied=st.booleans(),
+        fracs=st.lists(_RADIUS_FRACTIONS, min_size=1, max_size=3),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_absolute_deviation_matches_two_sided_table(self, seed, m, dim, p, empty, tied, fracs):
+        # absolute_deviation still solves the coupling LP per call; the
+        # batched two-sided deviations of the dual must give the same numbers.
+        rng = np.random.default_rng(seed)
+        center, table = _random_ball_instance(rng, m, dim, empty, tied)
+        kind = DivergenceKind.wasserstein_order(p)
+        radii = np.array(fracs) * center.grid.diameter
+        ref = float(np.min(table @ center.weights))
+        deviations, witnesses = deviation_table(center, kind, table, radii, ref, "two")
+        for k, costs in enumerate(table):
+            for r, eps in enumerate(radii):
+                dev, witness, hi, lo = absolute_deviation(AmbiguityBall(center, float(eps), kind), costs, ref)
+                assert abs(dev - deviations[k, r]) <= 1e-9 * max(1.0, abs(dev))
+                for q in (witness, witnesses(k, r)):
+                    assert abs(abs(q.expectation(costs) - ref) - dev) <= 1e-9 * max(1.0, abs(dev))
+
+    def test_kl_batch_matches_per_call_tilting(self, line_grid):
+        center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        table = np.array([[1.0, -2.0, 4.0], [0.5, 0.5, 3.0]])
+        radii = [0.0, 0.05, 2.0]
+        values, witnesses = extremal_values(center, DivergenceKind.kl(), table, radii, "min")
+        for k, costs in enumerate(table):
+            for r, eps in enumerate(radii):
+                value, witness = extremal_expectation(AmbiguityBall(center, eps, DivergenceKind.kl()), costs, "min")
+                assert values[k, r] == value
+                assert np.array_equal(witnesses(k, r).weights, witness.weights)
+
+    def test_rejects_bad_tables_and_radii(self, line_grid):
+        center = DiscreteDistribution.uniform(line_grid)
+        w1 = DivergenceKind.wasserstein_order(1)
+        with pytest.raises(ValueError, match="in each row"):
+            extremal_values(center, w1, np.ones(3), [0.1])
+        with pytest.raises(ValueError, match="radii"):
+            extremal_values(center, w1, np.ones((2, 3)), [0.1, -0.1])
+        with pytest.raises(ValueError, match="implemented"):
+            extremal_values(center, DivergenceKind.tv(), np.ones((2, 3)), [0.0, 0.1])
+        at_center, _ = extremal_values(center, DivergenceKind.tv(), np.ones((2, 3)), [0.0])
+        assert np.array_equal(at_center, np.ones((2, 1)))
 
 
 def test_absolute_deviation_picks_binding_side(line_grid):

@@ -208,6 +208,39 @@ class TestRunner:
         result = runner.invoke(main, ["run", str(tmp_path / "bad.json")])
         assert result.exit_code == 1
 
+    def test_golden_results_reproduced(self, tmp_path):
+        # tests/data/golden_results.csv was recorded by the coupling-LP ball
+        # oracle: six methods, W1 and W2 balls, n in {10, 40}.  Every column
+        # that does not depend on which optimal witness an oracle returns must
+        # match to 1e-9; the relative_dro gap and bound (and its
+        # distance_to_witness) go through the witness and are checked by
+        # ``holds`` only.
+        import csv as csvmod
+
+        data = Path(__file__).parent / "data"
+        doc = json.loads((data / "golden_config.json").read_text())
+        record = run_experiment(resolve_config(doc, str(tmp_path)))
+        assert record["errors"] == []
+        with open(data / "golden_results.csv", newline="") as fh:
+            golden = list(csvmod.DictReader(fh))
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = list(csvmod.DictReader(fh))
+        assert len(rows) == len(golden) == 52
+        for new, old in zip(rows, golden):
+            assert [new[c] for c in ("kind", "n", "seed", "x_star", "holds")] == [
+                old[c] for c in ("kind", "n", "seed", "x_star", "holds")
+            ]
+            if new["kind"] != "relative_dro":
+                assert float(new["gap"]) == pytest.approx(float(old["gap"]), abs=1e-9)
+                assert float(new["bound"]) == pytest.approx(float(old["bound"]), abs=1e-9)
+            got, want = json.loads(new["ingredients_json"]), json.loads(old["ingredients_json"])
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                if key == "method":
+                    assert got[key] == value
+                elif key != "distance_to_witness":
+                    assert got[key] == pytest.approx(value, abs=1e-9), key
+
 
 class TestVerifyBounds:
     def test_clean_config_passes(self, tmp_path):

@@ -216,6 +216,31 @@ class TestSetRobustness:
         rep = set_robustness(ball, cf, space, "objective", budget=20, seed=3)
         assert rep.witness is None or membership(ball, rep.witness)
 
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_toward_dirac_reaches_the_ball_boundary(self, p):
+        from drolab.divergence import wasserstein
+        from drolab.robustness import _toward_dirac
+
+        rng = np.random.default_rng(17)
+        grid = random_grid(rng, 5, dim=2)
+        center = random_distribution(rng, grid)
+        kind = DivergenceKind.wasserstein_order(p)
+        for j in range(grid.size):
+            reach = wasserstein(DiscreteDistribution.dirac(grid, j), center, p)
+            for eps in (0.3 * reach, 0.9 * reach, reach, 1.5 * reach):
+                ball = AmbiguityBall(center, eps, kind)
+                cand = _toward_dirac(ball, j)
+                assert membership(ball, cand)
+                if eps >= reach:
+                    assert cand.weights[j] == pytest.approx(1.0, abs=1e-12)
+                else:
+                    # The furthest member on the segment sits on the boundary
+                    # (bisection to 2**-40 of the segment for p > 1).
+                    assert wasserstein(cand, center, p) == pytest.approx(eps, rel=1e-9 if p == 1.0 else 1e-6)
+        # A Dirac centre is its own furthest member.
+        dirac = DiscreteDistribution.dirac(grid, 2)
+        assert _toward_dirac(AmbiguityBall(dirac, 0.1, W1), 2).weights[2] == 1.0
+
 
 class TestPacRobustness:
     def test_huge_level_gives_probability_one(self, line_grid):

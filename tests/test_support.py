@@ -30,6 +30,25 @@ class TestSupportGrid:
         with pytest.raises(ValueError, match="coincide"):
             SupportGrid.euclidean([[0.0], [0.0], [1.0]])
 
+    @pytest.mark.parametrize(
+        "atoms, pair",
+        [
+            ([[2.0, 0.0], [1.0, 0.0], [3.0, 1.0], [1.0, 0.0], [2.0, 0.0]], (0, 4)),
+            ([[0.0, 1.0], [0.0, 2.0], [5.0, 5.0], [0.0, 2.0], [0.0, 1.0], [0.0, 2.0]], (0, 4)),
+            ([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0], [1.0, 0.0], [1.0, 1.0]], (1, 3)),
+        ],
+    )
+    def test_duplicate_message_names_first_pair_in_row_major_order(self, atoms, pair):
+        # Reference: the pairwise loop, rows before columns.
+        first = next(
+            (i, j) for i in range(len(atoms)) for j in range(i + 1, len(atoms)) if atoms[i] == atoms[j]
+        )
+        assert first == pair
+        with pytest.raises(ValueError, match=rf"^atoms {pair[0]} and {pair[1]} coincide$"):
+            SupportGrid.euclidean(atoms)
+        partly_equal = [[0.0, 1.0], [0.0, 2.0], [1.0, 1.0]]
+        assert SupportGrid.euclidean(partly_equal).size == 3
+
     def test_asymmetric_metric_rejected(self):
         metric = np.array([[0.0, 1.0], [2.0, 0.0]])
         with pytest.raises(ValueError, match="symmetric"):
