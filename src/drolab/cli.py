@@ -199,7 +199,8 @@ def prior_from_reg_cmd(spec_path: str, max_entropy: bool) -> None:
 def verify_bounds_cmd(config: str) -> None:
     """Check every deviation bound on the configured instances.
 
-    Exits 2 if any finite bound fails to contain its gap.
+    The bound suites use W1 balls whatever divergences the config's methods
+    name.  Exits 2 if any finite bound fails to contain its gap.
     """
     try:
         cfg = load_config(config)

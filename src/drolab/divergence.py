@@ -1,10 +1,11 @@
 """Statistical similarity measures, ambiguity balls, and extremal oracles.
 
 Wasserstein distances are computed exactly as transport linear programs over
-the shared grid.  Worst-case and best-case expectations over Wasserstein balls
-come from the finite strong dual, a convex piecewise-linear function of one
-multiplier minimized exactly at its breakpoints, batched over cost rows and
-radii; over KL balls they are solved through the classical
+the shared grid; inside a :func:`transport_memo` block a repeated instance
+costs no second solve.  Worst-case and best-case expectations over
+Wasserstein balls come from the finite strong dual, a convex piecewise-linear
+function of one multiplier minimized exactly at its breakpoints, batched over
+cost rows and radii; over KL balls they are solved through the classical
 exponential-tilting dual with a bracketed one-dimensional search.  The one
 exception is :func:`absolute_deviation`, which still solves the coupling LP
 per Wasserstein ball (see its docstring).
@@ -12,9 +13,13 @@ per Wasserstein ball (see its docstring).
 
 from __future__ import annotations
 
+import hashlib
 import math
+from collections import OrderedDict
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 from scipy.optimize import brentq
@@ -27,6 +32,7 @@ _PHI_GENERATORS = ("kl", "chi2", "tv")
 DIVERGENCE_KINDS = ("wasserstein", *_PHI_GENERATORS)
 ORIENTATIONS = ("forward", "reverse")
 _MEMBERSHIP_SLACK = 1e-10
+_TRANSPORT_MEMO_ENTRIES = 256
 
 
 def _phi(generator: str, t: np.ndarray) -> np.ndarray:
@@ -181,11 +187,15 @@ def _require_same_grid(a: DiscreteDistribution, b: DiscreteDistribution) -> None
         raise GridMismatchError("distributions live on different grids")
 
 
-def optimal_transport(a: DiscreteDistribution, b: DiscreteDistribution, p: float = 1.0) -> TransportPlan:
-    """Solve the transport LP between ``a`` and ``b`` with cost ``d**p``."""
+def _check_transport(a: DiscreteDistribution, b: DiscreteDistribution, p: float) -> None:
     _require_same_grid(a, b)
     if not (math.isfinite(p) and p >= 1.0):
         raise ValueError("order must be finite and >= 1")
+
+
+def optimal_transport(a: DiscreteDistribution, b: DiscreteDistribution, p: float = 1.0) -> TransportPlan:
+    """Solve the transport LP between ``a`` and ``b`` with cost ``d**p``."""
+    _check_transport(a, b, p)
     m = a.grid.size
     cost = (a.grid.ground_metric**p).reshape(-1)
     # Row marginals (mass leaving atom i of a), then column marginals.
@@ -202,10 +212,78 @@ def optimal_transport(a: DiscreteDistribution, b: DiscreteDistribution, p: float
     return plan
 
 
-def wasserstein(a: DiscreteDistribution, b: DiscreteDistribution, p: float = 1.0) -> float:
-    """Order-p Wasserstein distance: p-th root of the optimal transport cost."""
+class _TransportMemo:
+    """Least-recently-used map from a transport instance to its distance.
+
+    A key is a BLAKE2b digest of everything the transport LP reads: the
+    order, the ground metric and both weight vectors in argument order.  So
+    an entry costs a few dozen bytes on any grid, and the entry bound is
+    also the memory bound.
+    """
+
+    def __init__(self, entries: int) -> None:
+        self._entries = entries
+        self._values: OrderedDict[bytes, float] = OrderedDict()
+
+    def distance(self, a: DiscreteDistribution, b: DiscreteDistribution, p: float) -> float:
+        digest = hashlib.blake2b(np.float64(p).tobytes(), digest_size=32)
+        for part in (a.grid.ground_metric, a.weights, b.weights):
+            digest.update(part.tobytes())
+        key = digest.digest()
+        value = self._values.get(key)
+        if value is None:
+            value = _transport_distance(a, b, p)
+            self._values[key] = value
+            if len(self._values) > self._entries:
+                self._values.popitem(last=False)
+        else:
+            self._values.move_to_end(key)
+        return value
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+
+_ACTIVE_MEMO: ContextVar[_TransportMemo | None] = ContextVar("drolab_transport_memo", default=None)
+
+
+@contextmanager
+def transport_memo() -> Iterator[_TransportMemo]:
+    """Solve each transport instance at most once inside the block.
+
+    Within it, :func:`wasserstein` returns the identical float for a repeated
+    instance (same ground metric, weight vectors in the same argument order,
+    same order) without solving its LP again: one replication of the bound
+    suites asks for W(p0, pbar) five times.  The memo lives as long as the
+    outermost block, so what a block solves does not depend on what ran
+    before it; a nested block shares the outer memo.
+    """
+    memo = _ACTIVE_MEMO.get()
+    if memo is not None:
+        yield memo
+        return
+    memo = _TransportMemo(_TRANSPORT_MEMO_ENTRIES)
+    token = _ACTIVE_MEMO.set(memo)
+    try:
+        yield memo
+    finally:
+        _ACTIVE_MEMO.reset(token)
+
+
+def _transport_distance(a: DiscreteDistribution, b: DiscreteDistribution, p: float) -> float:
     # The LP's cost can round below zero, whose fractional power is complex.
     return max(optimal_transport(a, b, p).cost, 0.0) ** (1.0 / p)
+
+
+def wasserstein(a: DiscreteDistribution, b: DiscreteDistribution, p: float = 1.0) -> float:
+    """Order-p Wasserstein distance: p-th root of the optimal transport cost.
+
+    Inside a :func:`transport_memo` block a repeated instance is not solved
+    again.
+    """
+    _check_transport(a, b, p)
+    memo = _ACTIVE_MEMO.get()
+    return _transport_distance(a, b, p) if memo is None else memo.distance(a, b, p)
 
 
 def phi_divergence(a: DiscreteDistribution, b: DiscreteDistribution, generator: str = "kl") -> float:

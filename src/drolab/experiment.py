@@ -36,7 +36,7 @@ from drolab.bounds import (
     uniform_bound,
 )
 from drolab.cost import CostFunction, DecisionSpace, cost_from_json
-from drolab.divergence import AmbiguityBall, DivergenceKind
+from drolab.divergence import AmbiguityBall, DivergenceKind, transport_memo
 from drolab.solvers import (
     Solution,
     solve_absolute_dro,
@@ -286,18 +286,19 @@ def _run_replication(cfg: ResolvedConfig, n: int, rep: int) -> tuple[int, int, l
     rows: list[dict] = []
     summaries: list[dict] = []
     errors: list[str] = []
-    for entry in cfg.methods:
-        name = entry["method"]
-        spec = METHODS[name]
-        try:
-            prior = DiscreteDistribution.from_json(entry["prior"], cfg.grid) if "prior" in spec.requires else None
-            prob = Problem(pbar, cfg.cf, cfg.space, prior=prior, samples=data, p0=cfg.p0)
-            pairs, sol = spec.bound(prob, entry)
-        except Exception as exc:  # recorded and re-raised through the run record
-            errors.append(f"n={n} rep={rep} method={name}: {type(exc).__name__}: {exc}")
-            break
-        rows.extend(_bound_row(n, rep_seed, gap, rec, name) for gap, rec in pairs)
-        summaries.append({"method": name, "n": n, "rep": rep, "seed": rep_seed, "solution": sol.to_json()})
+    with transport_memo():  # the methods' bounds share W(p0, pbar)
+        for entry in cfg.methods:
+            name = entry["method"]
+            spec = METHODS[name]
+            try:
+                prior = DiscreteDistribution.from_json(entry["prior"], cfg.grid) if "prior" in spec.requires else None
+                prob = Problem(pbar, cfg.cf, cfg.space, prior=prior, samples=data, p0=cfg.p0)
+                pairs, sol = spec.bound(prob, entry)
+            except Exception as exc:  # recorded and re-raised through the run record
+                errors.append(f"n={n} rep={rep} method={name}: {type(exc).__name__}: {exc}")
+                break
+            rows.extend(_bound_row(n, rep_seed, gap, rec, name) for gap, rec in pairs)
+            summaries.append({"method": name, "n": n, "rep": rep, "seed": rep_seed, "solution": sol.to_json()})
     return n, rep, rows, summaries, errors
 
 
@@ -387,9 +388,11 @@ def run(cfg: ResolvedConfig, jobs: int = 1) -> dict:
 def verify_bounds(cfg: ResolvedConfig) -> tuple[bool, dict]:
     """Run every bound suite across the plan; returns (all_held, report).
 
-    Ball radii are set to the exact divergence from the configured true
-    distribution so every hypothesis holds; any finite bound that fails to
-    contain its gap is a violated inequality (exit code 2 in the CLI).
+    Every suite uses the order-1 Wasserstein distance, whatever divergences
+    the config's methods name.  Ball radii are set to the exact W1 distance
+    from the configured true distribution so every hypothesis holds; any
+    finite bound that fails to contain its gap is a violated inequality
+    (exit code 2 in the CLI).
     """
     kind = DivergenceKind.wasserstein_order(1.0)
     failures: list[dict] = []
@@ -399,15 +402,16 @@ def verify_bounds(cfg: ResolvedConfig) -> tuple[bool, dict]:
             rep_seed = derive_seed(cfg.seed, n, rep)
             pbar = empirical(sample(cfg.p0, n, rep_seed))
             records: list[tuple[GapRecord, BoundRecord]] = []
-            records.extend(uniform_bound(cfg.p0, pbar, cfg.cf, cfg.space))
-            radius = kind.distance(cfg.p0, pbar)
-            ball = AmbiguityBall(pbar, radius, kind)
-            pairs, _ = absolute_bound(cfg.p0, ball, cfg.cf, cfg.space)
-            records.extend(pairs)
-            pairs, _ = relative_bound(cfg.p0, pbar, cfg.cf, cfg.space, kind)
-            records.extend(pairs)
-            gap, rec, _ = minmax_one_sided_bound(cfg.p0, ball, cfg.cf, cfg.space)
-            records.append((gap, rec))
+            with transport_memo():  # every suite asks for W(p0, pbar)
+                records.extend(uniform_bound(cfg.p0, pbar, cfg.cf, cfg.space))
+                radius = kind.distance(cfg.p0, pbar)
+                ball = AmbiguityBall(pbar, radius, kind)
+                pairs, _ = absolute_bound(cfg.p0, ball, cfg.cf, cfg.space)
+                records.extend(pairs)
+                pairs, _ = relative_bound(cfg.p0, pbar, cfg.cf, cfg.space, kind)
+                records.extend(pairs)
+                gap, rec, _ = minmax_one_sided_bound(cfg.p0, ball, cfg.cf, cfg.space)
+                records.append((gap, rec))
             for gap, rec in records:
                 checked += 1
                 if not rec.holds and math.isfinite(rec.bound):

@@ -5,6 +5,11 @@ couple dozen rows (transport plans, ball-constrained expectations, moment
 feasibility), so a dense tableau with Bland's anti-cycling rule is both fast
 enough and free of external solver dependencies.  Feasibility tolerance is
 1e-9 throughout.
+
+The entering-column scan, the ratio test and the elimination are vectorised
+over the tableau, but they pick the same pivots and do the same floating-point
+operations as an element-by-element loop (kept in the tests as the reference),
+so every result is bit-identical to it.
 """
 
 from __future__ import annotations
@@ -33,40 +38,44 @@ class LPResult:
         return self.status == "optimal"
 
 
-def _simplex(tableau: np.ndarray, basis: list[int], costs: np.ndarray, max_iter: int) -> tuple[str, int]:
+def _pivot(tableau: np.ndarray, row: int, col: int) -> None:
+    """Scale ``row`` to a unit pivot and eliminate ``col`` from the other rows.
+
+    Only rows with a nonzero entry in ``col`` change: subtracting a zero
+    multiple would still flip the sign of their zero entries.
+    """
+    tableau[row] /= tableau[row, col]
+    touched = np.abs(tableau[:, col]) > 0.0
+    touched[row] = False
+    rows = touched.nonzero()[0]
+    tableau[rows] -= np.multiply.outer(tableau[rows, col], tableau[row])
+
+
+def _simplex(tableau: np.ndarray, basis: np.ndarray, costs: np.ndarray, max_iter: int) -> tuple[str, int]:
     """Run Bland-rule simplex iterations in place; returns (status, iterations)."""
-    m = tableau.shape[0]
     ncols = tableau.shape[1] - 1
     for it in range(max_iter):
-        cb = costs[basis]
-        reduced = costs - cb @ tableau[:, :ncols]
-        entering = -1
-        for j in range(ncols):
-            if reduced[j] < -FEASIBILITY_TOL:
-                entering = j
-                break
-        if entering < 0:
+        reduced = costs - costs[basis] @ tableau[:, :ncols]
+        improving = reduced < -FEASIBILITY_TOL
+        entering = int(improving.argmax())
+        if not improving[entering]:
             return "optimal", it
         col = tableau[:, entering]
+        rows = (col > _PIVOT_TOL).nonzero()[0]
+        ratios = tableau[rows, -1] / col[rows]
+        # Scan the candidates in row order: "within the tolerance of the best
+        # so far" is not transitive, so an argmin can pick another row.
         leaving = -1
         best_ratio = np.inf
-        for i in range(m):
-            if col[i] > _PIVOT_TOL:
-                ratio = tableau[i, -1] / col[i]
-                if ratio < best_ratio - _PIVOT_TOL or (
-                    abs(ratio - best_ratio) <= _PIVOT_TOL
-                    and leaving >= 0
-                    and basis[i] < basis[leaving]
-                ):
-                    best_ratio = ratio
-                    leaving = i
+        for i, ratio in zip(rows.tolist(), ratios.tolist()):
+            if ratio < best_ratio - _PIVOT_TOL or (
+                abs(ratio - best_ratio) <= _PIVOT_TOL and leaving >= 0 and basis[i] < basis[leaving]
+            ):
+                best_ratio = ratio
+                leaving = i
         if leaving < 0:
             return "unbounded", it
-        pivot = tableau[leaving, entering]
-        tableau[leaving, :] /= pivot
-        for i in range(m):
-            if i != leaving and abs(tableau[i, entering]) > 0.0:
-                tableau[i, :] -= tableau[i, entering] * tableau[leaving, :]
+        _pivot(tableau, leaving, entering)
         basis[leaving] = entering
     raise LPFailureError(f"simplex did not terminate within {max_iter} iterations")
 
@@ -87,53 +96,39 @@ def solve_lp(
     c = np.asarray(c, dtype=float)
     n = c.size
     blocks = []
-    rhs = []
     n_ub = 0
     if a_eq is not None:
         a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
         b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
-        blocks.append((a_eq, b_eq, False))
+        blocks.append((a_eq, b_eq))
     if a_ub is not None:
         a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
         b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
         n_ub = a_ub.shape[0]
-        blocks.append((a_ub, b_ub, True))
+        blocks.append((a_ub, b_ub))
     if not blocks:
         raise ValueError("at least one constraint block is required")
-
-    rows = []
-    slack_rows = []
-    row_id = 0
-    for mat, vec, is_ub in blocks:
+    for mat, vec in blocks:
         if mat.shape[1] != n:
             raise ValueError("constraint matrix width does not match objective length")
         if mat.shape[0] != vec.size:
             raise ValueError("constraint rhs length does not match matrix")
-        for i in range(mat.shape[0]):
-            rows.append(mat[i])
-            rhs.append(vec[i])
-            if is_ub:
-                slack_rows.append(row_id)
-            row_id += 1
-    a = np.array(rows, dtype=float)
-    b = np.array(rhs, dtype=float)
-    m = a.shape[0]
+    b = np.concatenate([vec for _, vec in blocks])
+    m = b.size
 
-    # Slack columns for <= rows, then flip rows to make the rhs nonnegative.
-    slack = np.zeros((m, n_ub))
-    for k, i in enumerate(slack_rows):
-        slack[i, k] = 1.0
-    full = np.hstack([a, slack]) if n_ub else a
-    for i in range(m):
-        if b[i] < 0.0:
-            full[i, :] *= -1.0
-            b[i] = -b[i]
+    # Slack columns for the <= rows (the last n_ub), then flip rows to make
+    # the rhs nonnegative.
+    slack = np.vstack([np.zeros((m - n_ub, n_ub)), np.eye(n_ub)])
+    full = np.hstack([np.vstack([mat for mat, _ in blocks]), slack])
+    flip = b < 0.0
+    full[flip] *= -1.0
+    b[flip] = -b[flip]
     n_struct = n + n_ub
 
     # Phase 1: artificial basis, minimize the artificial mass.
     art = np.eye(m)
     tableau = np.hstack([full, art, b[:, None]])
-    basis = [n_struct + i for i in range(m)]
+    basis = np.arange(n_struct, n_struct + m)
     phase1_costs = np.concatenate([np.zeros(n_struct), np.ones(m)])
     cap = max_iter if max_iter is not None else 200 * (n_struct + m + 10)
     status, it1 = _simplex(tableau, basis, phase1_costs, cap)
@@ -148,22 +143,14 @@ def solve_lp(
     keep = np.ones(m, dtype=bool)
     for i in range(m):
         if basis[i] >= n_struct:
-            pivot_col = -1
-            for j in range(n_struct):
-                if abs(tableau[i, j]) > 1e-8:
-                    pivot_col = j
-                    break
-            if pivot_col < 0:
+            candidates = np.flatnonzero(np.abs(tableau[i, :n_struct]) > 1e-8)
+            if candidates.size == 0:
                 keep[i] = False
                 continue
-            pivot = tableau[i, pivot_col]
-            tableau[i, :] /= pivot
-            for r in range(m):
-                if r != i and abs(tableau[r, pivot_col]) > 0.0:
-                    tableau[r, :] -= tableau[r, pivot_col] * tableau[i, :]
-            basis[i] = pivot_col
+            _pivot(tableau, i, candidates[0])
+            basis[i] = candidates[0]
     tableau = np.hstack([tableau[keep][:, :n_struct], tableau[keep][:, -1:]])
-    basis = [bi for bi, k in zip(basis, keep) if k]
+    basis = basis[keep]
     tableau[:, -1] = np.maximum(tableau[:, -1], 0.0)
 
     phase2_costs = np.concatenate([c, np.zeros(n_ub)])
@@ -174,8 +161,7 @@ def solve_lp(
         raise LPFailureError(f"phase 2 ended with status {status!r}")
 
     x_full = np.zeros(n_struct)
-    for i, bi in enumerate(basis):
-        x_full[bi] = tableau[i, -1]
+    x_full[basis] = tableau[:, -1]
     x_full[np.abs(x_full) < 1e-14] = 0.0
     x = x_full[:n]
     return LPResult("optimal", x, float(c @ x), it1 + it2)

@@ -6,7 +6,9 @@ enumerated polytope corners, and order-1 distances by enumerating the
 vertices of the potential polytope.  Values frozen into tests come from
 these.  Worst- and best-case expectations over Wasserstein balls also have
 their primal coupling LP here, solved by SciPy's HiGHS, as the reference for
-the package's dual oracle.
+the package's dual oracle.  The loop-by-loop Bland simplex that
+:mod:`drolab.lp` vectorised is kept here as :func:`bland_lp_reference`, which
+the package's solver must match bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +18,10 @@ import math
 
 import numpy as np
 from scipy.optimize import linprog
+
+from drolab.lp import FEASIBILITY_TOL, LPFailureError, LPResult
+
+_PIVOT_TOL = 1e-10
 
 
 def rational_weights(rng: np.random.Generator, m: int, denominator: int) -> np.ndarray:
@@ -231,3 +237,144 @@ def ball_extremal_lp(
     )
     assert res.status == 0, res.message
     return float(sign * res.fun), np.maximum(res.x.reshape(m, m).sum(axis=1), 0.0)
+
+
+def _bland_simplex_reference(
+    tableau: np.ndarray, basis: list[int], costs: np.ndarray, max_iter: int
+) -> tuple[str, int]:
+    """Bland-rule simplex iterations in place, one element at a time."""
+    m = tableau.shape[0]
+    ncols = tableau.shape[1] - 1
+    for it in range(max_iter):
+        cb = costs[basis]
+        reduced = costs - cb @ tableau[:, :ncols]
+        entering = -1
+        for j in range(ncols):
+            if reduced[j] < -FEASIBILITY_TOL:
+                entering = j
+                break
+        if entering < 0:
+            return "optimal", it
+        col = tableau[:, entering]
+        leaving = -1
+        best_ratio = np.inf
+        for i in range(m):
+            if col[i] > _PIVOT_TOL:
+                ratio = tableau[i, -1] / col[i]
+                if ratio < best_ratio - _PIVOT_TOL or (
+                    abs(ratio - best_ratio) <= _PIVOT_TOL
+                    and leaving >= 0
+                    and basis[i] < basis[leaving]
+                ):
+                    best_ratio = ratio
+                    leaving = i
+        if leaving < 0:
+            return "unbounded", it
+        pivot = tableau[leaving, entering]
+        tableau[leaving, :] /= pivot
+        for i in range(m):
+            if i != leaving and abs(tableau[i, entering]) > 0.0:
+                tableau[i, :] -= tableau[i, entering] * tableau[leaving, :]
+        basis[leaving] = entering
+    raise LPFailureError(f"simplex did not terminate within {max_iter} iterations")
+
+
+def bland_lp_reference(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, max_iter: int | None = None) -> LPResult:
+    """``drolab.lp.solve_lp`` as a plain loop over rows and columns.
+
+    The same two-phase dense tableau, Bland pivots and tolerances, assembled
+    and scanned element by element; the package's vectorised solver must
+    return exactly this result.
+    """
+    c = np.asarray(c, dtype=float)
+    n = c.size
+    blocks = []
+    rhs = []
+    n_ub = 0
+    if a_eq is not None:
+        a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
+        b_eq = np.atleast_1d(np.asarray(b_eq, dtype=float))
+        blocks.append((a_eq, b_eq, False))
+    if a_ub is not None:
+        a_ub = np.atleast_2d(np.asarray(a_ub, dtype=float))
+        b_ub = np.atleast_1d(np.asarray(b_ub, dtype=float))
+        n_ub = a_ub.shape[0]
+        blocks.append((a_ub, b_ub, True))
+    if not blocks:
+        raise ValueError("at least one constraint block is required")
+
+    rows = []
+    slack_rows = []
+    row_id = 0
+    for mat, vec, is_ub in blocks:
+        if mat.shape[1] != n:
+            raise ValueError("constraint matrix width does not match objective length")
+        if mat.shape[0] != vec.size:
+            raise ValueError("constraint rhs length does not match matrix")
+        for i in range(mat.shape[0]):
+            rows.append(mat[i])
+            rhs.append(vec[i])
+            if is_ub:
+                slack_rows.append(row_id)
+            row_id += 1
+    a = np.array(rows, dtype=float)
+    b = np.array(rhs, dtype=float)
+    m = a.shape[0]
+
+    slack = np.zeros((m, n_ub))
+    for k, i in enumerate(slack_rows):
+        slack[i, k] = 1.0
+    full = np.hstack([a, slack]) if n_ub else a
+    for i in range(m):
+        if b[i] < 0.0:
+            full[i, :] *= -1.0
+            b[i] = -b[i]
+    n_struct = n + n_ub
+
+    art = np.eye(m)
+    tableau = np.hstack([full, art, b[:, None]])
+    basis = [n_struct + i for i in range(m)]
+    phase1_costs = np.concatenate([np.zeros(n_struct), np.ones(m)])
+    cap = max_iter if max_iter is not None else 200 * (n_struct + m + 10)
+    status, it1 = _bland_simplex_reference(tableau, basis, phase1_costs, cap)
+    if status != "optimal":
+        raise LPFailureError(f"phase 1 ended with status {status!r}")
+    scale = max(1.0, float(np.max(np.abs(b))) if m else 1.0)
+    infeas = float(phase1_costs[basis] @ tableau[:, -1])
+    if infeas > FEASIBILITY_TOL * scale * 10.0:
+        return LPResult("infeasible", None, None, it1)
+
+    keep = np.ones(m, dtype=bool)
+    for i in range(m):
+        if basis[i] >= n_struct:
+            pivot_col = -1
+            for j in range(n_struct):
+                if abs(tableau[i, j]) > 1e-8:
+                    pivot_col = j
+                    break
+            if pivot_col < 0:
+                keep[i] = False
+                continue
+            pivot = tableau[i, pivot_col]
+            tableau[i, :] /= pivot
+            for r in range(m):
+                if r != i and abs(tableau[r, pivot_col]) > 0.0:
+                    tableau[r, :] -= tableau[r, pivot_col] * tableau[i, :]
+            basis[i] = pivot_col
+    tableau = np.hstack([tableau[keep][:, :n_struct], tableau[keep][:, -1:]])
+    basis = [bi for bi, k in zip(basis, keep) if k]
+    tableau[:, -1] = np.maximum(tableau[:, -1], 0.0)
+
+    phase2_costs = np.concatenate([c, np.zeros(n_ub)])
+    status, it2 = _bland_simplex_reference(tableau, basis, phase2_costs, cap)
+    if status == "unbounded":
+        return LPResult("unbounded", None, None, it1 + it2)
+    if status != "optimal":
+        raise LPFailureError(f"phase 2 ended with status {status!r}")
+
+    x_full = np.zeros(n_struct)
+    for i, bi in enumerate(basis):
+        x_full[bi] = tableau[i, -1]
+    x_full[np.abs(x_full) < 1e-14] = 0.0
+    x = x_full[:n]
+    return LPResult("optimal", x, float(c @ x), it1 + it2)

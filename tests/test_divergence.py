@@ -17,6 +17,7 @@ from _oracles import (
     w1_from_dual,
 )
 from conftest import random_distribution, random_grid
+from drolab import divergence
 from drolab.divergence import (
     _phi,
     AmbiguityBall,
@@ -28,9 +29,10 @@ from drolab.divergence import (
     membership,
     optimal_transport,
     phi_divergence,
+    transport_memo,
     wasserstein,
 )
-from drolab.support import DiscreteDistribution, SupportGrid
+from drolab.support import DiscreteDistribution, GridMismatchError, SupportGrid
 
 
 class TestDivergenceKind:
@@ -145,6 +147,83 @@ class TestWasserstein:
         w1 = wasserstein(a, b, 1.0)
         assert wasserstein(b, a, 1.0) == pytest.approx(w1, abs=1e-8)
         assert w1 <= wasserstein(a, b, 2.0) + 1e-8
+
+
+class TestTransportMemo:
+    """Inside ``transport_memo``, ``wasserstein`` solves each instance once."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        solve = divergence.solve_lp
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(divergence, "solve_lp", counting)
+        return calls
+
+    @pytest.fixture
+    def pair(self, line_grid):
+        return DiscreteDistribution(line_grid, [0.2, 0.3, 0.5]), DiscreteDistribution(line_grid, [0.5, 0.5, 0.0])
+
+    def test_repeat_call_returns_identical_float_without_solving(self, pair, lp_calls):
+        a, b = pair
+        with transport_memo():
+            first = wasserstein(a, b, 1.0)
+            assert len(lp_calls) == 1
+            again = wasserstein(a, DiscreteDistribution(b.grid, [0.5, 0.5, 0.0]), 1)
+            with transport_memo():  # a nested block shares the outer memo
+                nested = wasserstein(a, b, 1.0)
+        assert np.float64(again).tobytes() == np.float64(first).tobytes() == np.float64(nested).tobytes()
+        assert len(lp_calls) == 1
+
+    def test_no_memo_outside_a_block(self, pair, lp_calls):
+        a, b = pair
+        with transport_memo():
+            wasserstein(a, b, 1.0)
+        wasserstein(a, b, 1.0)
+        wasserstein(a, b, 1.0)
+        assert len(lp_calls) == 3
+
+    def test_swapped_arguments_and_orders_are_separate_instances(self, pair, lp_calls):
+        a, b = pair
+        with transport_memo():
+            w1 = wasserstein(a, b, 1.0)
+            assert wasserstein(b, a, 1.0) == pytest.approx(w1, abs=1e-12)
+            w2 = wasserstein(a, b, 2.0)
+            assert len(lp_calls) == 3
+        assert w2 == pytest.approx(math.sqrt(optimal_transport(a, b, 2.0).cost), abs=1e-12)
+        assert w2 != w1
+
+    def test_grid_mismatch_raised_before_lookup(self, pair, line_grid, lp_calls):
+        # The shifted line has the same ground metric, so only the grid check
+        # tells the two instances apart.
+        a, b = pair
+        shifted = SupportGrid.euclidean([[1.0], [2.0], [4.0]])
+        assert np.array_equal(shifted.ground_metric, line_grid.ground_metric)
+        with transport_memo():
+            wasserstein(a, b, 1.0)
+            with pytest.raises(GridMismatchError):
+                wasserstein(a, DiscreteDistribution(shifted, b.weights), 1.0)
+            with pytest.raises(ValueError, match="order"):
+                wasserstein(a, b, 0.5)
+
+    def test_memo_stays_bounded_and_evicts_least_recent(self, monkeypatch, line_grid, lp_calls):
+        monkeypatch.setattr(divergence, "_TRANSPORT_MEMO_ENTRIES", 4)
+        center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        others = [DiscreteDistribution(line_grid, [t, 0.5 - t, 0.5]) for t in np.linspace(0.0, 0.5, 10)]
+        with transport_memo() as memo:
+            for q in others:
+                wasserstein(center, q, 1.0)
+            assert len(memo) == 4
+            assert len(lp_calls) == 10
+            wasserstein(center, others[-1], 1.0)
+            assert len(lp_calls) == 10
+            wasserstein(center, others[0], 1.0)
+            assert len(lp_calls) == 11
+            assert len(memo) == 4
 
 
 class TestPhiDivergence:

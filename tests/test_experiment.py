@@ -12,6 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import drolab
+from drolab import divergence
 from drolab.cli import main
 from drolab.experiment import (
     METHODS,
@@ -256,6 +257,18 @@ class TestVerifyBounds:
         ok, report = verify_bounds(resolve_config(doc))
         assert not ok
         assert report["violations"]
+
+    def test_two_transport_solves_per_replication(self, tmp_path, monkeypatch):
+        # W(p0, pbar) for the uniform bound, the radius, both membership
+        # checks and the relative bound is solved once, then W(p0, witness).
+        calls = []
+        solve = divergence.optimal_transport
+        monkeypatch.setattr(divergence, "optimal_transport", lambda *args: calls.append(args) or solve(*args))
+        doc = base_config(str(tmp_path))
+        doc["n"], doc["replications"] = [10, 40], 2
+        ok, _ = verify_bounds(resolve_config(doc))
+        assert ok
+        assert len(calls) == 2 * 2 * 2
 
 
 class TestCLI:
