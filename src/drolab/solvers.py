@@ -119,11 +119,16 @@ def _search_ball(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace, me
     if sided == "one":
         worst, witness = extremal_values(ball.center, ball.kind, table, [ball.radius], "max")
         values = worst[:, 0]
-    else:
+    elif ball.kind.family == "wasserstein" and ball.radius > 0.0:
+        # Positive-radius Wasserstein balls keep absolute_deviation's
+        # coupling LP (see its docstring).
         values, witnesses = zip(*(absolute_deviation(ball, row, ref)[:2] for row in table))
 
         def witness(k: int, r: int) -> DiscreteDistribution:
             return witnesses[k]
+    else:
+        deviations, witness = deviation_table(ball.center, ball.kind, table, [ball.radius], ref, "two")
+        values = deviations[:, 0]
 
     idx, ties = _argmin_lowest(np.array(values))
     diagnostics = {"ties": ties, "nominal_ref": ref, "radius": ball.radius, "kind": ball.kind.label()}
@@ -152,6 +157,8 @@ def solve_absolute_dro(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpa
 
 def satisficing_radius_grid(kind: DivergenceKind, center: DiscreteDistribution) -> np.ndarray:
     cap = kind.radius_cap(center)
+    if not math.isfinite(cap):
+        raise ValueError(f"{kind.label()} balls never stop growing, so they have no radius grid")
     return np.geomspace(cap * SATISFICING_RADIUS_FLOOR, cap, SATISFICING_RADII)
 
 

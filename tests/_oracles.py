@@ -8,7 +8,9 @@ these.  Worst- and best-case expectations over Wasserstein balls also have
 their primal coupling LP here, solved by SciPy's HiGHS, as the reference for
 the package's dual oracle.  The loop-by-loop Bland simplex that
 :mod:`drolab.lp` vectorised is kept here as :func:`bland_lp_reference`, which
-the package's solver must match bit for bit.
+the package's solver must match bit for bit, and the per-ball bracketed
+``brentq`` solve of the KL tilting dual that :mod:`drolab.divergence`
+batched is kept as :func:`kl_extremal_brentq`.
 """
 
 from __future__ import annotations
@@ -17,9 +19,12 @@ import itertools
 import math
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.optimize import brentq, linprog
+from scipy.special import logsumexp
 
+from drolab.divergence import AmbiguityBall
 from drolab.lp import FEASIBILITY_TOL, LPFailureError, LPResult
+from drolab.support import DiscreteDistribution
 
 _PIVOT_TOL = 1e-10
 
@@ -180,6 +185,72 @@ def kl_divergence_vec(p: np.ndarray, q: np.ndarray) -> float:
     if np.any(q[mask] <= 0):
         return math.inf
     return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+
+
+def _kl_log_partition(log_w: np.ndarray, shifted: np.ndarray, lam: float) -> float:
+    return float(logsumexp(log_w + shifted / lam))
+
+
+def _kl_tilt(weights: np.ndarray, supp: np.ndarray, shifted: np.ndarray, lam: float) -> np.ndarray:
+    log_w = np.log(weights[supp])
+    log_t = log_w + shifted / lam
+    log_t -= logsumexp(log_t)
+    tilt = np.zeros_like(weights)
+    tilt[supp] = np.exp(log_t)
+    return tilt
+
+
+def kl_extremal_brentq(ball: AmbiguityBall, costs: np.ndarray, maximize: bool) -> tuple[float, DiscreteDistribution]:
+    """Extremal expectation over a forward-KL ball, one bracketed ``brentq``
+    root of ``KL(tilt) = eps`` in ``lam`` per call."""
+    center = ball.center
+    eps = ball.radius
+    c = costs if maximize else -costs
+    supp = center.support_indices()
+    w = center.weights[supp]
+    cs = c[supp]
+    top = float(np.max(cs))
+    if top - float(np.min(cs)) < 1e-15:
+        return (float(center.expectation(costs)), center)
+    # Saturation: the cheapest way to pin the expectation at the top value is
+    # the center conditioned on its argmax atoms.
+    arg_top = cs >= top - 1e-15
+    sat_eps = -math.log(float(np.sum(w[arg_top])))
+    if eps >= sat_eps:
+        tilt = np.zeros_like(center.weights)
+        tilt[supp[arg_top]] = w[arg_top] / float(np.sum(w[arg_top]))
+        witness = DiscreteDistribution(center.grid, tilt)
+        value = top if maximize else -top
+        return value, witness
+
+    log_w = np.log(w)
+    shifted = cs - top
+
+    def kl_at(lam: float) -> float:
+        log_z = _kl_log_partition(log_w, shifted, lam)
+        log_t = log_w + shifted / lam - log_z
+        t = np.exp(log_t)
+        return float(np.sum(t * (log_t - log_w)))
+
+    span = top - float(np.min(cs))
+    lam_hi = max(span, 1.0)
+    while kl_at(lam_hi) > eps:
+        lam_hi *= 2.0
+        if lam_hi > 1e18:
+            raise LPFailureError("KL dual bracket expansion failed upward")
+    lam_lo = min(span, 1.0) * 1e-2
+    while kl_at(lam_lo) < eps:
+        lam_lo *= 0.5
+        if lam_lo < 1e-300:
+            raise LPFailureError("KL dual bracket expansion failed downward")
+    # KL of the tilt decreases monotonically in lambda, so the dual optimum
+    # is the unique root of KL(tilt) = eps.
+    lam_star = brentq(lambda lam: kl_at(lam) - eps, lam_lo, lam_hi, xtol=1e-15, rtol=8.9e-16)
+    dual = lam_star * eps + lam_star * _kl_log_partition(log_w, shifted, lam_star) + top
+    tilt = _kl_tilt(center.weights, supp, shifted, lam_star)
+    witness = DiscreteDistribution(center.grid, tilt)
+    value = dual if maximize else -dual
+    return float(value), witness
 
 
 def extremal_oracle_w1(

@@ -10,6 +10,7 @@ from _oracles import (
     ball_extremal_lp,
     extremal_oracle_w1,
     kl_divergence_vec,
+    kl_extremal_brentq,
     rational_weights,
     transport_grid_search,
     transport_vertex_search,
@@ -32,6 +33,7 @@ from drolab.divergence import (
     transport_memo,
     wasserstein,
 )
+from drolab.solvers import satisficing_radius_grid
 from drolab.support import DiscreteDistribution, GridMismatchError, SupportGrid
 
 
@@ -61,6 +63,44 @@ class TestDivergenceKind:
         reverse = DivergenceKind.kl("reverse").distance(a, b)
         assert forward == pytest.approx(math.log(2.0))
         assert math.isinf(reverse)
+
+    @pytest.mark.parametrize("generator", ["kl", "chi2", "tv"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_forward_radius_cap_caps(self, generator, seed):
+        # A forward phi divergence is convex in q, so no distribution exceeds
+        # its largest value at a vertex of the simplex; KL and chi-square
+        # attain the cap at the Dirac on the lightest support atom.
+        rng = np.random.default_rng(seed)
+        grid = random_grid(rng, 6)
+        w = rng.dirichlet(np.ones(6))
+        w[rng.choice(6, size=seed % 3, replace=False)] = 0.0
+        center = DiscreteDistribution(grid, w / w.sum())
+        kind = DivergenceKind("phi", generator=generator)
+        cap = kind.radius_cap(center)
+        vertices = [kind.distance(DiscreteDistribution.dirac(grid, j), center) for j in range(6)]
+        finite = [d for d in vertices if math.isfinite(d)]
+        assert max(finite) <= cap * (1.0 + 1e-12)
+        if generator != "tv":
+            assert max(finite) == pytest.approx(cap, rel=1e-12)
+        for q in rng.dirichlet(np.ones(6), size=20):
+            d = kind.distance(DiscreteDistribution(grid, q), center)
+            assert d <= cap * (1.0 + 1e-12) or math.isinf(d)  # inf: q leaves the centre's support
+
+    def test_reverse_radius_caps(self, line_grid):
+        # Reverse KL and chi-square grow without bound as q empties an atom
+        # the centre holds; -log w_min (1.61 here) is no cap for them.
+        center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        near_vertex = DiscreteDistribution(line_grid, [1e-6, 1e-6, 1.0 - 2e-6])
+        for generator in ("kl", "chi2"):
+            kind = DivergenceKind("phi", generator=generator, orientation="reverse")
+            assert math.isinf(kind.radius_cap(center))
+            assert kind.distance(near_vertex, center) > DivergenceKind("phi", generator=generator).radius_cap(center)
+            with pytest.raises(ValueError, match="never stop growing"):
+                satisficing_radius_grid(kind, center)
+        reverse_tv = DivergenceKind.tv("reverse")
+        assert reverse_tv.radius_cap(center) == 1.0
+        for j in range(3):
+            assert reverse_tv.distance(DiscreteDistribution.dirac(line_grid, j), center) <= 1.0
 
 
 class TestWasserstein:
@@ -520,6 +560,70 @@ class TestWassersteinDualOracle:
             extremal_values(center, DivergenceKind.tv(), np.ones((2, 3)), [0.0, 0.1])
         at_center, _ = extremal_values(center, DivergenceKind.tv(), np.ones((2, 3)), [0.0])
         assert np.array_equal(at_center, np.ones((2, 1)))
+
+
+def _saturation_radius(center: DiscreteDistribution, costs: np.ndarray) -> float:
+    """-log of the centre's mass on its costliest support atoms: from this
+    radius on, the centre conditioned on them attains the top cost."""
+    supp = center.support_indices()
+    cs = costs[supp]
+    return -math.log(float(np.sum(center.weights[supp][cs == np.max(cs)])))
+
+
+class TestKLTiltingOracle:
+    """The batched forward-KL oracle against a per-ball brentq root.
+
+    Tolerances are relative to the row's largest absolute cost, so that
+    they mean the same at every cost scale.
+    """
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 8),
+        empty=st.integers(0, 3),
+        tied=st.booleans(),
+        flat=st.booleans(),
+        scale=st.sampled_from([1e-3, 0.1, 1.0, 10.0, 1e3]),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_matches_brentq_root_cell_by_cell(self, seed, m, empty, tied, flat, scale):
+        rng = np.random.default_rng(seed)
+        center, table = _random_ball_instance(rng, m, 1, empty, tied)
+        table = table / max(float(np.max(np.abs(table))), 1e-300) * scale
+        if flat:
+            table[0] = table[0, 0]
+        kind = DivergenceKind.kl()
+        radii = {0.0, 1e-6, 1e-3, 0.05, 0.3, 1.0}
+        for costs in table:
+            if np.ptp(costs[center.support_indices()]) > 0.0:  # flat rows never saturate
+                for c in (costs, -costs):
+                    sat = _saturation_radius(center, c)
+                    radii |= {sat * (1.0 - 1e-9), sat * (1.0 + 1e-9)}  # just inside and just outside
+        radii = np.array(sorted(radii))
+        found = {}
+        for sense in ("max", "min"):
+            values, witnesses = extremal_values(center, kind, table, radii, sense)
+            found[sense] = values
+            for k, costs in enumerate(table):
+                row_scale = float(np.max(np.abs(costs))) or 1.0
+                for r, eps in enumerate(radii):
+                    if eps > 0.0:
+                        ref, _ = kl_extremal_brentq(AmbiguityBall(center, float(eps), kind), costs, sense == "max")
+                    else:
+                        ref = center.expectation(costs)
+                    assert abs(values[k, r] - ref) <= 1e-9 * row_scale
+                    witness = witnesses(k, r)
+                    assert kl_divergence_vec(witness.weights, center.weights) <= eps + 1e-10
+                    assert abs(witness.expectation(costs) - values[k, r]) <= 1e-9 * row_scale
+                    alone, alone_witness = extremal_values(center, kind, table[k : k + 1], radii[r : r + 1], sense)
+                    assert alone[0, 0] == values[k, r]
+                    assert np.array_equal(alone_witness(0, 0).weights, witness.weights)
+        for k, costs in enumerate(table):
+            slack = 1e-12 * (float(np.max(np.abs(costs))) or 1.0)
+            assert np.all(found["min"][k] <= center.expectation(costs) + slack)
+            assert np.all(found["max"][k] >= center.expectation(costs) - slack)
+            assert np.all(np.diff(found["max"][k]) >= -slack)
+            assert np.all(np.diff(found["min"][k]) <= slack)
 
 
 def test_absolute_deviation_picks_binding_side(line_grid):

@@ -9,7 +9,7 @@ from _oracles import simplex_grid, w1_dual_vertices, w1_from_dual_many
 from conftest import random_distribution, random_grid
 from drolab.bayes import beta_from_lambda, regularizer_from_prior
 from drolab.cost import CostFunction, DecisionSpace, Regularizer, cost_table, expected_cost, make_cost
-from drolab.divergence import AmbiguityBall, DivergenceKind, extremal_expectation
+from drolab.divergence import AmbiguityBall, DivergenceKind, absolute_deviation, extremal_expectation
 from drolab.solvers import (
     solve_absolute_dro,
     solve_bayes_dp,
@@ -198,6 +198,22 @@ class TestSolveAbsoluteDRO:
             sol = solve_absolute_dro(AmbiguityBall(center, eps, W1), cf, space)
             assert sol.measure >= prev - 1e-9
             prev = sol.measure
+
+    def test_kl_ball_matches_per_decision_deviation(self, line_grid):
+        # Balls other than positive-radius Wasserstein ones solve every
+        # decision in one deviation table, with absolute_deviation's numbers.
+        center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        space = DecisionSpace.interval(0, 3, 7)
+        cf = make_cost("absolute")
+        table = cost_table(cf, line_grid, space)
+        ref = float(np.min(table @ center.weights))
+        for eps in (0.0, 0.05, 0.4, 2.0):
+            ball = AmbiguityBall(center, eps, DivergenceKind.kl())
+            sol = solve_absolute_dro(ball, cf, space)
+            deviations = [absolute_deviation(ball, row, ref)[0] for row in table]
+            assert sol.x_index == int(np.argmin(deviations))
+            assert sol.measure == min(deviations)
+            assert abs(abs(sol.witness.expectation(table[sol.x_index]) - ref) - sol.measure) <= 1e-9
 
     def test_matches_sampled_ball_scan(self):
         # Sandwich: scanning ball members (simplex grid + corner candidates)
