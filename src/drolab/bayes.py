@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from drolab.cost import CostFunction, Regularizer, cost_table, expected_cost
+from drolab.cost import CostFunction, DecisionSpace, Regularizer, cost_table, expected_cost
 from drolab.lp import LPFailureError, solve_lp
 from drolab.support import DiscreteDistribution, SampleSet, SupportGrid, empirical, mixture
 
@@ -145,10 +145,11 @@ def prior_from_regularizer(
     decisions = list(x_constraints)
     if not decisions:
         raise ValueError("need at least one constraint decision")
-    h = cost_table(cf, grid, decisions)
-    targets = np.array([f(x) for x in decisions], dtype=float)
+    space = DecisionSpace.from_points(decisions)
+    h = cost_table(cf, grid, space)
+    targets = np.array([f(x) for x in space], dtype=float)
     m = grid.size
-    k = len(decisions)
+    k = len(space)
     # Variables: w (m), then residual splits s+ and s- (k each).
     n_var = m + 2 * k
     obj = np.concatenate([np.zeros(m), np.ones(2 * k)])

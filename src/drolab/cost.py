@@ -8,7 +8,7 @@ default Euclidean ground metric.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -81,6 +81,13 @@ class DecisionSpace:
 class CostFunction:
     """Evaluable cost ``h(x, xi)`` with optional analytic Lipschitz data.
 
+    ``table(points, atoms)`` evaluates the cost over a whole decision grid x
+    atom grid: ``points`` is (k, l), ``atoms`` is (m, d), and the result is
+    the (k, m) array ``H[i, j] = h(points[i], atoms[j])``, unchecked.  The
+    built-ins are made by :meth:`vectorised` from one array formula
+    (``table_fn``), and their scalar ``fn`` is the 1x1 view of it.  A cost
+    built from a scalar ``fn`` alone gets a table that loops over ``fn``.
+
     ``lip_in_xi`` maps a decision x to a constant dominating the variation of
     ``h(x, .)`` between grid atoms per unit of ground distance; ``lip_in_x``
     maps an atom xi to a constant dominating the variation of ``h(., xi)``
@@ -93,20 +100,36 @@ class CostFunction:
     lip_in_xi: Callable[[np.ndarray], float] | None = None
     lip_in_x: Callable[[np.ndarray], float] | None = None
     nonneg: bool = False
+    table_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+
+    @classmethod
+    def vectorised(
+        cls,
+        name: str,
+        table_fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+        lip_in_xi: Callable[[np.ndarray], float] | None = None,
+        lip_in_x: Callable[[np.ndarray], float] | None = None,
+        nonneg: bool = False,
+    ) -> "CostFunction":
+        """A cost given by its table formula; ``fn`` is the formula's 1x1 case."""
+
+        def fn(x, xi):
+            return float(table_fn(x[None, :], xi[None, :])[0, 0])
+
+        return cls(name, fn, lip_in_xi, lip_in_x, nonneg, table_fn)
 
     def __call__(self, x, xi) -> float:
         return float(self.fn(_as_decision(x), np.atleast_1d(np.asarray(xi, dtype=float))))
 
+    def table(self, points: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+        """(k, m) array of h over decisions (k, l) x atoms (m, d), unchecked."""
+        if self.table_fn is not None:
+            return self.table_fn(points, atoms)
+        return np.array([[self.fn(x, xi) for xi in atoms] for x in points], dtype=float)
+
     def atom_costs(self, grid: SupportGrid, x) -> np.ndarray:
         """Vector of h(x, xi_j) over the grid atoms, checked finite."""
-        xd = _as_decision(x)
-        vals = np.array([self.fn(xd, grid.atoms[j]) for j in range(grid.size)], dtype=float)
-        bad = np.flatnonzero(~np.isfinite(vals))
-        if bad.size:
-            raise NonFiniteCostError(
-                f"cost {self.name!r} is not finite at x={xd.tolist()}, atom index {int(bad[0])}"
-            )
-        return vals
+        return _checked_table(self, _as_decision(x)[None, :], grid.atoms)[0]
 
 
 @dataclass(frozen=True)
@@ -128,8 +151,17 @@ def expected_cost(dist, cf: CostFunction, x) -> float:
 
 
 def cost_table(cf: CostFunction, grid: SupportGrid, space: DecisionSpace) -> np.ndarray:
-    """Matrix H[k, j] = h(x_k, xi_j) over decision grid x atom grid."""
-    return np.vstack([cf.atom_costs(grid, x) for x in space])
+    """Matrix H[k, j] = h(x_k, xi_j) over decision grid x atom grid, checked finite."""
+    return _checked_table(cf, space.points, grid.atoms)
+
+
+def _checked_table(cf: CostFunction, points: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    table = cf.table(points, atoms)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        k, j = bad[0]
+        raise NonFiniteCostError(f"cost {cf.name!r} is not finite at x={points[k].tolist()}, atom index {int(j)}")
+    return table
 
 
 def with_lipschitz_scale(cf: CostFunction, scale: float) -> CostFunction:
@@ -140,7 +172,7 @@ def with_lipschitz_scale(cf: CostFunction, scale: float) -> CostFunction:
     """
     lip_xi = (lambda x, _f=cf.lip_in_xi: scale * _f(x)) if cf.lip_in_xi else None
     lip_x = (lambda xi, _f=cf.lip_in_x: scale * _f(xi)) if cf.lip_in_x else None
-    return CostFunction(cf.name, cf.fn, lip_xi, lip_x, cf.nonneg)
+    return replace(cf, lip_in_xi=lip_xi, lip_in_x=lip_x)
 
 
 def measured_lipschitz_in_xi(cf: CostFunction, grid: SupportGrid, x) -> float:
@@ -183,10 +215,21 @@ def validate_cost(cf: CostFunction, grid: SupportGrid, space: DecisionSpace) -> 
 # Built-in cost families
 
 
+def _distances(points: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """Euclidean |x - xi| per cell.
+
+    One dot product per cell, as ``np.linalg.norm`` of a vector takes it, so
+    a cell's value does not depend on the grid around it; a sum over the last
+    axis would reorder the reduction and move d >= 2 values by an ulp.
+    """
+    diff = points[:, None, :] - atoms[None, :, :]
+    return np.sqrt(np.matmul(diff[..., None, :], diff[..., :, None])[..., 0, 0])
+
+
 def _absolute(grid=None, space=None) -> CostFunction:
-    return CostFunction(
+    return CostFunction.vectorised(
         "absolute",
-        lambda x, xi: float(np.linalg.norm(x - xi)),
+        _distances,
         lip_in_xi=lambda x: 1.0,
         lip_in_x=lambda xi: 1.0,
         nonneg=True,
@@ -207,9 +250,9 @@ def _squared(grid: SupportGrid | None = None, space: DecisionSpace | None = None
         xi = np.atleast_1d(np.asarray(xi, dtype=float))
         return 2.0 * float(np.max(np.linalg.norm(space.points - xi[None, :], axis=1)))
 
-    return CostFunction(
+    return CostFunction.vectorised(
         "squared",
-        lambda x, xi: float(np.sum((x - xi) ** 2)),
+        lambda points, atoms: np.sum((points[:, None, :] - atoms[None, :, :]) ** 2, axis=-1),
         lip_in_xi=lip_xi,
         lip_in_x=lip_x,
         nonneg=True,
@@ -221,30 +264,31 @@ def _newsvendor(grid=None, space=None, b: float = 1.0, c: float = 1.0) -> CostFu
         raise ValueError("newsvendor penalties must be nonnegative")
     lip = float(max(b, c))
 
-    def fn(x, xi):
-        short = float(xi[0] - x[0])
-        return b * max(short, 0.0) + c * max(-short, 0.0)
+    def table(points, atoms):
+        short = atoms[None, :, 0] - points[:, None, 0]
+        return b * np.maximum(short, 0.0) + c * np.maximum(-short, 0.0)
 
-    return CostFunction("newsvendor", fn, lambda x: lip, lambda xi: lip, nonneg=True)
+    return CostFunction.vectorised("newsvendor", table, lambda x: lip, lambda xi: lip, nonneg=True)
 
 
 def _huber(grid=None, space=None, delta: float = 1.0) -> CostFunction:
     if delta <= 0:
         raise ValueError("huber threshold must be positive")
 
-    def fn(x, xi):
-        u = float(np.linalg.norm(x - xi))
-        if u <= delta:
-            return 0.5 * u * u
-        return delta * (u - 0.5 * delta)
+    def table(points, atoms):
+        u = _distances(points, atoms)
+        return np.where(u <= delta, 0.5 * u * u, delta * (u - 0.5 * delta))
 
-    return CostFunction("huber", fn, lambda x: delta, lambda xi: delta, nonneg=True)
+    return CostFunction.vectorised("huber", table, lambda x: delta, lambda xi: delta, nonneg=True)
 
 
 def _linreg(grid: SupportGrid | None = None, space: DecisionSpace | None = None) -> CostFunction:
     # xi = (feature, response), scalar slope decision: h = (response - x*feature)^2.
-    def fn(x, xi):
-        return float((xi[1] - x[0] * xi[0]) ** 2)
+    # float_power squares through libm pow, as ``** 2`` on a numpy scalar
+    # does; ``** 2`` on an array multiplies, and ~0.1% of cells round one ulp
+    # apart.
+    def table(points, atoms):
+        return np.float_power(atoms[None, :, 1] - points[:, None, 0] * atoms[None, :, 0], 2)
 
     def lip_xi(x):
         if grid is None:
@@ -260,7 +304,7 @@ def _linreg(grid: SupportGrid | None = None, space: DecisionSpace | None = None)
         resid = np.abs(xi[1] - space.points[:, 0] * xi[0])
         return 2.0 * float(abs(xi[0]) * np.max(resid))
 
-    return CostFunction("linreg", fn, lip_xi, lip_x, nonneg=True)
+    return CostFunction.vectorised("linreg", table, lip_xi, lip_x, nonneg=True)
 
 
 _BUILTINS: dict[str, Callable[..., CostFunction]] = {

@@ -10,7 +10,10 @@ the package's dual oracle.  The loop-by-loop Bland simplex that
 :mod:`drolab.lp` vectorised is kept here as :func:`bland_lp_reference`, which
 the package's solver must match bit for bit, and the per-ball bracketed
 ``brentq`` solve of the KL tilting dual that :mod:`drolab.divergence`
-batched is kept as :func:`kl_extremal_brentq`.
+batched is kept as :func:`kl_extremal_brentq`.  The built-in costs' scalar
+formulas, which :mod:`drolab.cost` replaced by array formulas over the whole
+decision x atom grid, are kept as :func:`scalar_cost` and evaluated cell by
+cell in :func:`scalar_cost_table`.
 """
 
 from __future__ import annotations
@@ -449,3 +452,38 @@ def bland_lp_reference(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, max_iter: 
     x_full[np.abs(x_full) < 1e-14] = 0.0
     x = x_full[:n]
     return LPResult("optimal", x, float(c @ x), it1 + it2)
+
+
+def scalar_cost(name: str, params: dict | None = None):
+    """The built-in cost ``name`` as a scalar ``h(x, xi)`` on 1-D arrays."""
+    params = params or {}
+    if name == "absolute":
+        return lambda x, xi: float(np.linalg.norm(x - xi))
+    if name == "squared":
+        return lambda x, xi: float(np.sum((x - xi) ** 2))
+    if name == "newsvendor":
+        b, c = params.get("b", 1.0), params.get("c", 1.0)
+
+        def newsvendor(x, xi):
+            short = float(xi[0] - x[0])
+            return b * max(short, 0.0) + c * max(-short, 0.0)
+
+        return newsvendor
+    if name == "huber":
+        delta = params.get("delta", 1.0)
+
+        def huber(x, xi):
+            u = float(np.linalg.norm(x - xi))
+            if u <= delta:
+                return 0.5 * u * u
+            return delta * (u - 0.5 * delta)
+
+        return huber
+    if name == "linreg":
+        return lambda x, xi: float((xi[1] - x[0] * xi[0]) ** 2)
+    raise KeyError(name)
+
+
+def scalar_cost_table(fn, points: np.ndarray, atoms: np.ndarray) -> np.ndarray:
+    """``fn`` evaluated one (decision, atom) cell at a time."""
+    return np.array([[fn(x, xi) for xi in atoms] for x in points], dtype=float)

@@ -1,17 +1,22 @@
 """Cost registry, expected cost, and Lipschitz metadata checks."""
 
 import math
+import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
+from _oracles import scalar_cost, scalar_cost_table
 from conftest import random_distribution, random_grid
 from drolab.cost import (
+    CostFunction,
     DecisionSpace,
     NonFiniteCostError,
     Regularizer,
     builtin_costs,
+    cost_from_json,
     cost_table,
     expected_cost,
     make_cost,
@@ -51,19 +56,26 @@ class TestExpectedCost:
         assert expected_cost(d, cf, [0.0]) == pytest.approx(0.5)
 
     def test_constant_cost_is_normalization_check(self, line_grid):
-        from drolab.cost import CostFunction
-
         cf = CostFunction("const7", lambda x, xi: 7.0)
         d = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
         assert expected_cost(d, cf, [0.0]) == pytest.approx(7.0)
 
     def test_non_finite_value_names_location(self, line_grid):
-        from drolab.cost import CostFunction
-
-        cf = CostFunction("bad", lambda x, xi: math.inf if xi[0] > 2 else 1.0)
+        # On atoms 0, 1, 3 the cost is infinite at atom index 2 for x > 0.5
+        # only, so the first bad cell in row-major order is (x=[1.0], atom 2)
+        # whether the table loops over a scalar cost or is one array formula.
+        scalar = CostFunction("bad", lambda x, xi: math.inf if xi[0] > 2 and x[0] > 0.5 else 1.0)
+        vectorised = CostFunction.vectorised(
+            "bad", lambda pts, atoms: np.where((atoms[None, :, 0] > 2) & (pts[:, None, 0] > 0.5), math.inf, 1.0)
+        )
         d = DiscreteDistribution.uniform(line_grid)
-        with pytest.raises(NonFiniteCostError, match="atom index 2"):
-            expected_cost(d, cf, [0.0])
+        space = DecisionSpace.from_points([[0.0], [1.0], [2.0]])
+        for cf in (scalar, vectorised):
+            assert expected_cost(d, cf, [0.0]) == 1.0
+            with pytest.raises(NonFiniteCostError, match="atom index 2"):
+                expected_cost(d, cf, [1.0])
+            with pytest.raises(NonFiniteCostError, match=re.escape("is not finite at x=[1.0], atom index 2")):
+                cost_table(cf, line_grid, space)
 
     @given(seed=st.integers(0, 100_000), beta=st.floats(0.0, 1.0))
     @settings(max_examples=30, deadline=None)
@@ -204,6 +216,72 @@ def test_lipschitz_scaling_hook():
     scaled = with_lipschitz_scale(cf, 0.01)
     assert scaled.lip_in_xi([0.0]) == pytest.approx(0.01)
     assert scaled.nonneg == cf.nonneg
+
+
+def test_lipschitz_scale_keeps_builtin_table(line_grid):
+    # The corrupted-Lipschitz control changes the metadata only: its table
+    # is the built-in array formula, with the unscaled values.
+    space = DecisionSpace.interval(-1.0, 4.0, 6)
+    doc = {"name": "huber", "params": {"delta": 1.0}}
+    base = cost_from_json(doc, line_grid, space)
+    scaled = cost_from_json({**doc, "lip_scale": 0.01}, line_grid, space)
+    assert scaled.table_fn is not None
+    assert with_lipschitz_scale(base, 0.01).table_fn is base.table_fn
+    assert _same_bits(cost_table(scaled, line_grid, space), cost_table(base, line_grid, space))
+    assert scaled.lip_in_xi(space[0]) == pytest.approx(0.01 * base.lip_in_xi(space[0]))
+
+
+def _same_bits(a: np.ndarray, b: np.ndarray) -> bool:
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+_TABLE_PARAMS = {
+    "absolute": None,
+    "squared": None,
+    "newsvendor": {"b": 2.0, "c": 0.5},
+    "huber": {"delta": 0.7},
+    "linreg": None,
+}
+
+
+@st.composite
+def _cost_case(draw):
+    name = draw(st.sampled_from(sorted(_TABLE_PARAMS)))
+    dim = 2 if name == "linreg" else draw(st.integers(1, 3))
+    x_dim = 1 if name in ("newsvendor", "linreg") else dim
+    # Quarter-integers hit the kinks (newsvendor at 0, huber at delta) and
+    # ties; an odd 27-bit significand squares to a value halfway between two
+    # doubles, where libm pow and a plain multiply can round apart.
+    coord = st.one_of(
+        st.floats(-100.0, 100.0),
+        st.integers(-40, 40).map(lambda v: v / 4),
+        st.integers(2**26, 2**27 - 1).map(lambda v: (v | 1) * 2.0**-20),
+    )
+    points = draw(hnp.arrays(np.float64, (draw(st.integers(1, 5)), x_dim), elements=coord))
+    atoms = np.unique(draw(hnp.arrays(np.float64, (draw(st.integers(1, 6)), dim), elements=coord)), axis=0)
+    return name, points, atoms
+
+
+@given(case=_cost_case())
+@example(case=("linreg", np.array([[0.0]]), np.array([[0.0, 96.75658321380615]])))
+@settings(max_examples=200, deadline=None)
+def test_builtin_tables_match_scalar_reference(case):
+    name, points, atoms = case
+    cf = make_cost(name, params=_TABLE_PARAMS[name])
+    ref = scalar_cost_table(scalar_cost(name, _TABLE_PARAMS[name]), points, atoms)
+    table = cf.table(points, atoms)
+    if name in ("absolute", "huber") and atoms.shape[1] >= 2:
+        # A d >= 2 norm may reduce in another order than the scalar dot.
+        assert table.shape == ref.shape
+        assert np.all(np.abs(table - ref) <= 4 * np.spacing(ref))
+    else:
+        assert _same_bits(table, ref)
+    assert cf(points[0], atoms[0]) == table[0, 0]
+    grid, space = SupportGrid.euclidean(atoms), DecisionSpace(points)
+    full = cost_table(cf, grid, space)
+    assert _same_bits(full, table)
+    for k, x in enumerate(space):
+        assert _same_bits(cf.atom_costs(grid, x), full[k])
 
 
 def test_regularizer_rejects_non_finite():

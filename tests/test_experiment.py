@@ -16,6 +16,7 @@ from drolab import divergence
 from drolab.cli import main
 from drolab.experiment import (
     METHODS,
+    OUTPUT_DIR_ENV,
     ConfigError,
     config_hash,
     plan,
@@ -401,6 +402,27 @@ class TestCLI:
         (tmp_path / "bad.json").write_text(json.dumps(corrupted))
         result = runner.invoke(main, ["verify-bounds", str(tmp_path / "bad.json")])
         assert result.exit_code == 2
+
+    def test_run_does_not_import_scipy(self, tmp_path):
+        # scipy is only a test dependency: a run that loaded it would carry
+        # ~40 MB more peak memory.
+        src = str(Path(drolab.__file__).resolve().parents[1])
+        env = dict(
+            os.environ,
+            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+            **{OUTPUT_DIR_ENV: str(tmp_path)},
+        )
+        script = (
+            "import sys\n"
+            "from drolab.cli import main\n"
+            "main(['run', sys.argv[1]], standalone_mode=False)\n"
+            "print('scipy loaded:', 'scipy' in sys.modules)\n"
+        )
+        config = Path(__file__).parent / "data" / "golden_config.json"
+        result = subprocess.run([sys.executable, "-c", script, str(config)], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "scipy loaded: False"
+        assert (tmp_path / "results.csv").exists()
 
     def test_module_entry_point(self, tmp_path):
         # The CLI is reachable as `python -m drolab` for environments where
