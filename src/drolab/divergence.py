@@ -14,9 +14,7 @@ Wasserstein ball (see its docstring).
 
 from __future__ import annotations
 
-import hashlib
 import math
-from collections import OrderedDict
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -31,7 +29,6 @@ _PHI_GENERATORS = ("kl", "chi2", "tv")
 DIVERGENCE_KINDS = ("wasserstein", *_PHI_GENERATORS)
 ORIENTATIONS = ("forward", "reverse")
 _MEMBERSHIP_SLACK = 1e-10
-_TRANSPORT_MEMO_ENTRIES = 256
 
 
 def _phi(generator: str, t: np.ndarray) -> np.ndarray:
@@ -216,60 +213,23 @@ def optimal_transport(a: DiscreteDistribution, b: DiscreteDistribution, p: float
     return plan
 
 
-class _TransportMemo:
-    """Least-recently-used map from a transport instance to its distance.
-
-    A key is a BLAKE2b digest of everything the transport LP reads: the
-    order, the ground metric and both weight vectors in argument order.  So
-    an entry costs a few dozen bytes on any grid, and the entry bound is
-    also the memory bound.
-    """
-
-    def __init__(self, entries: int) -> None:
-        self._entries = entries
-        self._values: OrderedDict[bytes, float] = OrderedDict()
-
-    def distance(self, a: DiscreteDistribution, b: DiscreteDistribution, p: float) -> float:
-        digest = hashlib.blake2b(np.float64(p).tobytes(), digest_size=32)
-        for part in (a.grid.ground_metric, a.weights, b.weights):
-            digest.update(part.tobytes())
-        key = digest.digest()
-        value = self._values.get(key)
-        if value is None:
-            value = _transport_distance(a, b, p)
-            self._values[key] = value
-            if len(self._values) > self._entries:
-                self._values.popitem(last=False)
-        else:
-            self._values.move_to_end(key)
-        return value
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-
-_ACTIVE_MEMO: ContextVar[_TransportMemo | None] = ContextVar("drolab_transport_memo", default=None)
+_ACTIVE_MEMO: ContextVar[dict[tuple, float] | None] = ContextVar("drolab_transport_memo", default=None)
 
 
 @contextmanager
-def transport_memo() -> Iterator[_TransportMemo]:
+def transport_memo() -> Iterator[None]:
     """Solve each transport instance at most once inside the block.
 
     Within it, :func:`wasserstein` returns the identical float for a repeated
     instance (same ground metric, weight vectors in the same argument order,
     same order) without solving its LP again: one replication of the bound
-    suites asks for W(p0, pbar) five times.  The memo lives as long as the
-    outermost block, so what a block solves does not depend on what ran
-    before it; a nested block shares the outer memo.
+    suites asks for W(p0, pbar) five times.  Each block starts an empty memo
+    and drops it on exit, so what a block solves does not depend on what ran
+    before it; a block opened inside another starts its own.
     """
-    memo = _ACTIVE_MEMO.get()
-    if memo is not None:
-        yield memo
-        return
-    memo = _TransportMemo(_TRANSPORT_MEMO_ENTRIES)
-    token = _ACTIVE_MEMO.set(memo)
+    token = _ACTIVE_MEMO.set({})
     try:
-        yield memo
+        yield
     finally:
         _ACTIVE_MEMO.reset(token)
 
@@ -287,7 +247,12 @@ def wasserstein(a: DiscreteDistribution, b: DiscreteDistribution, p: float = 1.0
     """
     _check_transport(a, b, p)
     memo = _ACTIVE_MEMO.get()
-    return _transport_distance(a, b, p) if memo is None else memo.distance(a, b, p)
+    if memo is None:
+        return _transport_distance(a, b, p)
+    key = (float(p), a.grid.ground_metric.tobytes(), a.weights.tobytes(), b.weights.tobytes())
+    if key not in memo:
+        memo[key] = _transport_distance(a, b, p)
+    return memo[key]
 
 
 def phi_divergence(a: DiscreteDistribution, b: DiscreteDistribution, generator: str = "kl") -> float:

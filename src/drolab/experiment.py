@@ -142,13 +142,15 @@ def _satisficing_bound(prob: Problem, entry: dict):
 @dataclass(frozen=True)
 class MethodSpec:
     """``solve`` backs ``drolab solve``; ``bound`` backs :func:`run`.  Config
-    entries carry every field in ``requires`` and exactly one in ``one_of``;
-    ``ball`` methods need a divergence with a ball oracle."""
+    entries carry every field in ``requires``, exactly one in ``one_of``, any
+    in ``optional`` and no other; ``ball`` methods need a divergence with a
+    ball oracle."""
 
     solve: Callable[[Problem, dict], Solution]
     bound: Callable[[Problem, dict], tuple[list[tuple[GapRecord, BoundRecord]], Solution]]
     requires: tuple[str, ...] = ()
     one_of: tuple[str, ...] = ()
+    optional: tuple[str, ...] = ()
     ball: bool = False
 
 
@@ -164,14 +166,20 @@ METHODS: dict[str, MethodSpec] = {
         one_of=("alpha", "beta"),
     ),
     "minmax_dro": MethodSpec(
-        lambda prob, entry: solve_minmax_dro(_ball(prob, entry), prob.cf, prob.space), _minmax_bound, ball=True
+        lambda prob, entry: solve_minmax_dro(_ball(prob, entry), prob.cf, prob.space),
+        _minmax_bound,
+        optional=("divergence", "eps"),
+        ball=True,
     ),
     "abs_dro": MethodSpec(
         lambda prob, entry: solve_absolute_dro(_ball(prob, entry), prob.cf, prob.space),
         lambda prob, entry: absolute_bound(prob.p0, _ball(prob, entry), prob.cf, prob.space),
+        optional=("divergence", "eps"),
         ball=True,
     ),
-    "satisficing": MethodSpec(_solve_satisficing, _satisficing_bound, ball=True),
+    "satisficing": MethodSpec(
+        _solve_satisficing, _satisficing_bound, optional=("divergence", "sided", "delta"), ball=True
+    ),
 }
 
 
@@ -205,6 +213,10 @@ def validate_config(doc: dict) -> None:
             raise ConfigError(f"/methods/{i}/divergence/kind: {exc}") from exc
         if spec.ball and not kind.has_ball_oracle:
             raise ConfigError(f"/methods/{i}/divergence: {kind.label()} balls have no extremal-expectation oracle")
+        allowed = ("method", *spec.requires, *spec.one_of, *spec.optional)
+        for field in entry:
+            if field not in allowed:
+                raise ConfigError(f"/methods/{i}/{field}: {name} does not read {field!r}")
 
 
 def config_hash(doc: dict) -> str:

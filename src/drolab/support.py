@@ -37,7 +37,7 @@ class ConfigError(ValueError):
 
 
 def _as_points(atoms) -> np.ndarray:
-    arr = np.asarray(atoms, dtype=float)
+    arr = np.array(atoms, dtype=float)  # a copy: the grid freezes it
     if arr.ndim == 1:
         arr = arr[:, None]
     if arr.ndim != 2 or arr.shape[0] == 0:
@@ -217,7 +217,7 @@ class SampleSet:
     seed: int | None = None
 
     def __post_init__(self) -> None:
-        idx = np.asarray(self.indices, dtype=np.int64)
+        idx = np.array(self.indices, dtype=np.int64)  # a copy: frozen below
         if idx.ndim != 1 or idx.size == 0:
             raise ValueError("a sample set needs at least one draw")
         if idx.min() < 0 or idx.max() >= self.grid.size:

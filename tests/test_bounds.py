@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_distribution, random_grid
+from drolab import divergence
 from drolab.bounds import (
     HypothesisViolationError,
     absolute_bound,
@@ -220,6 +221,16 @@ class TestExpectedBounds:
                                         replications=40, seed=22)
         assert {r["kind"] for r in rows} == {"absolute_nominal", "absolute_dro"}
         assert all(r["holds"] for r in rows)
+
+    def test_absolute_suite_solves_one_transport_per_replication(self, line_grid, monkeypatch):
+        # The radius and the membership check both ask for W(p0, pbar).
+        calls = []
+        solve = divergence.optimal_transport
+        monkeypatch.setattr(divergence, "optimal_transport", lambda *args: calls.append(args) or solve(*args))
+        p0 = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        expected_bounds(p0, make_cost("absolute"), DecisionSpace.interval(0, 3, 4), "absolute", n=10,
+                        replications=30, seed=22)
+        assert len(calls) == 30
 
     def test_replication_floor(self, line_grid):
         p0 = DiscreteDistribution.uniform(line_grid)

@@ -42,6 +42,15 @@ class TestDecisionSpace:
         with pytest.raises(ValueError):
             DecisionSpace.from_points(np.zeros((0, 1)))
 
+    @pytest.mark.parametrize("shape", [(3, 1), (3,)])
+    def test_freezes_a_copy_of_the_callers_points(self, shape):
+        points = np.array([0.0, 0.5, 1.0]).reshape(shape)
+        space = DecisionSpace(points)
+        points[0] = 5.0
+        assert space.points[:, 0].tolist() == [0.0, 0.5, 1.0]
+        with pytest.raises(ValueError, match="read-only"):
+            space.points[0, 0] = 5.0
+
 
 class TestExpectedCost:
     def test_dirac_reduces_to_point_evaluation(self, line_grid):

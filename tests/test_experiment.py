@@ -117,6 +117,23 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match="^/methods/0/divergence/kind: unknown divergence kind 'hellinger'"):
             validate_config(doc)
 
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"method": "saa", "divergence": {"kind": "chi2"}}, "divergence"),
+            ({"method": "reg_saa", "prior": {"weights": [0.34, 0.33, 0.33]}, "lambda": 0.5, "eps": 0.1}, "eps"),
+            ({"method": "bayes_dp", "prior": {"weights": [0.34, 0.33, 0.33]}, "alpha": 2.0, "delta": 0.1}, "delta"),
+            ({"method": "minmax_dro", "eps": 0.1, "sided": "one", "lambda": 2.0}, "sided"),
+            ({"method": "abs_dro", "eps": "auto", "alpha": 1.0}, "alpha"),
+            ({"method": "satisficing", "eps": 0.5}, "eps"),
+        ],
+    )
+    def test_field_the_method_never_reads_is_rejected(self, tmp_path, entry, field):
+        doc = base_config(str(tmp_path))
+        doc["methods"][1] = entry
+        with pytest.raises(ConfigError, match=f"^/methods/1/{field}: {entry['method']} does not read '{field}'"):
+            resolve_config(doc)
+
     def test_hash_stable_under_key_reordering(self, tmp_path):
         doc = base_config(str(tmp_path))
         reordered = json.loads(json.dumps(doc, sort_keys=True))
@@ -242,6 +259,16 @@ class TestRunner:
                     assert got[key] == value
                 elif key != "distance_to_witness":
                     assert got[key] == pytest.approx(value, abs=1e-9), key
+
+    def test_golden_run_solves_each_distance_once_per_replication(self, tmp_path, monkeypatch):
+        # Four replications ask for 60 distances, 5 of them distinct in each.
+        calls = []
+        solve = divergence.optimal_transport
+        monkeypatch.setattr(divergence, "optimal_transport", lambda *args: calls.append(args) or solve(*args))
+        doc = json.loads((Path(__file__).parent / "data" / "golden_config.json").read_text())
+        record = run_experiment(resolve_config(doc, str(tmp_path)))
+        assert record["errors"] == []
+        assert len(calls) == 20
 
 
 class TestVerifyBounds:

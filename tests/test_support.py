@@ -77,6 +77,15 @@ class TestSupportGrid:
         with pytest.raises(ValueError):
             line_grid.atoms[0, 0] = 9.0
 
+    @pytest.mark.parametrize("shape", [(3, 1), (3,)])
+    def test_freezes_a_copy_of_the_callers_atoms(self, shape):
+        atoms = np.array([0.0, 1.0, 3.0]).reshape(shape)
+        grid = SupportGrid.euclidean(atoms)
+        atoms[0] = 5.0
+        assert grid.atoms[:, 0].tolist() == [0.0, 1.0, 3.0]
+        with pytest.raises(ValueError, match="read-only"):
+            grid.atoms[0, 0] = 5.0
+
 
 class TestDiscreteDistribution:
     def test_renormalizes_float_noise(self, line_grid):
@@ -158,6 +167,14 @@ class TestSample:
     def test_index_range_validated(self, line_grid):
         with pytest.raises(ValueError, match="range"):
             SampleSet(line_grid, [0, 3])
+
+    def test_freezes_a_copy_of_the_callers_indices(self, line_grid):
+        indices = np.array([0, 2, 1], dtype=np.int64)
+        samples = SampleSet(line_grid, indices)
+        indices[0] = 2
+        assert samples.indices.tolist() == [0, 2, 1]
+        with pytest.raises(ValueError, match="read-only"):
+            samples.indices[0] = 2
 
 
 class TestMixture:
