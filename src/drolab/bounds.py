@@ -197,8 +197,22 @@ def relative_bound(
     stays sound.  An infinite certificate yields infinite bounds flagged
     degenerate.
     """
-    mean_lip = _mean_lip_in_x(p0, cf)
     sol = solve_robust_satisficing(pbar, cf, space, kind, sided="two", target_slack=0.0)
+    return relative_bound_at(p0, pbar, cf, space, kind, sol), sol
+
+
+def relative_bound_at(
+    p0: DiscreteDistribution,
+    pbar: DiscreteDistribution,
+    cf: CostFunction,
+    space: DecisionSpace,
+    kind: DivergenceKind,
+    sol: Solution,
+) -> list[tuple[GapRecord, BoundRecord]]:
+    """The records of :func:`relative_bound` at ``sol``, the two-sided
+    zero-slack robust-satisficing solution around ``pbar`` (for callers
+    that solve it together with other satisficing models)."""
+    mean_lip = _mean_lip_in_x(p0, cf)
     l_upper = float(sol.diagnostics["upper_certificate"])
     degenerate = not math.isfinite(l_upper)
     nominal_sol = solve_saa(pbar, cf, space)
@@ -236,7 +250,7 @@ def relative_bound(
         },
         degenerate=degenerate,
     )
-    return [(gap_nom, rec_nom), (gap_rob, rec_rob)], sol
+    return [(gap_nom, rec_nom), (gap_rob, rec_rob)]
 
 
 _EXPECTED_KINDS = ("uniform", "absolute", "relative")

@@ -8,8 +8,12 @@ function of one multiplier minimized exactly at its breakpoints; over forward
 KL balls they come from the exponential-tilting dual, whose multiplier is the
 root of a one-dimensional equation found by safeguarded Newton steps.  Both
 are batched over cost rows and radii.  The one exception is
-:func:`absolute_deviation`, which still solves the coupling LP per
-Wasserstein ball (see its docstring).
+:func:`absolute_deviation`, which solves the coupling LP on a
+positive-radius Wasserstein ball.  The absolute-DRO sweep calls it only on
+the decisions whose dual deviation is within a screening margin of the
+minimum; the margin is far wider than the LP/dual disagreement, so the
+result equals an LP on every decision.  The LP step stays because the
+benchmark's recorded gaps depend on its tie picks (see its docstring).
 """
 
 from __future__ import annotations
@@ -595,11 +599,13 @@ def absolute_deviation(
 
     Shared by the absolute-deviation solver and the measure-only API so the
     two report identical numbers.  Ties between the high and low side break
-    toward the high side.  Wasserstein balls still solve the coupling LP here
-    rather than :func:`deviation_table`'s dual: when the two deviations agree
-    mathematically, the oracle's last-digit rounding picks the reported
-    witness, and absolute-DRO gaps recorded with the LP (such as the
-    benchmark's seed-0 reference) depend on that pick.
+    toward the high side.  Positive-radius Wasserstein balls solve the
+    coupling LP here rather than :func:`deviation_table`'s dual: when the two
+    deviations agree mathematically, the oracle's last-digit rounding picks
+    the reported witness, and absolute-DRO gaps recorded with the LP (such as
+    the benchmark's seed-0 reference) depend on that pick.  The solver ranks
+    all decisions by the dual first and calls this only on those within
+    ``solvers.ABSOLUTE_SCREEN_MARGIN`` of the dual minimum.
     """
     c = np.asarray(costs, dtype=float)
     if ball.kind.family == "wasserstein" and ball.radius > 0.0:
@@ -623,12 +629,25 @@ def deviation_table(
     ties going to the high side.  Returns the rows-by-radii deviations and
     the binding witness of a cell, both from :func:`extremal_values`.
     """
-    hi, hi_witness = extremal_values(center, kind, table, radii, "max")
-    up = hi - ref
-    if sided == "one":
+    hi = extremal_values(center, kind, table, radii, "max")
+    lo = extremal_values(center, kind, table, radii, "min") if sided == "two" else None
+    return deviations_from(hi, lo, ref)
+
+
+def deviations_from(
+    hi: tuple[np.ndarray, Callable[[int, int], DiscreteDistribution]],
+    lo: tuple[np.ndarray, Callable[[int, int], DiscreteDistribution]] | None,
+    ref: float,
+) -> tuple[np.ndarray, Callable[[int, int], DiscreteDistribution]]:
+    """:func:`deviation_table` from its worst-case sweep ``hi`` and, for the
+    two-sided deviation, its best-case sweep ``lo`` (``None`` for upward
+    only), each a ``(values, witness)`` pair of :func:`extremal_values`."""
+    hi_values, hi_witness = hi
+    up = hi_values - ref
+    if lo is None:
         return up, hi_witness
-    lo, lo_witness = extremal_values(center, kind, table, radii, "min")
-    down = ref - lo
+    lo_values, lo_witness = lo
+    down = ref - lo_values
     high = up >= down
 
     def witness(k: int, r: int) -> DiscreteDistribution:

@@ -33,6 +33,7 @@ from drolab.bounds import (
     absolute_bound,
     minmax_one_sided_bound,
     relative_bound,
+    relative_bound_at,
     uniform_bound,
 )
 from drolab.cost import CostFunction, DecisionSpace, cost_from_json
@@ -45,6 +46,7 @@ from drolab.solvers import (
     solve_regularized_saa,
     solve_robust_satisficing,
     solve_saa,
+    solve_satisficing_models,
 )
 from drolab.support import (
     RNG_ALGORITHM,
@@ -131,12 +133,14 @@ def _minmax_bound(prob: Problem, entry: dict):
 
 
 def _satisficing_bound(prob: Problem, entry: dict):
-    # relative_bound solves the two-sided zero-slack model; other settings are solved again.
+    # The relative bound reads the two-sided zero-slack model; another
+    # configured model is solved with it, from the same extremal sweeps.
     kind = DivergenceKind.from_json(entry.get("divergence"))
-    pairs, sol = relative_bound(prob.p0, prob.center, prob.cf, prob.space, kind)
-    if entry.get("sided", "two") != "two" or float(entry.get("delta", 0.0)) != 0.0:
-        sol = _solve_satisficing(prob, entry)
-    return pairs, sol
+    model = (entry.get("sided", "two"), float(entry.get("delta", 0.0)))
+    if model == ("two", 0.0):
+        return relative_bound(prob.p0, prob.center, prob.cf, prob.space, kind)
+    zero_slack, sol = solve_satisficing_models(prob.center, prob.cf, prob.space, kind, [("two", 0.0), model])
+    return relative_bound_at(prob.p0, prob.center, prob.cf, prob.space, kind, zero_slack), sol
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """Independent brute-force oracles for the test suite.
 
-Nothing here touches the package's LP solver or dual machinery: transport
+Nothing here touches the package's dual machinery, and only
+:func:`absolute_dro_lp_sweep` (below) its LP solver: transport
 problems are solved by exhaustive search over discretized coupling grids and
 enumerated polytope corners, and order-1 distances by enumerating the
 vertices of the potential polytope.  Values frozen into tests come from
@@ -13,7 +14,9 @@ the package's solver must match bit for bit, and the per-ball bracketed
 batched is kept as :func:`kl_extremal_brentq`.  The built-in costs' scalar
 formulas, which :mod:`drolab.cost` replaced by array formulas over the whole
 decision x atom grid, are kept as :func:`scalar_cost` and evaluated cell by
-cell in :func:`scalar_cost_table`.
+cell in :func:`scalar_cost_table`.  The absolute-DRO sweep that ran the
+package's coupling LP on every decision row, which the solver now screens
+by the exact dual first, is kept as :func:`absolute_dro_lp_sweep`.
 """
 
 from __future__ import annotations
@@ -25,8 +28,10 @@ import numpy as np
 from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp
 
-from drolab.divergence import AmbiguityBall
+from drolab.cost import cost_table
+from drolab.divergence import AmbiguityBall, absolute_deviation
 from drolab.lp import FEASIBILITY_TOL, LPFailureError, LPResult
+from drolab.solvers import Solution
 from drolab.support import DiscreteDistribution
 
 _PIVOT_TOL = 1e-10
@@ -487,3 +492,19 @@ def scalar_cost(name: str, params: dict | None = None):
 def scalar_cost_table(fn, points: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     """``fn`` evaluated one (decision, atom) cell at a time."""
     return np.array([[fn(x, xi) for xi in atoms] for x in points], dtype=float)
+
+
+def absolute_dro_lp_sweep(ball: AmbiguityBall, cf, space) -> Solution:
+    """``solve_absolute_dro`` on a positive-radius Wasserstein ball as an
+    exhaustive sweep: the coupling LP of :func:`absolute_deviation` on every
+    decision row, then the lowest index attaining the minimum, with the
+    number of exact ties."""
+    table = cost_table(cf, ball.grid, space)
+    ref = float(np.min(table @ ball.center.weights))
+    values, witnesses = zip(*(absolute_deviation(ball, row, ref)[:2] for row in table))
+    values = np.array(values)
+    idx = int(np.argmin(values))
+    ties = int(np.sum(values == values[idx]))
+    diagnostics = {"ties": ties, "nominal_ref": ref, "radius": ball.radius, "kind": ball.kind.label()}
+    value = float(values[idx])
+    return Solution(space[idx], idx, value, "absolute_dro", witnesses[idx], value, diagnostics)

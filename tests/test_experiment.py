@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import drolab
-from drolab import divergence
+from drolab import divergence, solvers
 from drolab.cli import main
 from drolab.experiment import (
     METHODS,
@@ -297,6 +297,57 @@ class TestVerifyBounds:
         ok, _ = verify_bounds(resolve_config(doc))
         assert ok
         assert len(calls) == 2 * 2 * 2
+
+    def test_absolute_bound_solves_one_row_by_coupling_lp(self, tmp_path, monkeypatch):
+        # The dual screen keeps one of the 13 decisions of this newsvendor
+        # line, so the replication's absolute_bound makes that row's two
+        # coupling LPs (26 with an LP on every row).
+        coupling = []
+        solve = divergence.solve_lp
+
+        def counting(*args, **kwargs):
+            if kwargs.get("a_ub") is not None:  # transport LPs have no inequality
+                coupling.append(args)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(divergence, "solve_lp", counting)
+        doc = {
+            "grid": {"atoms": [[float(v)] for v in range(16)]},
+            "p0": {"weights": np.random.default_rng(3).dirichlet(np.full(16, 2.0)).tolist()},
+            "cost": {"name": "newsvendor", "params": {"b": 2.0, "c": 1.0}},
+            "space": {"interval": {"lo": 0.0, "hi": 15.0, "num": 13}},
+            "methods": [{"method": "saa"}],
+            "n": [10],
+            "replications": 1,
+            "seed": 5,
+            "output": str(tmp_path),
+        }
+        ok, _ = verify_bounds(resolve_config(doc))
+        assert ok
+        assert len(coupling) == 2
+
+
+class TestSatisficingBound:
+    """A configured satisficing model other than the two-sided zero-slack
+    one that the relative bound reads shares its extremal sweeps."""
+
+    @pytest.mark.parametrize("entry", [{"sided": "one"}, {"delta": 0.1}, {"sided": "one", "delta": 0.2}])
+    def test_one_sweep_per_sense_per_replication(self, tmp_path, monkeypatch, entry):
+        senses = []
+        sweep = divergence.extremal_values
+
+        def counting(center, kind, table, radii, sense="max"):
+            senses.append(sense)
+            return sweep(center, kind, table, radii, sense)
+
+        monkeypatch.setattr(divergence, "extremal_values", counting)
+        monkeypatch.setattr(solvers, "extremal_values", counting)
+        doc = base_config(str(tmp_path))
+        doc["methods"] = [{"method": "satisficing", **entry}]
+        doc["n"], doc["replications"] = [10, 40], 2
+        record = run_experiment(resolve_config(doc))
+        assert record["errors"] == []
+        assert sorted(senses) == ["max"] * 4 + ["min"] * 4
 
 
 class TestCLI:

@@ -4,9 +4,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import simplex_grid, w1_dual_vertices, w1_from_dual_many
+from _oracles import absolute_dro_lp_sweep, simplex_grid, w1_dual_vertices, w1_from_dual_many
 from conftest import random_distribution, random_grid
+from drolab import divergence
 from drolab.bayes import beta_from_lambda, regularizer_from_prior
 from drolab.cost import CostFunction, DecisionSpace, Regularizer, cost_table, expected_cost, make_cost
 from drolab.divergence import AmbiguityBall, DivergenceKind, absolute_deviation, extremal_expectation
@@ -17,6 +19,7 @@ from drolab.solvers import (
     solve_regularized_saa,
     solve_robust_satisficing,
     solve_saa,
+    solve_satisficing_models,
 )
 from drolab.support import DiscreteDistribution, SampleSet, SupportGrid, empirical, sample
 
@@ -244,6 +247,93 @@ class TestSolveAbsoluteDRO:
         assert sol.measure == pytest.approx(float(np.min(scan_dev)), abs=1e-4)
 
 
+def _table_cost(table: np.ndarray) -> CostFunction:
+    """A cost given by its whole decision x atom table."""
+    return CostFunction.vectorised("table", lambda points, atoms: table)
+
+
+def _same_solution(got, want) -> bool:
+    return (
+        got.x_index == want.x_index
+        and got.objective_value == want.objective_value
+        and got.measure == want.measure
+        and got.diagnostics == want.diagnostics
+        and got.witness.weights.tobytes() == want.witness.weights.tobytes()
+    )
+
+
+class TestAbsoluteDROScreen:
+    """On positive-radius Wasserstein balls the exact dual screens the rows
+    that the coupling LP re-solves; the result must be the LP sweep's."""
+
+    @pytest.fixture
+    def lp_calls(self, monkeypatch):
+        calls = []
+        solve = divergence.solve_lp
+        monkeypatch.setattr(divergence, "solve_lp", lambda *a, **k: calls.append(k) or solve(*a, **k))
+        return calls
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 7),
+        dim=st.sampled_from([1, 2]),
+        p=st.sampled_from([1.0, 2.0]),
+        empty=st.integers(0, 3),
+        rows=st.sampled_from(["normal", "tied", "newsvendor"]),
+        frac=st.sampled_from([1e-4, 0.05, 0.3, 1.0, 1.5]) | st.floats(1e-4, 1.2),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_equals_coupling_lp_on_every_row(self, seed, m, dim, p, empty, rows, frac):
+        rng = np.random.default_rng(seed)
+        if rows == "newsvendor":
+            # A symmetric centre on a line (or a plane symmetric under
+            # t -> -t): rows of decisions off the support are linear in t,
+            # so their up and down deviations tie exactly.
+            t = np.arange(m) - (m - 1) / 2
+            grid = SupportGrid.euclidean(np.column_stack([t, t**2][:dim]))
+            w = rng.dirichlet(np.ones(m))
+            w = w + w[::-1]
+            w[rng.choice(m, size=min(empty, m - 1), replace=False)] = 0.0
+            w = w + w[::-1]
+            space = DecisionSpace.interval(t[0] - 1.0, t[-1] + 1.0, int(rng.integers(3, 10)))
+            cf = make_cost("newsvendor", params={"b": float(rng.integers(1, 3)), "c": float(rng.integers(1, 3))})
+        else:
+            grid = random_grid(rng, m, dim)
+            w = rng.dirichlet(np.ones(m))
+            w[rng.choice(m, size=min(empty, m - 1), replace=False)] = 0.0
+            k = int(rng.integers(2, 9))
+            if rows == "tied":  # integer costs: rows, atoms and dual breakpoints tie
+                table = rng.integers(-2, 3, size=(k, m)).astype(float)
+            else:
+                table = rng.normal(size=(k, m)) * rng.uniform(0.1, 10.0)
+            space, cf = DecisionSpace.interval(0.0, 1.0, k), _table_cost(table)
+        center = DiscreteDistribution(grid, w / w.sum())
+        ball = AmbiguityBall(center, frac * grid.diameter, DivergenceKind.wasserstein_order(p))
+        assert _same_solution(solve_absolute_dro(ball, cf, space), absolute_dro_lp_sweep(ball, cf, space))
+
+    def test_identical_rows_tie_at_the_lower_index(self, line_grid):
+        center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        table = np.array([[4.0, 0.0, 9.0], [1.0, 2.0, 1.5], [1.0, 2.0, 1.5], [3.0, 3.0, 0.0]])
+        space, cf = DecisionSpace.interval(0.0, 1.0, 4), _table_cost(table)
+        ball = AmbiguityBall(center, 0.4, W1)
+        sol = solve_absolute_dro(ball, cf, space)
+        assert (sol.x_index, sol.diagnostics["ties"]) == (1, 2)
+        assert _same_solution(sol, absolute_dro_lp_sweep(ball, cf, space))
+
+    def test_newsvendor_line_solves_one_row_by_lp(self, lp_calls):
+        # 13 decisions on a 16-atom line with no near-tie: one row's two
+        # extremal LPs, where the LP on every row makes 26.
+        grid = SupportGrid.euclidean([[float(v)] for v in range(16)])
+        center = DiscreteDistribution(grid, np.random.default_rng(3).dirichlet(np.full(16, 2.0)))
+        space = DecisionSpace.interval(0.0, 15.0, 13)
+        cf = make_cost("newsvendor", params={"b": 2.0, "c": 1.0})
+        ball = AmbiguityBall(center, 0.7, W1)
+        sol = solve_absolute_dro(ball, cf, space)
+        assert len(lp_calls) == 2
+        assert sol.diagnostics["ties"] == 1
+        assert _same_solution(sol, absolute_dro_lp_sweep(ball, cf, space))
+
+
 class TestSolveRobustSatisficing:
     def test_zero_slack_forces_nominal_optimizer(self, line_grid):
         # Weights chosen so the nominal optimizer is unique (no flat median).
@@ -292,6 +382,21 @@ class TestSolveRobustSatisficing:
         loose = solve_robust_satisficing(center, cf, space, W1, "one", 0.5)
         assert loose.measure <= tight.measure + 1e-12
         assert loose.diagnostics["feasible_count"] >= tight.diagnostics["feasible_count"]
+
+    @pytest.mark.parametrize("kind", [W1, DivergenceKind.wasserstein_order(2.0), DivergenceKind.kl()])
+    def test_shared_sweeps_equal_each_model_alone(self, kind):
+        rng = np.random.default_rng(11)
+        grid = random_grid(rng, 7)
+        center = random_distribution(rng, grid)
+        space = DecisionSpace.interval(-3.0, 3.0, 13)
+        cf = make_cost("huber", params={"delta": 1.0})
+        models = [("two", 0.0), ("one", 0.0), ("one", 0.3), ("two", 0.3), ("two", 0.05)]
+        shared = solve_satisficing_models(center, cf, space, kind, models)
+        assert shared[2].diagnostics["feasible_count"] > shared[0].diagnostics["feasible_count"]
+        for (sided, slack), sol in zip(models, shared):
+            alone = solve_robust_satisficing(center, cf, space, kind, sided, slack)
+            assert sol.to_json() == alone.to_json()
+            assert sol.witness.weights.tobytes() == alone.witness.weights.tobytes()
 
     def test_kl_kind_runs_and_reports_infinite_certificate(self, line_grid):
         center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
