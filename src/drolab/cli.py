@@ -17,7 +17,7 @@ import drolab
 from drolab.bayes import Infeasible, prior_from_regularizer
 from drolab.cost import DecisionSpace, Regularizer, cost_from_json
 from drolab.divergence import DIVERGENCE_KINDS, ORIENTATIONS, AmbiguityBall, DivergenceKind
-from drolab.experiment import METHODS, ConfigError, Problem, load_config, plan, run as run_experiment, verify_bounds
+from drolab.experiment import METHODS, load_config, load_problem, plan, run as run_experiment, verify_bounds
 from drolab.robustness import (
     DirichletPrior,
     absolute_measure,
@@ -27,7 +27,7 @@ from drolab.robustness import (
     set_robustness,
 )
 from drolab.solvers import solve_saa
-from drolab.support import DiscreteDistribution, SampleSet, SupportGrid, load_json
+from drolab.support import ConfigError, DiscreteDistribution, SupportGrid, load_json
 
 
 def _die_validation(message: str) -> None:
@@ -45,19 +45,6 @@ def _ball_kind(kind: str, p: float, orientation: str) -> DivergenceKind:
     if not out.has_ball_oracle:
         raise ConfigError(f"{out.label()} balls have no extremal-expectation oracle")
     return out
-
-
-def _load_problem(path: str) -> Problem:
-    doc = load_json(path)
-    for key in ("grid", "center", "cost", "space"):
-        if key not in doc:
-            raise ConfigError(f"problem document misses {key!r}")
-    grid = SupportGrid.from_json(doc["grid"])
-    space = DecisionSpace.from_json(doc["space"])
-    prior = DiscreteDistribution.from_json(doc["prior"], grid) if "prior" in doc else None
-    samples = SampleSet(grid, doc["samples"]["indices"], doc["samples"].get("seed")) if "samples" in doc else None
-    center = DiscreteDistribution.from_json(doc["center"], grid)
-    return Problem(center, cost_from_json(doc["cost"], grid, space), space, prior=prior, samples=samples)
 
 
 @click.group()
@@ -107,7 +94,7 @@ def solve_cmd(problem, method, eps, div_kind, p, orientation, alpha, beta, lam, 
     try:
         if spec.ball:
             _ball_kind(div_kind, p, orientation)
-        sol = spec.solve(_load_problem(problem), entry)
+        sol = spec.solve(load_problem(problem), entry)
     except (ConfigError, ValueError, KeyError) as exc:
         _die_validation(str(exc))
         return
@@ -143,7 +130,7 @@ def measure_cmd(problem, measure_kind, variant, x_index, ref, eps, div_kind, p, 
     """Report a robustness measure of a decision (JSON on stdout)."""
     try:
         kind = None if measure_kind == "pac" else _ball_kind(div_kind, p, orientation)
-        prob = _load_problem(problem)
+        prob = load_problem(problem)
         center, cf, space = prob.center, prob.cf, prob.space
         nominal = solve_saa(center, cf, space)
         x = space[x_index] if x_index is not None else nominal.x

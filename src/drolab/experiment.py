@@ -18,11 +18,9 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NoReturn
 
-import jsonschema
 import numpy as np
 
 import drolab
@@ -37,7 +35,7 @@ from drolab.bounds import (
     uniform_bound,
 )
 from drolab.cost import CostFunction, DecisionSpace, cost_from_json
-from drolab.divergence import AmbiguityBall, DivergenceKind, transport_memo
+from drolab.divergence import DIVERGENCE_KINDS, ORIENTATIONS, AmbiguityBall, DivergenceKind, transport_memo
 from drolab.solvers import (
     Solution,
     solve_absolute_dro,
@@ -83,6 +81,101 @@ class Problem:
         if getattr(self, field) is None:
             raise ConfigError(f"problem document misses {field!r}")
         return getattr(self, field)
+
+
+# Config checks: each takes (JSON pointer, value) and raises ConfigError as
+# "<pointer>: <message>".  Numbers are finite and never booleans; an integer
+# may be written as an integral float (10.0).
+def _fail(ptr: str, message: str) -> NoReturn:
+    raise ConfigError(f"{ptr or '/'}: {message}")
+
+
+def _number(lo=-math.inf, hi=math.inf, above=False, integer=False, inf_ok=False):
+    """A finite number in ``[lo, hi]`` (``(lo, hi]`` if ``above``); ``inf_ok`` admits +inf."""
+
+    def check(ptr: str, v) -> None:
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or (integer and v % 1):
+            _fail(ptr, f"{v!r} is not {'an integer' if integer else 'a number'}")
+        if v != v or (abs(v) == math.inf and not (inf_ok and v > 0)):
+            _fail(ptr, f"{v!r} is not finite")
+        if v < lo or (above and v == lo):
+            _fail(ptr, f"{v!r} must be {'>' if above else '>='} {lo:g}")
+        if v > hi:
+            _fail(ptr, f"{v!r} must be <= {hi:g}")
+
+    return check
+
+
+def _string(ptr: str, v) -> None:
+    if not isinstance(v, str):
+        _fail(ptr, f"{v!r} is not a string")
+
+
+def _choice(noun: str, options: tuple[str, ...]):
+    def check(ptr: str, v) -> None:
+        if not isinstance(v, str) or v not in options:
+            _fail(ptr, f"unknown {noun} {v!r}; available: {list(options)}")
+
+    return check
+
+
+def _array(item, nonempty: bool = True):
+    def check(ptr: str, v) -> None:
+        if not isinstance(v, list) or (nonempty and not v):
+            _fail(ptr, f"must be {'a nonempty' if nonempty else 'an'} array")
+        for i, x in enumerate(v):
+            item(f"{ptr}/{i}", x)
+
+    return check
+
+
+def _object(required: dict, optional: dict | None = None):
+    """An object with every key of ``required``, any of ``optional`` and no other."""
+    fields = {**required, **(optional or {})}
+
+    def check(ptr: str, v) -> None:
+        if not isinstance(v, dict):
+            _fail(ptr, "must be an object")
+        for key in required:
+            if key not in v:
+                _fail(ptr, f"missing {key!r}")
+        for key, x in v.items():
+            if key not in fields:
+                _fail(f"{ptr}/{key}", f"unknown key {key!r}")
+            fields[key](f"{ptr}/{key}", x)
+
+    return check
+
+
+def _params(ptr: str, v, top: bool = True) -> None:
+    """Cost parameters: an object whose numbers, at any depth, are finite."""
+    if top and not isinstance(v, dict):
+        _fail(ptr, "must be an object")
+    if isinstance(v, float) and not math.isfinite(v):
+        _fail(ptr, f"{v!r} is not finite")
+    for key, x in v.items() if isinstance(v, dict) else enumerate(v) if isinstance(v, list) else ():
+        _params(f"{ptr}/{key}", x, False)
+
+
+def _space(ptr: str, v) -> None:
+    _object({}, {"points": _POINTS, "interval": _INTERVAL})(ptr, v)
+    if len(v) != 1:
+        _fail(ptr, "needs exactly one of 'points' and 'interval'")
+
+
+_NONNEG, _COUNT, _INDEX = _number(0.0), _number(1, integer=True), _number(0, integer=True)
+_POINTS = _array(_array(_number()))
+_INTERVAL = _object({"lo": _number(), "hi": _number(), "num": _COUNT})
+_WEIGHTS = _object({"weights": _array(_NONNEG)})
+# The sections that configs and problem documents share.
+_SETTING = {
+    "grid": _object(
+        {"atoms": _POINTS},
+        {"metric": lambda ptr, v: None if v is None else _array(_array(_NONNEG, False), False)(ptr, v)},
+    ),
+    "cost": _object({"name": _string}, {"params": _params, "lip_scale": _number(0.0, above=True)}),
+    "space": _space,
+}
 
 
 # Method callables take (problem, method entry); `drolab solve` builds the entry
@@ -187,40 +280,55 @@ METHODS: dict[str, MethodSpec] = {
 }
 
 
-def _schema() -> dict:
-    text = resources.files("drolab").joinpath("schemas/config.schema.json").read_text()
-    return json.loads(text)
+# How the value of each method-entry field is checked; METHODS says which
+# methods read it.
+_FIELDS = {
+    "eps": lambda ptr, v: None if v == "auto" else _NONNEG(ptr, v),
+    "divergence": _object(
+        {"kind": _choice("divergence kind", DIVERGENCE_KINDS)},
+        {"p": _number(1.0), "orientation": _choice("orientation", ORIENTATIONS)},
+    ),
+    "alpha": _number(0.0, inf_ok=True),  # inf: the prior alone
+    "beta": _number(0.0, 1.0),
+    "lambda": _NONNEG,
+    "delta": _NONNEG,
+    "sided": _choice("side", ("one", "two")),
+    "prior": _WEIGHTS,
+}
+
+
+def _method(ptr: str, entry) -> None:
+    _object({"method": _choice("method", tuple(METHODS))}, _FIELDS)(ptr, entry)
+    name = entry["method"]
+    spec = METHODS[name]
+    for field in spec.requires:
+        if field not in entry:
+            _fail(ptr, f"{name} needs a {field!r}")
+    if spec.one_of and sum(field in entry for field in spec.one_of) != 1:
+        _fail(ptr, f"{name} needs exactly one of {'/'.join(repr(field) for field in spec.one_of)}")
+    kind = DivergenceKind.from_json(entry.get("divergence"))
+    if spec.ball and not kind.has_ball_oracle:
+        _fail(f"{ptr}/divergence", f"{kind.label()} balls have no extremal-expectation oracle")
+    allowed = ("method", *spec.requires, *spec.one_of, *spec.optional)
+    for field in entry:
+        if field not in allowed:
+            _fail(f"{ptr}/{field}", f"{name} does not read {field!r}")
+
+
+_CONFIG = _object(
+    {**_SETTING, "p0": _WEIGHTS, "methods": _array(_method),
+     "n": _array(_COUNT), "replications": _COUNT, "seed": _INDEX},
+    {"output": _string},
+)
+_PROBLEM = _object(
+    {**_SETTING, "center": _WEIGHTS},
+    {"prior": _WEIGHTS, "samples": _object({"indices": _array(_INDEX)}, {"seed": _INDEX})},
+)
 
 
 def validate_config(doc: dict) -> None:
-    """Schema-validate a config document; raises :class:`ConfigError`."""
-    validator = jsonschema.Draft202012Validator(_schema())
-    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
-    if errors:
-        err = errors[0]
-        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
-        raise ConfigError(f"{pointer}: {err.message}")
-    for i, entry in enumerate(doc["methods"]):
-        name = entry["method"]
-        if name not in METHODS:
-            raise ConfigError(f"/methods/{i}/method: unknown method {name!r}; available: {list(METHODS)}")
-        spec = METHODS[name]
-        for field in spec.requires:
-            if field not in entry:
-                raise ConfigError(f"/methods/{i}: {name} needs a {field!r}")
-        if spec.one_of and sum(field in entry for field in spec.one_of) != 1:
-            choices = "/".join(repr(field) for field in spec.one_of)
-            raise ConfigError(f"/methods/{i}: {name} needs exactly one of {choices}")
-        try:
-            kind = DivergenceKind.from_json(entry.get("divergence"))
-        except ValueError as exc:
-            raise ConfigError(f"/methods/{i}/divergence/kind: {exc}") from exc
-        if spec.ball and not kind.has_ball_oracle:
-            raise ConfigError(f"/methods/{i}/divergence: {kind.label()} balls have no extremal-expectation oracle")
-        allowed = ("method", *spec.requires, *spec.one_of, *spec.optional)
-        for field in entry:
-            if field not in allowed:
-                raise ConfigError(f"/methods/{i}/{field}: {name} does not read {field!r}")
+    """Check a config document; raises :class:`ConfigError` as ``"<pointer>: <message>"``."""
+    _CONFIG("", doc)
 
 
 def config_hash(doc: dict) -> str:
@@ -236,25 +344,40 @@ class ResolvedConfig:
     cf: CostFunction
     space: DecisionSpace
     methods: list[dict]
+    priors: list[DiscreteDistribution | None]  # one per method; None where it reads none
     ns: list[int]
     replications: int
     seed: int
     output: Path
 
 
+def _built(ptr: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, with a ``ValueError`` it raises pointed at ``ptr``."""
+    try:
+        return build(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{ptr}: {exc}") from exc
+
+
+def _weights(ptr: str, doc: dict, grid: SupportGrid) -> DiscreteDistribution:
+    return _built(f"{ptr}/weights", DiscreteDistribution, grid, np.asarray(doc["weights"], dtype=float))
+
+
+def _setting(doc: dict) -> tuple[SupportGrid, DecisionSpace, CostFunction]:
+    grid = _built("/grid", SupportGrid.from_json, doc["grid"])
+    space = _built("/space", DecisionSpace.from_json, doc["space"])
+    return grid, space, cost_from_json(doc["cost"], grid, space)
+
+
 def resolve_config(doc: dict, output_override: str | None = None) -> ResolvedConfig:
     """Validate and materialize a config document into library objects."""
     validate_config(doc)
-    grid = SupportGrid.from_json(doc["grid"])
-    try:
-        p0 = DiscreteDistribution(grid, np.asarray(doc["p0"]["weights"], dtype=float))
-    except ValueError as exc:
-        raise ConfigError(f"/p0/weights: {exc}") from exc
-    space = DecisionSpace.from_json(doc["space"])
-    cf = cost_from_json(doc["cost"], grid, space)
-    for i, method in enumerate(doc["methods"]):
-        if "prior" in method and len(method["prior"]["weights"]) != grid.size:
-            raise ConfigError(f"/methods/{i}/prior/weights: expected {grid.size} weights")
+    grid, space, cf = _setting(doc)
+    p0 = _weights("/p0", doc["p0"], grid)
+    priors = [
+        _weights(f"/methods/{i}/prior", entry["prior"], grid) if "prior" in entry else None
+        for i, entry in enumerate(doc["methods"])
+    ]
     out = output_override or os.environ.get(OUTPUT_DIR_ENV) or doc.get("output", "results")
     return ResolvedConfig(
         raw=doc,
@@ -263,6 +386,7 @@ def resolve_config(doc: dict, output_override: str | None = None) -> ResolvedCon
         cf=cf,
         space=space,
         methods=list(doc["methods"]),
+        priors=priors,
         ns=[int(v) for v in doc["n"]],
         replications=int(doc["replications"]),
         seed=int(doc["seed"]),
@@ -272,6 +396,16 @@ def resolve_config(doc: dict, output_override: str | None = None) -> ResolvedCon
 
 def load_config(path: str | Path, output_override: str | None = None) -> ResolvedConfig:
     return resolve_config(load_json(path), output_override)
+
+
+def load_problem(path: str | Path) -> Problem:
+    """Load a ``drolab solve``/``measure`` problem document, checked as a config is."""
+    doc = load_json(path)
+    _PROBLEM("", doc)
+    grid, space, cf = _setting(doc)
+    prior = _weights("/prior", doc["prior"], grid) if "prior" in doc else None
+    samples = _built("/samples", SampleSet, grid, **doc["samples"]) if "samples" in doc else None
+    return Problem(_weights("/center", doc["center"], grid), cf, space, prior=prior, samples=samples)
 
 
 def _format_x(x) -> str:
@@ -303,13 +437,11 @@ def _run_replication(cfg: ResolvedConfig, n: int, rep: int) -> tuple[int, int, l
     summaries: list[dict] = []
     errors: list[str] = []
     with transport_memo():  # the methods' bounds share W(p0, pbar)
-        for entry in cfg.methods:
+        for entry, prior in zip(cfg.methods, cfg.priors):
             name = entry["method"]
-            spec = METHODS[name]
             try:
-                prior = DiscreteDistribution.from_json(entry["prior"], cfg.grid) if "prior" in spec.requires else None
                 prob = Problem(pbar, cfg.cf, cfg.space, prior=prior, samples=data, p0=cfg.p0)
-                pairs, sol = spec.bound(prob, entry)
+                pairs, sol = METHODS[name].bound(prob, entry)
             except Exception as exc:  # recorded and re-raised through the run record
                 errors.append(f"n={n} rep={rep} method={name}: {type(exc).__name__}: {exc}")
                 break

@@ -145,7 +145,7 @@ def _normalize_weights(weights, m: int) -> np.ndarray:
     w[w < 0.0] = 0.0
     total = w.sum()
     if abs(total - 1.0) > _SUM_SLACK:
-        raise InvalidDistributionError(f"weights sum to {total!r}, not 1")
+        raise InvalidDistributionError(f"weights sum to {float(total)!r}, not 1")
     w /= total
     w.setflags(write=False)
     return w

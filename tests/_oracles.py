@@ -16,23 +16,31 @@ formulas, which :mod:`drolab.cost` replaced by array formulas over the whole
 decision x atom grid, are kept as :func:`scalar_cost` and evaluated cell by
 cell in :func:`scalar_cost_table`.  The absolute-DRO sweep that ran the
 package's coupling LP on every decision row, which the solver now screens
-by the exact dual first, is kept as :func:`absolute_dro_lp_sweep`.
+by the exact dual first, is kept as :func:`absolute_dro_lp_sweep`.  The
+config validator that ran a JSON Schema (``tests/data/config.schema.json``)
+through ``jsonschema`` and then checked method entries against
+``experiment.METHODS``, which the package replaced by plain-Python checks, is
+kept as :func:`validate_config_jsonschema`.
 """
 
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp
 
 from drolab.cost import cost_table
-from drolab.divergence import AmbiguityBall, absolute_deviation
+from drolab.divergence import AmbiguityBall, DivergenceKind, absolute_deviation
+from drolab.experiment import METHODS
 from drolab.lp import FEASIBILITY_TOL, LPFailureError, LPResult
 from drolab.solvers import Solution
-from drolab.support import DiscreteDistribution
+from drolab.support import ConfigError, DiscreteDistribution
 
 _PIVOT_TOL = 1e-10
 
@@ -508,3 +516,39 @@ def absolute_dro_lp_sweep(ball: AmbiguityBall, cf, space) -> Solution:
     diagnostics = {"ties": ties, "nominal_ref": ref, "radius": ball.radius, "kind": ball.kind.label()}
     value = float(values[idx])
     return Solution(space[idx], idx, value, "absolute_dro", witnesses[idx], value, diagnostics)
+
+
+_CONFIG_SCHEMA = json.loads((Path(__file__).parent / "data" / "config.schema.json").read_text())
+
+
+def validate_config_jsonschema(doc: dict) -> None:
+    """Schema-validate a config document, then check each method entry
+    against ``METHODS``; raises :class:`ConfigError` with the first error's
+    JSON pointer."""
+    validator = jsonschema.Draft202012Validator(_CONFIG_SCHEMA)
+    errors = sorted(validator.iter_errors(doc), key=lambda e: list(e.absolute_path))
+    if errors:
+        err = errors[0]
+        pointer = "/" + "/".join(str(p) for p in err.absolute_path)
+        raise ConfigError(f"{pointer}: {err.message}")
+    for i, entry in enumerate(doc["methods"]):
+        name = entry["method"]
+        if name not in METHODS:
+            raise ConfigError(f"/methods/{i}/method: unknown method {name!r}; available: {list(METHODS)}")
+        spec = METHODS[name]
+        for field in spec.requires:
+            if field not in entry:
+                raise ConfigError(f"/methods/{i}: {name} needs a {field!r}")
+        if spec.one_of and sum(field in entry for field in spec.one_of) != 1:
+            choices = "/".join(repr(field) for field in spec.one_of)
+            raise ConfigError(f"/methods/{i}: {name} needs exactly one of {choices}")
+        try:
+            kind = DivergenceKind.from_json(entry.get("divergence"))
+        except ValueError as exc:
+            raise ConfigError(f"/methods/{i}/divergence/kind: {exc}") from exc
+        if spec.ball and not kind.has_ball_oracle:
+            raise ConfigError(f"/methods/{i}/divergence: {kind.label()} balls have no extremal-expectation oracle")
+        allowed = ("method", *spec.requires, *spec.one_of, *spec.optional)
+        for field in entry:
+            if field not in allowed:
+                raise ConfigError(f"/methods/{i}/{field}: {name} does not read {field!r}")

@@ -1,6 +1,8 @@
 """Config validation, the runner, persistence, and the CLI surface."""
 
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,8 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import drolab
+from _oracles import validate_config_jsonschema
 from drolab import divergence, solvers
 from drolab.cli import main
 from drolab.experiment import (
@@ -138,6 +142,249 @@ class TestConfigValidation:
         doc = base_config(str(tmp_path))
         reordered = json.loads(json.dumps(doc, sort_keys=True))
         assert config_hash(doc) == config_hash(reordered)
+
+
+GOLDEN = Path(__file__).parent / "data" / "golden_config.json"
+
+
+def _golden() -> dict:
+    return json.loads(GOLDEN.read_text())
+
+
+def _set(doc: dict, path: tuple, value) -> dict:
+    node = doc
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return doc
+
+
+class TestNonFiniteRejected:
+    # Python's json reads NaN and Infinity; each of these failed partway through
+    # a run, or silently skewed it, before validation rejected them.
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("cost", "lip_scale"), math.nan),
+            (("methods", 3, "eps"), math.nan),
+            (("methods", 3, "eps"), math.inf),
+            (("methods", 2, "alpha"), math.nan),
+            (("methods", 8, "delta"), math.nan),
+            (("space", "interval", "hi"), math.inf),
+            (("methods", 1, "lambda"), math.nan),
+            (("cost", "params", "b"), math.nan),
+            (("grid", "atoms", 2, 0), -math.inf),
+            (("p0", "weights", 0), math.nan),
+            (("methods", 2, "alpha"), -math.inf),
+        ],
+    )
+    def test_rejected_at_the_value(self, path, value):
+        doc = _set(_golden(), path, value)
+        pointer = "/" + "/".join(str(key) for key in path)
+        with pytest.raises(ConfigError, match=f"^{pointer}: {value!r} is not finite"):
+            validate_config(doc)
+
+    def test_nan_lip_scale_fails_validation_not_the_bounds(self, tmp_path):
+        doc = _set(_golden(), ("cost", "lip_scale"), math.nan)
+        doc["output"] = str(tmp_path / "out")
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        for command in ("run", "verify-bounds"):
+            result = CliRunner().invoke(main, [command, str(tmp_path / "config.json")])
+            assert result.exit_code == 1
+            assert "/cost/lip_scale: nan is not finite" in result.output
+        assert not (tmp_path / "out").exists()
+
+    def test_infinite_wasserstein_order_points_at_p(self):
+        doc = _set(_golden(), ("methods", 4, "divergence", "p"), math.inf)
+        with pytest.raises(ConfigError, match="^/methods/4/divergence/p: inf is not finite"):
+            validate_config(doc)
+
+    def test_infinite_alpha_means_prior_only(self, tmp_path):
+        doc = _set(base_config(str(tmp_path)), ("methods", 2, "alpha"), math.inf)
+        record = run_experiment(resolve_config(doc))
+        assert record["errors"] == []
+        betas = [s["solution"]["diagnostics"]["beta"] for s in record["solutions"] if s["method"] == "bayes_dp"]
+        assert betas == [1.0]
+
+
+class TestResolvePointers:
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("grid", "atoms"), [[0.0], [1.0, 2.0], [3.0]], "^/grid: .*inhomogeneous"),
+            (("grid", "atoms"), [[0.0], [0.0], [3.0]], "^/grid: atoms 0 and 1 coincide"),
+            (("grid", "metric"), [[0.0, 1.0], [1.0, 0.0]], "^/grid: ground metric must be 3x3"),
+            (("space", "interval"), {"lo": 3.0, "hi": 0.0, "num": 5}, "^/space: interval upper end below lower end"),
+            (("space",), {"points": [[0.0], [1.0, 2.0]]}, "^/space: .*inhomogeneous"),
+            (("p0", "weights"), [0.2, 0.3], "^/p0/weights: expected 3 weights"),
+            (("methods", 1, "prior", "weights"), [0.5, 0.5], "^/methods/1/prior/weights: expected 3 weights"),
+            (("methods", 2, "prior", "weights"), [1.0, 1.0, 2.0], "^/methods/2/prior/weights: weights sum to 4.0"),
+        ],
+    )
+    def test_library_errors_carry_the_section(self, tmp_path, path, value, message):
+        doc = _set(base_config(str(tmp_path)), path, value)
+        validate_config(doc)
+        with pytest.raises(ConfigError, match=message):
+            resolve_config(doc)
+
+    def test_dry_run_rejects_a_prior_that_is_no_distribution(self, tmp_path):
+        doc = _set(base_config(str(tmp_path / "out")), ("methods", 2, "prior", "weights"), [1.0, 1.0, 2.0])
+        (tmp_path / "config.json").write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["run", str(tmp_path / "config.json"), "--dry-run"])
+        assert result.exit_code == 1
+        assert "/methods/2/prior/weights: weights sum to 4.0, not 1" in result.output
+
+    def test_priors_are_built_once_at_resolve(self, tmp_path, monkeypatch):
+        cfg = resolve_config(base_config(str(tmp_path)))
+        assert [p is not None for p in cfg.priors] == [False, True, True, False, False, False]
+        assert np.allclose(cfg.priors[1].weights, [0.34, 0.33, 0.33])
+
+        def reparse(*args, **kwargs):
+            raise AssertionError("a prior was parsed during the run")
+
+        monkeypatch.setattr(drolab.support.DiscreteDistribution, "from_json", reparse)
+        assert run_experiment(cfg)["errors"] == []
+
+    @pytest.mark.parametrize(
+        "path, value, pointer",
+        [
+            (("grid", "atoms"), [[0.0], [0.0], [3.0]], "/grid"),
+            (("center", "weights"), [0.2, 0.3, 0.6], "/center/weights"),
+            (("prior", "weights"), [0.5, 0.5], "/prior/weights"),
+            (("samples", "indices"), [0, 1, 7], "/samples"),
+            (("space", "interval", "num"), 0, "/space/interval/num"),
+            (("cost", "lip_scale"), math.nan, "/cost/lip_scale"),
+            (("verbose",), True, "/verbose"),
+        ],
+    )
+    def test_problem_documents_get_pointers(self, tmp_path, path, value, pointer):
+        (tmp_path / "prob.json").write_text(json.dumps(_set(problem_doc(), path, value)))
+        runner = CliRunner()
+        for args in (["solve", "--method", "bayes_dp", "--alpha", "1.0"], ["measure", "--kind", "absolute"]):
+            result = runner.invoke(main, [*args, str(tmp_path / "prob.json")])
+            assert result.exit_code == 1
+            assert f"error: {pointer}: " in result.output
+
+
+def _paths(node, path=()):
+    yield path
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _paths(child, (*path, key))
+
+
+def _node(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+_BASE_DOCS = [_golden(), base_config("results")]
+_VALUES = [
+    True, False, None, 0, 1, -1, 2, 2.5, -0.5, 10.0, 0.0, -0.0, "auto", "x", "one", "kl", "tv", "reverse", "saa",
+    [], {}, [1.0], [[1.0]], [0.5, 0.5], {"kind": "wasserstein"}, {"kind": "tv"}, {"weights": [1.0]},
+    {"lo": 0, "hi": 1, "num": 2},
+]
+_KEYS = ["unknown", "eps", "alpha", "beta", "lambda", "delta", "sided", "prior", "divergence", "p", "orientation",
+         "metric", "params", "lip_scale", "points", "interval", "output", "method", "kind"]
+
+
+@st.composite
+def single_mutations(draw):
+    """A base document changed at one place: a value swapped (booleans,
+    integral floats, negatives, empty arrays and objects included), a key
+    removed or added, or an array element removed or repeated."""
+    doc = copy.deepcopy(draw(st.sampled_from(_BASE_DOCS)))
+    path = draw(st.sampled_from(list(_paths(doc))))
+    node = _node(doc, path)
+    values = list(_VALUES)
+    if isinstance(node, (int, float)) and not isinstance(node, bool):
+        values += [float(node), -node]
+    ops = ["swap"] + ["remove"] * bool(path) + ["add"] * isinstance(node, dict) + ["repeat"] * bool(node and isinstance(node, list))
+    op = draw(st.sampled_from(ops))
+    if op == "swap":
+        value = copy.deepcopy(draw(st.sampled_from(values)))
+        return _set(doc, path, value) if path else value
+    if op == "remove":
+        del _node(doc, path[:-1])[path[-1]]
+    elif op == "add":
+        node[draw(st.sampled_from(_KEYS))] = copy.deepcopy(draw(st.sampled_from(values)))
+    else:
+        node.append(copy.deepcopy(node[0]))
+    return doc
+
+
+def _pointer(validate, doc) -> str | None:
+    try:
+        validate(doc)
+    except ConfigError as exc:
+        return str(exc).split(": ", 1)[0]
+    return None
+
+
+class TestOracleValidator:
+    """The plain-Python validator against the JSON-Schema one it replaced
+    (``_oracles.validate_config_jsonschema``): same verdict, and a pointer at
+    or inside the oracle's."""
+
+    def _agree(self, doc):
+        want, got = _pointer(validate_config_jsonschema, doc), _pointer(validate_config, doc)
+        assert (want is None) == (got is None), (want, got)
+        if want is not None:
+            assert want in ("/", got) or got.startswith(want + "/"), (want, got)
+
+    @settings(max_examples=400, deadline=None)
+    @given(single_mutations())
+    def test_single_mutations_agree(self, doc):
+        self._agree(doc)
+
+    @pytest.mark.parametrize("base", range(len(_BASE_DOCS)))
+    @pytest.mark.parametrize(
+        "space",
+        [
+            {},
+            {"points": [[0.0], [1.0]], "interval": {"lo": 0.0, "hi": 1.0, "num": 2}},
+            {"points": [[0.0], [1.0]]},
+            {"points": [[0.0], [True]]},
+            {"interval": {"lo": 0.0, "hi": 1.0, "num": 2.0}},
+            {"interval": {"lo": 0.0, "hi": 1.0, "num": 2.5}},
+        ],
+    )
+    def test_points_and_interval(self, base, space):
+        self._agree(dict(copy.deepcopy(_BASE_DOCS[base]), space=space))
+
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("cost", "lip_scale"), 0),
+            (("cost", "lip_scale"), 1e-300),
+            (("cost", "params"), []),
+            (("methods", 2, "beta"), 1),
+            (("methods", 2, "beta"), 1.5),
+            (("methods", 3, "divergence"), {"kind": "wasserstein", "p": 1}),
+            (("methods", 3, "divergence"), {"kind": "wasserstein", "p": 0.999}),
+            (("methods", 3, "divergence"), {"kind": "kl", "orientation": "sideways"}),
+            (("methods", 3, "eps"), 0),
+            (("space", "interval", "num"), 1),
+            (("space", "interval", "num"), 0),
+            (("seed",), 0),
+            (("seed",), -1),
+            (("replications",), 0),
+            (("n",), [1]),
+            (("n",), [0]),
+            (("grid", "metric"), None),
+            (("grid", "metric"), []),
+            (("grid", "metric"), [[]]),
+            (("grid", "metric"), [[0, -1]]),
+            (("p0", "weights"), [0, 0, 1]),
+            (("p0", "weights"), [-0.1, 0.6, 0.5]),
+        ],
+    )
+    def test_boundaries(self, path, value):
+        doc = base_config("results")
+        if path[:2] == ("methods", 2) and path[2] == "beta":
+            del doc["methods"][2]["alpha"]
+        self._agree(_set(doc, path, value))
 
 
 class TestRunner:
@@ -495,11 +742,12 @@ class TestCLI:
             "from drolab.cli import main\n"
             "main(['run', sys.argv[1]], standalone_mode=False)\n"
             "print('scipy loaded:', 'scipy' in sys.modules)\n"
+            "print('jsonschema loaded:', 'jsonschema' in sys.modules)\n"
         )
         config = Path(__file__).parent / "data" / "golden_config.json"
         result = subprocess.run([sys.executable, "-c", script, str(config)], capture_output=True, text=True, env=env)
         assert result.returncode == 0, result.stderr
-        assert result.stdout.splitlines()[-1] == "scipy loaded: False"
+        assert result.stdout.splitlines()[-2:] == ["scipy loaded: False", "jsonschema loaded: False"]
         assert (tmp_path / "results.csv").exists()
 
     def test_module_entry_point(self, tmp_path):
