@@ -17,7 +17,8 @@ import drolab
 from drolab.bayes import Infeasible, prior_from_regularizer
 from drolab.cost import DecisionSpace, Regularizer, cost_from_json
 from drolab.divergence import DIVERGENCE_KINDS, ORIENTATIONS, AmbiguityBall, DivergenceKind
-from drolab.experiment import METHODS, load_config, load_problem, plan, run as run_experiment, verify_bounds
+from drolab.experiment import METHODS, check_options, load_config, load_problem, plan, verify_bounds
+from drolab.experiment import run as run_experiment
 from drolab.robustness import (
     DirichletPrior,
     absolute_measure,
@@ -92,6 +93,7 @@ def solve_cmd(problem, method, eps, div_kind, p, orientation, alpha, beta, lam, 
     entry = {"method": method, "eps": eps, "divergence": _divergence_doc(div_kind, p, orientation),
              "alpha": alpha, "beta": beta, "lambda": lam, "delta": delta, "sided": sided}
     try:
+        check_options({field: value for field, value in entry.items() if field != "method"})
         if spec.ball:
             _ball_kind(div_kind, p, orientation)
         sol = spec.solve(load_problem(problem), entry)
@@ -129,6 +131,7 @@ def measure_cmd(problem, measure_kind, variant, x_index, ref, eps, div_kind, p, 
                 alpha, level, draws, budget, seed) -> None:
     """Report a robustness measure of a decision (JSON on stdout)."""
     try:
+        check_options({"ref": ref, "level": level, "alpha": alpha, "eps": eps})
         kind = None if measure_kind == "pac" else _ball_kind(div_kind, p, orientation)
         prob = load_problem(problem)
         center, cf, space = prob.center, prob.cf, prob.space

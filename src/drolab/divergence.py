@@ -7,13 +7,16 @@ Wasserstein balls come from the finite strong dual, a convex piecewise-linear
 function of one multiplier minimized exactly at its breakpoints; over forward
 KL balls they come from the exponential-tilting dual, whose multiplier is the
 root of a one-dimensional equation found by safeguarded Newton steps.  Both
-are batched over cost rows and radii.  The one exception is
-:func:`absolute_deviation`, which solves the coupling LP on a
-positive-radius Wasserstein ball.  The absolute-DRO sweep calls it only on
-the decisions whose dual deviation is within a screening margin of the
-minimum; the margin is far wider than the LP/dual disagreement, so the
-result equals an LP on every decision.  The LP step stays because the
-benchmark's recorded gaps depend on its tie picks (see its docstring).
+are batched over cost rows and radii, and so are the witnesses that attain
+them: one pass builds every row's witness at a radius
+(:meth:`Witnesses.weights`), and a single cell's witness is the one-row case
+of the same builder.  The one exception is :func:`absolute_deviation`, which
+solves the coupling LP on a positive-radius Wasserstein ball.  Only the
+absolute-DRO sweep calls it, and only on the decisions whose dual deviation
+is within a screening margin of the minimum; the margin is far wider than
+the LP/dual disagreement, so the result equals an LP on every decision.  The
+LP step stays because the benchmark's recorded gaps depend on its tie picks
+(see its docstring).
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from typing import Callable, Iterator
 import numpy as np
 
 from drolab.lp import LPFailureError, solve_lp
-from drolab.support import DiscreteDistribution, GridMismatchError, SupportGrid
+from drolab.support import DiscreteDistribution, GridMismatchError, SupportGrid, _normalize_rows
 
 _PHI_GENERATORS = ("kl", "chi2", "tv")
 DIVERGENCE_KINDS = ("wasserstein", *_PHI_GENERATORS)
@@ -359,41 +362,45 @@ def _upper_envelopes(c: np.ndarray, dist_pow: np.ndarray, w: np.ndarray) -> tupl
 
 
 def _wasserstein_witness(
-    center: DiscreteDistribution, c: np.ndarray, dist_pow: np.ndarray, budget: float, lam: float
-) -> DiscreteDistribution:
-    """Primal optimum for the dual optimum ``lam`` (costs ``c`` maximized).
+    center: DiscreteDistribution, c: np.ndarray, dist_pow: np.ndarray, budget: float, lam: np.ndarray
+) -> np.ndarray:
+    """Primal optima for the dual optima ``lam[k]`` of the cost rows ``c[k]``
+    (maximized), as unnormalized weights, one row per cost row.
 
     Every centre atom moves to an atom that attains its max in the dual
     objective at ``lam``: the nearest such atom, or the farthest, so that the
     transport budget is spent exactly when ``lam > 0``.  At most one atom's
-    mass is split between the two.
+    mass per row is split between the two.  One pass over (rows, atoms,
+    support); a row's weights do not depend on the other rows.
     """
     supp = center.support_indices()
     w = center.weights[supp]
     d = dist_pow[:, supp]
-    vals = c[:, None] - lam * d
-    top = np.max(vals, axis=0)
-    scale = max(1.0, float(np.max(np.abs(c))), lam * float(np.max(d)))
-    near = vals >= top - 1e-12 * scale
+    vals = c[:, :, None] - lam[:, None, None] * d
+    top = np.max(vals, axis=1, keepdims=True)
+    scale = np.maximum(np.maximum(1.0, np.max(np.abs(c), axis=1)), lam * float(np.max(d)))
+    near = vals >= top - (1e-12 * scale)[:, None, None]
     cols = np.arange(supp.size)
-    nearest = np.argmin(np.where(near, d, np.inf), axis=0)
-    farthest = np.argmax(np.where(near, d, -np.inf), axis=0)
-    frac = np.zeros(supp.size)  # share of each atom's mass sent to the farthest choice
-    if lam > 0.0:
-        extra = w * (d[farthest, cols] - d[nearest, cols])
-        need = budget - float(np.sum(w * d[nearest, cols]))
-        before = np.concatenate([[0.0], np.cumsum(extra)[:-1]])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            frac = np.clip(np.where(extra > 0.0, (need - before) / extra, 0.0), 0.0, 1.0)
-    q = np.zeros(center.grid.size)
-    np.add.at(q, nearest, w * (1.0 - frac))
-    np.add.at(q, farthest, w * frac)
-    return DiscreteDistribution(center.grid, q)
+    nearest = np.argmin(np.where(near, d, np.inf), axis=1)
+    farthest = np.argmax(np.where(near, d, -np.inf), axis=1)
+    # Share of each atom's mass sent to the farthest choice, spending what
+    # the nearest choices leave of the budget in support order.
+    extra = w * (d[farthest, cols] - d[nearest, cols])
+    need = budget - np.sum(w * d[nearest, cols], axis=1, keepdims=True)
+    before = np.concatenate([np.zeros((c.shape[0], 1)), np.cumsum(extra, axis=1)[:, :-1]], axis=1)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        frac = np.clip(np.where(extra > 0.0, (need - before) / extra, 0.0), 0.0, 1.0)
+    frac = np.where((lam > 0.0)[:, None], frac, 0.0)
+    rows = np.arange(c.shape[0])[:, None]
+    q = np.zeros((c.shape[0], center.grid.size))
+    np.add.at(q, (rows, nearest), w * (1.0 - frac))
+    np.add.at(q, (rows, farthest), w * frac)
+    return q
 
 
 def _wasserstein_values(
     center: DiscreteDistribution, p: float, c: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, Callable[[int, int], DiscreteDistribution]]:
+) -> tuple[np.ndarray, Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]]:
     # Strong dual (Mohajerin Esfahani & Kuhn 2018, Thm 4.2; Gao & Kleywegt
     # 2023): v(eps) = min_{lam >= 0} lam * eps**p + G(lam) is convex and
     # piecewise linear in lam, so its minimum sits at lam = 0 or at a
@@ -408,13 +415,16 @@ def _wasserstein_values(
     covers = radii >= center.grid.diameter
     values[:, covers] = np.max(c, axis=1)[:, None]
 
-    def witness(k: int, r: int) -> DiscreteDistribution:
+    def witnesses(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         if covers[r]:
             # The ball covers the whole simplex; a Dirac at the best atom wins.
-            return DiscreteDistribution.dirac(center.grid, int(np.argmax(c[k])))
-        return _wasserstein_witness(center, c[k], dist_pow, float(budgets[r]), float(lam[k, best[k, r]]))
+            q = np.zeros((rows.size, center.grid.size))
+            q[np.arange(rows.size), np.argmax(c[rows], axis=1)] = 1.0
+        else:
+            q = _wasserstein_witness(center, c[rows], dist_pow, float(budgets[r]), lam[rows, best[rows, r]])
+        return q, np.zeros(rows.size, dtype=bool)
 
-    return values, witness
+    return values, witnesses
 
 
 def _log_sum_exp(a: np.ndarray) -> np.ndarray:
@@ -481,7 +491,7 @@ def _kl_tilt_roots(w: np.ndarray, s: np.ndarray, eps: np.ndarray) -> tuple[np.nd
 
 def _kl_values(
     center: DiscreteDistribution, c: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, Callable[[int, int], DiscreteDistribution]]:
+) -> tuple[np.ndarray, Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]]:
     # Exponential-tilting dual (Hu & Hong 2013): v(eps) = min_{lam > 0}
     # lam * eps + lam * log E_center exp(c / lam), attained where the tilt's
     # KL equals eps.  Flat rows keep the centre.  Once eps reaches -log of
@@ -494,9 +504,10 @@ def _kl_values(
     shifted = cs - top[:, None]
     flat = top - np.min(cs, axis=1) < 1e-15
     arg_top = cs >= (top - 1e-15)[:, None]
+    top_mass = np.array([float(np.sum(w[row])) for row in arg_top])
     # math.log, as radius_cap takes it: a satisficing radius grid ends at
     # exactly this radius when the top atom is the lightest one.
-    sat_eps = np.array([-math.log(float(np.sum(w[row]))) for row in arg_top])
+    sat_eps = np.array([-math.log(mass) for mass in top_mass])
     saturated = ~flat[:, None] & (radii[None, :] >= sat_eps[:, None])
     rows, cols = np.nonzero(~flat[:, None] & ~saturated & (radii > 0.0)[None, :])
     eps = radii[cols]
@@ -508,35 +519,65 @@ def _kl_values(
     lam = 1.0 / root
     values[rows, cols] = lam * eps + lam * log_z + top[rows]
 
-    def witness(k: int, r: int) -> DiscreteDistribution:
-        if flat[k]:
-            return center
-        q = np.zeros(center.grid.size)
-        if saturated[k, r]:
-            q[supp[arg_top[k]]] = w[arg_top[k]] / float(np.sum(w[arg_top[k]]))
-        else:
-            a = np.log(w) + theta[k, r] * shifted[k]
-            q[supp] = np.exp(a - _log_sum_exp(a))
-        return DiscreteDistribution(center.grid, q)
+    def witnesses(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+        # The tilted centre, or the centre conditioned on the top atoms once
+        # saturated; flat rows keep the centre itself.
+        sat, tilt = saturated[rows, r], ~flat[rows] & ~saturated[rows, r]
+        a = np.log(w) + theta[rows[tilt], r][:, None] * shifted[rows[tilt]]
+        on_supp = np.zeros((rows.size, w.size))
+        on_supp[tilt] = np.exp(a - _log_sum_exp(a)[:, None])
+        on_supp[sat] = np.where(arg_top[rows[sat]], w / top_mass[rows[sat], None], 0.0)
+        q = np.zeros((rows.size, center.grid.size))
+        q[:, supp] = on_supp
+        return q, flat[rows]
 
-    return values, witness
+    return values, witnesses
+
+
+@dataclass(frozen=True)
+class Witnesses:
+    """The distributions attaining a table of :func:`extremal_values`.
+
+    ``witnesses(k, r)`` is a member of the ball of radius index ``r`` that
+    attains row ``k``'s extremal value, and ``witnesses.weights(r)`` is the
+    rows-by-atoms matrix of every row's witness weights at that radius.  Both
+    come from one builder batched over rows, so row ``k`` of ``weights(r)``
+    equals ``witnesses(k, r).weights`` bit for bit.
+    """
+
+    center: DiscreteDistribution
+    rows: int
+    # (row indices, radius index) -> (unnormalized weights, one row each, and
+    # which rows are the centre itself; those rows' weights are ignored)
+    build: Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]
+
+    def __call__(self, k: int, r: int) -> DiscreteDistribution:
+        q, at_center = self.build(np.array([k]), r)
+        return self.center if at_center[0] else DiscreteDistribution(self.center.grid, q[0])
+
+    def weights(self, r: int) -> np.ndarray:
+        q, at_center = self.build(np.arange(self.rows), r)
+        q[~at_center] = _normalize_rows(q[~at_center])
+        q[at_center] = self.center.weights
+        return q
 
 
 def extremal_values(
     center: DiscreteDistribution, kind: DivergenceKind, table, radii, sense: str = "max"
-) -> tuple[np.ndarray, Callable[[int, int], DiscreteDistribution]]:
+) -> tuple[np.ndarray, Witnesses]:
     """Worst-case (``sense="max"``) or best-case expectations of every row of
     a k-by-m cost table over the balls of several radii around ``center``.
 
     Returns ``values[k, r]``, the extremal expectation of row ``k`` over the
-    ball of radius ``radii[r]``, and ``witness(k, r)``, a distribution in that
-    ball attaining it.  Wasserstein balls are solved exactly through the
+    ball of radius ``radii[r]``, and the :class:`Witnesses` attaining them:
+    ``witnesses(k, r)`` for one cell, ``witnesses.weights(r)`` for every row
+    at one radius.  Wasserstein balls are solved exactly through the
     finite strong dual ``min_{lam>=0} lam*eps**p + sum_j w_j max_i (c_i -
     lam*d_ij**p)``, with one set of dual breakpoints per row shared by all
     radii.  Forward KL balls are solved through the exponential-tilting dual
     of :func:`extremal_expectation`, one vectorised root search over every
     (row, radius) cell that has no closed form; a cell's value does not
-    depend on the other cells in the table.  Either way a witness is built
+    depend on the other cells in the table.  Either way witnesses are built
     only for the cells asked for.  Radius 0 gives the centre's expectation
     and the centre itself.
     """
@@ -555,15 +596,21 @@ def extremal_values(
         raise ValueError("extremal expectations are implemented for Wasserstein balls and forward KL balls")
     sign = 1.0 if sense == "max" else -1.0
     if kind.family == "wasserstein":
-        values, ball_witness = _wasserstein_values(center, kind.p, sign * c, radii)
+        values, ball_witnesses = _wasserstein_values(center, kind.p, sign * c, radii)
     elif kind.has_ball_oracle:
-        values, ball_witness = _kl_values(center, sign * c, radii)
+        values, ball_witnesses = _kl_values(center, sign * c, radii)
     else:  # every radius is 0, checked above
-        values, ball_witness = np.empty((c.shape[0], radii.size)), None
+        values, ball_witnesses = np.empty((c.shape[0], radii.size)), None
     values = sign * values
     for r in np.flatnonzero(at_center):
         values[:, r] = [center.expectation(row) for row in c]
-    return values, lambda k, r: center if at_center[r] else ball_witness(k, r)
+
+    def build(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+        if at_center[r]:
+            return np.zeros((rows.size, center.grid.size)), np.ones(rows.size, dtype=bool)
+        return ball_witnesses(rows, r)
+
+    return values, Witnesses(center, c.shape[0], build)
 
 
 def extremal_expectation(
@@ -595,17 +642,18 @@ def absolute_deviation(
     ball: AmbiguityBall, costs, ref_value: float
 ) -> tuple[float, DiscreteDistribution, float, float]:
     """Largest |expectation - ref_value| over the ball, with its witness and
-    the extremal values ``hi`` and ``lo``.
+    the extremal values ``hi`` and ``lo``; ties between the high and low side
+    break toward the high side.
 
-    Shared by the absolute-deviation solver and the measure-only API so the
-    two report identical numbers.  Ties between the high and low side break
-    toward the high side.  Positive-radius Wasserstein balls solve the
-    coupling LP here rather than :func:`deviation_table`'s dual: when the two
-    deviations agree mathematically, the oracle's last-digit rounding picks
-    the reported witness, and absolute-DRO gaps recorded with the LP (such as
-    the benchmark's seed-0 reference) depend on that pick.  The solver ranks
-    all decisions by the dual first and calls this only on those within
-    ``solvers.ABSOLUTE_SCREEN_MARGIN`` of the dual minimum.
+    This is the LP step of the absolute-DRO screen in
+    ``solvers.solve_absolute_dro``.  Positive-radius Wasserstein balls solve
+    the coupling LP here rather than :func:`deviation_table`'s dual: when the
+    two deviations agree mathematically, the oracle's last-digit rounding
+    picks the reported witness, and absolute-DRO gaps recorded with the LP
+    (such as the benchmark's seed-0 reference) depend on that pick.  The
+    solver ranks all decisions by the dual first and calls this only on those
+    within ``solvers.ABSOLUTE_SCREEN_MARGIN`` of the dual minimum.  Every
+    other deviation, ``robustness.absolute_measure`` included, reads the dual.
     """
     c = np.asarray(costs, dtype=float)
     if ball.kind.family == "wasserstein" and ball.radius > 0.0:

@@ -297,6 +297,20 @@ _FIELDS = {
 }
 
 
+# Command-line options checked as config values are: the method-entry fields
+# that `drolab solve` builds from its options, and `drolab measure`'s own.
+_OPTIONS = {**_FIELDS, "ref": _number(), "level": _number(0.0, above=True)}
+
+
+def check_options(options: dict) -> None:
+    """Check command-line option values with the checks of the config fields
+    of the same name; ``None`` marks an option left unset.  Raises
+    :class:`ConfigError` as ``"--<option>: <message>"``."""
+    for name, value in options.items():
+        if value is not None:
+            _OPTIONS[name](f"--{name}", value)
+
+
 def _method(ptr: str, entry) -> None:
     _object({"method": _choice("method", tuple(METHODS))}, _FIELDS)(ptr, entry)
     name = entry["method"]

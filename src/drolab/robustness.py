@@ -18,8 +18,8 @@ from drolab.cost import CostFunction, DecisionSpace, cost_table
 from drolab.divergence import (
     AmbiguityBall,
     DivergenceKind,
-    absolute_deviation,
     deviation_table,
+    deviations_from,
     extremal_values,
     membership,
 )
@@ -80,16 +80,22 @@ class RobustnessReport:
 
 
 def absolute_measure(x, ref_value: float, ball: AmbiguityBall, cf: CostFunction) -> RobustnessReport:
-    """Smallest L with |expectation - ref_value| <= L over the whole ball."""
-    costs = cf.atom_costs(ball.grid, x)
-    dev, witness, hi, lo = absolute_deviation(ball, costs, float(ref_value))
+    """Smallest L with |expectation - ref_value| <= L over the whole ball.
+
+    Read from one worst-case and one best-case cell of
+    :func:`extremal_values` (the exact dual on every ball kind); ties between
+    the two sides go to the high side, as in :func:`deviation_table`.
+    """
+    costs = cf.atom_costs(ball.grid, x)[None, :]
+    hi, lo = (extremal_values(ball.center, ball.kind, costs, [ball.radius], s) for s in ("max", "min"))
+    dev, witness = deviations_from(hi, lo, float(ref_value))
     return RobustnessReport(
         np.atleast_1d(np.asarray(x, dtype=float)),
         "absolute",
-        float(dev),
+        float(dev[0, 0]),
         radius=ball.radius,
-        witness=witness,
-        diagnostics={"max_value": hi, "min_value": lo, "ref_value": float(ref_value)},
+        witness=witness(0, 0),
+        diagnostics={"max_value": float(hi[0][0, 0]), "min_value": float(lo[0][0, 0]), "ref_value": float(ref_value)},
     )
 
 
@@ -186,12 +192,6 @@ def local_measure(
     )
 
 
-def _optimal_under(table: np.ndarray, weights: np.ndarray) -> tuple[int, float]:
-    vals = table @ weights
-    idx = int(np.argmin(vals))
-    return idx, float(vals[idx])
-
-
 def _toward_dirac(ball: AmbiguityBall, index: int) -> DiscreteDistribution | None:
     """Furthest ball member on the segment from the center to a Dirac atom."""
     target = DiscreteDistribution.dirac(ball.grid, index)
@@ -228,46 +228,60 @@ def set_robustness(
     (``solution``) at the center, at every extremal witness, and at ``budget``
     random ball members (the furthest mixtures toward random Dirac atoms
     that stay in the ball).  Reported as a lower-bound estimate; the true
-    supremum may be larger.
+    supremum may be larger.  The witnesses of each sense come from one
+    batched pass (:meth:`~drolab.divergence.Witnesses.weights`), and the
+    reported witness is the first candidate, in the order above with each
+    decision's worst case before its best case, that attains the spread.
     """
     if variant not in ("objective", "solution"):
         raise ValueError("variant must be 'objective' or 'solution'")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     table = cost_table(cf, ball.grid, space)
-    base_idx, base_val = _optimal_under(table, ball.center.weights)
-    candidates: list[DiscreteDistribution] = [ball.center]
+    witnesses = []
     if ball.radius > 0.0:
         witnesses = [extremal_values(ball.center, ball.kind, table, [ball.radius], s)[1] for s in ("max", "min")]
-        candidates.extend(witness(k, 0) for k in range(len(space)) for witness in witnesses)
     rng = rng_from_seed(seed)
-    accepted = 0
+    members: list[DiscreteDistribution] = []
     for _ in range(budget):
         j = int(rng.integers(ball.grid.size))
         cand = _toward_dirac(ball, j) if ball.radius > 0.0 else None
-        if cand is None:
-            continue
-        candidates.append(cand)
-        accepted += 1
-    best = 0.0
+        if cand is not None:
+            members.append(cand)
+    # One weight row per candidate: the centre, each decision's worst-case
+    # then best-case witness, the random members.
+    blocks = [ball.center.weights[None, :]]
+    if witnesses:
+        blocks.append(np.stack([w.weights(0) for w in witnesses], axis=1).reshape(-1, ball.grid.size))
+    blocks.extend(cand.weights[None, :] for cand in members)
+    weights = np.concatenate(blocks)
+    # Row by row, as a single matrix product may round differently.
+    values = np.array([table @ w for w in weights])
+    best_idx = np.argmin(values, axis=1)
+    if variant == "objective":
+        spreads = np.abs(values[np.arange(len(values)), best_idx] - values[0, best_idx[0]])
+    else:
+        spreads = np.array([float(np.linalg.norm(space[i] - space[best_idx[0]])) for i in best_idx])
+    first = int(np.argmax(spreads))
+    extremal = 2 * len(space) if witnesses else 0
     witness: DiscreteDistribution | None = None
-    for cand in candidates:
-        idx, val = _optimal_under(table, cand.weights)
-        spread = abs(val - base_val) if variant == "objective" else float(
-            np.linalg.norm(space[idx] - space[base_idx])
-        )
-        if spread > best:
-            best = spread
-            witness = cand
+    if spreads[first] > 0.0:
+        if first == 0:
+            witness = ball.center
+        elif first <= extremal:
+            k, side = divmod(first - 1, 2)
+            witness = witnesses[side](k, 0)
+        else:
+            witness = members[first - 1 - extremal]
     return RobustnessReport(
         None,
         f"{variant}_set",
-        float(best),
+        float(spreads[first]),
         radius=ball.radius,
         witness=witness,
         diagnostics={
-            "evaluations": len(candidates),
-            "random_accepted": accepted,
+            "evaluations": len(weights),
+            "random_accepted": len(members),
             "budget": budget,
             "seed": seed,
             "estimate_is_lower_bound": True,
@@ -293,8 +307,8 @@ def pac_robustness(
     estimate of ``Pr[|E_P h(x) - ref_value| <= L]`` over Dirichlet draws in
     the diagnostics.
     """
-    if level <= 0.0:
-        raise ValueError("robustness level must be positive")
+    if not (level > 0.0 and math.isfinite(level)):
+        raise ValueError(f"robustness level must be positive and finite, got {level!r}")
     if not cf.nonneg:
         raise ValueError("the PAC bound requires a cost flagged nonnegative")
     costs = cf.atom_costs(prior.base.grid, x)

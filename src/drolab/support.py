@@ -134,20 +134,31 @@ class SupportGrid:
         return self.size
 
 
-def _normalize_weights(weights, m: int) -> np.ndarray:
-    w = np.asarray(weights, dtype=float).copy()
-    if w.shape != (m,):
-        raise InvalidDistributionError(f"expected {m} weights, got shape {w.shape}")
+def _normalize_rows(w: np.ndarray) -> np.ndarray:
+    """Check each weight vector along the last axis of the float array ``w``,
+    clamp its float-noise negatives to 0 and divide it by its sum, in place.
+
+    A row's result does not depend on the other rows: it equals the row
+    normalized alone, bit for bit.
+    """
     if not np.all(np.isfinite(w)):
         raise InvalidDistributionError("weights must be finite")
     if np.any(w < -_NEG_SLACK):
         raise InvalidDistributionError(f"negative weight {w.min():.3e}")
     w[w < 0.0] = 0.0
-    total = w.sum()
-    if abs(total - 1.0) > _SUM_SLACK:
-        raise InvalidDistributionError(f"weights sum to {float(total)!r}, not 1")
+    total = w.sum(axis=-1, keepdims=True)
+    off = np.abs(total - 1.0) > _SUM_SLACK
+    if off.any():
+        raise InvalidDistributionError(f"weights sum to {float(total[off][0])!r}, not 1")
     w /= total
-    w.setflags(write=False)
+    return w
+
+
+def _normalize_weights(weights, m: int) -> np.ndarray:
+    w = np.asarray(weights, dtype=float).copy()
+    if w.shape != (m,):
+        raise InvalidDistributionError(f"expected {m} weights, got shape {w.shape}")
+    _normalize_rows(w).setflags(write=False)
     return w
 
 

@@ -17,6 +17,9 @@ decision x atom grid, are kept as :func:`scalar_cost` and evaluated cell by
 cell in :func:`scalar_cost_table`.  The absolute-DRO sweep that ran the
 package's coupling LP on every decision row, which the solver now screens
 by the exact dual first, is kept as :func:`absolute_dro_lp_sweep`.  The
+loop of ``robustness.set_robustness`` that built and evaluated one candidate
+distribution at a time, which the package replaced by one batched pass, is
+kept as :func:`set_robustness_loop`.  The
 config validator that ran a JSON Schema (``tests/data/config.schema.json``)
 through ``jsonschema`` and then checked method entries against
 ``experiment.METHODS``, which the package replaced by plain-Python checks, is
@@ -36,11 +39,12 @@ from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp
 
 from drolab.cost import cost_table
-from drolab.divergence import AmbiguityBall, DivergenceKind, absolute_deviation
+from drolab.divergence import AmbiguityBall, DivergenceKind, absolute_deviation, extremal_values
 from drolab.experiment import METHODS
 from drolab.lp import FEASIBILITY_TOL, LPFailureError, LPResult
+from drolab.robustness import RobustnessReport, _toward_dirac
 from drolab.solvers import Solution
-from drolab.support import ConfigError, DiscreteDistribution
+from drolab.support import ConfigError, DiscreteDistribution, rng_from_seed
 
 _PIVOT_TOL = 1e-10
 
@@ -516,6 +520,49 @@ def absolute_dro_lp_sweep(ball: AmbiguityBall, cf, space) -> Solution:
     diagnostics = {"ties": ties, "nominal_ref": ref, "radius": ball.radius, "kind": ball.kind.label()}
     value = float(values[idx])
     return Solution(space[idx], idx, value, "absolute_dro", witnesses[idx], value, diagnostics)
+
+
+def set_robustness_loop(
+    ball: AmbiguityBall, cf, space, variant: str = "objective", budget: int = 100, seed: int = 0
+) -> RobustnessReport:
+    """``robustness.set_robustness`` one candidate at a time: the centre, each
+    decision's worst-case then best-case witness as a one-cell
+    distribution, then the random ball members; each is evaluated by its own
+    ``table @ weights``, and the first with the largest spread is the
+    witness."""
+    table = cost_table(cf, ball.grid, space)
+
+    def optimal_under(weights: np.ndarray) -> tuple[int, float]:
+        vals = table @ weights
+        idx = int(np.argmin(vals))
+        return idx, float(vals[idx])
+
+    base_idx, base_val = optimal_under(ball.center.weights)
+    candidates = [ball.center]
+    if ball.radius > 0.0:
+        witnesses = [extremal_values(ball.center, ball.kind, table, [ball.radius], s)[1] for s in ("max", "min")]
+        candidates.extend(witness(k, 0) for k in range(len(space)) for witness in witnesses)
+    rng = rng_from_seed(seed)
+    accepted = 0
+    for _ in range(budget):
+        j = int(rng.integers(ball.grid.size))
+        cand = _toward_dirac(ball, j) if ball.radius > 0.0 else None
+        if cand is None:
+            continue
+        candidates.append(cand)
+        accepted += 1
+    best, witness = 0.0, None
+    for cand in candidates:
+        idx, val = optimal_under(cand.weights)
+        spread = abs(val - base_val) if variant == "objective" else float(
+            np.linalg.norm(space[idx] - space[base_idx])
+        )
+        if spread > best:
+            best, witness = spread, cand
+    diagnostics = {"evaluations": len(candidates), "random_accepted": accepted, "budget": budget, "seed": seed,
+                   "estimate_is_lower_bound": True}
+    return RobustnessReport(None, f"{variant}_set", float(best), radius=ball.radius, witness=witness,
+                            diagnostics=diagnostics)
 
 
 _CONFIG_SCHEMA = json.loads((Path(__file__).parent / "data" / "config.schema.json").read_text())

@@ -3,6 +3,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -29,3 +30,23 @@ def random_grid(rng: np.random.Generator, m: int, dim: int = 1, scale: float = 3
 def random_distribution(rng: np.random.Generator, grid: SupportGrid) -> DiscreteDistribution:
     w = rng.dirichlet(np.ones(grid.size))
     return DiscreteDistribution(grid, w)
+
+
+def random_ball_instance(
+    rng: np.random.Generator, m: int, dim: int, empty: int, tied: bool, rows: int = 3
+) -> tuple[DiscreteDistribution, np.ndarray]:
+    """A centre with ``empty`` zero-weight atoms on a random grid, and a
+    rows-by-m cost table whose values tie often when ``tied``."""
+    grid = random_grid(rng, m, dim)
+    w = rng.dirichlet(np.ones(m))
+    w[rng.choice(m, size=min(empty, m - 1), replace=False)] = 0.0
+    center = DiscreteDistribution(grid, w / w.sum())
+    if tied:  # a few distinct values, so argmax atoms and dual breakpoints tie
+        return center, rng.integers(-2, 3, size=(rows, m)).astype(float)
+    return center, rng.normal(size=(rows, m)) * rng.uniform(0.1, 10.0)
+
+
+# Radii as fractions of the grid diameter (or another radius cap), from 0
+# through past it.  The smallest positive one is the library's own
+# radius-grid floor (1e-4).
+RADIUS_FRACTIONS = st.sampled_from([0.0, 1e-4, 0.05, 0.3, 0.7, 1.0, 1.5]) | st.floats(1e-4, 1.2)

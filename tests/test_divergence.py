@@ -17,7 +17,7 @@ from _oracles import (
     w1_dual_vertices,
     w1_from_dual,
 )
-from conftest import random_distribution, random_grid
+from conftest import RADIUS_FRACTIONS, random_ball_instance, random_distribution, random_grid
 from drolab import divergence
 from drolab.divergence import (
     _phi,
@@ -428,21 +428,6 @@ class TestExtremalExpectation:
             extremal_expectation(ball, [1.0, 2.0, 3.0], "max")
 
 
-def _random_ball_instance(rng, m, dim, empty, tied):
-    grid = random_grid(rng, m, dim)
-    w = rng.dirichlet(np.ones(m))
-    w[rng.choice(m, size=min(empty, m - 1), replace=False)] = 0.0
-    center = DiscreteDistribution(grid, w / w.sum())
-    if tied:  # a few distinct values, so argmax atoms and dual breakpoints tie
-        return center, rng.integers(-2, 3, size=(3, m)).astype(float)
-    return center, rng.normal(size=(3, m)) * rng.uniform(0.1, 10.0)
-
-
-# Radii as fractions of the grid diameter, from 0 through past the diameter.
-# The smallest positive one is the library's own radius-grid floor (1e-4).
-_RADIUS_FRACTIONS = st.sampled_from([0.0, 1e-4, 0.05, 0.3, 0.7, 1.0, 1.5]) | st.floats(1e-4, 1.2)
-
-
 class TestWassersteinDualOracle:
     """The strong-dual ball oracle against the coupling LP solved by HiGHS."""
 
@@ -453,12 +438,12 @@ class TestWassersteinDualOracle:
         p=st.sampled_from([1.0, 1.5, 2.0]),
         empty=st.integers(0, 3),
         tied=st.booleans(),
-        frac=_RADIUS_FRACTIONS,
+        frac=RADIUS_FRACTIONS,
     )
     @settings(max_examples=80, deadline=None)
     def test_matches_coupling_lp_with_attaining_member_witness(self, seed, m, dim, p, empty, tied, frac):
         rng = np.random.default_rng(seed)
-        center, table = _random_ball_instance(rng, m, dim, empty, tied)
+        center, table = random_ball_instance(rng, m, dim, empty, tied)
         ball = AmbiguityBall(center, frac * center.grid.diameter, DivergenceKind.wasserstein_order(p))
         for costs in table:
             for sense in ("max", "min"):
@@ -475,12 +460,12 @@ class TestWassersteinDualOracle:
         p=st.sampled_from([1.0, 1.5, 2.0]),
         empty=st.integers(0, 2),
         tied=st.booleans(),
-        fracs=st.lists(_RADIUS_FRACTIONS, min_size=1, max_size=5),
+        fracs=st.lists(RADIUS_FRACTIONS, min_size=1, max_size=5),
     )
     @settings(max_examples=40, deadline=None)
     def test_batched_values_equal_per_call_values(self, seed, m, dim, p, empty, tied, fracs):
         rng = np.random.default_rng(seed)
-        center, table = _random_ball_instance(rng, m, dim, empty, tied)
+        center, table = random_ball_instance(rng, m, dim, empty, tied)
         kind = DivergenceKind.wasserstein_order(p)
         radii = np.array(fracs) * center.grid.diameter
         for sense in ("max", "min"):
@@ -502,14 +487,14 @@ class TestWassersteinDualOracle:
         p=st.sampled_from([1.0, 2.0]),
         empty=st.integers(0, 2),
         tied=st.booleans(),
-        fracs=st.lists(_RADIUS_FRACTIONS, min_size=1, max_size=3),
+        fracs=st.lists(RADIUS_FRACTIONS, min_size=1, max_size=3),
     )
     @settings(max_examples=30, deadline=None)
     def test_absolute_deviation_matches_two_sided_table(self, seed, m, dim, p, empty, tied, fracs):
         # absolute_deviation still solves the coupling LP per call; the
         # batched two-sided deviations of the dual must give the same numbers.
         rng = np.random.default_rng(seed)
-        center, table = _random_ball_instance(rng, m, dim, empty, tied)
+        center, table = random_ball_instance(rng, m, dim, empty, tied)
         kind = DivergenceKind.wasserstein_order(p)
         radii = np.array(fracs) * center.grid.diameter
         ref = float(np.min(table @ center.weights))
@@ -520,6 +505,33 @@ class TestWassersteinDualOracle:
                 assert abs(dev - deviations[k, r]) <= 1e-9 * max(1.0, abs(dev))
                 for q in (witness, witnesses(k, r)):
                     assert abs(abs(q.expectation(costs) - ref) - dev) <= 1e-9 * max(1.0, abs(dev))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 7),
+        dim=st.sampled_from([1, 2]),
+        kind=st.sampled_from([("wasserstein", 1.0), ("wasserstein", 1.5), ("wasserstein", 2.0), ("kl", None)]),
+        empty=st.integers(0, 2),
+        tied=st.booleans(),
+        fracs=st.lists(RADIUS_FRACTIONS, min_size=1, max_size=4),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_batched_witness_rows_equal_one_cell_witnesses(self, seed, m, dim, kind, empty, tied, fracs):
+        # Witnesses.weights(r) builds every row in one pass; each row must be
+        # the one-cell witness's weights byte for byte.  Radii are fractions
+        # of the radius cap, so KL rows saturate past it.
+        rng = np.random.default_rng(seed)
+        center, table = random_ball_instance(rng, m, dim, empty, tied)
+        family, p = kind
+        kind = DivergenceKind.wasserstein_order(p) if family == "wasserstein" else DivergenceKind.kl()
+        radii = np.array(fracs) * kind.radius_cap(center)
+        for sense in ("max", "min"):
+            _, witnesses = extremal_values(center, kind, table, radii, sense)
+            for r in range(len(radii)):
+                rows = witnesses.weights(r)
+                assert rows.shape == table.shape
+                for k in range(len(table)):
+                    assert rows[k].tobytes() == witnesses(k, r).weights.tobytes()
 
     def test_kl_batch_matches_per_call_tilting(self, line_grid):
         center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
@@ -571,7 +583,7 @@ class TestKLTiltingOracle:
     @settings(max_examples=30, deadline=None)
     def test_matches_brentq_root_cell_by_cell(self, seed, m, empty, tied, flat, scale):
         rng = np.random.default_rng(seed)
-        center, table = _random_ball_instance(rng, m, 1, empty, tied)
+        center, table = random_ball_instance(rng, m, 1, empty, tied)
         table = table / max(float(np.max(np.abs(table))), 1e-300) * scale
         if flat:
             table[0] = table[0, 0]

@@ -199,6 +199,30 @@ class TestNonFiniteRejected:
         with pytest.raises(ConfigError, match="^/methods/4/divergence/p: inf is not finite"):
             validate_config(doc)
 
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["solve", "--method", "reg_saa", "--lam", "nan"], "--lambda: nan is not finite"),
+            (["solve", "--method", "satisficing", "--delta", "nan"], "--delta: nan is not finite"),
+            (["solve", "--method", "minmax_dro", "--eps", "inf"], "--eps: inf is not finite"),
+            (["solve", "--method", "bayes_dp", "--beta", "nan"], "--beta: nan is not finite"),
+            (["solve", "--method", "abs_dro", "--eps", "0.2", "--p", "nan"], "--divergence/p: nan is not finite"),
+            (["measure", "--kind", "pac", "--level", "nan"], "--level: nan is not finite"),
+            (["measure", "--kind", "pac", "--level", "inf"], "--level: inf is not finite"),
+            (["measure", "--kind", "pac", "--alpha", "nan"], "--alpha: nan is not finite"),
+            (["measure", "--kind", "absolute", "--ref", "nan"], "--ref: nan is not finite"),
+            (["measure", "--kind", "relative", "--ref", "-inf"], "--ref: -inf is not finite"),
+            (["measure", "--kind", "absolute", "--eps", "nan"], "--eps: nan is not finite"),
+        ],
+    )
+    def test_cli_options_rejected_with_one_error_line(self, tmp_path, args, message):
+        # Click reads nan and inf as floats; the options go through the
+        # config fields' checks, so none of them reaches a solver.
+        (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))
+        result = CliRunner().invoke(main, [args[0], str(tmp_path / "prob.json"), *args[1:]])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"error: {message}"]
+
     def test_infinite_alpha_means_prior_only(self, tmp_path):
         doc = _set(base_config(str(tmp_path)), ("methods", 2, "alpha"), math.inf)
         record = run_experiment(resolve_config(doc))
@@ -597,6 +621,15 @@ class TestSatisficingBound:
         assert sorted(senses) == ["max"] * 4 + ["min"] * 4
 
 
+def strict_json(text: str):
+    """``json.loads`` that rejects the NaN and Infinity tokens Python writes."""
+
+    def reject(token: str):
+        raise ValueError(f"{token} is not JSON")
+
+    return json.loads(text, parse_constant=reject)
+
+
 class TestCLI:
     def test_divergence_command(self, tmp_path):
         a = {"atoms": [[0.0], [1.0], [3.0]], "weights": [0.2, 0.3, 0.5]}
@@ -645,7 +678,7 @@ class TestCLI:
         for args in cases:
             result = runner.invoke(main, ["solve", str(tmp_path / "prob.json"), *args])
             assert result.exit_code == 0, result.output
-            assert "objective_value" in json.loads(result.output)
+            assert "objective_value" in strict_json(result.output)
         doc = problem_doc()
         doc["cost"]["name"] = "nonexistent"
         (tmp_path / "bad.json").write_text(json.dumps(doc))
@@ -674,7 +707,7 @@ class TestCLI:
         ):
             result = runner.invoke(main, ["measure", str(tmp_path / "prob.json"), *args])
             assert result.exit_code == 0, result.output
-            payload = json.loads(result.output)
+            payload = strict_json(result.output)
             assert "measure" in payload
 
     def test_prior_from_reg_command(self, tmp_path):

@@ -4,9 +4,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from _oracles import ball_vertex_candidates, simplex_grid, w1_dual_vertices, w1_from_dual_many
-from conftest import random_distribution, random_grid
+from _oracles import (
+    ball_extremal_lp,
+    ball_vertex_candidates,
+    set_robustness_loop,
+    simplex_grid,
+    w1_dual_vertices,
+    w1_from_dual_many,
+)
+from conftest import RADIUS_FRACTIONS, random_ball_instance, random_distribution, random_grid
+from drolab import divergence
 from drolab.cost import CostFunction, DecisionSpace, expected_cost, make_cost
 from drolab.divergence import AmbiguityBall, DivergenceKind, membership
 from drolab.robustness import (
@@ -36,6 +45,19 @@ def two_atom_example(shift_kind: str) -> tuple[SupportGrid, CostFunction]:
     else:
         fn = lambda x, xi: float((x[0] + (1.0 if xi[0] > 0 else 0.0)) ** 2)
     return grid, CostFunction(f"shifted_{shift_kind}", fn, nonneg=True)
+
+
+def table_cost(table: np.ndarray) -> tuple[CostFunction, DecisionSpace]:
+    """A cost whose decision ``k`` (the point ``[k]``) has the costs ``table[k]``."""
+    cf = CostFunction.vectorised("table", lambda points, atoms: table[points[:, 0].astype(int)])
+    return cf, DecisionSpace.from_points(np.arange(len(table), dtype=float)[:, None])
+
+
+KINDS = {
+    "w1": DivergenceKind.wasserstein_order(1.0),
+    "w2": DivergenceKind.wasserstein_order(2.0),
+    "kl": DivergenceKind.kl(),
+}
 
 
 class TestAbsoluteMeasure:
@@ -90,6 +112,47 @@ class TestAbsoluteMeasure:
             prev = min(measures)
             sol = solve_absolute_dro(ball, cf, space)
             assert sol.measure == pytest.approx(min(measures), abs=1e-12)
+
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 7),
+        dim=st.sampled_from([1, 2]),
+        p=st.sampled_from([1.0, 2.0]),
+        empty=st.integers(0, 2),
+        tied=st.booleans(),
+        frac=RADIUS_FRACTIONS,
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_coupling_lp_with_attaining_member_witness(self, seed, m, dim, p, empty, tied, frac):
+        rng = np.random.default_rng(seed)
+        center, table = random_ball_instance(rng, m, dim, empty, tied)
+        cf, space = table_cost(table)
+        ball = AmbiguityBall(center, frac * center.grid.diameter, DivergenceKind.wasserstein_order(p))
+        metric = center.grid.ground_metric
+        for k, costs in enumerate(table):
+            ref = float(center.expectation(costs) + rng.normal())
+            rep = absolute_measure(space[k], ref, ball, cf)
+            hi, _ = ball_extremal_lp(center.weights, metric, p, costs, ball.radius, "max")
+            lo, _ = ball_extremal_lp(center.weights, metric, p, costs, ball.radius, "min")
+            scale = max(1.0, abs(hi), abs(lo), abs(ref))
+            assert abs(rep.diagnostics["max_value"] - hi) <= 1e-9 * scale
+            assert abs(rep.diagnostics["min_value"] - lo) <= 1e-9 * scale
+            assert abs(rep.measure - max(hi - ref, ref - lo)) <= 1e-9 * scale
+            assert membership(ball, rep.witness)
+            assert abs(abs(rep.witness.expectation(costs) - ref) - rep.measure) <= 1e-9 * scale
+
+    @pytest.mark.parametrize("p", [1.0, 2.0])
+    def test_solves_no_lp_on_wasserstein_balls(self, monkeypatch, square_grid, p):
+        # The coupling LP solved both sides here before (two solve_lp calls).
+        calls = []
+        solve = divergence.solve_lp
+        monkeypatch.setattr(divergence, "solve_lp", lambda *a, **k: calls.append(k) or solve(*a, **k))
+        center = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
+        ball = AmbiguityBall(center, 0.4, DivergenceKind.wasserstein_order(p))
+        rep = absolute_measure([0.5, 0.5], 0.3, ball, make_cost("squared"))
+        assert calls == []
+        assert rep.measure > 0.0
 
 
 class TestRelativeMeasure:
@@ -242,6 +305,36 @@ class TestSetRobustness:
         assert _toward_dirac(AmbiguityBall(dirac, 0.1, W1), 2).weights[2] == 1.0
 
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 6),
+        dim=st.sampled_from([1, 2]),
+        kind=st.sampled_from(sorted(KINDS)),
+        empty=st.integers(0, 2),
+        tied=st.booleans(),
+        frac=RADIUS_FRACTIONS,
+        variant=st.sampled_from(["objective", "solution"]),
+        budget=st.integers(1, 4),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_per_candidate_loop(self, seed, m, dim, kind, empty, tied, frac, variant, budget):
+        # The batched pass must reproduce the loop bit for bit: measure,
+        # witness weights (the first candidate attaining the spread) and
+        # diagnostics.
+        center, table = random_ball_instance(np.random.default_rng(seed), m, dim, empty, tied, rows=4)
+        cf, space = table_cost(table)
+        kind = KINDS[kind]
+        ball = AmbiguityBall(center, frac * kind.radius_cap(center), kind)
+        rep = set_robustness(ball, cf, space, variant, budget=budget, seed=seed)
+        ref = set_robustness_loop(ball, cf, space, variant, budget=budget, seed=seed)
+        assert rep.kind == ref.kind and rep.radius == ref.radius
+        assert rep.measure == ref.measure
+        assert (rep.witness is None) == (ref.witness is None)
+        if ref.witness is not None:
+            assert rep.witness.weights.tobytes() == ref.witness.weights.tobytes()
+        assert rep.diagnostics == ref.diagnostics
+
+
 class TestPacRobustness:
     def test_huge_level_gives_probability_one(self, line_grid):
         base = DiscreteDistribution(line_grid, [0.1, 0.3, 0.6])
@@ -298,6 +391,12 @@ class TestPacRobustness:
         cf = CostFunction("unflagged", lambda x, xi: 1.0, nonneg=False)
         with pytest.raises(ValueError, match="flagged nonnegative"):
             pac_robustness(DirichletPrior(base, 1.0), cf, [0.0], 0.0, 1.0, mc_draws=10)
+
+    @pytest.mark.parametrize("level", [math.nan, math.inf, 0.0, -1.0])
+    def test_level_must_be_positive_and_finite(self, line_grid, level):
+        base = DiscreteDistribution(line_grid, [0.1, 0.3, 0.6])
+        with pytest.raises(ValueError, match="positive and finite"):
+            pac_robustness(DirichletPrior(base, 1.0), make_cost("absolute"), [0.0], 0.0, level, mc_draws=10)
 
     def test_concentration_validated(self, line_grid):
         base = DiscreteDistribution.uniform(line_grid)
