@@ -282,7 +282,7 @@ def expected_bounds(
         raise ValueError("need at least 30 replications for the expected-bound summary")
     kind = kind or DivergenceKind.wasserstein_order(1.0)
     rows: list[dict] = []
-    diffs: dict[str, list[tuple[float, float]]] = {}
+    diffs: dict[str, list[tuple[float, float, bool]]] = {}  # check -> (gap, bound, holds) per record
 
     def push(rep_seed: int, gap: GapRecord, rec: BoundRecord, check: str) -> None:
         rows.append(
@@ -297,7 +297,7 @@ def expected_bounds(
                 "ingredients": rec.ingredients,
             }
         )
-        diffs.setdefault(check, []).append((rec.observed, rec.bound))
+        diffs.setdefault(check, []).append((rec.observed, rec.bound, rec.holds))
 
     for rep in range(replications):
         rep_seed = derive_seed(seed, n, rep)
@@ -318,8 +318,8 @@ def expected_bounds(
                     push(rep_seed, gap, rec, rec.kind)
 
     summary: dict = {"which": which, "n": n, "replications": replications, "checks": {}}
-    for check, pairs in diffs.items():
-        arr = np.array(pairs, dtype=float)
+    for check, triples in diffs.items():
+        arr = np.array(triples, dtype=float)
         finite = np.isfinite(arr[:, 1])
         mean_gap = float(np.mean(arr[:, 0]))
         mean_bound = float(np.mean(arr[finite, 1])) if np.any(finite) else math.inf
@@ -331,13 +331,9 @@ def expected_bounds(
             "mean_bound": mean_bound,
             "sigma": sigma,
             "expected_holds": bool(ok),
-            "all_holds": bool(all(r["holds"] for r in rows if _check_of_row(r, check))),
+            "all_holds": bool(np.all(arr[:, 2])),
         }
     return summary, rows
-
-
-def _check_of_row(row: dict, check: str) -> bool:
-    return row["kind"] == check.split("@", 1)[0]
 
 
 def w1_concentration(

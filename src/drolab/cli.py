@@ -131,7 +131,8 @@ def measure_cmd(problem, measure_kind, variant, x_index, ref, eps, div_kind, p, 
                 alpha, level, draws, budget, seed) -> None:
     """Report a robustness measure of a decision (JSON on stdout)."""
     try:
-        check_options({"ref": ref, "level": level, "alpha": alpha, "eps": eps})
+        check_options({"ref": ref, "level": level, "alpha": alpha, "eps": eps,
+                       "draws": draws, "budget": budget, "seed": seed, "x-index": x_index})
         kind = None if measure_kind == "pac" else _ball_kind(div_kind, p, orientation)
         prob = load_problem(problem)
         center, cf, space = prob.center, prob.cf, prob.space

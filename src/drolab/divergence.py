@@ -10,13 +10,9 @@ root of a one-dimensional equation found by safeguarded Newton steps.  Both
 are batched over cost rows and radii, and so are the witnesses that attain
 them: one pass builds every row's witness at a radius
 (:meth:`Witnesses.weights`), and a single cell's witness is the one-row case
-of the same builder.  The one exception is :func:`absolute_deviation`, which
-solves the coupling LP on a positive-radius Wasserstein ball.  Only the
-absolute-DRO sweep calls it, and only on the decisions whose dual deviation
-is within a screening margin of the minimum; the margin is far wider than
-the LP/dual disagreement, so the result equals an LP on every decision.  The
-LP step stays because the benchmark's recorded gaps depend on its tie picks
-(see its docstring).
+of the same builder.  The largest two-sided deviation of an expectation over
+a ball, which every robustness measure and the absolute-DRO model read, is
+:func:`deviation_table`: one worst-case and one best-case sweep.
 """
 
 from __future__ import annotations
@@ -215,7 +211,11 @@ def optimal_transport(a: DiscreteDistribution, b: DiscreteDistribution, p: float
         raise LPFailureError(
             f"transport LP ended with status {res.status!r} on a balanced instance (m={m}, p={p})"
         )
-    plan = TransportPlan(np.maximum(res.x.reshape(m, m), 0.0), float(res.value), p)
+    # The LP can leave tiny negative entries, which are clamped.  The cost is
+    # the returned plan's, by solve_lp's own dot product, so it is the LP's
+    # objective bit for bit unless an entry was clamped.
+    matrix = np.maximum(res.x.reshape(m, m), 0.0)
+    plan = TransportPlan(matrix, float(cost @ matrix.reshape(-1)), p)
     plan.validate(a, b)
     return plan
 
@@ -286,33 +286,6 @@ def membership(ball: AmbiguityBall, q: DiscreteDistribution) -> bool:
     """Whether ``q`` lies in the closed ball (within a 1e-10 slack)."""
     _require_same_grid(ball.center, q)
     return ball.kind.distance(q, ball.center) <= ball.radius + _MEMBERSHIP_SLACK
-
-
-def _wasserstein_extremal(ball: AmbiguityBall, costs: np.ndarray, maximize: bool) -> tuple[float, DiscreteDistribution]:
-    center = ball.center
-    m = center.grid.size
-    eps = ball.radius
-    if eps >= center.grid.diameter:
-        # The ball covers the whole simplex; a Dirac at the best atom wins.
-        idx = int(np.argmax(costs)) if maximize else int(np.argmin(costs))
-        return float(costs[idx]), DiscreteDistribution.dirac(center.grid, idx)
-    dist_pow = center.grid.ground_metric**ball.kind.p
-    budget = eps**ball.kind.p
-    scale = max(float(np.max(dist_pow)), 1e-30)
-    # Variables pi[i, j]: mass of center atom j reassigned to atom i.
-    obj = np.repeat(costs, m).astype(float)
-    sign = -1.0 if maximize else 1.0
-    a_eq = np.tile(np.eye(m), m)  # column marginals: mass taken from center atom j
-    a_ub = (dist_pow / scale).reshape(1, -1)
-    res = solve_lp(sign * obj, a_eq=a_eq, b_eq=center.weights, a_ub=a_ub, b_ub=[budget / scale])
-    if not res.ok:
-        raise LPFailureError(
-            f"ball-constrained expectation LP ended with status {res.status!r} "
-            f"(m={m}, eps={eps!r}, p={ball.kind.p})"
-        )
-    plan = res.x.reshape(m, m)
-    witness = DiscreteDistribution(center.grid, np.maximum(plan.sum(axis=1), 0.0))
-    return float(sign * res.value), witness
 
 
 def _upper_envelopes(c: np.ndarray, dist_pow: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -638,47 +611,15 @@ def extremal_expectation(
     return float(values[0, 0]), witness(0, 0)
 
 
-def absolute_deviation(
-    ball: AmbiguityBall, costs, ref_value: float
-) -> tuple[float, DiscreteDistribution, float, float]:
-    """Largest |expectation - ref_value| over the ball, with its witness and
-    the extremal values ``hi`` and ``lo``; ties between the high and low side
-    break toward the high side.
-
-    This is the LP step of the absolute-DRO screen in
-    ``solvers.solve_absolute_dro``.  Positive-radius Wasserstein balls solve
-    the coupling LP here rather than :func:`deviation_table`'s dual: when the
-    two deviations agree mathematically, the oracle's last-digit rounding
-    picks the reported witness, and absolute-DRO gaps recorded with the LP
-    (such as the benchmark's seed-0 reference) depend on that pick.  The
-    solver ranks all decisions by the dual first and calls this only on those
-    within ``solvers.ABSOLUTE_SCREEN_MARGIN`` of the dual minimum.  Every
-    other deviation, ``robustness.absolute_measure`` included, reads the dual.
-    """
-    c = np.asarray(costs, dtype=float)
-    if ball.kind.family == "wasserstein" and ball.radius > 0.0:
-        if c.shape != (ball.grid.size,) or not np.all(np.isfinite(c)):
-            raise ValueError(f"need one finite cost per atom ({ball.grid.size}), got shape {c.shape}")
-        (hi, hi_witness), (lo, lo_witness) = (_wasserstein_extremal(ball, c, s) for s in (True, False))
-    else:
-        (hi, hi_witness), (lo, lo_witness) = (extremal_expectation(ball, c, s) for s in ("max", "min"))
-    up = hi - ref_value
-    down = ref_value - lo
-    if up >= down:
-        return float(up), hi_witness, hi, lo
-    return float(down), lo_witness, hi, lo
-
-
 def deviation_table(
-    center: DiscreteDistribution, kind: DivergenceKind, table, radii, ref: float, sided: str
+    center: DiscreteDistribution, kind: DivergenceKind, table, radii, ref: float
 ) -> tuple[np.ndarray, Callable[[int, int], DiscreteDistribution]]:
-    """Largest deviation of each cost row's expectation from ``ref`` over the
-    ball of each radius: upward only (``sided="one"``) or in either direction,
-    ties going to the high side.  Returns the rows-by-radii deviations and
-    the binding witness of a cell, both from :func:`extremal_values`.
+    """Largest deviation of each cost row's expectation from ``ref``, in
+    either direction, over the ball of each radius; ties go to the high side.
+    Returns the rows-by-radii deviations and the binding witness of a cell,
+    both from :func:`extremal_values`.
     """
-    hi = extremal_values(center, kind, table, radii, "max")
-    lo = extremal_values(center, kind, table, radii, "min") if sided == "two" else None
+    hi, lo = (extremal_values(center, kind, table, radii, sense) for sense in ("max", "min"))
     return deviations_from(hi, lo, ref)
 
 

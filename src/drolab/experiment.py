@@ -240,15 +240,18 @@ def _satisficing_bound(prob: Problem, entry: dict):
 class MethodSpec:
     """``solve`` backs ``drolab solve``; ``bound`` backs :func:`run`.  Config
     entries carry every field in ``requires``, exactly one in ``one_of``, any
-    in ``optional`` and no other; ``ball`` methods need a divergence with a
-    ball oracle."""
+    in ``optional`` and no other; ``ball`` methods (those reading a
+    ``divergence``) need a divergence with a ball oracle."""
 
     solve: Callable[[Problem, dict], Solution]
     bound: Callable[[Problem, dict], tuple[list[tuple[GapRecord, BoundRecord]], Solution]]
     requires: tuple[str, ...] = ()
     one_of: tuple[str, ...] = ()
     optional: tuple[str, ...] = ()
-    ball: bool = False
+
+    @property
+    def ball(self) -> bool:
+        return "divergence" in self.optional
 
 
 METHODS: dict[str, MethodSpec] = {
@@ -266,17 +269,13 @@ METHODS: dict[str, MethodSpec] = {
         lambda prob, entry: solve_minmax_dro(_ball(prob, entry), prob.cf, prob.space),
         _minmax_bound,
         optional=("divergence", "eps"),
-        ball=True,
     ),
     "abs_dro": MethodSpec(
         lambda prob, entry: solve_absolute_dro(_ball(prob, entry), prob.cf, prob.space),
         lambda prob, entry: absolute_bound(prob.p0, _ball(prob, entry), prob.cf, prob.space),
         optional=("divergence", "eps"),
-        ball=True,
     ),
-    "satisficing": MethodSpec(
-        _solve_satisficing, _satisficing_bound, optional=("divergence", "sided", "delta"), ball=True
-    ),
+    "satisficing": MethodSpec(_solve_satisficing, _satisficing_bound, optional=("divergence", "sided", "delta")),
 }
 
 
@@ -299,7 +298,8 @@ _FIELDS = {
 
 # Command-line options checked as config values are: the method-entry fields
 # that `drolab solve` builds from its options, and `drolab measure`'s own.
-_OPTIONS = {**_FIELDS, "ref": _number(), "level": _number(0.0, above=True)}
+_OPTIONS = {**_FIELDS, "ref": _number(), "level": _number(0.0, above=True),
+            "draws": _COUNT, "budget": _COUNT, "seed": _INDEX, "x-index": _INDEX}
 
 
 def check_options(options: dict) -> None:

@@ -86,7 +86,6 @@ def solve_lp(
     b_eq=None,
     a_ub=None,
     b_ub=None,
-    max_iter: int | None = None,
 ) -> LPResult:
     """Minimize ``c @ x`` over ``x >= 0`` with ``a_eq x = b_eq`` and ``a_ub x <= b_ub``.
 
@@ -130,7 +129,7 @@ def solve_lp(
     tableau = np.hstack([full, art, b[:, None]])
     basis = np.arange(n_struct, n_struct + m)
     phase1_costs = np.concatenate([np.zeros(n_struct), np.ones(m)])
-    cap = max_iter if max_iter is not None else 200 * (n_struct + m + 10)
+    cap = 200 * (n_struct + m + 10)
     status, it1 = _simplex(tableau, basis, phase1_costs, cap)
     if status != "optimal":
         raise LPFailureError(f"phase 1 ended with status {status!r}")

@@ -23,10 +23,10 @@ from drolab.divergence import (
     extremal_values,
     membership,
 )
-from drolab.solvers import deviation_rate_profile, lipschitz_rate_certificate, satisficing_radius_grid
+from drolab.solvers import lipschitz_rate_certificate, rate_profile, satisficing_radius_grid
 from drolab.support import DiscreteDistribution, mixture, rng_from_seed
 
-LOCAL_SCALE_RANGE = range(4, 13)  # radii diameter * 2**-k
+LOCAL_SCALE_RANGE = range(4, 13)  # radii: radius cap * 2**-k
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,7 @@ class RobustnessReport:
     confidence: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json(self, include_witness_grid: bool = False) -> dict:
+    def to_json(self) -> dict:
         doc: dict = {
             "kind": self.kind,
             "x": None if self.x is None else np.asarray(self.x, dtype=float).tolist(),
@@ -75,8 +75,14 @@ class RobustnessReport:
             "diagnostics": self.diagnostics,
         }
         if self.witness is not None:
-            doc["witness"] = self.witness.to_json(include_grid=include_witness_grid)
+            doc["witness"] = self.witness.to_json(include_grid=False)
         return doc
+
+
+def _finite_ref(ref_value: float) -> float:
+    if not math.isfinite(ref_value):
+        raise ValueError(f"reference value must be finite, got {ref_value!r}")
+    return float(ref_value)
 
 
 def absolute_measure(x, ref_value: float, ball: AmbiguityBall, cf: CostFunction) -> RobustnessReport:
@@ -86,16 +92,17 @@ def absolute_measure(x, ref_value: float, ball: AmbiguityBall, cf: CostFunction)
     :func:`extremal_values` (the exact dual on every ball kind); ties between
     the two sides go to the high side, as in :func:`deviation_table`.
     """
+    ref_value = _finite_ref(ref_value)
     costs = cf.atom_costs(ball.grid, x)[None, :]
     hi, lo = (extremal_values(ball.center, ball.kind, costs, [ball.radius], s) for s in ("max", "min"))
-    dev, witness = deviations_from(hi, lo, float(ref_value))
+    dev, witness = deviations_from(hi, lo, ref_value)
     return RobustnessReport(
         np.atleast_1d(np.asarray(x, dtype=float)),
         "absolute",
         float(dev[0, 0]),
         radius=ball.radius,
         witness=witness(0, 0),
-        diagnostics={"max_value": float(hi[0][0, 0]), "min_value": float(lo[0][0, 0]), "ref_value": float(ref_value)},
+        diagnostics={"max_value": float(hi[0][0, 0]), "min_value": float(lo[0][0, 0]), "ref_value": ref_value},
     )
 
 
@@ -111,8 +118,10 @@ def relative_measure(
     If the center's own expectation misses ``ref_value`` by more than 1e-9
     the ratio diverges as P approaches the center and the measure is +inf.
     Otherwise the measure is the supremum over a log-spaced radius grid, with
-    a Lipschitz upper certificate recorded in the diagnostics.
+    a Lipschitz upper certificate recorded in the diagnostics; 0 over a ball
+    that cannot grow (:func:`~drolab.solvers.satisficing_radius_grid`).
     """
+    ref_value = _finite_ref(ref_value)
     costs = cf.atom_costs(center.grid, x)
     at_center = float(center.expectation(costs))
     if abs(at_center - ref_value) > 1e-9:
@@ -120,23 +129,22 @@ def relative_measure(
             np.atleast_1d(np.asarray(x, dtype=float)),
             "relative",
             math.inf,
-            diagnostics={"center_value": at_center, "ref_value": float(ref_value)},
+            diagnostics={"center_value": at_center, "ref_value": ref_value},
         )
     radii = satisficing_radius_grid(kind, center)
-    rates, ratios, binding, witness = deviation_rate_profile(
-        center, costs[None, :], float(ref_value), 0.0, kind, "two", radii
-    )
+    deviations, witness = deviation_table(center, kind, costs[None, :], radii, ref_value)
+    rates, ratios, binding = rate_profile(deviations, 0.0, radii)
     val = float(rates[0])
     certificate = lipschitz_rate_certificate(cf, kind, x)
     return RobustnessReport(
         np.atleast_1d(np.asarray(x, dtype=float)),
         "relative",
         val,
-        witness=witness(0, binding[0]),
+        witness=witness(0, binding[0]) if radii.size else center,
         diagnostics={
             "radius_grid": radii.tolist(),
             "ratios": ratios[0].tolist(),
-            "binding_radius": float(radii[binding[0]]),
+            "binding_radius": float(radii[binding[0]]) if radii.size else None,
             "lower_bound": val,
             "upper_certificate": certificate,
             "kind": kind.label(),
@@ -156,18 +164,21 @@ def local_measure(
 
     ``objective``: limit of ``min_x sup_ball |expectation - ref| / radius``.
     ``solution``: limit of ``|robust argmin - nominal argmin| / radius``.
-    Evaluated on radii ``cap * 2**-k`` for k = 4..12 with a first-order
-    Richardson extrapolation; a non-convergent tail (last relative change
-    above 10%) is flagged but the estimate is still returned.
+    Evaluated on radii ``cap * 2**-k`` for k = 4..12, where ``cap`` is the
+    radius cap, with a first-order Richardson extrapolation; a non-convergent
+    tail (last relative change above 10%) is flagged but the estimate is
+    still returned.  A ball that cannot grow
+    (:func:`~drolab.solvers.satisficing_radius_grid`) gives no radii and 0.
     """
     if variant not in ("objective", "solution"):
         raise ValueError("variant must be 'objective' or 'solution'")
+    ref_value = _finite_ref(ref_value)
     table = cost_table(cf, center.grid, x_space)
-    cap = kind.radius_cap(center)
     nominal_idx = int(np.argmin(table @ center.weights))
-    radii = [cap * 2.0**-k for k in LOCAL_SCALE_RANGE]
+    grid = satisficing_radius_grid(kind, center)
+    radii = [float(grid[-1]) * 2.0**-k for k in LOCAL_SCALE_RANGE] if grid.size else []
     if variant == "objective":
-        devs, _ = deviation_table(center, kind, table, radii, float(ref_value), "two")
+        devs, _ = deviation_table(center, kind, table, radii, ref_value)
         values = [float(np.min(devs[:, r])) / eps for r, eps in enumerate(radii)]
     else:
         worst, _ = extremal_values(center, kind, table, radii, "max")
@@ -175,8 +186,8 @@ def local_measure(
             float(np.linalg.norm(x_space[int(np.argmin(worst[:, r]))] - x_space[nominal_idx])) / eps
             for r, eps in enumerate(radii)
         ]
-    estimate = max(0.0, 2.0 * values[-1] - values[-2])
-    tail_change = abs(values[-1] - values[-2]) / max(abs(values[-1]), abs(values[-2]), 1e-12)
+    estimate = max(0.0, 2.0 * values[-1] - values[-2]) if values else 0.0
+    tail_change = abs(values[-1] - values[-2]) / max(abs(values[-1]), abs(values[-2]), 1e-12) if values else 0.0
     return RobustnessReport(
         None,
         f"local_{variant}",
@@ -309,6 +320,9 @@ def pac_robustness(
     """
     if not (level > 0.0 and math.isfinite(level)):
         raise ValueError(f"robustness level must be positive and finite, got {level!r}")
+    if mc_draws < 1:
+        raise ValueError(f"need at least one Monte-Carlo draw, got {mc_draws!r}")
+    ref_value = _finite_ref(ref_value)
     if not cf.nonneg:
         raise ValueError("the PAC bound requires a cost flagged nonnegative")
     costs = cf.atom_costs(prior.base.grid, x)
@@ -317,10 +331,10 @@ def pac_robustness(
             f"cost {cf.name!r} attains {np.min(costs)} < 0; the bound needs a nonnegative cost"
         )
     mean_cost = float(prior.base.expectation(costs))
-    markov = max(0.0, 1.0 - (mean_cost + float(ref_value)) / level)
+    markov = max(0.0, 1.0 - (mean_cost + ref_value) / level)
     weights = prior.sample_weights(mc_draws, seed)
     expectations = weights @ costs
-    hits = np.abs(expectations - float(ref_value)) <= level
+    hits = np.abs(expectations - ref_value) <= level
     emp = float(np.mean(hits))
     sigma = math.sqrt(max(emp * (1.0 - emp), 1e-12) / mc_draws)
     return RobustnessReport(
@@ -334,7 +348,7 @@ def pac_robustness(
             "empirical_sigma": sigma,
             "mc_mean_expectation": float(np.mean(expectations)),
             "base_expectation": mean_cost,
-            "ref_value": float(ref_value),
+            "ref_value": ref_value,
             "draws": int(mc_draws),
             "seed": int(seed),
         },

@@ -2,7 +2,11 @@
 
 Outer minimization is exhaustive search over the decision space, so every
 equivalence identity between these models can be checked without optimizer
-error; ties always break toward the lowest decision index.
+error; ties always break toward the lowest decision index.  Every model
+reads its ball through the exact duals of :mod:`drolab.divergence`; the one
+linear program here is the absolute-DRO screen's LP step
+(:func:`_coupling_lp_deviation`), which re-solves the few decisions that can
+attain the minimum.
 """
 
 from __future__ import annotations
@@ -15,23 +19,15 @@ import numpy as np
 
 from drolab import bayes as _bayes
 from drolab.cost import CostFunction, DecisionSpace, Regularizer, cost_table
-from drolab.divergence import (
-    AmbiguityBall,
-    DivergenceKind,
-    absolute_deviation,
-    deviation_table,
-    deviations_from,
-    extremal_values,
-)
+from drolab.divergence import AmbiguityBall, DivergenceKind, deviation_table, deviations_from, extremal_values
+from drolab.lp import LPFailureError, solve_lp
 from drolab.support import DiscreteDistribution, SampleSet
 
 SATISFICING_RADII = 40
 SATISFICING_RADIUS_FLOOR = 1e-4
 
-# Rows whose dual absolute deviation exceeds the dual minimum by more than
-# this, relative to max(1, |minimum|, largest |cost|), are not re-solved by
-# the coupling LP.  The LP and the dual agree to 1e-9 relative (pinned in the
-# tests), so such a row can neither attain the LP minimum nor tie with it.
+# How far above the dual minimum, relative to max(1, |minimum|, largest
+# |cost|), a row's dual deviation may be for the LP step to re-solve it.
 ABSOLUTE_SCREEN_MARGIN = 1e-7
 
 
@@ -53,7 +49,7 @@ class Solution:
     measure: float | None = None
     diagnostics: dict = field(default_factory=dict)
 
-    def to_json(self, include_witness_grid: bool = False) -> dict:
+    def to_json(self) -> dict:
         doc: dict = {
             "method": self.method,
             "x": self.x.tolist(),
@@ -63,7 +59,7 @@ class Solution:
             "diagnostics": self.diagnostics,
         }
         if self.witness is not None:
-            doc["witness"] = self.witness.to_json(include_grid=include_witness_grid)
+            doc["witness"] = self.witness.to_json(include_grid=False)
         return doc
 
 
@@ -124,6 +120,48 @@ def solve_bayes_dp(
     return Solution(sol.x, sol.x_index, sol.objective_value, "bayes_dp", diagnostics=diag)
 
 
+def _coupling_lp_deviation(ball: AmbiguityBall, costs: np.ndarray, ref: float) -> tuple[float, DiscreteDistribution]:
+    """Largest |expectation - ref| over a positive-radius Wasserstein ball,
+    and its witness, from the coupling LP: the LP step of the absolute-DRO
+    screen in :func:`_search_ball`.
+
+    The LP's highest and lowest expectations give the up and down
+    deviations, and ties go to the high side, as in
+    :func:`~drolab.divergence.deviation_table`.  The exact dual gives the same
+    deviations to 1e-9 relative (pinned in the tests), but when up and down
+    agree mathematically, each oracle's last-digit rounding picks the
+    reported side and witness, and absolute-DRO gaps recorded with the LP
+    (such as the benchmark's seed-0 reference) depend on that pick.  So the
+    dual ranks every decision, and only those within
+    :data:`ABSOLUTE_SCREEN_MARGIN` of its minimum come here; the margin is
+    far wider than the LP/dual disagreement, so a decision left out can
+    neither attain the LP minimum nor tie with it, and the result is the one
+    an LP on every decision gives.  Every other deviation reads the dual.
+    """
+    center, m = ball.center, ball.grid.size
+    if ball.radius >= ball.grid.diameter:
+        # The ball covers the whole simplex; a Dirac at the best atom wins.
+        best = (int(np.argmax(costs)), int(np.argmin(costs)))
+        sides = [(float(costs[i]), DiscreteDistribution.dirac(ball.grid, i)) for i in best]
+    else:
+        dist_pow = ball.grid.ground_metric**ball.kind.p
+        scale = max(float(np.max(dist_pow)), 1e-30)
+        # Variables pi[i, j]: mass of centre atom j reassigned to atom i; the
+        # equalities are the column marginals, the mass taken from atom j.
+        obj, a_eq = np.repeat(costs, m).astype(float), np.tile(np.eye(m), m)
+        a_ub, b_ub = (dist_pow / scale).reshape(1, -1), [ball.radius**ball.kind.p / scale]
+        sides = []
+        for sign in (-1.0, 1.0):  # the highest expectation, then the lowest
+            res = solve_lp(sign * obj, a_eq=a_eq, b_eq=center.weights, a_ub=a_ub, b_ub=b_ub)
+            if not res.ok:
+                raise LPFailureError(f"coupling LP status {res.status!r} (m={m}, eps={ball.radius!r}, p={ball.kind.p})")
+            weights = np.maximum(res.x.reshape(m, m).sum(axis=1), 0.0)
+            sides.append((float(sign * res.value), DiscreteDistribution(center.grid, weights)))
+    (hi, hi_witness), (lo, lo_witness) = sides
+    up, down = hi - ref, ref - lo
+    return (float(up), hi_witness) if up >= down else (float(down), lo_witness)
+
+
 def _search_ball(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace, method: str, sided: str) -> Solution:
     # The solution minimizes the worst-case value (one-sided) or the largest
     # deviation from the best nominal value (two-sided) and reports it as the measure.
@@ -132,26 +170,22 @@ def _search_ball(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace, me
     if sided == "one":
         worst, witness = extremal_values(ball.center, ball.kind, table, [ball.radius], "max")
         values = worst[:, 0]
-    elif ball.kind.family == "wasserstein" and ball.radius > 0.0:
-        # The exact dual ranks every row; only rows within the screen margin
-        # of its minimum go through absolute_deviation's coupling LP.  The LP
-        # stays for its rounding-picked side on exact up/down ties, which
-        # recorded references (the benchmark's seed-0 gaps) depend on.  A row
-        # outside the margin cannot attain or tie the LP minimum, so leaving
-        # it at +inf gives the argmin, ties and witness of an LP on every row.
-        dual, _ = deviation_table(ball.center, ball.kind, table, [ball.radius], ref, "two")
-        low = float(np.min(dual))
-        margin = ABSOLUTE_SCREEN_MARGIN * max(1.0, abs(low), float(np.max(np.abs(table))))
-        values = np.full(len(table), np.inf)
-        witnesses = {}
-        for k in np.flatnonzero(dual[:, 0] <= low + margin).tolist():
-            values[k], witnesses[k] = absolute_deviation(ball, table[k], ref)[:2]
-
-        def witness(k: int, r: int) -> DiscreteDistribution:
-            return witnesses[k]
     else:
-        deviations, witness = deviation_table(ball.center, ball.kind, table, [ball.radius], ref, "two")
+        deviations, witness = deviation_table(ball.center, ball.kind, table, [ball.radius], ref)
         values = deviations[:, 0]
+        if ball.kind.family == "wasserstein" and ball.radius > 0.0:
+            # The screen of _coupling_lp_deviation: rows outside the margin stay
+            # at +inf, which keeps the argmin, ties and witness of an LP on every row.
+            low = float(np.min(values))
+            margin = ABSOLUTE_SCREEN_MARGIN * max(1.0, abs(low), float(np.max(np.abs(table))))
+            screened = np.flatnonzero(values <= low + margin).tolist()
+            values = np.full(len(table), np.inf)
+            witnesses = {}
+            for k in screened:
+                values[k], witnesses[k] = _coupling_lp_deviation(ball, table[k], ref)
+
+            def witness(k: int, r: int) -> DiscreteDistribution:
+                return witnesses[k]
 
     idx, ties = _argmin_lowest(values)
     diagnostics = {"ties": ties, "nominal_ref": ref, "radius": ball.radius, "kind": ball.kind.label()}
@@ -172,50 +206,44 @@ def solve_absolute_dro(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpa
     """Minimize the largest two-sided deviation from the best nominal value.
 
     The deviation of every decision over the ball comes exactly from the
-    batched dual of :func:`deviation_table`; the solution minimizes it and
-    carries the binding extremal distribution as witness.  On a
-    positive-radius Wasserstein ball the decisions within
-    :data:`ABSOLUTE_SCREEN_MARGIN` of the dual minimum are solved again by
-    :func:`absolute_deviation`'s coupling LP, whose values pick the decision,
-    the ties and the witness, because references recorded with the LP (the
-    benchmark's seed-0 gaps) depend on its rounding-picked side when the up
-    and down deviations tie exactly.
-    The LP and the dual agree far inside the margin, so the result is the
-    one an LP on every decision gives.
+    batched dual of :func:`~drolab.divergence.deviation_table`; the solution
+    minimizes it and carries the binding extremal distribution as witness.
+    On a positive-radius Wasserstein ball the decisions that can attain the
+    minimum are solved again by the LP step :func:`_coupling_lp_deviation`.
     """
     return _search_ball(ball, cf, space, "absolute_dro", "two")
 
 
 def satisficing_radius_grid(kind: DivergenceKind, center: DiscreteDistribution) -> np.ndarray:
+    """The radii on which deviation rates are taken: log-spaced from
+    ``SATISFICING_RADIUS_FLOOR`` of the radius cap up to the cap itself.
+
+    Empty when the cap is 0, as for a forward phi ball around a Dirac: such
+    a ball is its centre at every radius, so every deviation over it is 0 and
+    the rate measures read 0.  The local measure's radii halve down from the
+    last radius here, so this decides for both grids.
+    """
     cap = kind.radius_cap(center)
     if not math.isfinite(cap):
         raise ValueError(f"{kind.label()} balls never stop growing, so they have no radius grid")
+    if cap == 0.0:
+        return np.empty(0)
     return np.geomspace(cap * SATISFICING_RADIUS_FLOOR, cap, SATISFICING_RADII)
 
 
-def deviation_rate_profile(
-    center: DiscreteDistribution,
-    table: np.ndarray,
-    ref: float,
-    slack: float,
-    kind: DivergenceKind,
-    sided: str,
-    radii: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, Callable[[int, int], DiscreteDistribution]]:
-    """Per cost row, the supremum over the radius grid of (deviation - slack) / radius.
-
-    Returns the suprema floored at 0, the rows-by-radii ratios, the index of
-    each row's binding radius (the first that attains the supremum) and the
-    witness of a (row, radius) cell, as :func:`deviation_table` gives it.
-    """
-    deviations, witness = deviation_table(center, kind, table, radii, ref, sided)
-    return (*_rate_profile(deviations, slack, radii), witness)
-
-
-def _rate_profile(
+def rate_profile(
     deviations: np.ndarray, slack: float, radii: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per row of a rows-by-radii deviation table, the supremum over the
+    radius grid of (deviation - slack) / radius.
+
+    Returns the suprema floored at 0, the rows-by-radii ratios and the index
+    of each row's binding radius (the first that attains the supremum).  An
+    empty grid (a ball that cannot grow) has rates 0 and no binding radius.
+    """
     ratios = (deviations - slack) / radii
+    if radii.size == 0:
+        return np.zeros(len(ratios)), ratios, None
     binding = np.argmax(ratios, axis=1)
     rates = np.maximum(ratios[np.arange(binding.size), binding], 0.0)
     return rates, ratios, binding
@@ -284,7 +312,7 @@ def solve_satisficing_models(
     for (sided, target_slack), model_rows in zip(models, feasible):
         deviations, witness = deviations_from(hi, lo if sided == "two" else None, ref)
         at = np.searchsorted(rows, model_rows)
-        rates, ratios, binding = _rate_profile(deviations[at], target_slack, radii)
+        rates, ratios, binding = rate_profile(deviations[at], target_slack, radii)
         best = int(np.argmin(rates))
         best_idx, best_val = int(model_rows[best]), float(rates[best])
         certificate = lipschitz_rate_certificate(cf, kind, space[best_idx])
@@ -293,7 +321,7 @@ def solve_satisficing_models(
             best_idx,
             best_val,
             "satisficing",
-            witness=witness(int(at[best]), binding[best]),
+            witness=witness(int(at[best]), binding[best]) if radii.size else center,
             measure=best_val,
             diagnostics={
                 "sided": sided,
@@ -302,7 +330,7 @@ def solve_satisficing_models(
                 "feasible_count": int(model_rows.size),
                 "radius_grid": radii.tolist(),
                 "ratios": ratios[best].tolist(),
-                "binding_radius": float(radii[binding[best]]),
+                "binding_radius": float(radii[binding[best]]) if radii.size else None,
                 "lower_bound": best_val,
                 "upper_certificate": certificate,
                 "kind": kind.label(),

@@ -16,7 +16,13 @@ formulas, which :mod:`drolab.cost` replaced by array formulas over the whole
 decision x atom grid, are kept as :func:`scalar_cost` and evaluated cell by
 cell in :func:`scalar_cost_table`.  The absolute-DRO sweep that ran the
 package's coupling LP on every decision row, which the solver now screens
-by the exact dual first, is kept as :func:`absolute_dro_lp_sweep`.  The
+by the exact dual first, is kept as :func:`absolute_dro_lp_sweep`, over
+:func:`absolute_deviation`: the one-call two-sided deviation that solved the
+coupling LP on positive-radius Wasserstein balls and fell back to the dual
+elsewhere, which the package split into the solver's LP step and
+``divergence.deviation_table``.  The solver's former one-call rate step,
+whose one caller always asked for the two-sided zero-slack rate, is kept as
+:func:`deviation_rate_profile`.  The
 loop of ``robustness.set_robustness`` that built and evaluated one candidate
 distribution at a time, which the package replaced by one batched pass, is
 kept as :func:`set_robustness_loop`.  The
@@ -39,9 +45,15 @@ from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp
 
 from drolab.cost import cost_table
-from drolab.divergence import AmbiguityBall, DivergenceKind, absolute_deviation, extremal_values
+from drolab.divergence import (
+    AmbiguityBall,
+    DivergenceKind,
+    deviations_from,
+    extremal_expectation,
+    extremal_values,
+)
 from drolab.experiment import METHODS
-from drolab.lp import FEASIBILITY_TOL, LPFailureError, LPResult
+from drolab.lp import FEASIBILITY_TOL, LPFailureError, LPResult, solve_lp
 from drolab.robustness import RobustnessReport, _toward_dirac
 from drolab.solvers import Solution
 from drolab.support import ConfigError, DiscreteDistribution, rng_from_seed
@@ -506,6 +518,67 @@ def scalar_cost_table(fn, points: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     return np.array([[fn(x, xi) for xi in atoms] for x in points], dtype=float)
 
 
+def _wasserstein_extremal_lp(
+    ball: AmbiguityBall, costs: np.ndarray, maximize: bool
+) -> tuple[float, DiscreteDistribution]:
+    center = ball.center
+    m = center.grid.size
+    eps = ball.radius
+    if eps >= center.grid.diameter:
+        idx = int(np.argmax(costs)) if maximize else int(np.argmin(costs))
+        return float(costs[idx]), DiscreteDistribution.dirac(center.grid, idx)
+    dist_pow = center.grid.ground_metric**ball.kind.p
+    budget = eps**ball.kind.p
+    scale = max(float(np.max(dist_pow)), 1e-30)
+    obj = np.repeat(costs, m).astype(float)
+    sign = -1.0 if maximize else 1.0
+    res = solve_lp(sign * obj, a_eq=np.tile(np.eye(m), m), b_eq=center.weights,
+                   a_ub=(dist_pow / scale).reshape(1, -1), b_ub=[budget / scale])
+    if not res.ok:
+        raise LPFailureError(f"ball-constrained expectation LP ended with status {res.status!r}")
+    witness = DiscreteDistribution(center.grid, np.maximum(res.x.reshape(m, m).sum(axis=1), 0.0))
+    return float(sign * res.value), witness
+
+
+def absolute_deviation(
+    ball: AmbiguityBall, costs, ref_value: float
+) -> tuple[float, DiscreteDistribution, float, float]:
+    """Largest |expectation - ref_value| over the ball, with its witness and
+    the extremal values ``hi`` and ``lo``; ties go to the high side.  The
+    coupling LP (the package's own simplex) on positive-radius Wasserstein
+    balls, one-cell :func:`extremal_expectation` calls elsewhere."""
+    c = np.asarray(costs, dtype=float)
+    if ball.kind.family == "wasserstein" and ball.radius > 0.0:
+        (hi, hi_witness), (lo, lo_witness) = (_wasserstein_extremal_lp(ball, c, s) for s in (True, False))
+    else:
+        (hi, hi_witness), (lo, lo_witness) = (extremal_expectation(ball, c, s) for s in ("max", "min"))
+    up = hi - ref_value
+    down = ref_value - lo
+    if up >= down:
+        return float(up), hi_witness, hi, lo
+    return float(down), lo_witness, hi, lo
+
+
+def deviation_table_sided(center: DiscreteDistribution, kind: DivergenceKind, table, radii, ref: float, sided: str):
+    """``divergence.deviation_table`` with its former ``sided`` parameter:
+    the upward deviations only (``"one"``) or the two-sided ones."""
+    hi = extremal_values(center, kind, table, radii, "max")
+    lo = extremal_values(center, kind, table, radii, "min") if sided == "two" else None
+    return deviations_from(hi, lo, ref)
+
+
+def deviation_rate_profile(center: DiscreteDistribution, table, ref: float, slack: float, kind: DivergenceKind,
+                           sided: str, radii: np.ndarray):
+    """Per cost row, the supremum over the radius grid of (deviation - slack)
+    / radius, floored at 0; with the rows-by-radii ratios, each row's first
+    binding radius index and the witness of a (row, radius) cell."""
+    deviations, witness = deviation_table_sided(center, kind, table, radii, ref, sided)
+    ratios = (deviations - slack) / radii
+    binding = np.argmax(ratios, axis=1)
+    rates = np.maximum(ratios[np.arange(binding.size), binding], 0.0)
+    return rates, ratios, binding, witness
+
+
 def absolute_dro_lp_sweep(ball: AmbiguityBall, cf, space) -> Solution:
     """``solve_absolute_dro`` on a positive-radius Wasserstein ball as an
     exhaustive sweep: the coupling LP of :func:`absolute_deviation` on every
@@ -593,7 +666,7 @@ def validate_config_jsonschema(doc: dict) -> None:
             kind = DivergenceKind.from_json(entry.get("divergence"))
         except ValueError as exc:
             raise ConfigError(f"/methods/{i}/divergence/kind: {exc}") from exc
-        if spec.ball and not kind.has_ball_oracle:
+        if "divergence" in spec.optional and not kind.has_ball_oracle:
             raise ConfigError(f"/methods/{i}/divergence: {kind.label()} balls have no extremal-expectation oracle")
         allowed = ("method", *spec.requires, *spec.one_of, *spec.optional)
         for field in entry:

@@ -16,7 +16,14 @@ from drolab.bounds import (
     uniform_bound,
     w1_concentration,
 )
-from drolab.cost import CostFunction, DecisionSpace, MissingLipschitzDataError, expected_cost, make_cost
+from drolab.cost import (
+    CostFunction,
+    DecisionSpace,
+    MissingLipschitzDataError,
+    expected_cost,
+    make_cost,
+    with_lipschitz_scale,
+)
 from drolab.divergence import AmbiguityBall, DivergenceKind, wasserstein
 from drolab.support import DiscreteDistribution, SupportGrid
 
@@ -250,6 +257,21 @@ class TestExpectedBounds:
         for check in summary["checks"].values():
             assert check["expected_holds"]
 
+    def test_all_holds_reads_each_checks_own_rows(self):
+        # Uniform checks are per decision (uniform@x{k}); each check's
+        # all_holds must follow its own rows, not every uniform row.
+        grid = SupportGrid.euclidean([[0.0], [1.0], [3.0], [4.0]])
+        p0 = DiscreteDistribution(grid, [0.1, 0.4, 0.3, 0.2])
+        space = DecisionSpace.interval(0.0, 4.0, 5)
+        cf = with_lipschitz_scale(make_cost("newsvendor", params={"b": 3.0, "c": 1.0}), 0.75)
+        summary, rows = expected_bounds(p0, cf, space, "uniform", n=5, replications=30, seed=1)
+        per_check = [[r["holds"] for r in rows[k::len(space)]] for k in range(len(space))]
+        assert all(len(held) == 30 for held in per_check)
+        assert [summary["checks"][f"uniform@x{k}"]["all_holds"] for k in range(len(space))] == [
+            all(held) for held in per_check
+        ]
+        assert [all(held) for held in per_check] == [False, False, True, True, True]
+
     def test_degenerate_generator_gives_zero_gap(self, line_grid):
         # With a one-point support the empirical distribution equals the
         # truth for every sample, so every gap is exactly zero.
@@ -270,8 +292,9 @@ def test_w1_concentration_medians_shrink(line_grid):
 def test_one_sided_never_exceeds_two_sided(line_grid):
     # On a shared instance the worst-case increase is at most the two-sided
     # deviation radius of the same ball.
-    from drolab.divergence import absolute_deviation, extremal_expectation
+    from drolab.divergence import extremal_expectation
     from drolab.cost import cost_table
+    from drolab.solvers import _coupling_lp_deviation
 
     p0 = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
     center = DiscreteDistribution(line_grid, [0.4, 0.4, 0.2])
@@ -282,5 +305,5 @@ def test_one_sided_never_exceeds_two_sided(line_grid):
     ref = float(np.min(table @ center.weights))
     for k in range(len(space)):
         one_sided = extremal_expectation(ball, table[k], "max")[0] - ref
-        two_sided = absolute_deviation(ball, table[k], ref)[0]
+        two_sided = _coupling_lp_deviation(ball, table[k], ref)[0]
         assert one_sided <= two_sided + 1e-12

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import (
+    absolute_deviation,
     ball_extremal_lp,
     extremal_oracle_w1,
     kl_divergence_vec,
@@ -23,7 +24,6 @@ from drolab.divergence import (
     _phi,
     AmbiguityBall,
     DivergenceKind,
-    absolute_deviation,
     deviation_table,
     extremal_expectation,
     extremal_values,
@@ -33,7 +33,7 @@ from drolab.divergence import (
     transport_memo,
     wasserstein,
 )
-from drolab.solvers import satisficing_radius_grid
+from drolab.solvers import _coupling_lp_deviation, satisficing_radius_grid
 from drolab.support import DiscreteDistribution, GridMismatchError, SupportGrid
 
 
@@ -145,6 +145,23 @@ class TestWasserstein:
         plan = optimal_transport(a, b, 1.0)
         plan.validate(a, b)
         assert wasserstein(a, b, 1.0) == pytest.approx(plan.cost)
+
+    def test_cost_is_the_clamped_plans(self):
+        # A W2 instance from set_robustness's membership bisection: the LP
+        # leaves an entry near -9e-11, and its objective, taken before the
+        # clamp, was 1.4e-9 off the returned plan's cost.
+        grid = SupportGrid.euclidean(
+            [[0.82177, -1.38128], [-2.754159, -2.900834], [1.879621, 2.476533], [0.639815, 1.376979],
+             [0.26175, 2.610435]]
+        )
+        a = DiscreteDistribution(grid, [0.4906060045022722, 0.00019223850240649993, 0.33873597100424085,
+                                        0.010822630753853072, 0.15964315523722733])
+        b = DiscreteDistribution(grid, [0.49060623844155676, 0.00019223859407300483, 0.33873613252621565,
+                                        0.010822635914488026, 0.15964275452366652])
+        plan = optimal_transport(a, b, 2.0)
+        plan.validate(a, b)
+        assert np.min(plan.matrix) >= 0.0
+        assert plan.cost == float((grid.ground_metric**2.0).reshape(-1) @ plan.matrix.reshape(-1))
 
     def test_matches_dual_vertex_formula(self):
         rng = np.random.default_rng(11)
@@ -491,17 +508,17 @@ class TestWassersteinDualOracle:
     )
     @settings(max_examples=30, deadline=None)
     def test_absolute_deviation_matches_two_sided_table(self, seed, m, dim, p, empty, tied, fracs):
-        # absolute_deviation still solves the coupling LP per call; the
-        # batched two-sided deviations of the dual must give the same numbers.
+        # The absolute-DRO screen's LP step solves the coupling LP per call;
+        # the batched two-sided deviations of the dual must give the same numbers.
         rng = np.random.default_rng(seed)
         center, table = random_ball_instance(rng, m, dim, empty, tied)
         kind = DivergenceKind.wasserstein_order(p)
         radii = np.array(fracs) * center.grid.diameter
         ref = float(np.min(table @ center.weights))
-        deviations, witnesses = deviation_table(center, kind, table, radii, ref, "two")
+        deviations, witnesses = deviation_table(center, kind, table, radii, ref)
         for k, costs in enumerate(table):
             for r, eps in enumerate(radii):
-                dev, witness, hi, lo = absolute_deviation(AmbiguityBall(center, float(eps), kind), costs, ref)
+                dev, witness = _coupling_lp_deviation(AmbiguityBall(center, float(eps), kind), costs, ref)
                 assert abs(dev - deviations[k, r]) <= 1e-9 * max(1.0, abs(dev))
                 for q in (witness, witnesses(k, r)):
                     assert abs(abs(q.expectation(costs) - ref) - dev) <= 1e-9 * max(1.0, abs(dev))
@@ -626,6 +643,9 @@ def test_absolute_deviation_picks_binding_side(line_grid):
     costs = np.array([0.0, 1.0, 10.0])
     ball = AmbiguityBall(center, 0.5, DivergenceKind.wasserstein_order(1))
     ref = center.expectation(costs)
-    dev, witness, hi, lo = absolute_deviation(ball, costs, ref)
+    dev, witness = _coupling_lp_deviation(ball, costs, ref)
+    # hi and lo from the same coupling LPs: up and down tie here, and the
+    # rounding of those LPs picks the side.
+    _, _, hi, lo = absolute_deviation(ball, costs, ref)
     assert dev == pytest.approx(max(hi - ref, ref - lo))
     assert witness.expectation(costs) == pytest.approx(hi if hi - ref >= ref - lo else lo, abs=1e-9)

@@ -138,6 +138,9 @@ class TestConfigValidation:
         with pytest.raises(ConfigError, match=f"^/methods/1/{field}: {entry['method']} does not read '{field}'"):
             resolve_config(doc)
 
+    def test_ball_methods_are_those_reading_a_divergence(self):
+        assert [name for name, spec in METHODS.items() if spec.ball] == ["minmax_dro", "abs_dro", "satisficing"]
+
     def test_hash_stable_under_key_reordering(self, tmp_path):
         doc = base_config(str(tmp_path))
         reordered = json.loads(json.dumps(doc, sort_keys=True))
@@ -213,6 +216,10 @@ class TestNonFiniteRejected:
             (["measure", "--kind", "absolute", "--ref", "nan"], "--ref: nan is not finite"),
             (["measure", "--kind", "relative", "--ref", "-inf"], "--ref: -inf is not finite"),
             (["measure", "--kind", "absolute", "--eps", "nan"], "--eps: nan is not finite"),
+            (["measure", "--kind", "pac", "--draws", "0"], "--draws: 0 must be >= 1"),
+            (["measure", "--kind", "set", "--eps", "0.2", "--budget", "0"], "--budget: 0 must be >= 1"),
+            (["measure", "--kind", "set", "--eps", "0.2", "--seed", "-1"], "--seed: -1 must be >= 0"),
+            (["measure", "--kind", "absolute", "--x-index", "-1"], "--x-index: -1 must be >= 0"),
         ],
     )
     def test_cli_options_rejected_with_one_error_line(self, tmp_path, args, message):
@@ -498,6 +505,18 @@ class TestRunner:
         result = runner.invoke(main, ["run", str(tmp_path / "bad.json")])
         assert result.exit_code == 1
 
+    def test_kl_satisficing_on_one_sample_runs(self, tmp_path):
+        # One sample makes the centre a Dirac, whose forward-KL balls never
+        # grow: the rate is 0 and every replication writes its rows.
+        doc = base_config(str(tmp_path / "out"))
+        doc["methods"] = [{"method": "satisficing", "divergence": {"kind": "kl"}},
+                          {"method": "satisficing", "divergence": {"kind": "kl"}, "sided": "one", "delta": 0.1}]
+        doc["n"], doc["replications"] = [1], 2
+        (tmp_path / "kl.json").write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["run", str(tmp_path / "kl.json")])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["row_count"] == 8
+
     def test_golden_results_reproduced(self, tmp_path):
         # tests/data/golden_results.csv was recorded by the coupling-LP ball
         # oracle: six methods, W1 and W2 balls, n in {10, 40}.  Every column
@@ -574,14 +593,14 @@ class TestVerifyBounds:
         # line, so the replication's absolute_bound makes that row's two
         # coupling LPs (26 with an LP on every row).
         coupling = []
-        solve = divergence.solve_lp
+        solve = solvers.solve_lp
 
         def counting(*args, **kwargs):
             if kwargs.get("a_ub") is not None:  # transport LPs have no inequality
                 coupling.append(args)
             return solve(*args, **kwargs)
 
-        monkeypatch.setattr(divergence, "solve_lp", counting)
+        monkeypatch.setattr(solvers, "solve_lp", counting)
         doc = {
             "grid": {"atoms": [[float(v)] for v in range(16)]},
             "p0": {"weights": np.random.default_rng(3).dirichlet(np.full(16, 2.0)).tolist()},

@@ -4,18 +4,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from _oracles import (
     ball_extremal_lp,
     ball_vertex_candidates,
+    deviation_rate_profile,
+    deviation_table_sided,
     set_robustness_loop,
     simplex_grid,
     w1_dual_vertices,
     w1_from_dual_many,
 )
 from conftest import RADIUS_FRACTIONS, random_ball_instance, random_distribution, random_grid
-from drolab import divergence
+from drolab import divergence, solvers
 from drolab.cost import CostFunction, DecisionSpace, expected_cost, make_cost
 from drolab.divergence import AmbiguityBall, DivergenceKind, membership
 from drolab.robustness import (
@@ -26,7 +28,7 @@ from drolab.robustness import (
     relative_measure,
     set_robustness,
 )
-from drolab.solvers import solve_absolute_dro, solve_saa
+from drolab.solvers import satisficing_radius_grid, solve_absolute_dro, solve_saa
 from drolab.support import DiscreteDistribution, SupportGrid
 
 W1 = DivergenceKind.wasserstein_order(1.0)
@@ -146,8 +148,9 @@ class TestAbsoluteMeasure:
     def test_solves_no_lp_on_wasserstein_balls(self, monkeypatch, square_grid, p):
         # The coupling LP solved both sides here before (two solve_lp calls).
         calls = []
-        solve = divergence.solve_lp
-        monkeypatch.setattr(divergence, "solve_lp", lambda *a, **k: calls.append(k) or solve(*a, **k))
+        for module in (divergence, solvers):
+            solve = module.solve_lp
+            monkeypatch.setattr(module, "solve_lp", lambda *a, solve=solve, **k: calls.append(k) or solve(*a, **k))
         center = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
         ball = AmbiguityBall(center, 0.4, DivergenceKind.wasserstein_order(p))
         rep = absolute_measure([0.5, 0.5], 0.3, ball, make_cost("squared"))
@@ -192,7 +195,7 @@ class TestRelativeMeasure:
         assert rep.measure == pytest.approx(float(np.max(ratios)), abs=5e-3)
 
     def test_dominates_every_single_radius_ratio(self, line_grid):
-        from drolab.divergence import absolute_deviation
+        from drolab.solvers import _coupling_lp_deviation
 
         center = DiscreteDistribution(line_grid, [0.1, 0.3, 0.6])
         cf = make_cost("absolute")
@@ -201,7 +204,7 @@ class TestRelativeMeasure:
         rep = relative_measure(saa.x, saa.objective_value, W1, center, cf)
         costs = cf.atom_costs(line_grid, saa.x)
         for eps in rep.diagnostics["radius_grid"][::7]:
-            dev, _, _, _ = absolute_deviation(AmbiguityBall(center, eps, W1), costs, saa.objective_value)
+            dev, _ = _coupling_lp_deviation(AmbiguityBall(center, eps, W1), costs, saa.objective_value)
             assert rep.measure >= dev / eps - 1e-9
 
 
@@ -317,6 +320,8 @@ class TestSetRobustness:
         budget=st.integers(1, 4),
     )
     @settings(max_examples=80, deadline=None)
+    # A W2 membership bisection whose transport LP left a negative entry.
+    @example(seed=0, m=5, dim=2, kind="w2", empty=0, tied=False, frac=0.0001, variant="objective", budget=1)
     def test_matches_the_per_candidate_loop(self, seed, m, dim, kind, empty, tied, frac, variant, budget):
         # The batched pass must reproduce the loop bit for bit: measure,
         # witness weights (the first candidate attaining the spread) and
@@ -333,6 +338,103 @@ class TestSetRobustness:
         if ref.witness is not None:
             assert rep.witness.weights.tobytes() == ref.witness.weights.tobytes()
         assert rep.diagnostics == ref.diagnostics
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+class TestRatePath:
+    """relative_measure and local_measure read divergence.deviation_table and
+    solvers.rate_profile; they must give the former one-call rate path's
+    bits (tests/_oracles.deviation_rate_profile), with the local radii taken
+    from the radius cap itself."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 6),
+        dim=st.sampled_from([1, 2]),
+        kind=st.sampled_from(sorted(KINDS)),
+        empty=st.integers(0, 2),
+        tied=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_equals_the_one_call_rate_path(self, seed, m, dim, kind, empty, tied):
+        center, table = random_ball_instance(np.random.default_rng(seed), m, dim, empty, tied, rows=4)
+        cf, space = table_cost(table)
+        kind = KINDS[kind]
+        radii = satisficing_radius_grid(kind, center)
+        assume(radii.size > 0)  # a ball that cannot grow had no rate path (TestBallThatCannotGrow)
+        for k, costs in enumerate(table):
+            ref = float(center.expectation(costs))
+            rep = relative_measure(space[k], ref, kind, center, cf)
+            rates, ratios, binding, witness = deviation_rate_profile(
+                center, costs[None, :], ref, 0.0, kind, "two", radii
+            )
+            assert _bits(rep.measure) == _bits(rates[0])
+            assert _bits(rep.diagnostics["ratios"]) == _bits(ratios[0])
+            assert _bits(rep.diagnostics["binding_radius"]) == _bits(radii[binding[0]])
+            assert rep.witness.weights.tobytes() == witness(0, binding[0]).weights.tobytes()
+        cap = kind.radius_cap(center)
+        local_radii = [cap * 2.0**-k for k in range(4, 13)]
+        ref = float(np.min(table @ center.weights))
+        devs, _ = deviation_table_sided(center, kind, table, local_radii, ref, "two")
+        worst, _ = divergence.extremal_values(center, kind, table, local_radii, "max")
+        nominal = space[int(np.argmin(table @ center.weights))]
+        expected = {
+            "objective": [float(np.min(devs[:, r])) / eps for r, eps in enumerate(local_radii)],
+            "solution": [
+                float(np.linalg.norm(space[int(np.argmin(worst[:, r]))] - nominal)) / eps
+                for r, eps in enumerate(local_radii)
+            ],
+        }
+        for variant, values in expected.items():
+            rep = local_measure(space, center, ref, cf, kind, variant)
+            assert _bits(rep.diagnostics["radii"]) == _bits(local_radii)
+            assert _bits(rep.diagnostics["ratios"]) == _bits(values)
+            assert _bits(rep.measure) == _bits(max(0.0, 2.0 * values[-1] - values[-2]))
+
+
+class TestBallThatCannotGrow:
+    """A forward-KL ball around a Dirac is its centre at every radius (its
+    radius cap is 0), so every deviation over it is 0."""
+
+    def test_relative_and_local_measures_are_zero(self, line_grid):
+        center = DiscreteDistribution.dirac(line_grid, 1)
+        cf, space = make_cost("absolute"), DecisionSpace.interval(0, 3, 5)
+        saa = solve_saa(center, cf, space)
+        rel = relative_measure(saa.x, saa.objective_value, DivergenceKind.kl(), center, cf)
+        assert rel.measure == 0.0
+        assert rel.witness is center
+        assert rel.diagnostics["radius_grid"] == rel.diagnostics["ratios"] == []
+        assert rel.diagnostics["binding_radius"] is None
+        for variant in ("objective", "solution"):
+            loc = local_measure(space, center, saa.objective_value, cf, DivergenceKind.kl(), variant)
+            assert loc.measure == 0.0
+            assert loc.diagnostics["radii"] == loc.diagnostics["ratios"] == []
+            assert loc.diagnostics["converged"]
+
+
+class TestReferenceValueChecked:
+    @pytest.mark.parametrize("ref", [math.nan, math.inf, -math.inf])
+    def test_non_finite_reference_rejected(self, line_grid, ref):
+        center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        cf, space = make_cost("absolute"), DecisionSpace.interval(0, 3, 5)
+        calls = [
+            lambda: absolute_measure(space[1], ref, AmbiguityBall(center, 0.3, W1), cf),
+            lambda: relative_measure(space[1], ref, W1, center, cf),
+            lambda: local_measure(space, center, ref, cf, W1, "objective"),
+            lambda: pac_robustness(DirichletPrior(center, 2.0), cf, space[1], ref, 1.0, mc_draws=10),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="reference value must be finite"):
+                call()
+
+    @pytest.mark.parametrize("draws", [0, -3])
+    def test_pac_needs_a_draw(self, line_grid, draws):
+        center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        with pytest.raises(ValueError, match="at least one Monte-Carlo draw"):
+            pac_robustness(DirichletPrior(center, 2.0), make_cost("absolute"), [1.0], 0.5, 1.0, mc_draws=draws)
 
 
 class TestPacRobustness:

@@ -6,13 +6,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from _oracles import absolute_dro_lp_sweep, simplex_grid, w1_dual_vertices, w1_from_dual_many
+from _oracles import absolute_dro_lp_sweep, kl_extremal_brentq, simplex_grid, w1_dual_vertices, w1_from_dual_many
 from conftest import random_distribution, random_grid
-from drolab import divergence
+from drolab import solvers
 from drolab.bayes import beta_from_lambda, regularizer_from_prior
 from drolab.cost import CostFunction, DecisionSpace, Regularizer, cost_table, expected_cost, make_cost
-from drolab.divergence import AmbiguityBall, DivergenceKind, absolute_deviation, extremal_expectation
+from drolab.divergence import AmbiguityBall, DivergenceKind, deviation_table, extremal_expectation
 from drolab.solvers import (
+    _coupling_lp_deviation,
     solve_absolute_dro,
     solve_bayes_dp,
     solve_minmax_dro,
@@ -204,7 +205,8 @@ class TestSolveAbsoluteDRO:
 
     def test_kl_ball_matches_per_decision_deviation(self, line_grid):
         # Balls other than positive-radius Wasserstein ones solve every
-        # decision in one deviation table, with absolute_deviation's numbers.
+        # decision in one deviation table, with no LP step; the deviations
+        # also match a per-ball brentq root of the tilting dual.
         center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
         space = DecisionSpace.interval(0, 3, 7)
         cf = make_cost("absolute")
@@ -213,10 +215,16 @@ class TestSolveAbsoluteDRO:
         for eps in (0.0, 0.05, 0.4, 2.0):
             ball = AmbiguityBall(center, eps, DivergenceKind.kl())
             sol = solve_absolute_dro(ball, cf, space)
-            deviations = [absolute_deviation(ball, row, ref)[0] for row in table]
+            deviations = deviation_table(center, ball.kind, table, [eps], ref)[0][:, 0]
             assert sol.x_index == int(np.argmin(deviations))
             assert sol.measure == min(deviations)
             assert abs(abs(sol.witness.expectation(table[sol.x_index]) - ref) - sol.measure) <= 1e-9
+            for row, dev in zip(table, deviations):
+                if eps == 0.0:
+                    hi = lo = center.expectation(row)
+                else:
+                    (hi, _), (lo, _) = (kl_extremal_brentq(ball, row, maximize) for maximize in (True, False))
+                assert abs(dev - max(hi - ref, ref - lo)) <= 1e-9
 
     def test_matches_sampled_ball_scan(self):
         # Sandwich: scanning ball members (simplex grid + corner candidates)
@@ -238,10 +246,8 @@ class TestSolveAbsoluteDRO:
         table = cost_table(cf, grid, space)
         ref = float(np.min(table @ center.weights))
         scan_dev = np.max(np.abs(members @ table.T - ref), axis=0)
-        from drolab.divergence import absolute_deviation
-
         for k in range(len(space)):
-            exact_dev, _, _, _ = absolute_deviation(ball, table[k], ref)
+            exact_dev, _ = _coupling_lp_deviation(ball, table[k], ref)
             assert scan_dev[k] <= exact_dev + 1e-9
             assert exact_dev == pytest.approx(scan_dev[k], abs=1e-4)
         assert sol.measure == pytest.approx(float(np.min(scan_dev)), abs=1e-4)
@@ -269,8 +275,8 @@ class TestAbsoluteDROScreen:
     @pytest.fixture
     def lp_calls(self, monkeypatch):
         calls = []
-        solve = divergence.solve_lp
-        monkeypatch.setattr(divergence, "solve_lp", lambda *a, **k: calls.append(k) or solve(*a, **k))
+        solve = solvers.solve_lp
+        monkeypatch.setattr(solvers, "solve_lp", lambda *a, **k: calls.append(k) or solve(*a, **k))
         return calls
 
     @given(
@@ -405,6 +411,21 @@ class TestSolveRobustSatisficing:
         sol = solve_robust_satisficing(center, cf, space, DivergenceKind.kl(), "one", 0.0)
         assert math.isinf(sol.diagnostics["upper_certificate"])
         assert sol.measure >= 0.0
+
+    def test_kl_ball_around_a_dirac_has_rate_zero(self, line_grid):
+        # The ball is its centre at every radius: every decision's rate is 0,
+        # so each model keeps its first feasible decision.
+        center = DiscreteDistribution.dirac(line_grid, 1)
+        space = DecisionSpace.interval(0, 3, 7)
+        cf = make_cost("absolute")
+        # Costs |x - 1| at the centre: slack 0.5 admits x = 0.5 (index 1) first.
+        for sided, slack, first in (("one", 0.0, 2), ("two", 0.0, 2), ("two", 0.5, 1)):
+            sol = solve_robust_satisficing(center, cf, space, DivergenceKind.kl(), sided, slack)
+            assert (sol.measure, sol.objective_value) == (0.0, 0.0)
+            assert sol.x_index == first
+            assert sol.witness is center
+            assert sol.diagnostics["radius_grid"] == sol.diagnostics["ratios"] == []
+            assert sol.diagnostics["binding_radius"] is None
 
 
 def test_solutions_are_bit_deterministic(line_grid):
