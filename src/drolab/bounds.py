@@ -16,7 +16,7 @@ import numpy as np
 
 from drolab.cost import CostFunction, DecisionSpace, MissingLipschitzDataError, cost_table, expected_cost
 from drolab.divergence import AmbiguityBall, DivergenceKind, membership, transport_memo, wasserstein
-from drolab.solvers import Solution, solve_absolute_dro, solve_minmax_dro, solve_robust_satisficing, solve_saa
+from drolab.solvers import Solution, solve_absolute_dro, solve_minmax_dro, solve_saa, solve_satisficing_models
 from drolab.support import DiscreteDistribution, derive_seed, empirical, sample
 
 HOLDS_SLACK = 1e-9
@@ -51,15 +51,13 @@ class BoundRecord:
     bound: float
     observed: float
     holds: bool
-    one_sided: bool
     ingredients: dict = field(default_factory=dict)
     degenerate: bool = False
 
 
-def _record(kind: str, bound: float, observed: float, one_sided: bool, ingredients: dict,
-            degenerate: bool = False) -> BoundRecord:
+def _record(kind: str, bound: float, observed: float, ingredients: dict, degenerate: bool = False) -> BoundRecord:
     holds = bool(observed <= bound + HOLDS_SLACK)
-    return BoundRecord(kind, float(bound), float(observed), holds, one_sided, ingredients, degenerate)
+    return BoundRecord(kind, float(bound), float(observed), holds, ingredients, degenerate)
 
 
 def _rate_times_distance(rate: float, distance: float) -> float:
@@ -69,11 +67,34 @@ def _rate_times_distance(rate: float, distance: float) -> float:
     return rate * distance
 
 
-def _mean_lip_in_x(p0: DiscreteDistribution, cf: CostFunction) -> float:
+def _nominal_record(
+    kind: str,
+    p0: DiscreteDistribution,
+    center: DiscreteDistribution,
+    cf: CostFunction,
+    space: DecisionSpace,
+    x_rob: np.ndarray,
+    term: float,
+    ingredients: dict,
+    degenerate: bool = False,
+) -> tuple[GapRecord, BoundRecord]:
+    """The gap at the nominal (SAA) optimizer around ``center`` against
+    ``|x_nom - x_rob| * E_p0 L(xi) + term``, where ``term`` bounds the
+    deviation at the robust decision ``x_rob``."""
     if cf.lip_in_x is None:
         raise MissingLipschitzDataError(f"cost {cf.name!r} declares no Lipschitz data in the decision")
-    vals = np.array([cf.lip_in_x(p0.grid.atoms[j]) for j in range(p0.grid.size)])
-    return float(p0.weights @ vals)
+    mean_lip = float(p0.weights @ np.array([cf.lip_in_x(p0.grid.atoms[j]) for j in range(p0.grid.size)]))
+    x_nom = solve_saa(center, cf, space).x
+    displacement = float(np.linalg.norm(x_nom - x_rob))
+    gap = GapRecord(x_nom, expected_cost(p0, cf, x_nom), expected_cost(center, cf, x_nom))
+    rec = _record(
+        kind,
+        displacement * mean_lip + term,
+        gap.abs_gap,
+        {"displacement": displacement, "mean_lip_in_x": mean_lip, **ingredients},
+        degenerate,
+    )
+    return gap, rec
 
 
 def uniform_bound(
@@ -81,16 +102,11 @@ def uniform_bound(
     pbar: DiscreteDistribution,
     cf: CostFunction,
     space: DecisionSpace,
-    order: float = 1.0,
 ) -> list[tuple[GapRecord, BoundRecord]]:
-    """Per-decision deviation bound ``L(x) * W_order(p0, pbar)``.
-
-    The order-1 distance gives the tight version; any higher order is also
-    valid since Wasserstein distances increase with the order.
-    """
+    """Per-decision deviation bound ``L(x) * W1(p0, pbar)``."""
     if cf.lip_in_xi is None:
         raise MissingLipschitzDataError(f"cost {cf.name!r} declares no Lipschitz data in the atom")
-    dist = wasserstein(p0, pbar, order)
+    dist = wasserstein(p0, pbar, 1.0)
     table = cost_table(cf, p0.grid, space)
     true_vals = table @ p0.weights
     nominal_vals = table @ pbar.weights
@@ -98,13 +114,7 @@ def uniform_bound(
     for k, x in enumerate(space):
         gap = GapRecord(x, float(true_vals[k]), float(nominal_vals[k]))
         lip = float(cf.lip_in_xi(x))
-        rec = _record(
-            "uniform",
-            lip * dist,
-            gap.abs_gap,
-            one_sided=False,
-            ingredients={"lipschitz": lip, "distance": dist, "order": order},
-        )
+        rec = _record("uniform", lip * dist, gap.abs_gap, {"lipschitz": lip, "distance": dist, "order": 1.0})
         out.append((gap, rec))
     return out
 
@@ -114,7 +124,7 @@ def minmax_one_sided_bound(
     ball: AmbiguityBall,
     cf: CostFunction,
     space: DecisionSpace,
-) -> tuple[GapRecord, BoundRecord, Solution]:
+) -> tuple[list[tuple[GapRecord, BoundRecord]], Solution]:
     """True cost of the worst-case-optimal decision versus the min-max value."""
     if not membership(ball, p0):
         raise HypothesisViolationError(
@@ -122,16 +132,14 @@ def minmax_one_sided_bound(
         )
     sol = solve_minmax_dro(ball, cf, space)
     true_val = expected_cost(p0, cf, sol.x)
-    nominal_val = expected_cost(ball.center, cf, sol.x)
-    gap = GapRecord(sol.x, true_val, nominal_val)
+    gap = GapRecord(sol.x, true_val, expected_cost(ball.center, cf, sol.x))
     rec = _record(
         "minmax_one_sided",
         sol.objective_value,
         true_val,
-        one_sided=True,
-        ingredients={"worst_case_value": sol.objective_value, "radius": ball.radius},
+        {"worst_case_value": sol.objective_value, "radius": ball.radius},
     )
-    return gap, rec, sol
+    return [(gap, rec)], sol
 
 
 def absolute_bound(
@@ -151,36 +159,14 @@ def absolute_bound(
         raise HypothesisViolationError(
             "the true distribution must lie in the ball for the absolute bounds to apply"
         )
-    mean_lip = _mean_lip_in_x(p0, cf)
     sol = solve_absolute_dro(ball, cf, space)
-    nominal_sol = solve_saa(ball.center, cf, space)
-    x_nom, x_rob = nominal_sol.x, sol.x
-    displacement = float(np.linalg.norm(x_nom - x_rob))
     l_star = float(sol.measure)
-
-    gap_nom = GapRecord(x_nom, expected_cost(p0, cf, x_nom), expected_cost(ball.center, cf, x_nom))
-    rec_nom = _record(
-        "absolute_nominal",
-        displacement * mean_lip + l_star,
-        gap_nom.abs_gap,
-        one_sided=False,
-        ingredients={
-            "displacement": displacement,
-            "mean_lip_in_x": mean_lip,
-            "l_star": l_star,
-            "radius": ball.radius,
-        },
+    nominal = _nominal_record(
+        "absolute_nominal", p0, ball.center, cf, space, sol.x, l_star, {"l_star": l_star, "radius": ball.radius}
     )
-    witness_val = expected_cost(sol.witness, cf, x_rob)
-    gap_rob = GapRecord(x_rob, expected_cost(p0, cf, x_rob), witness_val)
-    rec_rob = _record(
-        "absolute_dro",
-        2.0 * l_star,
-        gap_rob.abs_gap,
-        one_sided=False,
-        ingredients={"l_star": l_star, "radius": ball.radius},
-    )
-    return [(gap_nom, rec_nom), (gap_rob, rec_rob)], sol
+    gap_rob = GapRecord(sol.x, expected_cost(p0, cf, sol.x), expected_cost(sol.witness, cf, sol.x))
+    rec_rob = _record("absolute_dro", 2.0 * l_star, gap_rob.abs_gap, {"l_star": l_star, "radius": ball.radius})
+    return [nominal, (gap_rob, rec_rob)], sol
 
 
 def relative_bound(
@@ -189,68 +175,46 @@ def relative_bound(
     cf: CostFunction,
     space: DecisionSpace,
     kind: DivergenceKind,
+    sided: str = "two",
+    target_slack: float = 0.0,
 ) -> tuple[list[tuple[GapRecord, BoundRecord]], Solution]:
     """Gap bounds built from the two-sided deviation-rate solver.
 
-    The rate measure is sandwiched (grid lower bound, Lipschitz upper
-    certificate); the certificate side enters the bounds so that ``holds``
-    stays sound.  An infinite certificate yields infinite bounds flagged
-    degenerate.
+    The records read the two-sided zero-slack robust-satisficing model
+    around ``pbar``; the returned solution is the ``(sided, target_slack)``
+    model, solved with it from the same extremal sweeps.  The rate measure
+    is sandwiched (grid lower bound, Lipschitz upper certificate); the
+    certificate side enters the bounds so that ``holds`` stays sound.  An
+    infinite certificate yields infinite bounds flagged degenerate.
     """
-    sol = solve_robust_satisficing(pbar, cf, space, kind, sided="two", target_slack=0.0)
-    return relative_bound_at(p0, pbar, cf, space, kind, sol), sol
-
-
-def relative_bound_at(
-    p0: DiscreteDistribution,
-    pbar: DiscreteDistribution,
-    cf: CostFunction,
-    space: DecisionSpace,
-    kind: DivergenceKind,
-    sol: Solution,
-) -> list[tuple[GapRecord, BoundRecord]]:
-    """The records of :func:`relative_bound` at ``sol``, the two-sided
-    zero-slack robust-satisficing solution around ``pbar`` (for callers
-    that solve it together with other satisficing models)."""
-    mean_lip = _mean_lip_in_x(p0, cf)
-    l_upper = float(sol.diagnostics["upper_certificate"])
+    models = [("two", 0.0)] if (sided, target_slack) == ("two", 0.0) else [("two", 0.0), (sided, target_slack)]
+    solutions = solve_satisficing_models(pbar, cf, space, kind, models)
+    zero_slack, sol = solutions[0], solutions[-1]
+    l_lower, l_upper = float(zero_slack.measure), float(zero_slack.diagnostics["upper_certificate"])
     degenerate = not math.isfinite(l_upper)
-    nominal_sol = solve_saa(pbar, cf, space)
-    x_nom, x_rob = nominal_sol.x, sol.x
-    displacement = float(np.linalg.norm(x_nom - x_rob))
+    x_rob, witness = zero_slack.x, zero_slack.witness
     dist_center = kind.distance(p0, pbar)
-
-    gap_nom = GapRecord(x_nom, expected_cost(p0, cf, x_nom), expected_cost(pbar, cf, x_nom))
-    rec_nom = _record(
+    nominal = _nominal_record(
         "relative_nominal",
-        displacement * mean_lip + _rate_times_distance(l_upper, dist_center),
-        gap_nom.abs_gap,
-        one_sided=False,
-        ingredients={
-            "displacement": displacement,
-            "mean_lip_in_x": mean_lip,
-            "l_star_lower": float(sol.measure),
-            "l_star_upper": l_upper,
-            "distance_to_center": dist_center,
-        },
-        degenerate=degenerate,
+        p0,
+        pbar,
+        cf,
+        space,
+        x_rob,
+        _rate_times_distance(l_upper, dist_center),
+        {"l_star_lower": l_lower, "l_star_upper": l_upper, "distance_to_center": dist_center},
+        degenerate,
     )
-    witness = sol.witness if sol.witness is not None else pbar
     dist_witness = kind.distance(p0, witness)
     gap_rob = GapRecord(x_rob, expected_cost(p0, cf, x_rob), expected_cost(witness, cf, x_rob))
     rec_rob = _record(
         "relative_dro",
         _rate_times_distance(l_upper, dist_witness),
         gap_rob.abs_gap,
-        one_sided=False,
-        ingredients={
-            "l_star_lower": float(sol.measure),
-            "l_star_upper": l_upper,
-            "distance_to_witness": dist_witness,
-        },
-        degenerate=degenerate,
+        {"l_star_lower": l_lower, "l_star_upper": l_upper, "distance_to_witness": dist_witness},
+        degenerate,
     )
-    return [(gap_nom, rec_nom), (gap_rob, rec_rob)]
+    return [nominal, (gap_rob, rec_rob)], sol
 
 
 _EXPECTED_KINDS = ("uniform", "absolute", "relative")
@@ -304,28 +268,26 @@ def expected_bounds(
         pbar = empirical(sample(p0, n, rep_seed))
         with transport_memo():  # the absolute suite asks for W(p0, pbar) twice
             if which == "uniform":
-                for k, (gap, rec) in enumerate(uniform_bound(p0, pbar, cf, space)):
-                    push(rep_seed, gap, rec, f"uniform@x{k}")
+                pairs = uniform_bound(p0, pbar, cf, space)
             elif which == "absolute":
-                radius = kind.distance(p0, pbar)
-                ball = AmbiguityBall(pbar, radius, kind)
-                pairs, _ = absolute_bound(p0, ball, cf, space)
-                for gap, rec in pairs:
-                    push(rep_seed, gap, rec, rec.kind)
+                pairs, _ = absolute_bound(p0, AmbiguityBall(pbar, kind.distance(p0, pbar), kind), cf, space)
             else:
                 pairs, _ = relative_bound(p0, pbar, cf, space, kind)
-                for gap, rec in pairs:
-                    push(rep_seed, gap, rec, rec.kind)
+        for k, (gap, rec) in enumerate(pairs):
+            push(rep_seed, gap, rec, f"uniform@x{k}" if which == "uniform" else rec.kind)
 
     summary: dict = {"which": which, "n": n, "replications": replications, "checks": {}}
     for check, triples in diffs.items():
         arr = np.array(triples, dtype=float)
-        finite = np.isfinite(arr[:, 1])
         mean_gap = float(np.mean(arr[:, 0]))
-        mean_bound = float(np.mean(arr[finite, 1])) if np.any(finite) else math.inf
-        delta = arr[finite, 0] - arr[finite, 1]
-        sigma = float(np.std(delta, ddof=1) / math.sqrt(delta.size)) if delta.size > 1 else 0.0
-        ok = mean_gap <= mean_bound + 3.0 * sigma + HOLDS_SLACK if math.isfinite(mean_bound) else True
+        mean_bound = float(np.mean(arr[:, 1]))
+        # Gaps and bounds average over the same rows; one infinite bound
+        # makes the mean bound infinite, which holds with an infinite sigma.
+        sigma, ok = math.inf, True
+        if math.isfinite(mean_bound):
+            delta = arr[:, 0] - arr[:, 1]
+            sigma = float(np.std(delta, ddof=1) / math.sqrt(delta.size)) if delta.size > 1 else 0.0
+            ok = mean_gap <= mean_bound + 3.0 * sigma + HOLDS_SLACK
         summary["checks"][check] = {
             "mean_gap": mean_gap,
             "mean_bound": mean_bound,
@@ -341,9 +303,8 @@ def w1_concentration(
     ns,
     replications: int,
     seed: int,
-    order: float = 1.0,
 ) -> dict[int, dict[str, float]]:
-    """Median and mean transport distance of the empirical distribution by n.
+    """Median and mean W1 distance of the empirical distribution by n.
 
     The empirical concentration substitute for radius selection: medians
     shrink as the sample grows.
@@ -353,7 +314,7 @@ def w1_concentration(
         dists = []
         for rep in range(replications):
             rep_seed = derive_seed(seed, n, rep)
-            dists.append(wasserstein(empirical(sample(p0, n, rep_seed)), p0, order))
+            dists.append(wasserstein(empirical(sample(p0, n, rep_seed)), p0, 1.0))
         arr = np.array(dists)
         out[int(n)] = {"median": float(np.median(arr)), "mean": float(np.mean(arr))}
     return out

@@ -7,6 +7,7 @@ inequality fails to hold (the falsification signal).
 from __future__ import annotations
 
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -34,6 +35,27 @@ from drolab.support import ConfigError, DiscreteDistribution, SupportGrid, load_
 def _die_validation(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
+
+
+def _spelled(value):
+    """``value`` with every non-finite float spelled as a string, since
+    JSON has no such numbers and ``null`` already means "no measure"."""
+    if isinstance(value, float) and not math.isfinite(value):
+        return "NaN" if value != value else "Infinity" if value > 0 else "-Infinity"
+    if isinstance(value, dict):
+        return {key: _spelled(v) for key, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_spelled(v) for v in value]
+    return value
+
+
+def _echo_json(doc, output: str | None = None) -> None:
+    """Print ``doc``, or write it to ``output``, as strict JSON."""
+    text = json.dumps(_spelled(doc), indent=2, sort_keys=True, allow_nan=False)
+    if output:
+        Path(output).write_text(text + "\n", encoding="utf-8")
+    else:
+        click.echo(text)
 
 
 def _divergence_doc(kind: str, p: float, orientation: str) -> dict:
@@ -100,11 +122,7 @@ def solve_cmd(problem, method, eps, div_kind, p, orientation, alpha, beta, lam, 
     except (ConfigError, ValueError, KeyError) as exc:
         _die_validation(str(exc))
         return
-    payload = json.dumps(sol.to_json(), indent=2, sort_keys=True)
-    if output:
-        Path(output).write_text(payload + "\n", encoding="utf-8")
-    else:
-        click.echo(payload)
+    _echo_json(sol.to_json(), output)
 
 
 @main.command("measure")
@@ -152,7 +170,7 @@ def measure_cmd(problem, measure_kind, variant, x_index, ref, eps, div_kind, p, 
     except (ConfigError, ValueError, KeyError, IndexError) as exc:
         _die_validation(str(exc))
         return
-    click.echo(json.dumps(report.to_json(), indent=2, sort_keys=True))
+    _echo_json(report.to_json())
 
 
 @main.command("prior-from-reg")
@@ -180,9 +198,9 @@ def prior_from_reg_cmd(spec_path: str, max_entropy: bool) -> None:
         _die_validation(str(exc))
         return
     if isinstance(result, Infeasible):
-        click.echo(json.dumps({"infeasible": True, "residual": result.residual}, sort_keys=True))
+        _echo_json({"infeasible": True, "residual": result.residual})
     else:
-        click.echo(json.dumps({"infeasible": False, "weights": result.weights.tolist()}, sort_keys=True))
+        _echo_json({"infeasible": False, "weights": result.weights.tolist()})
 
 
 @main.command("verify-bounds")
@@ -199,7 +217,7 @@ def verify_bounds_cmd(config: str) -> None:
     except (ConfigError, ValueError, KeyError) as exc:
         _die_validation(str(exc))
         return
-    click.echo(json.dumps(report, indent=2, sort_keys=True))
+    _echo_json(report)
     if not ok:
         click.echo(f"{len(report['violations'])} bound violation(s) detected", err=True)
         sys.exit(2)
@@ -212,16 +230,16 @@ def verify_bounds_cmd(config: str) -> None:
 def run_cmd(config: str, dry_run: bool, jobs: int) -> None:
     """Execute a full experiment config; write CSV results and a run record."""
     try:
+        check_options({"jobs": jobs})
         cfg = load_config(config)
     except (ConfigError, ValueError, KeyError) as exc:
         _die_validation(str(exc))
         return
     if dry_run:
-        click.echo(json.dumps(plan(cfg), indent=2, sort_keys=True))
+        _echo_json(plan(cfg))
         return
     record = run_experiment(cfg, jobs=jobs)
-    click.echo(json.dumps({k: record[k] for k in ("config_hash", "row_count", "holds_violations", "csv_path")},
-                          indent=2, sort_keys=True))
+    _echo_json({k: record[k] for k in ("config_hash", "row_count", "holds_violations", "csv_path")})
     if record["errors"]:
         click.echo("\n".join(record["errors"]), err=True)
         sys.exit(1)

@@ -31,7 +31,6 @@ from drolab.bounds import (
     absolute_bound,
     minmax_one_sided_bound,
     relative_bound,
-    relative_bound_at,
     uniform_bound,
 )
 from drolab.cost import CostFunction, DecisionSpace, cost_from_json
@@ -44,7 +43,6 @@ from drolab.solvers import (
     solve_regularized_saa,
     solve_robust_satisficing,
     solve_saa,
-    solve_satisficing_models,
 )
 from drolab.support import (
     RNG_ALGORITHM,
@@ -204,10 +202,10 @@ def _solve_bayes_dp(prob: Problem, entry: dict) -> Solution:
     return solve_bayes_dp(prob.need("prior"), alpha, prob.need("samples"), prob.cf, prob.space, beta=entry.get("beta"))
 
 
-def _solve_satisficing(prob: Problem, entry: dict) -> Solution:
+def _satisficing_model(prob: Problem, entry: dict) -> tuple:
+    """The arguments, from ``center`` on, of the configured satisficing model."""
     kind = DivergenceKind.from_json(entry.get("divergence"))
-    sided, delta = entry.get("sided", "two"), float(entry.get("delta", 0.0))
-    return solve_robust_satisficing(prob.center, prob.cf, prob.space, kind, sided, delta)
+    return prob.center, prob.cf, prob.space, kind, entry.get("sided", "two"), float(entry.get("delta", 0.0))
 
 
 def _uniform_at_solution(solve, nominal=lambda prob, sol: prob.center):
@@ -218,22 +216,6 @@ def _uniform_at_solution(solve, nominal=lambda prob, sol: prob.center):
         return uniform_bound(prob.p0, nominal(prob, sol), prob.cf, DecisionSpace(np.array([sol.x]))), sol
 
     return bound
-
-
-def _minmax_bound(prob: Problem, entry: dict):
-    gap, rec, sol = minmax_one_sided_bound(prob.p0, _ball(prob, entry), prob.cf, prob.space)
-    return [(gap, rec)], sol
-
-
-def _satisficing_bound(prob: Problem, entry: dict):
-    # The relative bound reads the two-sided zero-slack model; another
-    # configured model is solved with it, from the same extremal sweeps.
-    kind = DivergenceKind.from_json(entry.get("divergence"))
-    model = (entry.get("sided", "two"), float(entry.get("delta", 0.0)))
-    if model == ("two", 0.0):
-        return relative_bound(prob.p0, prob.center, prob.cf, prob.space, kind)
-    zero_slack, sol = solve_satisficing_models(prob.center, prob.cf, prob.space, kind, [("two", 0.0), model])
-    return relative_bound_at(prob.p0, prob.center, prob.cf, prob.space, kind, zero_slack), sol
 
 
 @dataclass(frozen=True)
@@ -267,7 +249,7 @@ METHODS: dict[str, MethodSpec] = {
     ),
     "minmax_dro": MethodSpec(
         lambda prob, entry: solve_minmax_dro(_ball(prob, entry), prob.cf, prob.space),
-        _minmax_bound,
+        lambda prob, entry: minmax_one_sided_bound(prob.p0, _ball(prob, entry), prob.cf, prob.space),
         optional=("divergence", "eps"),
     ),
     "abs_dro": MethodSpec(
@@ -275,7 +257,11 @@ METHODS: dict[str, MethodSpec] = {
         lambda prob, entry: absolute_bound(prob.p0, _ball(prob, entry), prob.cf, prob.space),
         optional=("divergence", "eps"),
     ),
-    "satisficing": MethodSpec(_solve_satisficing, _satisficing_bound, optional=("divergence", "sided", "delta")),
+    "satisficing": MethodSpec(
+        lambda prob, entry: solve_robust_satisficing(*_satisficing_model(prob, entry)),
+        lambda prob, entry: relative_bound(prob.p0, *_satisficing_model(prob, entry)),
+        optional=("divergence", "sided", "delta"),
+    ),
 }
 
 
@@ -297,9 +283,10 @@ _FIELDS = {
 
 
 # Command-line options checked as config values are: the method-entry fields
-# that `drolab solve` builds from its options, and `drolab measure`'s own.
+# that `drolab solve` builds from its options, `drolab measure`'s own and
+# `drolab run --jobs`.
 _OPTIONS = {**_FIELDS, "ref": _number(), "level": _number(0.0, above=True),
-            "draws": _COUNT, "budget": _COUNT, "seed": _INDEX, "x-index": _INDEX}
+            "draws": _COUNT, "budget": _COUNT, "seed": _INDEX, "x-index": _INDEX, "jobs": _COUNT}
 
 
 def check_options(options: dict) -> None:
@@ -566,14 +553,13 @@ def verify_bounds(cfg: ResolvedConfig) -> tuple[bool, dict]:
             records: list[tuple[GapRecord, BoundRecord]] = []
             with transport_memo():  # every suite asks for W(p0, pbar)
                 records.extend(uniform_bound(cfg.p0, pbar, cfg.cf, cfg.space))
-                radius = kind.distance(cfg.p0, pbar)
-                ball = AmbiguityBall(pbar, radius, kind)
-                pairs, _ = absolute_bound(cfg.p0, ball, cfg.cf, cfg.space)
-                records.extend(pairs)
-                pairs, _ = relative_bound(cfg.p0, pbar, cfg.cf, cfg.space, kind)
-                records.extend(pairs)
-                gap, rec, _ = minmax_one_sided_bound(cfg.p0, ball, cfg.cf, cfg.space)
-                records.append((gap, rec))
+                ball = AmbiguityBall(pbar, kind.distance(cfg.p0, pbar), kind)
+                for pairs, _ in (
+                    absolute_bound(cfg.p0, ball, cfg.cf, cfg.space),
+                    relative_bound(cfg.p0, pbar, cfg.cf, cfg.space, kind),
+                    minmax_one_sided_bound(cfg.p0, ball, cfg.cf, cfg.space),
+                ):
+                    records.extend(pairs)
             for gap, rec in records:
                 checked += 1
                 if not rec.holds and math.isfinite(rec.bound):

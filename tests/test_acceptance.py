@@ -216,7 +216,7 @@ def test_c06_bound_suites_hold_and_negative_control_exits_2(tmp_path):
     for _ in range(100):
         _, p0, pbar, space, cf = _random_bound_instance(rng)
         ball = AmbiguityBall(pbar, wasserstein(p0, pbar, 1.0), W1)
-        _, rec, _ = minmax_one_sided_bound(p0, ball, cf, space)
+        [(_, rec)], _ = minmax_one_sided_bound(p0, ball, cf, space)
         all_hold &= rec.holds
     config = {
         "grid": {"atoms": [[0.0], [1.0], [3.0]]},

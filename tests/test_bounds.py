@@ -54,13 +54,11 @@ class TestUniformBound:
                 assert rec.holds
 
     def test_higher_order_distance_weakens_the_bound(self, line_grid):
+        # The bound reads W1, the tightest order: Wasserstein distances
+        # grow with the order, so L(x) * W2 would be a weaker bound.
         p0 = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
         pbar = DiscreteDistribution(line_grid, [0.5, 0.25, 0.25])
-        space = DecisionSpace.interval(0, 3, 4)
-        cf = make_cost("absolute")
-        b1 = uniform_bound(p0, pbar, cf, space)[0][1].bound
-        b2 = uniform_bound(p0, pbar, cf, space, order=2.0)[0][1].bound
-        assert b2 >= b1 - 1e-9
+        assert wasserstein(p0, pbar, 2.0) >= wasserstein(p0, pbar, 1.0) - 1e-9
 
     def test_missing_lipschitz_data_rejected(self, line_grid):
         p0 = DiscreteDistribution.uniform(line_grid)
@@ -75,7 +73,7 @@ class TestMinmaxOneSidedBound:
         space = DecisionSpace.interval(0, 3, 7)
         cf = make_cost("absolute")
         ball = AmbiguityBall(p0, 0.0, W1)
-        gap, rec, sol = minmax_one_sided_bound(p0, ball, cf, space)
+        [(gap, rec)], sol = minmax_one_sided_bound(p0, ball, cf, space)
         assert rec.holds
         assert rec.observed == pytest.approx(rec.bound, abs=1e-12)
 
@@ -87,7 +85,7 @@ class TestMinmaxOneSidedBound:
         space = DecisionSpace.interval(0, 3, 7)
         cf = make_cost("absolute")
         radius = wasserstein(p0, center, 1.0)
-        gap, rec, _ = minmax_one_sided_bound(p0, AmbiguityBall(center, radius, W1), cf, space)
+        [(gap, rec)], _ = minmax_one_sided_bound(p0, AmbiguityBall(center, radius, W1), cf, space)
         assert rec.holds
 
     def test_truth_outside_ball_rejected(self, line_grid):
@@ -271,6 +269,35 @@ class TestExpectedBounds:
             all(held) for held in per_check
         ]
         assert [all(held) for held in per_check] == [False, False, True, True, True]
+
+    def test_relative_summary_on_w1_averages_every_row(self, line_grid):
+        p0 = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        space = DecisionSpace.interval(0, 3, 4)
+        summary, rows = expected_bounds(p0, make_cost("absolute"), space, "relative", n=10,
+                                        replications=30, seed=5)
+        assert [r["kind"] for r in rows] == ["relative_nominal", "relative_dro"] * 30
+        assert all(r["holds"] for r in rows)
+        for check, stats in summary["checks"].items():
+            own = [r for r in rows if r["kind"] == check]
+            assert stats["mean_gap"] == pytest.approx(np.mean([r["gap"] for r in own]), abs=1e-12)
+            assert stats["mean_bound"] == pytest.approx(np.mean([r["bound"] for r in own]), abs=1e-12)
+            assert math.isfinite(stats["sigma"]) and stats["expected_holds"]
+
+    def test_relative_summary_with_infinite_bounds_averages_every_row(self, line_grid):
+        # KL bounds carry an infinite rate certificate and are infinite
+        # unless the sample hits p0 exactly; the 6 finite rows here all have
+        # gap 0, so averaging the bound over them alone would read 1.0
+        # against a mean gap taken over all 30 rows.
+        p0 = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        space = DecisionSpace.interval(0, 3, 4)
+        summary, rows = expected_bounds(p0, make_cost("absolute"), space, "relative", n=10,
+                                        replications=30, seed=5, kind=DivergenceKind.kl())
+        nominal = [r for r in rows if r["kind"] == "relative_nominal"]
+        assert sum(math.isinf(r["bound"]) for r in nominal) == 24
+        check = summary["checks"]["relative_nominal"]
+        assert check["mean_gap"] == pytest.approx(np.mean([r["gap"] for r in nominal]), abs=1e-12)
+        assert check["mean_bound"] == math.inf and check["sigma"] == math.inf
+        assert check["expected_holds"] and check["all_holds"]
 
     def test_degenerate_generator_gives_zero_gap(self, line_grid):
         # With a one-point support the empirical distribution equals the

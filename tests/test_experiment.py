@@ -1,6 +1,7 @@
 """Config validation, the runner, persistence, and the CLI surface."""
 
 import copy
+import csv
 import json
 import math
 import os
@@ -16,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import drolab
 from _oracles import validate_config_jsonschema
-from drolab import divergence, solvers
+from drolab import divergence, experiment, solvers
 from drolab.cli import main
 from drolab.experiment import (
     METHODS,
@@ -639,6 +640,26 @@ class TestSatisficingBound:
         assert record["errors"] == []
         assert sorted(senses) == ["max"] * 4 + ["min"] * 4
 
+    def test_every_row_passes_through_relative_bound(self, tmp_path, monkeypatch):
+        # Tracers rebind the bound suites' names in drolab.experiment; a
+        # satisficing method's records must all leave through one of them.
+        seen = []
+        bound = experiment.relative_bound
+
+        def capturing(*args, **kwargs):
+            pairs, sol = bound(*args, **kwargs)
+            seen.extend(rec.kind for _, rec in pairs)
+            return pairs, sol
+
+        monkeypatch.setattr(experiment, "relative_bound", capturing)
+        doc = base_config(str(tmp_path))
+        doc["methods"] = [{"method": "satisficing", "sided": "one"}]
+        record = run_experiment(resolve_config(doc))
+        assert record["errors"] == []
+        with open(tmp_path / "results.csv", newline="") as fh:
+            kinds = [row["kind"] for row in csv.DictReader(fh)]
+        assert kinds == seen == ["relative_nominal", "relative_dro"]
+
 
 def strict_json(text: str):
     """``json.loads`` that rejects the NaN and Infinity tokens Python writes."""
@@ -728,6 +749,35 @@ class TestCLI:
             assert result.exit_code == 0, result.output
             payload = strict_json(result.output)
             assert "measure" in payload
+
+    @pytest.mark.parametrize(
+        "args, field",
+        [
+            (["measure", "--kind", "relative", "--ref", "5"], "measure"),
+            (["measure", "--kind", "relative", "--divergence", "kl"], "upper_certificate"),
+            (["solve", "--method", "satisficing", "--divergence", "kl"], "upper_certificate"),
+        ],
+    )
+    def test_non_finite_values_print_as_strings(self, tmp_path, args, field):
+        (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))
+        runner = CliRunner()
+        result = runner.invoke(main, [args[0], str(tmp_path / "prob.json"), *args[1:]])
+        assert result.exit_code == 0, result.output
+        payload = strict_json(result.output)
+        assert payload.get(field, payload["diagnostics"].get(field)) == "Infinity"
+        if args[0] == "solve":
+            out = tmp_path / "sol.json"
+            result = runner.invoke(main, [args[0], str(tmp_path / "prob.json"), *args[1:], "--output", str(out)])
+            assert result.exit_code == 0 and strict_json(out.read_text()) == payload
+
+    @pytest.mark.parametrize("jobs", ["0", "-1"])
+    def test_run_rejects_jobs_below_one(self, tmp_path, jobs):
+        out = tmp_path / "results"
+        (tmp_path / "config.json").write_text(json.dumps(base_config(str(out))))
+        result = CliRunner().invoke(main, ["run", str(tmp_path / "config.json"), "--jobs", jobs])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"error: --jobs: {jobs} must be >= 1"]
+        assert not out.exists()
 
     def test_prior_from_reg_command(self, tmp_path):
         doc = {
