@@ -235,10 +235,13 @@ def expected_bounds(
     For every replication a fresh size-n dataset is drawn from ``p0``, the
     empirical distribution plays the nominal role, and the chosen bound suite
     runs; ball radii are set to the exact divergence from ``p0`` so the
-    membership hypothesis holds on the closed ball.  Returns a summary (per
-    check: mean gap, mean bound, standard error of the difference, and
-    whether ``mean gap <= mean bound + 3 sigma``) plus one CSV-ready row per
-    emitted record.
+    membership hypothesis holds on the closed ball.  A replication whose
+    radius is infinite (a forward-KL divergence from a sample that misses an
+    atom of ``p0``) has no ball and emits no records; the summary counts it
+    under ``skipped``.  Returns a summary (per check: mean gap, mean bound,
+    standard error of the difference, and whether
+    ``mean gap <= mean bound + 3 sigma``) plus one CSV-ready row per emitted
+    record.
     """
     if which not in _EXPECTED_KINDS:
         raise ValueError(f"which must be one of {_EXPECTED_KINDS}")
@@ -247,6 +250,7 @@ def expected_bounds(
     kind = kind or DivergenceKind.wasserstein_order(1.0)
     rows: list[dict] = []
     diffs: dict[str, list[tuple[float, float, bool]]] = {}  # check -> (gap, bound, holds) per record
+    skipped = 0
 
     def push(rep_seed: int, gap: GapRecord, rec: BoundRecord, check: str) -> None:
         rows.append(
@@ -270,13 +274,17 @@ def expected_bounds(
             if which == "uniform":
                 pairs = uniform_bound(p0, pbar, cf, space)
             elif which == "absolute":
-                pairs, _ = absolute_bound(p0, AmbiguityBall(pbar, kind.distance(p0, pbar), kind), cf, space)
+                radius = kind.distance(p0, pbar)
+                if not math.isfinite(radius):  # e.g. a forward-KL sample that misses an atom of p0
+                    skipped += 1
+                    continue
+                pairs, _ = absolute_bound(p0, AmbiguityBall(pbar, radius, kind), cf, space)
             else:
                 pairs, _ = relative_bound(p0, pbar, cf, space, kind)
         for k, (gap, rec) in enumerate(pairs):
             push(rep_seed, gap, rec, f"uniform@x{k}" if which == "uniform" else rec.kind)
 
-    summary: dict = {"which": which, "n": n, "replications": replications, "checks": {}}
+    summary: dict = {"which": which, "n": n, "replications": replications, "skipped": skipped, "checks": {}}
     for check, triples in diffs.items():
         arr = np.array(triples, dtype=float)
         mean_gap = float(np.mean(arr[:, 0]))

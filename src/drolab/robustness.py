@@ -23,6 +23,7 @@ from drolab.divergence import (
     extremal_values,
     membership,
 )
+from drolab.lp import LPFailureError, solve_lp
 from drolab.solvers import lipschitz_rate_certificate, rate_profile, satisficing_radius_grid
 from drolab.support import DiscreteDistribution, mixture, rng_from_seed
 
@@ -203,26 +204,63 @@ def local_measure(
     )
 
 
+def _wasserstein_dirac_share(ball: AmbiguityBall, index: int) -> float:
+    """Largest t with (1 - t) * center + t * Dirac(index) in a W_p ball.
+
+    The only coupling of the centre with the Dirac moves all of its mass
+    there, so W_p^p(Dirac, center) = sum_i w_i d_ij^p.  W1 is a norm of the
+    signed difference, so a share t of the way costs t times W1(Dirac,
+    center).  For p > 1 one LP maximizes t over couplings of the centre with
+    the mixture at transport cost <= radius^p: W_p^p is jointly convex, so
+    the feasible shares form an interval [0, t*].
+    """
+    p, w = ball.kind.p, ball.center.weights
+    dist_pow = ball.grid.ground_metric**p
+    reach, budget = float(w @ dist_pow[:, index]), ball.radius**p
+    if reach <= budget:
+        return 1.0
+    if p == 1.0:
+        return ball.radius / reach
+    # Variables: the coupling (row-major, mass from centre atom i to atom j)
+    # and t.  Rows: the centre's marginals, then the mixture's, which read
+    # sum_i pi_ij + t * (w_j - [j == index]) = w_j.  Some w_i > 0 with
+    # i != index (reach > 0), so that marginal bounds t by 1.
+    m = ball.grid.size
+    eye = np.eye(m)
+    shift = w - eye[index]
+    a_eq = np.vstack([np.hstack([np.repeat(eye, m, axis=1), np.zeros((m, 1))]),
+                      np.hstack([np.tile(eye, m), shift[:, None]])])
+    objective = np.zeros(m * m + 1)
+    objective[-1] = -1.0
+    res = solve_lp(objective, a_eq=a_eq, b_eq=np.concatenate([w, w]),
+                   a_ub=np.append(dist_pow.reshape(-1), 0.0)[None, :], b_ub=[budget])
+    if not res.ok:
+        raise LPFailureError(f"toward-Dirac LP ended with status {res.status!r} (m={m}, p={p})")
+    return min(max(float(res.x[-1]), 0.0), 1.0)
+
+
 def _toward_dirac(ball: AmbiguityBall, index: int) -> DiscreteDistribution | None:
-    """Furthest ball member on the segment from the center to a Dirac atom."""
+    """Furthest ball member on the segment from the center to a Dirac atom.
+
+    Exact on Wasserstein balls (:func:`_wasserstein_dirac_share`); other
+    kinds bisect the share by :func:`membership` to 2**-40.
+    """
     target = DiscreteDistribution.dirac(ball.grid, index)
-    if ball.kind.family == "wasserstein" and ball.kind.p == 1.0:
-        # W1 is a norm of the signed difference, so moving a share t of the
-        # way to the Dirac moves t times W1(Dirac, center) = sum_i w_i d_ij.
-        reach = float(ball.center.weights @ ball.grid.ground_metric[:, index])
-        return target if reach <= ball.radius else mixture(ball.radius / reach, target, ball.center)
-    if membership(ball, target):
-        return target
-    lo, hi = 0.0, 1.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        if membership(ball, mixture(mid, target, ball.center)):
-            lo = mid
-        else:
-            hi = mid
-    if lo <= 0.0:
+    if ball.kind.family == "wasserstein":
+        share = _wasserstein_dirac_share(ball, index)
+    elif membership(ball, target):
+        share = 1.0
+    else:
+        share, hi = 0.0, 1.0
+        for _ in range(40):
+            mid = 0.5 * (share + hi)
+            if membership(ball, mixture(mid, target, ball.center)):
+                share = mid
+            else:
+                hi = mid
+    if share <= 0.0:
         return None
-    return mixture(lo, target, ball.center)
+    return mixture(share, target, ball.center)
 
 
 def set_robustness(
@@ -314,9 +352,18 @@ def pac_robustness(
     Returns the exact Markov lower bound
     ``max(0, 1 - (E_base h(x) + ref_value) / L)`` (using the mean-measure
     identity E over the prior of E_P h equals E_base h, valid for
-    nonnegative costs) as ``confidence``, together with the Monte-Carlo
-    estimate of ``Pr[|E_P h(x) - ref_value| <= L]`` over Dirichlet draws in
-    the diagnostics.
+    nonnegative costs) as ``confidence``, together with
+    ``Pr[|E_P h(x) - ref_value| <= L]`` as ``empirical_probability`` in the
+    diagnostics.
+
+    E_P h(x) is a convex combination of the costs on the prior's support, so
+    the level band decides the probability when every such cost lies within
+    L of ``ref_value`` (exactly 1) or all of them lie beyond the band on the
+    same side (exactly 0).  That value is reported without sampling, with
+    ``empirical_sigma`` 0, ``draws`` 0 and ``mc_mean_expectation`` None.
+    Otherwise the probability is a Monte-Carlo estimate over ``mc_draws``
+    seeded Dirichlet draws, with its standard error and the draws' mean of
+    E_P h.
     """
     if not (level > 0.0 and math.isfinite(level)):
         raise ValueError(f"robustness level must be positive and finite, got {level!r}")
@@ -332,11 +379,18 @@ def pac_robustness(
         )
     mean_cost = float(prior.base.expectation(costs))
     markov = max(0.0, 1.0 - (mean_cost + ref_value) / level)
-    weights = prior.sample_weights(mc_draws, seed)
-    expectations = weights @ costs
-    hits = np.abs(expectations - ref_value) <= level
-    emp = float(np.mean(hits))
-    sigma = math.sqrt(max(emp * (1.0 - emp), 1e-12) / mc_draws)
+    gaps = costs[prior.base.support_indices()] - ref_value
+    if np.all(np.abs(gaps) <= level):
+        emp, sigma, mc_mean, draws = 1.0, 0.0, None, 0
+    elif np.all(gaps > level) or np.all(gaps < -level):
+        emp, sigma, mc_mean, draws = 0.0, 0.0, None, 0
+    else:
+        weights = prior.sample_weights(mc_draws, seed)
+        expectations = weights @ costs
+        hits = np.abs(expectations - ref_value) <= level
+        emp = float(np.mean(hits))
+        sigma = math.sqrt(max(emp * (1.0 - emp), 1e-12) / mc_draws)
+        mc_mean, draws = float(np.mean(expectations)), int(mc_draws)
     return RobustnessReport(
         np.atleast_1d(np.asarray(x, dtype=float)),
         "pac",
@@ -346,10 +400,10 @@ def pac_robustness(
             "markov_bound": markov,
             "empirical_probability": emp,
             "empirical_sigma": sigma,
-            "mc_mean_expectation": float(np.mean(expectations)),
+            "mc_mean_expectation": mc_mean,
             "base_expectation": mean_cost,
             "ref_value": ref_value,
-            "draws": int(mc_draws),
+            "draws": draws,
             "seed": int(seed),
         },
     )

@@ -1,7 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Nothing here touches the package's dual machinery, and only
-:func:`absolute_dro_lp_sweep` (below) its LP solver: transport
+:func:`absolute_dro_lp_sweep` and :func:`toward_dirac_share_bisection`
+(below) its LP solver: transport
 problems are solved by exhaustive search over discretized coupling grids and
 enumerated polytope corners, and order-1 distances by enumerating the
 vertices of the potential polytope.  Values frozen into tests come from
@@ -25,7 +26,12 @@ whose one caller always asked for the two-sided zero-slack rate, is kept as
 :func:`deviation_rate_profile`.  The
 loop of ``robustness.set_robustness`` that built and evaluated one candidate
 distribution at a time, which the package replaced by one batched pass, is
-kept as :func:`set_robustness_loop`.  The
+kept as :func:`set_robustness_loop`.  The membership bisection that found
+its random ball members on W_p balls, which the package replaced by one LP
+in the mixing share, is kept as :func:`toward_dirac_share_bisection`, and
+``robustness.pac_robustness`` with Monte-Carlo draws on every instance,
+which the package skips when the level band decides the probability, is
+kept as :func:`pac_robustness_mc`.  The
 config validator that ran a JSON Schema (``tests/data/config.schema.json``)
 through ``jsonschema`` and then checked method entries against
 ``experiment.METHODS``, which the package replaced by plain-Python checks, is
@@ -51,12 +57,13 @@ from drolab.divergence import (
     deviations_from,
     extremal_expectation,
     extremal_values,
+    membership,
 )
 from drolab.experiment import METHODS
 from drolab.lp import FEASIBILITY_TOL, LPFailureError, LPResult, solve_lp
 from drolab.robustness import RobustnessReport, _toward_dirac
 from drolab.solvers import Solution
-from drolab.support import ConfigError, DiscreteDistribution, rng_from_seed
+from drolab.support import ConfigError, DiscreteDistribution, mixture, rng_from_seed
 
 _PIVOT_TOL = 1e-10
 
@@ -635,6 +642,54 @@ def set_robustness_loop(
     diagnostics = {"evaluations": len(candidates), "random_accepted": accepted, "budget": budget, "seed": seed,
                    "estimate_is_lower_bound": True}
     return RobustnessReport(None, f"{variant}_set", float(best), radius=ball.radius, witness=witness,
+                            diagnostics=diagnostics)
+
+
+def toward_dirac_share_bisection(ball: AmbiguityBall, index: int) -> float:
+    """Share t of the furthest ball member ``(1 - t) * center + t * Dirac``,
+    by the 40-step :func:`~drolab.divergence.membership` bisection that
+    ``robustness._toward_dirac`` ran on every ball kind but W1 (one transport
+    LP per step on a W_p ball)."""
+    target = DiscreteDistribution.dirac(ball.grid, index)
+    if membership(ball, target):
+        return 1.0
+    lo, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (lo + hi)
+        if membership(ball, mixture(mid, target, ball.center)):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def pac_robustness_mc(prior, cf, x, ref_value: float, level: float, mc_draws: int = 10_000,
+                      seed: int = 0) -> RobustnessReport:
+    """``robustness.pac_robustness`` with the Monte-Carlo estimate on every
+    instance, including those the level band decides."""
+    if not (level > 0.0 and math.isfinite(level)):
+        raise ValueError(f"robustness level must be positive and finite, got {level!r}")
+    if mc_draws < 1:
+        raise ValueError(f"need at least one Monte-Carlo draw, got {mc_draws!r}")
+    if not math.isfinite(ref_value):
+        raise ValueError(f"reference value must be finite, got {ref_value!r}")
+    ref_value = float(ref_value)
+    if not cf.nonneg:
+        raise ValueError("the PAC bound requires a cost flagged nonnegative")
+    costs = cf.atom_costs(prior.base.grid, x)
+    if np.min(costs) < -1e-12:
+        raise ValueError(f"cost {cf.name!r} attains {np.min(costs)} < 0; the bound needs a nonnegative cost")
+    mean_cost = float(prior.base.expectation(costs))
+    markov = max(0.0, 1.0 - (mean_cost + ref_value) / level)
+    weights = prior.sample_weights(mc_draws, seed)
+    expectations = weights @ costs
+    hits = np.abs(expectations - ref_value) <= level
+    emp = float(np.mean(hits))
+    sigma = math.sqrt(max(emp * (1.0 - emp), 1e-12) / mc_draws)
+    diagnostics = {"markov_bound": markov, "empirical_probability": emp, "empirical_sigma": sigma,
+                   "mc_mean_expectation": float(np.mean(expectations)), "base_expectation": mean_cost,
+                   "ref_value": ref_value, "draws": int(mc_draws), "seed": int(seed)}
+    return RobustnessReport(np.atleast_1d(np.asarray(x, dtype=float)), "pac", float(level), confidence=markov,
                             diagnostics=diagnostics)
 
 

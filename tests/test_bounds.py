@@ -25,7 +25,7 @@ from drolab.cost import (
     with_lipschitz_scale,
 )
 from drolab.divergence import AmbiguityBall, DivergenceKind, wasserstein
-from drolab.support import DiscreteDistribution, SupportGrid
+from drolab.support import DiscreteDistribution, SupportGrid, derive_seed, empirical, sample
 
 W1 = DivergenceKind.wasserstein_order(1.0)
 
@@ -214,7 +214,7 @@ class TestExpectedBounds:
         space = DecisionSpace.interval(0, 3, 4)
         summary, rows = expected_bounds(p0, make_cost("absolute"), space, "uniform", n=15,
                                         replications=40, seed=21)
-        assert rows and all(r["holds"] for r in rows)
+        assert rows and all(r["holds"] for r in rows) and summary["skipped"] == 0
         for check in summary["checks"].values():
             assert check["expected_holds"]
             assert check["mean_gap"] <= check["mean_bound"] + 3 * check["sigma"] + 1e-9
@@ -225,7 +225,7 @@ class TestExpectedBounds:
         summary, rows = expected_bounds(p0, make_cost("absolute"), space, "absolute", n=10,
                                         replications=40, seed=22)
         assert {r["kind"] for r in rows} == {"absolute_nominal", "absolute_dro"}
-        assert all(r["holds"] for r in rows)
+        assert all(r["holds"] for r in rows) and summary["skipped"] == 0
 
     def test_absolute_suite_solves_one_transport_per_replication(self, line_grid, monkeypatch):
         # The radius and the membership check both ask for W(p0, pbar).
@@ -276,7 +276,7 @@ class TestExpectedBounds:
         summary, rows = expected_bounds(p0, make_cost("absolute"), space, "relative", n=10,
                                         replications=30, seed=5)
         assert [r["kind"] for r in rows] == ["relative_nominal", "relative_dro"] * 30
-        assert all(r["holds"] for r in rows)
+        assert all(r["holds"] for r in rows) and summary["skipped"] == 0
         for check, stats in summary["checks"].items():
             own = [r for r in rows if r["kind"] == check]
             assert stats["mean_gap"] == pytest.approx(np.mean([r["gap"] for r in own]), abs=1e-12)
@@ -298,6 +298,24 @@ class TestExpectedBounds:
         assert check["mean_gap"] == pytest.approx(np.mean([r["gap"] for r in nominal]), abs=1e-12)
         assert check["mean_bound"] == math.inf and check["sigma"] == math.inf
         assert check["expected_holds"] and check["all_holds"]
+
+    def test_absolute_summary_skips_infinite_kl_radii(self, line_grid):
+        # A sample of 10 misses the 0.2 atom with probability 0.8**10, and
+        # KL(p0 || pbar) is then infinite: no ball, so no records.
+        p0 = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        space = DecisionSpace.interval(0, 3, 4)
+        summary, rows = expected_bounds(p0, make_cost("absolute"), space, "absolute", n=10,
+                                        replications=30, seed=5, kind=DivergenceKind.kl())
+        misses = [
+            bool(np.any(empirical(sample(p0, 10, derive_seed(5, 10, rep))).weights[p0.weights > 0.0] == 0.0))
+            for rep in range(30)
+        ]
+        assert summary["skipped"] == sum(misses) > 0
+        kept = [derive_seed(5, 10, rep) for rep, missed in enumerate(misses) if not missed]
+        assert [r["seed"] for r in rows] == [s for s in kept for _ in range(2)]
+        assert [r["kind"] for r in rows] == ["absolute_nominal", "absolute_dro"] * len(kept)
+        assert all(r["holds"] for r in rows)
+        assert all(check["expected_holds"] for check in summary["checks"].values())
 
     def test_degenerate_generator_gives_zero_gap(self, line_grid):
         # With a one-point support the empirical distribution equals the

@@ -750,6 +750,23 @@ class TestCLI:
             payload = strict_json(result.output)
             assert "measure" in payload
 
+    def test_measure_pac_draws_only_when_the_band_leaves_it_open(self, tmp_path):
+        # The nominal decision x=1.5 costs 1.5, 0.5, 1.5 with reference 1.2:
+        # a level of 5 covers every cost, one of 0.5 leaves out the middle one.
+        (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))
+        runner = CliRunner()
+        args = ["measure", str(tmp_path / "prob.json"), "--kind", "pac", "--alpha", "2.0", "--level"]
+        result = runner.invoke(main, [*args, "5.0"])
+        assert result.exit_code == 0, result.output
+        decided = strict_json(result.output)["diagnostics"]
+        assert decided["mc_mean_expectation"] is None and decided["draws"] == 0
+        assert decided["empirical_probability"] == 1.0 and decided["empirical_sigma"] == 0.0
+        result = runner.invoke(main, [*args, "0.5"])
+        assert result.exit_code == 0, result.output
+        undecided = strict_json(result.output)["diagnostics"]
+        assert undecided["draws"] == 10_000 and isinstance(undecided["mc_mean_expectation"], float)
+        assert 0.0 < undecided["empirical_probability"] < 1.0 and undecided["empirical_sigma"] > 0.0
+
     @pytest.mark.parametrize(
         "args, field",
         [

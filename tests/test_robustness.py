@@ -11,8 +11,10 @@ from _oracles import (
     ball_vertex_candidates,
     deviation_rate_profile,
     deviation_table_sided,
+    pac_robustness_mc,
     set_robustness_loop,
     simplex_grid,
+    toward_dirac_share_bisection,
     w1_dual_vertices,
     w1_from_dual_many,
 )
@@ -300,12 +302,53 @@ class TestSetRobustness:
                 if eps >= reach:
                     assert cand.weights[j] == pytest.approx(1.0, abs=1e-12)
                 else:
-                    # The furthest member on the segment sits on the boundary
-                    # (bisection to 2**-40 of the segment for p > 1).
-                    assert wasserstein(cand, center, p) == pytest.approx(eps, rel=1e-9 if p == 1.0 else 1e-6)
+                    # The furthest member on the segment sits on the boundary.
+                    assert wasserstein(cand, center, p) == pytest.approx(eps, rel=1e-9)
         # A Dirac centre is its own furthest member.
         dirac = DiscreteDistribution.dirac(grid, 2)
         assert _toward_dirac(AmbiguityBall(dirac, 0.1, W1), 2).weights[2] == 1.0
+
+    @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
+    def test_wasserstein_share_matches_bisection(self, p):
+        # One LP in the mixing share against the membership bisection, on
+        # centres with an empty atom (sometimes the target itself).
+        from drolab.divergence import wasserstein
+        from drolab.robustness import _toward_dirac, _wasserstein_dirac_share
+
+        rng = np.random.default_rng(29)
+        kind = DivergenceKind.wasserstein_order(p)
+        for _ in range(3):
+            center, _ = random_ball_instance(rng, int(rng.integers(3, 6)), 2, empty=1, tied=False)
+            for j in range(center.grid.size):
+                reach = wasserstein(DiscreteDistribution.dirac(center.grid, j), center, p)
+                for eps in (0.1 * reach, 0.7 * reach, 1.2 * reach):
+                    ball = AmbiguityBall(center, eps, kind)
+                    share = _wasserstein_dirac_share(ball, j)
+                    assert share == pytest.approx(toward_dirac_share_bisection(ball, j), abs=1e-8)
+                    cand = _toward_dirac(ball, j)
+                    assert membership(ball, cand)
+                    assert cand.weights[j] == pytest.approx(share + (1.0 - share) * center.weights[j], abs=1e-15)
+
+    def test_w2_members_take_one_lp_each(self, monkeypatch):
+        # report_w1_plane's 3x3 grid and linreg cost, on a W2 ball: each
+        # random member is one LP (the bisection made 40 or 41).
+        from drolab import lp, robustness
+
+        calls = []
+        solve = lp.solve_lp
+        spy = lambda *args, **kwargs: calls.append(args) or solve(*args, **kwargs)
+        monkeypatch.setattr(robustness, "solve_lp", spy)
+        monkeypatch.setattr(divergence, "solve_lp", spy)
+        axis = [-1.0, 0.0, 1.0]
+        grid = SupportGrid.euclidean([[a, b] for a in axis for b in axis])
+        space = DecisionSpace.interval(-2.0, 2.0, 21)
+        cf = make_cost("linreg", grid=grid, space=space)
+        center = DiscreteDistribution(grid, np.random.default_rng(0).dirichlet(np.full(9, 3.0)))
+        ball = AmbiguityBall(center, 0.2, DivergenceKind.wasserstein_order(2.0))
+        rep = set_robustness(ball, cf, space, "objective", budget=4, seed=0)
+        assert rep.diagnostics["random_accepted"] == 4
+        assert len(calls) <= 4
+        assert rep.witness is None or membership(ball, rep.witness)
 
 
     @given(
@@ -435,6 +478,82 @@ class TestReferenceValueChecked:
         center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
         with pytest.raises(ValueError, match="at least one Monte-Carlo draw"):
             pac_robustness(DirichletPrior(center, 2.0), make_cost("absolute"), [1.0], 0.5, 1.0, mc_draws=draws)
+
+
+def atom_cost(costs: np.ndarray) -> CostFunction:
+    """A nonnegative cost that is ``costs[j]`` at atom j for every decision."""
+    return CostFunction.vectorised("atoms", lambda points, atoms: np.tile(costs, (len(points), 1)), nonneg=True)
+
+
+def pac_instance(rng: np.random.Generator, band: str) -> tuple[DirichletPrior, CostFunction, float, float]:
+    """A random prior, atom costs, reference value and level whose band
+    covers every support cost (``cover``; ``edge`` puts one on the band's
+    edge), lies below (``above``) or above (``below``) all of them, or splits
+    them (``split``).  An empty atom, when there is one, costs 50."""
+    m = int(rng.integers(2, 7))
+    w = rng.dirichlet(np.ones(m))
+    if m > 2 and rng.random() < 0.5:
+        w[rng.integers(m)] = 0.0
+    base = DiscreteDistribution(random_grid(rng, m), w / w.sum())
+    costs = np.where(base.weights > 0.0, rng.uniform(1.0, 5.0, size=m), 50.0)
+    supp = costs[base.support_indices()]
+    lo, hi = float(supp.min()), float(supp.max())
+    if band in ("cover", "edge", "split"):
+        ref = float(rng.uniform(lo, hi))
+        reach = float(np.max(np.abs(supp - ref)))
+        level = reach * rng.uniform(*{"cover": (1.01, 3.0), "edge": (1.0, 1.0), "split": (0.05, 0.95)}[band])
+    elif band == "above":
+        level = float(rng.uniform(0.1, 0.8) * lo)
+        ref = float(rng.uniform(0.0, lo - level))
+    else:
+        level = float(rng.uniform(0.1, 2.0))
+        ref = hi + level + float(rng.uniform(0.01, 1.0))
+    return DirichletPrior(base, float(rng.uniform(0.3, 30.0))), atom_cost(costs), ref, float(level)
+
+
+class TestPacBandDecides:
+    @pytest.fixture
+    def draws_made(self, monkeypatch):
+        calls = []
+        sample = DirichletPrior.sample_weights
+        monkeypatch.setattr(DirichletPrior, "sample_weights", lambda self, *a: calls.append(a) or sample(self, *a))
+        return calls
+
+    @pytest.mark.parametrize("band, exact", [("cover", 1.0), ("edge", 1.0), ("above", 0.0), ("below", 0.0)])
+    def test_decided_band_is_exact_without_draws(self, draws_made, band, exact):
+        rng = np.random.default_rng(["cover", "edge", "above", "below"].index(band))
+        for trial in range(30):
+            prior, cf, ref, level = pac_instance(rng, band)
+            rep = pac_robustness(prior, cf, [0.0], ref, level, mc_draws=500, seed=trial)
+            assert draws_made == []
+            diag = rep.diagnostics
+            assert diag["empirical_probability"] == exact
+            assert (diag["draws"], diag["empirical_sigma"], diag["mc_mean_expectation"]) == (0, 0.0, None)
+            mc = pac_robustness_mc(prior, cf, [0.0], ref, level, mc_draws=500, seed=trial)
+            draws_made.clear()
+            assert rep.confidence == mc.confidence and rep.measure == mc.measure
+            for key in ("markov_bound", "base_expectation", "ref_value", "seed"):
+                assert diag[key] == mc.diagnostics[key]
+            if band != "edge":  # every draw lands on the same side of the band
+                assert mc.diagnostics["empirical_probability"] == exact
+
+    def test_undecided_band_matches_monte_carlo_bit_for_bit(self, draws_made):
+        rng = np.random.default_rng(5)
+        for trial in range(30):
+            prior, cf, ref, level = pac_instance(rng, "split")
+            rep = pac_robustness(prior, cf, [0.0], ref, level, mc_draws=500, seed=trial)
+            assert len(draws_made) == 1
+            mc = pac_robustness_mc(prior, cf, [0.0], ref, level, mc_draws=500, seed=trial)
+            draws_made.clear()
+            assert rep.diagnostics == mc.diagnostics and rep.diagnostics["draws"] == 500
+            assert rep.confidence == mc.confidence and rep.measure == mc.measure
+
+    def test_costs_on_both_band_edges(self, line_grid, draws_made):
+        # Absolute cost at x=1 on {0, 1, 3}: costs 1, 0, 2, all within 1 of 1.
+        rep = pac_robustness(DirichletPrior(DiscreteDistribution(line_grid, [0.2, 0.3, 0.5]), 2.0),
+                             make_cost("absolute"), [1.0], 1.0, 1.0)
+        assert rep.diagnostics["empirical_probability"] == 1.0
+        assert rep.diagnostics["draws"] == 0 and draws_made == []
 
 
 class TestPacRobustness:
