@@ -4,8 +4,11 @@ A Dirichlet-process-style prior with concentration ``alpha`` and prior
 estimate ``P`` has posterior mean ``alpha/(alpha+n) * P + n/(alpha+n) * Pn``
 after n observations.  Conversely, any regularizer that matches the expected
 cost under some distribution at every decision grid point turns a regularized
-empirical model into such a mixture model; the matching distribution is found
-by a moment-feasibility LP.
+empirical model into such a mixture model.  The matching distribution is found
+by a moment-feasibility LP over the weights alone; only when that finds none
+within tolerance does a minimum-L1-residual LP run, whose vertex either
+reproduces the moments or gives the :class:`Infeasible` verdict and its
+residual.
 """
 
 from __future__ import annotations
@@ -41,7 +44,15 @@ class PriorSpec:
 
 @dataclass(frozen=True)
 class Infeasible:
-    """Certified verdict that no distribution reproduces the moments."""
+    """Verdict of :func:`prior_from_regularizer` that no distribution was
+    found to reproduce the moments.
+
+    ``residual`` is the max-abs moment residual at the vertex the
+    minimum-L1-residual LP returns (clamped and renormalised), which exceeds
+    :data:`MOMENT_TOL`.  That LP minimizes the residuals' sum, not their
+    largest entry, so this is not the smallest max-abs residual any
+    distribution attains.
+    """
 
     residual: float
 
@@ -126,30 +137,20 @@ def _max_entropy_refine(w0: np.ndarray, c: np.ndarray, d: np.ndarray, steps: int
     return best
 
 
-def prior_from_regularizer(
-    f: Regularizer,
-    cf: CostFunction,
-    x_constraints,
-    grid: SupportGrid,
-    max_entropy: bool = False,
-) -> DiscreteDistribution | Infeasible:
-    """Find weights whose expected cost reproduces ``f`` at the constraint decisions.
+def _lp_weights(x: np.ndarray, h: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """An LP's weights clamped at 0 and renormalised, with the max-abs moment
+    residual they leave; None for a zero weight vector."""
+    w = np.maximum(x, 0.0)
+    total = w.sum()
+    if total <= 0.0:
+        return None
+    w = w / total
+    return w, float(np.max(np.abs(h @ w - targets)))
 
-    Solves the moment-feasibility program ``w >= 0, sum w = 1,
-    sum_j w_j h(x_k, xi_j) = f(x_k)`` for all constraint points, via a
-    minimum-L1-residual LP.  Returns a distribution when the residual is
-    within 1e-8 at every constraint, otherwise an :class:`Infeasible` verdict
-    carrying the certified minimum residual.  ``max_entropy=True`` nudges the
-    LP vertex toward the maximum-entropy representative.
-    """
-    decisions = list(x_constraints)
-    if not decisions:
-        raise ValueError("need at least one constraint decision")
-    space = DecisionSpace.from_points(decisions)
-    h = cost_table(cf, grid, space)
-    targets = np.array([f(x) for x in space], dtype=float)
-    m = grid.size
-    k = len(space)
+
+def _min_l1_weights(h: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float]:
+    """The vertex of ``min sum |h w - f|`` over the simplex, and its residual."""
+    k, m = h.shape
     # Variables: w (m), then residual splits s+ and s- (k each).
     n_var = m + 2 * k
     obj = np.concatenate([np.zeros(m), np.ones(2 * k)])
@@ -162,17 +163,49 @@ def prior_from_regularizer(
     res = solve_lp(obj, a_eq=a_eq, b_eq=b_eq)
     if not res.ok:
         raise LPFailureError(f"moment LP ended with status {res.status!r}")
-    w = np.maximum(res.x[:m], 0.0)
-    total = w.sum()
-    if total <= 0.0:
+    found = _lp_weights(res.x[:m], h, targets)
+    if found is None:
         raise LPFailureError("moment LP returned a zero weight vector")
-    w = w / total
-    residual = float(np.max(np.abs(h @ w - targets)))
-    if residual > MOMENT_TOL:
-        return Infeasible(residual)
+    return found
+
+
+def prior_from_regularizer(
+    f: Regularizer,
+    cf: CostFunction,
+    x_constraints,
+    grid: SupportGrid,
+    max_entropy: bool = False,
+) -> DiscreteDistribution | Infeasible:
+    """Find weights whose expected cost reproduces ``f`` at the constraint decisions.
+
+    Solves the moment-feasibility program ``w >= 0, sum w = 1,
+    sum_j w_j h(x_k, xi_j) = f(x_k)`` for all constraint points.  A
+    zero-objective LP over the weights alone runs first; when its vertex,
+    clamped at 0 and renormalised, reproduces every moment within
+    :data:`MOMENT_TOL` it is the answer.  Otherwise a minimum-L1-residual LP
+    (with ``2k`` more columns for the residual splits) decides: its vertex is
+    returned when its residual is within tolerance, and an
+    :class:`Infeasible` verdict carrying that residual when it is not.
+    ``max_entropy=True`` nudges the vertex toward the maximum-entropy
+    representative.
+    """
+    decisions = list(x_constraints)
+    if not decisions:
+        raise ValueError("need at least one constraint decision")
+    space = DecisionSpace.from_points(decisions)
+    h = cost_table(cf, grid, space)
+    targets = np.array([f(x) for x in space], dtype=float)
+    m = grid.size
+    c_full = np.vstack([h, np.ones((1, m))])
+    d_full = np.concatenate([targets, [1.0]])
+    res = solve_lp(np.zeros(m), a_eq=c_full, b_eq=d_full)
+    found = _lp_weights(res.x, h, targets) if res.ok else None
+    if found is None or found[1] > MOMENT_TOL:
+        found = _min_l1_weights(h, targets)
+        if found[1] > MOMENT_TOL:
+            return Infeasible(found[1])
+    w = found[0]
     if max_entropy:
-        c_full = np.vstack([h, np.ones((1, m))])
-        d_full = np.concatenate([targets, [1.0]])
         w = _max_entropy_refine(w, c_full, d_full)
         w = w / w.sum()
     return DiscreteDistribution(grid, w)

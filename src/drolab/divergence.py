@@ -7,8 +7,10 @@ Wasserstein balls come from the finite strong dual, a convex piecewise-linear
 function of one multiplier minimized exactly at its breakpoints; over forward
 KL balls they come from the exponential-tilting dual, whose multiplier is the
 root of a one-dimensional equation found by safeguarded Newton steps.  Both
-are batched over cost rows and radii, and so are the witnesses that attain
-them: one pass builds every row's witness at a radius
+are batched over cost rows and radii, and a centre keeps the Wasserstein
+dual's breakpoints of every table it has been asked about, so a table's
+later sweeps skip the walk.  The witnesses that attain the values are batched
+too: one pass builds every row's witness at a radius
 (:meth:`Witnesses.weights`), and a single cell's witness is the one-row case
 of the same builder.  The largest two-sided deviation of an expectation over
 a ball, which every robustness measure and the absolute-DRO model read, is
@@ -334,6 +336,27 @@ def _upper_envelopes(c: np.ndarray, dist_pow: np.ndarray, w: np.ndarray) -> tupl
     return np.where(pad, 0.0, lam), np.where(pad, np.inf, np.cumsum(d_a, axis=1)), np.cumsum(d_s, axis=1)
 
 
+def _dual_breakpoints(
+    center: DiscreteDistribution, p: float, c: np.ndarray, dist_pow: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """:func:`_upper_envelopes` of the signed cost table ``c`` over the
+    support of ``center``, walked once per (order, table) for as long as
+    ``center`` lives.  The centre's weights and metric are its own, so the
+    order and the table's shape and bytes key its memo; every later call
+    shares the arrays, which are therefore read-only.  Two threads that miss
+    on one key at once both walk and store equal arrays.
+    """
+    key = ("wasserstein_breakpoints", float(p), c.shape, c.tobytes())
+    found = center._memo.get(key)
+    if found is None:
+        supp = center.support_indices()
+        found = _upper_envelopes(c, dist_pow[:, supp], center.weights[supp])
+        for arr in found:
+            arr.setflags(write=False)
+        center._memo[key] = found
+    return found
+
+
 def _wasserstein_witness(
     center: DiscreteDistribution, c: np.ndarray, dist_pow: np.ndarray, budget: float, lam: np.ndarray
 ) -> np.ndarray:
@@ -377,11 +400,11 @@ def _wasserstein_values(
     # Strong dual (Mohajerin Esfahani & Kuhn 2018, Thm 4.2; Gao & Kleywegt
     # 2023): v(eps) = min_{lam >= 0} lam * eps**p + G(lam) is convex and
     # piecewise linear in lam, so its minimum sits at lam = 0 or at a
-    # breakpoint of G, and one breakpoint set per row serves every radius.
+    # breakpoint of G, and one breakpoint set per row serves every radius
+    # and every later call on the same centre.
     dist_pow = center.grid.ground_metric**p
     budgets = radii**p
-    supp = center.support_indices()
-    lam, a, s = _upper_envelopes(c, dist_pow[:, supp], center.weights[supp])
+    lam, a, s = _dual_breakpoints(center, p, c, dist_pow)
     dual = a[:, :, None] + lam[:, :, None] * (budgets[None, None, :] - s[:, :, None])
     best = np.argmin(dual, axis=1)
     values = np.take_along_axis(dual, best[:, None, :], axis=1)[:, 0, :]
@@ -547,7 +570,10 @@ def extremal_values(
     at one radius.  Wasserstein balls are solved exactly through the
     finite strong dual ``min_{lam>=0} lam*eps**p + sum_j w_j max_i (c_i -
     lam*d_ij**p)``, with one set of dual breakpoints per row shared by all
-    radii.  Forward KL balls are solved through the exponential-tilting dual
+    radii.  The breakpoints are walked once per (centre, table, sense) and
+    kept on the centre, so later calls with that table and sense, at any
+    radii, reuse them; values and witnesses are the same bits either way.
+    Forward KL balls are solved through the exponential-tilting dual
     of :func:`extremal_expectation`, one vectorised root search over every
     (row, radius) cell that has no closed form; a cell's value does not
     depend on the other cells in the table.  Either way witnesses are built

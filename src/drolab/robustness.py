@@ -350,11 +350,11 @@ def pac_robustness(
     """Probability that a decision is robust at level L under the prior.
 
     Returns the exact Markov lower bound
-    ``max(0, 1 - (E_base h(x) + ref_value) / L)`` (using the mean-measure
-    identity E over the prior of E_P h equals E_base h, valid for
-    nonnegative costs) as ``confidence``, together with
-    ``Pr[|E_P h(x) - ref_value| <= L]`` as ``empirical_probability`` in the
-    diagnostics.
+    ``max(0, 1 - (E_base h(x) + |ref_value|) / L)`` as ``confidence``: for a
+    nonnegative cost ``|E_P h - ref| <= E_P h + |ref|``, and by the
+    mean-measure identity E over the prior of E_P h equals E_base h.  It
+    comes together with ``Pr[|E_P h(x) - ref_value| <= L]`` as
+    ``empirical_probability`` in the diagnostics.
 
     E_P h(x) is a convex combination of the costs on the prior's support, so
     the level band decides the probability when every such cost lies within
@@ -378,7 +378,7 @@ def pac_robustness(
             f"cost {cf.name!r} attains {np.min(costs)} < 0; the bound needs a nonnegative cost"
         )
     mean_cost = float(prior.base.expectation(costs))
-    markov = max(0.0, 1.0 - (mean_cost + ref_value) / level)
+    markov = max(0.0, 1.0 - (mean_cost + abs(ref_value)) / level)
     gaps = costs[prior.base.support_indices()] - ref_value
     if np.all(np.abs(gaps) <= level):
         emp, sigma, mc_mean, draws = 1.0, 0.0, None, 0

@@ -9,7 +9,7 @@ can be solved exactly.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 import numpy as np
 
@@ -173,6 +173,10 @@ class DiscreteDistribution:
 
     grid: SupportGrid
     weights: np.ndarray
+    # Results computed from this distribution and the inputs named in their
+    # key (the Wasserstein dual's breakpoints, see
+    # ``divergence._dual_breakpoints``); they live exactly as long as it does.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "weights", _normalize_weights(self.weights, self.grid.size))

@@ -1,8 +1,8 @@
 """Independent brute-force oracles for the test suite.
 
 Nothing here touches the package's dual machinery, and only
-:func:`absolute_dro_lp_sweep` and :func:`toward_dirac_share_bisection`
-(below) its LP solver: transport
+:func:`absolute_dro_lp_sweep`, :func:`toward_dirac_share_bisection` and
+:func:`prior_from_regularizer_l1` (below) its LP solver: transport
 problems are solved by exhaustive search over discretized coupling grids and
 enumerated polytope corners, and order-1 distances by enumerating the
 vertices of the potential polytope.  Values frozen into tests come from
@@ -31,7 +31,10 @@ its random ball members on W_p balls, which the package replaced by one LP
 in the mixing share, is kept as :func:`toward_dirac_share_bisection`, and
 ``robustness.pac_robustness`` with Monte-Carlo draws on every instance,
 which the package skips when the level band decides the probability, is
-kept as :func:`pac_robustness_mc`.  The
+kept as :func:`pac_robustness_mc`.  ``bayes.prior_from_regularizer``
+with its minimum-L1-residual LP on every instance, which the package now runs
+only after a feasibility LP finds no prior, is kept as
+:func:`prior_from_regularizer_l1`.  The
 config validator that ran a JSON Schema (``tests/data/config.schema.json``)
 through ``jsonschema`` and then checked method entries against
 ``experiment.METHODS``, which the package replaced by plain-Python checks, is
@@ -680,7 +683,7 @@ def pac_robustness_mc(prior, cf, x, ref_value: float, level: float, mc_draws: in
     if np.min(costs) < -1e-12:
         raise ValueError(f"cost {cf.name!r} attains {np.min(costs)} < 0; the bound needs a nonnegative cost")
     mean_cost = float(prior.base.expectation(costs))
-    markov = max(0.0, 1.0 - (mean_cost + ref_value) / level)
+    markov = max(0.0, 1.0 - (mean_cost + abs(ref_value)) / level)
     weights = prior.sample_weights(mc_draws, seed)
     expectations = weights @ costs
     hits = np.abs(expectations - ref_value) <= level
@@ -691,6 +694,48 @@ def pac_robustness_mc(prior, cf, x, ref_value: float, level: float, mc_draws: in
                    "ref_value": ref_value, "draws": int(mc_draws), "seed": int(seed)}
     return RobustnessReport(np.atleast_1d(np.asarray(x, dtype=float)), "pac", float(level), confidence=markov,
                             diagnostics=diagnostics)
+
+
+def prior_from_regularizer_l1(f, cf, x_constraints, grid, max_entropy: bool = False):
+    """``bayes.prior_from_regularizer`` with the minimum-L1-residual LP on
+    every instance, which the package now runs only when a zero-objective
+    feasibility LP over the weights finds no prior within tolerance."""
+    from drolab.bayes import MOMENT_TOL, Infeasible, _max_entropy_refine
+    from drolab.cost import DecisionSpace
+
+    decisions = list(x_constraints)
+    if not decisions:
+        raise ValueError("need at least one constraint decision")
+    space = DecisionSpace.from_points(decisions)
+    h = cost_table(cf, grid, space)
+    targets = np.array([f(x) for x in space], dtype=float)
+    m = grid.size
+    k = len(space)
+    n_var = m + 2 * k
+    obj = np.concatenate([np.zeros(m), np.ones(2 * k)])
+    a_eq = np.zeros((k + 1, n_var))
+    a_eq[:k, :m] = h
+    a_eq[:k, m : m + k] = np.eye(k)
+    a_eq[:k, m + k :] = -np.eye(k)
+    a_eq[k, :m] = 1.0
+    b_eq = np.concatenate([targets, [1.0]])
+    res = solve_lp(obj, a_eq=a_eq, b_eq=b_eq)
+    if not res.ok:
+        raise LPFailureError(f"moment LP ended with status {res.status!r}")
+    w = np.maximum(res.x[:m], 0.0)
+    total = w.sum()
+    if total <= 0.0:
+        raise LPFailureError("moment LP returned a zero weight vector")
+    w = w / total
+    residual = float(np.max(np.abs(h @ w - targets)))
+    if residual > MOMENT_TOL:
+        return Infeasible(residual)
+    if max_entropy:
+        c_full = np.vstack([h, np.ones((1, m))])
+        d_full = np.concatenate([targets, [1.0]])
+        w = _max_entropy_refine(w, c_full, d_full)
+        w = w / w.sum()
+    return DiscreteDistribution(grid, w)
 
 
 _CONFIG_SCHEMA = json.loads((Path(__file__).parent / "data" / "config.schema.json").read_text())

@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_distribution
+from _oracles import prior_from_regularizer_l1
+from conftest import random_distribution, random_grid
+from drolab import bayes
 from drolab.bayes import (
     Infeasible,
     PriorSpec,
@@ -16,6 +18,7 @@ from drolab.bayes import (
     regularizer_from_prior,
 )
 from drolab.cost import DecisionSpace, Regularizer, cost_table, make_cost
+from drolab.lp import solve_lp
 from drolab.solvers import solve_bayes_dp, solve_regularized_saa
 from drolab.support import DiscreteDistribution, SampleSet, SupportGrid, empirical, mixture, sample
 
@@ -130,6 +133,89 @@ class TestPriorFromRegularizer:
         cf = make_cost("absolute")
         with pytest.raises(ValueError):
             prior_from_regularizer(Regularizer(lambda x: 1.0), cf, [], line_grid)
+
+
+def _moment_instance(seed: int, target: str):
+    """A random grid, cost and decision set, and a regularizer table whose
+    targets are a random prior's moments (``"prior"``), those moments plus
+    noise (``"perturbed"``), or 1 below the smallest cost (``"floor"``)."""
+    rng = np.random.default_rng(seed)
+    name = str(rng.choice(["absolute", "squared", "huber", "linreg"]))
+    grid = random_grid(rng, int(rng.integers(3, 10)), 2 if name == "linreg" else 1)
+    # More constraints than atoms when perturbed, so the targets leave the
+    # moment set almost surely.
+    k = grid.size + int(rng.integers(2, 12)) if target == "perturbed" else int(rng.integers(1, 22))
+    space = DecisionSpace.interval(-2.0, 2.0, k)
+    cf = make_cost(name, grid=grid, space=space)
+    w = rng.dirichlet(np.ones(grid.size))
+    w[rng.random(grid.size) < 0.3] = 0.0
+    w[0] += 1e-3  # never all zero
+    h = cost_table(cf, grid, space)
+    values = h @ (w / w.sum())
+    if target == "perturbed":
+        values = values + rng.normal(size=k) * rng.uniform(1e-3, 1.0)
+    elif target == "floor":
+        values = np.full(k, float(np.min(h)) - 1.0)
+    lookup = {tuple(x.tolist()): v for x, v in zip(space, values)}
+    f = Regularizer(lambda x: lookup[tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())])
+    return f, cf, list(space), grid, h, values
+
+
+@pytest.fixture
+def lp_calls(monkeypatch):
+    """The number of columns of each moment LP the package solves."""
+    calls = []
+
+    def counting(c, *args, **kwargs):
+        calls.append(len(c))
+        return solve_lp(c, *args, **kwargs)
+
+    monkeypatch.setattr(bayes, "solve_lp", counting)
+    return calls
+
+
+class TestMomentPath:
+    """The feasibility LP in front of the minimum-L1 LP, against the
+    function that ran the minimum-L1 LP alone."""
+
+    def test_feasible_targets_take_one_lp(self, lp_calls):
+        for seed in range(40):
+            f, cf, space, grid, h, values = _moment_instance(seed, "prior")
+            lp_calls.clear()
+            found = prior_from_regularizer(f, cf, space, grid)
+            assert not isinstance(found, Infeasible), seed
+            assert float(np.max(np.abs(h @ found.weights - values))) <= 1e-8, seed
+            assert lp_calls == [grid.size], seed  # the feasibility LP alone
+
+    @pytest.mark.parametrize("target", ["perturbed", "floor"])
+    def test_infeasible_targets_keep_the_min_l1_residual(self, target, lp_calls):
+        for seed in range(20):
+            f, cf, space, grid, _, _ = _moment_instance(seed, target)
+            lp_calls.clear()
+            verdict = prior_from_regularizer(f, cf, space, grid)
+            assert lp_calls == [grid.size, grid.size + 2 * len(space)], seed
+            reference = prior_from_regularizer_l1(f, cf, space, grid)
+            assert isinstance(reference, Infeasible) and isinstance(verdict, Infeasible), seed
+            assert verdict.residual == reference.residual, seed
+
+    def test_verdict_type_agrees_with_min_l1_lp(self):
+        for seed in range(60):
+            f, cf, space, grid, _, _ = _moment_instance(seed, ("prior", "perturbed", "floor")[seed % 3])
+            verdict = prior_from_regularizer(f, cf, space, grid)
+            reference = prior_from_regularizer_l1(f, cf, space, grid)
+            assert type(verdict) is type(reference), seed
+
+    def test_max_entropy_gains_entropy_on_random_priors(self):
+        def entropy(w):
+            w = w[w > 0]
+            return float(-np.sum(w * np.log(w)))
+
+        for seed in range(10):
+            f, cf, space, grid, h, values = _moment_instance(seed, "prior")
+            vertex = prior_from_regularizer(f, cf, space, grid)
+            refined = prior_from_regularizer(f, cf, space, grid, max_entropy=True)
+            assert float(np.max(np.abs(h @ refined.weights - values))) <= 1e-7, seed
+            assert entropy(refined.weights) >= entropy(vertex.weights) - 1e-12, seed
 
 
 class TestEquivalenceLadder:

@@ -574,6 +574,88 @@ class TestWassersteinDualOracle:
         assert np.array_equal(at_center, np.ones((2, 1)))
 
 
+class TestDualBreakpointMemo:
+    """Each centre walks the Wasserstein dual's breakpoints once per (order,
+    signed table) and reuses them for every later radius and call."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 8),
+        dim=st.sampled_from([1, 2]),
+        p=st.sampled_from([1.0, 1.5, 2.0]),
+        empty=st.integers(0, 3),
+        tied=st.booleans(),
+        fracs=st.lists(RADIUS_FRACTIONS, min_size=1, max_size=4),
+        sense=st.sampled_from(["max", "min"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_warm_centre_matches_fresh_centre(self, seed, m, dim, p, empty, tied, fracs, sense):
+        rng = np.random.default_rng(seed)
+        center, table = random_ball_instance(rng, m, dim, empty, tied)
+        # Two centres built alike have the same weight bits and each its own memo.
+        center, fresh = (DiscreteDistribution(center.grid, center.weights) for _ in range(2))
+        kind = DivergenceKind.wasserstein_order(p)
+        diameter = center.grid.diameter
+        radii = np.array(fracs) * diameter
+        # Other sweeps first: another table, each of its rows alone, the same
+        # table at other radii in both senses, and another order.
+        other = rng.normal(size=(2, m))
+        for s in ("max", "min"):
+            extremal_values(center, kind, other, [0.5 * diameter], s)
+            extremal_values(center, kind, table, [0.1 * diameter, 2.0 * diameter], s)
+            extremal_values(center, DivergenceKind.wasserstein_order(p + 1.0), table, radii, s)
+        for row in table:
+            extremal_expectation(AmbiguityBall(center, 0.3 * diameter, kind), row, sense)
+        walked = len(center._memo)
+        warm_values, warm = extremal_values(center, kind, table, radii, sense)
+        assert len(center._memo) == walked  # the sweep found its breakpoints
+        assert not fresh._memo
+        cold_values, cold = extremal_values(fresh, kind, table, radii, sense)
+        assert warm_values.tobytes() == cold_values.tobytes()
+        for r in range(radii.size):
+            assert warm.weights(r).tobytes() == cold.weights(r).tobytes()
+            for k in range(len(table)):
+                assert warm(k, r).weights.tobytes() == cold(k, r).weights.tobytes()
+
+    def test_memoised_breakpoints_are_read_only(self, square_grid):
+        center = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
+        table = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 1.0, 2.0, -1.0]])
+        for sense in ("max", "min"):
+            extremal_values(center, DivergenceKind.wasserstein_order(1.0), table, [0.2, 0.7], sense)
+        assert len(center._memo) == 2
+        for arrays in center._memo.values():
+            assert len(arrays) == 3
+            for arr in arrays:
+                assert not arr.flags.writeable
+                with pytest.raises(ValueError):
+                    arr[0, 0] = 1.0
+
+    def test_centres_with_other_weights_share_no_entry(self, square_grid, monkeypatch):
+        walks = []
+        walk = divergence._upper_envelopes
+
+        def counting(*args):
+            walks.append(1)
+            return walk(*args)
+
+        monkeypatch.setattr(divergence, "_upper_envelopes", counting)
+        kind = DivergenceKind.wasserstein_order(1.0)
+        table = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 1.0, 2.0, -1.0]])
+        a = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
+        b = DiscreteDistribution(square_grid, [0.4, 0.3, 0.2, 0.1])
+        a_values, _ = extremal_values(a, kind, table, [0.3], "max")
+        b_values, _ = extremal_values(b, kind, table, [0.3], "max")
+        assert len(walks) == 2
+        assert not np.array_equal(a_values, b_values)
+        assert a._memo.keys() == b._memo.keys()
+        for key in a._memo:
+            assert all(x is not y for x, y in zip(a._memo[key], b._memo[key]))
+        # Each centre answers again from its own entry, with its own values.
+        assert np.array_equal(extremal_values(a, kind, table, [0.3], "max")[0], a_values)
+        assert np.array_equal(extremal_values(b, kind, table, [0.3], "max")[0], b_values)
+        assert len(walks) == 2
+
+
 def _saturation_radius(center: DiscreteDistribution, costs: np.ndarray) -> float:
     """-log of the centre's mass on its costliest support atoms: from this
     radius on, the centre conditioned on them attains the top cost."""

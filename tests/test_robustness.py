@@ -438,6 +438,31 @@ class TestRatePath:
             assert _bits(rep.measure) == _bits(max(0.0, 2.0 * values[-1] - values[-2]))
 
 
+def test_report_walks_each_table_once_per_sense(monkeypatch):
+    # The Wasserstein sweeps of one robustness report on a 3x3 plane (the
+    # 21-row decision table and the SAA decision's row, in both senses) walk
+    # the dual's breakpoints once per (table, sense) on the shared centre.
+    walks, sweeps = [], []
+    walk, sweep = divergence._upper_envelopes, divergence._wasserstein_values
+    monkeypatch.setattr(divergence, "_upper_envelopes", lambda *a: walks.append(a[0].shape) or walk(*a))
+    monkeypatch.setattr(divergence, "_wasserstein_values", lambda *a: sweeps.append(1) or sweep(*a))
+    axis = [-1.0, 0.0, 1.0]
+    grid = SupportGrid.euclidean([[a, b] for a in axis for b in axis])
+    space = DecisionSpace.interval(-2.0, 2.0, 21)
+    cf = make_cost("linreg", grid=grid, space=space)
+    center = DiscreteDistribution(grid, np.random.default_rng(7).dirichlet(np.full(9, 3.0)))
+    ball = AmbiguityBall(center, 0.2, W1)
+    saa = solve_saa(center, cf, space)
+    solvers.solve_minmax_dro(ball, cf, space)
+    solvers.solve_robust_satisficing(center, cf, space, W1, sided="one")
+    absolute_measure(saa.x, saa.objective_value, ball, cf)
+    relative_measure(saa.x, saa.objective_value, W1, center, cf)
+    local_measure(space, center, saa.objective_value, cf, W1, "objective")
+    set_robustness(ball, cf, space, "objective", budget=4, seed=3)
+    assert len(sweeps) == 10
+    assert sorted(walks) == [(1, 9), (1, 9), (21, 9), (21, 9)]
+
+
 class TestBallThatCannotGrow:
     """A forward-KL ball around a Dirac is its centre at every radius (its
     radius cap is 0), so every deviation over it is 0."""
@@ -578,6 +603,29 @@ class TestPacRobustness:
             emp = rep.diagnostics["empirical_probability"]
             sigma = rep.diagnostics["empirical_sigma"]
             assert emp >= rep.confidence - 3.0 * sigma - 1e-9
+
+    def test_markov_bound_uses_the_reference_magnitude(self, line_grid):
+        # Absolute cost at x=1 on {0, 1, 3}: every E_P h lies in [0, 2], 5 or
+        # more from ref -5, so the probability is exactly 0.  With ref in
+        # place of |ref| the bound read 1 - (1.3 - 5) / 1 = 4.8.
+        base = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        rep = pac_robustness(DirichletPrior(base, 2.0), make_cost("absolute"), [1.0], -5.0, 1.0)
+        probability = rep.diagnostics["empirical_probability"]
+        assert probability == 0.0 and rep.diagnostics["draws"] == 0
+        assert 0.0 <= rep.confidence <= 1.0 and rep.confidence <= probability
+
+    def test_markov_bound_holds_for_negative_references(self):
+        rng = np.random.default_rng(13)
+        cf = make_cost("absolute")
+        for trial in range(20):
+            base = random_distribution(rng, random_grid(rng, 4, scale=2.0))
+            x = rng.uniform(-2, 2, size=1)
+            ref = float(rng.uniform(-1.0, 0.0))
+            level = float(rng.uniform(0.5, 6.0))
+            rep = pac_robustness(DirichletPrior(base, 3.0), cf, x, ref, level, mc_draws=4000, seed=trial)
+            emp = rep.diagnostics["empirical_probability"]
+            assert 0.0 <= rep.confidence <= 1.0
+            assert emp >= rep.confidence - 3.0 * rep.diagnostics["empirical_sigma"] - 1e-9
 
     def test_mean_measure_identity(self, line_grid):
         # Monte-Carlo average of E_P h matches the base expectation.
