@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from drolab.cost import CostFunction, DecisionSpace, MissingLipschitzDataError, cost_table, expected_cost
-from drolab.divergence import AmbiguityBall, DivergenceKind, membership, transport_memo, wasserstein
+from drolab.divergence import AmbiguityBall, DivergenceKind, membership, wasserstein
 from drolab.solvers import Solution, solve_absolute_dro, solve_minmax_dro, solve_saa, solve_satisficing_models
 from drolab.support import DiscreteDistribution, derive_seed, empirical, sample
 
@@ -270,17 +270,16 @@ def expected_bounds(
     for rep in range(replications):
         rep_seed = derive_seed(seed, n, rep)
         pbar = empirical(sample(p0, n, rep_seed))
-        with transport_memo():  # the absolute suite asks for W(p0, pbar) twice
-            if which == "uniform":
-                pairs = uniform_bound(p0, pbar, cf, space)
-            elif which == "absolute":
-                radius = kind.distance(p0, pbar)
-                if not math.isfinite(radius):  # e.g. a forward-KL sample that misses an atom of p0
-                    skipped += 1
-                    continue
-                pairs, _ = absolute_bound(p0, AmbiguityBall(pbar, radius, kind), cf, space)
-            else:
-                pairs, _ = relative_bound(p0, pbar, cf, space, kind)
+        if which == "uniform":
+            pairs = uniform_bound(p0, pbar, cf, space)
+        elif which == "absolute":
+            radius = kind.distance(p0, pbar)
+            if not math.isfinite(radius):  # e.g. a forward-KL sample that misses an atom of p0
+                skipped += 1
+                continue
+            pairs, _ = absolute_bound(p0, AmbiguityBall(pbar, radius, kind), cf, space)
+        else:
+            pairs, _ = relative_bound(p0, pbar, cf, space, kind)
         for k, (gap, rec) in enumerate(pairs):
             push(rep_seed, gap, rec, f"uniform@x{k}" if which == "uniform" else rec.kind)
 
@@ -304,25 +303,3 @@ def expected_bounds(
             "all_holds": bool(np.all(arr[:, 2])),
         }
     return summary, rows
-
-
-def w1_concentration(
-    p0: DiscreteDistribution,
-    ns,
-    replications: int,
-    seed: int,
-) -> dict[int, dict[str, float]]:
-    """Median and mean W1 distance of the empirical distribution by n.
-
-    The empirical concentration substitute for radius selection: medians
-    shrink as the sample grows.
-    """
-    out: dict[int, dict[str, float]] = {}
-    for n in ns:
-        dists = []
-        for rep in range(replications):
-            rep_seed = derive_seed(seed, n, rep)
-            dists.append(wasserstein(empirical(sample(p0, n, rep_seed)), p0, 1.0))
-        arr = np.array(dists)
-        out[int(n)] = {"median": float(np.median(arr)), "mean": float(np.mean(arr))}
-    return out

@@ -151,6 +151,9 @@ def measure_cmd(problem, measure_kind, variant, x_index, ref, eps, div_kind, p, 
     try:
         check_options({"ref": ref, "level": level, "alpha": alpha, "eps": eps,
                        "draws": draws, "budget": budget, "seed": seed, "x-index": x_index})
+        # The bayes_dp `alpha` check admits 0 and inf; a concentration does not.
+        if alpha == 0.0 or alpha == math.inf:
+            raise ConfigError(f"--alpha: {alpha!r} must be a positive finite concentration")
         kind = None if measure_kind == "pac" else _ball_kind(div_kind, p, orientation)
         prob = load_problem(problem)
         center, cf, space = prob.center, prob.cf, prob.space

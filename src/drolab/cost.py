@@ -284,11 +284,9 @@ def _huber(grid=None, space=None, delta: float = 1.0) -> CostFunction:
 
 def _linreg(grid: SupportGrid | None = None, space: DecisionSpace | None = None) -> CostFunction:
     # xi = (feature, response), scalar slope decision: h = (response - x*feature)^2.
-    # float_power squares through libm pow, as ``** 2`` on a numpy scalar
-    # does; ``** 2`` on an array multiplies, and ~0.1% of cells round one ulp
-    # apart.
     def table(points, atoms):
-        return np.float_power(atoms[None, :, 1] - points[:, None, 0] * atoms[None, :, 0], 2)
+        r = atoms[None, :, 1] - points[:, None, 0] * atoms[None, :, 0]
+        return r * r
 
     def lip_xi(x):
         if grid is None:

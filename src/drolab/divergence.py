@@ -1,16 +1,16 @@
 """Statistical similarity measures, ambiguity balls, and extremal oracles.
 
 Wasserstein distances are computed exactly as transport linear programs over
-the shared grid; inside a :func:`transport_memo` block a repeated instance
-costs no second solve.  Worst-case and best-case expectations over
-Wasserstein balls come from the finite strong dual, a convex piecewise-linear
-function of one multiplier minimized exactly at its breakpoints; over forward
-KL balls they come from the exponential-tilting dual, whose multiplier is the
-root of a one-dimensional equation found by safeguarded Newton steps.  Both
-are batched over cost rows and radii, and a centre keeps the Wasserstein
-dual's breakpoints of every table it has been asked about, so a table's
-later sweeps skip the walk.  The witnesses that attain the values are batched
-too: one pass builds every row's witness at a radius
+the shared grid.  Worst-case and best-case expectations over Wasserstein
+balls come from the finite strong dual, a convex piecewise-linear function of
+one multiplier minimized exactly at its breakpoints; over forward KL balls
+they come from the exponential-tilting dual, whose multiplier is the root of
+a one-dimensional equation found by safeguarded Newton steps.  Both are
+batched over cost rows and radii.  Each exact result is kept on the
+distribution it was computed from (its ``_memo``): a distance on its second
+argument, the Wasserstein dual's breakpoints of a table on the centre, so a
+repeated instance costs no second solve.  The witnesses that attain the
+values are batched too: one pass builds every row's witness at a radius
 (:meth:`Witnesses.weights`), and a single cell's witness is the one-row case
 of the same builder.  The largest two-sided deviation of an expectation over
 a ball, which every robustness measure and the absolute-DRO model read, is
@@ -20,10 +20,8 @@ a ball, which every robustness measure and the absolute-DRO model read, is
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass
-from typing import Callable, Iterator
+from typing import Callable
 
 import numpy as np
 
@@ -222,46 +220,20 @@ def optimal_transport(a: DiscreteDistribution, b: DiscreteDistribution, p: float
     return plan
 
 
-_ACTIVE_MEMO: ContextVar[dict[tuple, float] | None] = ContextVar("drolab_transport_memo", default=None)
-
-
-@contextmanager
-def transport_memo() -> Iterator[None]:
-    """Solve each transport instance at most once inside the block.
-
-    Within it, :func:`wasserstein` returns the identical float for a repeated
-    instance (same ground metric, weight vectors in the same argument order,
-    same order) without solving its LP again: one replication of the bound
-    suites asks for W(p0, pbar) five times.  Each block starts an empty memo
-    and drops it on exit, so what a block solves does not depend on what ran
-    before it; a block opened inside another starts its own.
-    """
-    token = _ACTIVE_MEMO.set({})
-    try:
-        yield
-    finally:
-        _ACTIVE_MEMO.reset(token)
-
-
-def _transport_distance(a: DiscreteDistribution, b: DiscreteDistribution, p: float) -> float:
-    # The LP's cost can round below zero, whose fractional power is complex.
-    return max(optimal_transport(a, b, p).cost, 0.0) ** (1.0 / p)
-
-
 def wasserstein(a: DiscreteDistribution, b: DiscreteDistribution, p: float = 1.0) -> float:
     """Order-p Wasserstein distance: p-th root of the optimal transport cost.
 
-    Inside a :func:`transport_memo` block a repeated instance is not solved
-    again.
+    ``b`` keeps every distance it is asked for, keyed by the order and the
+    weights of ``a`` (the grids are equal), so a repeated instance returns the
+    identical float without a second solve for as long as ``b`` lives.
     """
     _check_transport(a, b, p)
-    memo = _ACTIVE_MEMO.get()
-    if memo is None:
-        return _transport_distance(a, b, p)
-    key = (float(p), a.grid.ground_metric.tobytes(), a.weights.tobytes(), b.weights.tobytes())
-    if key not in memo:
-        memo[key] = _transport_distance(a, b, p)
-    return memo[key]
+    key = ("wasserstein", float(p), a.weights.tobytes())
+    found = b._memo.get(key)
+    if found is None:
+        # The LP's cost can round below zero, whose fractional power is complex.
+        found = b._memo[key] = max(optimal_transport(a, b, p).cost, 0.0) ** (1.0 / p)
+    return found
 
 
 def phi_divergence(a: DiscreteDistribution, b: DiscreteDistribution, generator: str = "kl") -> float:

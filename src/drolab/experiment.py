@@ -34,7 +34,7 @@ from drolab.bounds import (
     uniform_bound,
 )
 from drolab.cost import CostFunction, DecisionSpace, cost_from_json
-from drolab.divergence import DIVERGENCE_KINDS, ORIENTATIONS, AmbiguityBall, DivergenceKind, transport_memo
+from drolab.divergence import DIVERGENCE_KINDS, ORIENTATIONS, AmbiguityBall, DivergenceKind
 from drolab.solvers import (
     Solution,
     solve_absolute_dro,
@@ -437,17 +437,16 @@ def _run_replication(cfg: ResolvedConfig, n: int, rep: int) -> tuple[int, int, l
     rows: list[dict] = []
     summaries: list[dict] = []
     errors: list[str] = []
-    with transport_memo():  # the methods' bounds share W(p0, pbar)
-        for entry, prior in zip(cfg.methods, cfg.priors):
-            name = entry["method"]
-            try:
-                prob = Problem(pbar, cfg.cf, cfg.space, prior=prior, samples=data, p0=cfg.p0)
-                pairs, sol = METHODS[name].bound(prob, entry)
-            except Exception as exc:  # recorded and re-raised through the run record
-                errors.append(f"n={n} rep={rep} method={name}: {type(exc).__name__}: {exc}")
-                break
-            rows.extend(_bound_row(n, rep_seed, gap, rec, name) for gap, rec in pairs)
-            summaries.append({"method": name, "n": n, "rep": rep, "seed": rep_seed, "solution": sol.to_json()})
+    for entry, prior in zip(cfg.methods, cfg.priors):
+        name = entry["method"]
+        try:
+            prob = Problem(pbar, cfg.cf, cfg.space, prior=prior, samples=data, p0=cfg.p0)
+            pairs, sol = METHODS[name].bound(prob, entry)
+        except Exception as exc:  # recorded and re-raised through the run record
+            errors.append(f"n={n} rep={rep} method={name}: {type(exc).__name__}: {exc}")
+            break
+        rows.extend(_bound_row(n, rep_seed, gap, rec, name) for gap, rec in pairs)
+        summaries.append({"method": name, "n": n, "rep": rep, "seed": rep_seed, "solution": sol.to_json()})
     return n, rep, rows, summaries, errors
 
 
@@ -551,15 +550,14 @@ def verify_bounds(cfg: ResolvedConfig) -> tuple[bool, dict]:
             rep_seed = derive_seed(cfg.seed, n, rep)
             pbar = empirical(sample(cfg.p0, n, rep_seed))
             records: list[tuple[GapRecord, BoundRecord]] = []
-            with transport_memo():  # every suite asks for W(p0, pbar)
-                records.extend(uniform_bound(cfg.p0, pbar, cfg.cf, cfg.space))
-                ball = AmbiguityBall(pbar, kind.distance(cfg.p0, pbar), kind)
-                for pairs, _ in (
-                    absolute_bound(cfg.p0, ball, cfg.cf, cfg.space),
-                    relative_bound(cfg.p0, pbar, cfg.cf, cfg.space, kind),
-                    minmax_one_sided_bound(cfg.p0, ball, cfg.cf, cfg.space),
-                ):
-                    records.extend(pairs)
+            records.extend(uniform_bound(cfg.p0, pbar, cfg.cf, cfg.space))
+            ball = AmbiguityBall(pbar, kind.distance(cfg.p0, pbar), kind)
+            for pairs, _ in (
+                absolute_bound(cfg.p0, ball, cfg.cf, cfg.space),
+                relative_bound(cfg.p0, pbar, cfg.cf, cfg.space, kind),
+                minmax_one_sided_bound(cfg.p0, ball, cfg.cf, cfg.space),
+            ):
+                records.extend(pairs)
             for gap, rec in records:
                 checked += 1
                 if not rec.holds and math.isfinite(rec.bound):

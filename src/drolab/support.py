@@ -173,8 +173,9 @@ class DiscreteDistribution:
 
     grid: SupportGrid
     weights: np.ndarray
-    # Results computed from this distribution and the inputs named in their
-    # key (the Wasserstein dual's breakpoints, see
+    # Exact results computed from this distribution and the inputs named in
+    # their key (transport distances to it, see ``divergence.wasserstein``,
+    # and the Wasserstein dual's breakpoints, see
     # ``divergence._dual_breakpoints``); they live exactly as long as it does.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

@@ -519,7 +519,12 @@ def scalar_cost(name: str, params: dict | None = None):
 
         return huber
     if name == "linreg":
-        return lambda x, xi: float((xi[1] - x[0] * xi[0]) ** 2)
+
+        def linreg(x, xi):
+            r = xi[1] - x[0] * xi[0]
+            return float(r * r)
+
+        return linreg
     raise KeyError(name)
 
 

@@ -14,7 +14,6 @@ from drolab.bounds import (
     minmax_one_sided_bound,
     relative_bound,
     uniform_bound,
-    w1_concentration,
 )
 from drolab.cost import (
     CostFunction,
@@ -325,13 +324,6 @@ class TestExpectedBounds:
         summary, rows = expected_bounds(p0, make_cost("absolute"), space, "uniform", n=5,
                                         replications=30, seed=3)
         assert all(float(r["gap"]) == pytest.approx(0.0, abs=1e-12) for r in rows)
-
-
-def test_w1_concentration_medians_shrink(line_grid):
-    p0 = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
-    stats = w1_concentration(p0, ns=(10, 30, 100), replications=60, seed=17)
-    medians = [stats[n]["median"] for n in (10, 30, 100)]
-    assert medians[0] > medians[1] > medians[2]
 
 
 def test_one_sided_never_exceeds_two_sided(line_grid):

@@ -30,7 +30,6 @@ from drolab.divergence import (
     membership,
     optimal_transport,
     phi_divergence,
-    transport_memo,
     wasserstein,
 )
 from drolab.solvers import _coupling_lp_deviation, satisficing_radius_grid
@@ -207,7 +206,10 @@ class TestWasserstein:
 
 
 class TestTransportMemo:
-    """Inside ``transport_memo``, ``wasserstein`` solves each instance once."""
+    """``wasserstein(a, b)`` solves each instance once for as long as ``b`` lives.
+
+    On a 2-D grid, where every distance takes the transport LP.
+    """
 
     @pytest.fixture
     def lp_calls(self, monkeypatch):
@@ -222,48 +224,53 @@ class TestTransportMemo:
         return calls
 
     @pytest.fixture
-    def pair(self, line_grid):
-        return DiscreteDistribution(line_grid, [0.2, 0.3, 0.5]), DiscreteDistribution(line_grid, [0.5, 0.5, 0.0])
+    def pair(self, square_grid):
+        return (
+            DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4]),
+            DiscreteDistribution(square_grid, [0.5, 0.0, 0.25, 0.25]),
+        )
 
     def test_repeat_call_returns_identical_float_without_solving(self, pair, lp_calls):
         a, b = pair
-        with transport_memo():
-            first = wasserstein(a, b, 1.0)
-            assert len(lp_calls) == 1
-            again = wasserstein(a, DiscreteDistribution(b.grid, [0.5, 0.5, 0.0]), 1)
+        first = wasserstein(a, b, 1.0)
+        assert len(lp_calls) == 1
+        # The key is the weights of a, not the object, and b holds it.
+        again = wasserstein(DiscreteDistribution(a.grid, [0.1, 0.2, 0.3, 0.4]), b, 1)
         assert np.float64(again).tobytes() == np.float64(first).tobytes()
         assert len(lp_calls) == 1
+        assert ("wasserstein", 1.0, a.weights.tobytes()) in b._memo
+        assert not a._memo
 
-    def test_no_memo_outside_a_block(self, pair, lp_calls):
+    def test_fresh_b_with_equal_weights_solves_again(self, pair, lp_calls):
         a, b = pair
-        with transport_memo():
-            wasserstein(a, b, 1.0)
-        wasserstein(a, b, 1.0)
-        wasserstein(a, b, 1.0)
-        assert len(lp_calls) == 3
+        first = wasserstein(a, b, 1.0)
+        again = wasserstein(a, DiscreteDistribution(b.grid, b.weights), 1.0)
+        assert len(lp_calls) == 2
+        assert np.float64(again).tobytes() == np.float64(first).tobytes()
 
     def test_swapped_arguments_and_orders_are_separate_instances(self, pair, lp_calls):
         a, b = pair
-        with transport_memo():
-            w1 = wasserstein(a, b, 1.0)
-            assert wasserstein(b, a, 1.0) == pytest.approx(w1, abs=1e-12)
-            w2 = wasserstein(a, b, 2.0)
-            assert len(lp_calls) == 3
+        w1 = wasserstein(a, b, 1.0)
+        assert wasserstein(b, a, 1.0) == pytest.approx(w1, abs=1e-12)
+        w2 = wasserstein(a, b, 2.0)
+        assert len(lp_calls) == 3
         assert w2 == pytest.approx(math.sqrt(optimal_transport(a, b, 2.0).cost), abs=1e-12)
         assert w2 != w1
 
-    def test_grid_mismatch_raised_before_lookup(self, pair, line_grid, lp_calls):
-        # The shifted line has the same ground metric, so only the grid check
-        # tells the two instances apart.
+    def test_grid_mismatch_raised_before_lookup(self, pair, square_grid, lp_calls):
+        # The shifted square has the same ground metric, so only the grid
+        # check tells the instances apart: after a hit on b, the key of a
+        # shifted copy of a is already in b's memo.
         a, b = pair
-        shifted = SupportGrid.euclidean([[1.0], [2.0], [4.0]])
-        assert np.array_equal(shifted.ground_metric, line_grid.ground_metric)
-        with transport_memo():
-            wasserstein(a, b, 1.0)
-            with pytest.raises(GridMismatchError):
-                wasserstein(a, DiscreteDistribution(shifted, b.weights), 1.0)
-            with pytest.raises(ValueError, match="order"):
-                wasserstein(a, b, 0.5)
+        shifted = SupportGrid.euclidean(square_grid.atoms + 1.0)
+        assert np.array_equal(shifted.ground_metric, square_grid.ground_metric)
+        wasserstein(a, b, 1.0)
+        wasserstein(a, b, 1.0)
+        with pytest.raises(GridMismatchError):
+            wasserstein(DiscreteDistribution(shifted, a.weights), b, 1.0)
+        with pytest.raises(ValueError, match="order"):
+            wasserstein(a, b, 0.5)
+        assert len(lp_calls) == 1
 
 
 class TestPhiDivergence:

@@ -221,6 +221,8 @@ class TestNonFiniteRejected:
             (["measure", "--kind", "set", "--eps", "0.2", "--budget", "0"], "--budget: 0 must be >= 1"),
             (["measure", "--kind", "set", "--eps", "0.2", "--seed", "-1"], "--seed: -1 must be >= 0"),
             (["measure", "--kind", "absolute", "--x-index", "-1"], "--x-index: -1 must be >= 0"),
+            (["measure", "--kind", "pac", "--alpha", "0"], "--alpha: 0.0 must be a positive finite concentration"),
+            (["measure", "--kind", "pac", "--alpha", "inf"], "--alpha: inf must be a positive finite concentration"),
         ],
     )
     def test_cli_options_rejected_with_one_error_line(self, tmp_path, args, message):
@@ -702,6 +704,16 @@ class TestCLI:
         )
         assert result.exit_code == 0
         assert json.loads(result.output)["method"] == "bayes_dp"
+
+    def test_solve_bayes_infinite_alpha_is_the_prior_only(self, tmp_path):
+        # `solve --alpha` is the bayes_dp field, which admits inf; `measure
+        # --alpha` is a Dirichlet concentration and rejects it.
+        (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))
+        result = CliRunner().invoke(
+            main, ["solve", str(tmp_path / "prob.json"), "--method", "bayes_dp", "--alpha", "inf"]
+        )
+        assert result.exit_code == 0
+        assert json.loads(result.output)["diagnostics"]["beta"] == 1.0
 
     def test_solve_remaining_methods_via_cli(self, tmp_path):
         (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))
