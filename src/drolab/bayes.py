@@ -194,7 +194,7 @@ def prior_from_regularizer(
         raise ValueError("need at least one constraint decision")
     space = DecisionSpace.from_points(decisions)
     h = cost_table(cf, grid, space)
-    targets = np.array([f(x) for x in space], dtype=float)
+    targets = f.values(space)
     m = grid.size
     c_full = np.vstack([h, np.ones((1, m))])
     d_full = np.concatenate([targets, [1.0]])
@@ -212,5 +212,13 @@ def prior_from_regularizer(
 
 
 def regularizer_from_prior(prior: DiscreteDistribution, cf: CostFunction) -> Regularizer:
-    """The regularizer induced by a prior: ``f(x) = E_prior h(x, xi)``."""
-    return Regularizer(lambda x: expected_cost(prior, cf, x))
+    """The regularizer induced by a prior: ``f(x) = E_prior h(x, xi)``.
+
+    Its batched form reads a whole decision grid from one cost table, one
+    dot per row, so each value has the bits of the one-decision form.
+    """
+
+    def values(space: DecisionSpace) -> np.ndarray:
+        return np.array([prior.weights @ row for row in cost_table(cf, prior.grid, space)])
+
+    return Regularizer(lambda x: expected_cost(prior, cf, x), values)

@@ -8,6 +8,7 @@ default Euclidean ground metric.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -43,6 +44,8 @@ class DecisionSpace:
             pts = pts[:, None]
         if pts.ndim != 2 or pts.shape[0] == 0:
             raise ValueError("decision space must hold at least one point")
+        if not np.all(np.isfinite(pts)):
+            raise ValueError("decision points must be finite")
         pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
@@ -55,6 +58,8 @@ class DecisionSpace:
         """Evenly discretized 1-D interval with ``num`` grid points."""
         if num < 1:
             raise ValueError("interval discretization needs at least one point")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError("interval ends must be finite")
         if hi < lo:
             raise ValueError("interval upper end below lower end")
         return cls(np.linspace(lo, hi, num)[:, None])
@@ -134,15 +139,33 @@ class CostFunction:
 
 @dataclass(frozen=True)
 class Regularizer:
-    """Decision penalty ``f(x)``."""
+    """Decision penalty ``f(x)``.
+
+    ``values_fn``, when given, is the batched form of ``fn``, as
+    ``CostFunction.table_fn`` is of a cost's ``fn``: it maps a whole
+    :class:`DecisionSpace` to the array of every decision's penalty, equal
+    bit for bit to ``fn`` at each one.  :meth:`values` reads it; a
+    regularizer built from ``fn`` alone loops over ``fn``.
+    """
 
     fn: Callable[[np.ndarray], float]
+    values_fn: Callable[[DecisionSpace], np.ndarray] | None = None
 
     def __call__(self, x) -> float:
         val = float(self.fn(_as_decision(x)))
         if not np.isfinite(val):
             raise NonFiniteCostError(f"regularizer is not finite at x={x!r}")
         return val
+
+    def values(self, space: DecisionSpace) -> np.ndarray:
+        """``[f(x) for x in space]`` as one array, checked finite."""
+        if self.values_fn is None:
+            return np.array([self(x) for x in space], dtype=float)
+        vals = np.asarray(self.values_fn(space), dtype=float)
+        bad = np.flatnonzero(~np.isfinite(vals))
+        if bad.size:
+            raise NonFiniteCostError(f"regularizer is not finite at x={space[bad[0]]!r}")
+        return vals
 
 
 def expected_cost(dist, cf: CostFunction, x) -> float:

@@ -5,8 +5,10 @@ equivalence identity between these models can be checked without optimizer
 error; ties always break toward the lowest decision index.  Every model
 reads its ball through the exact duals of :mod:`drolab.divergence`; the one
 linear program here is the absolute-DRO screen's LP step
-(:func:`_coupling_lp_deviation`), which re-solves the few decisions that can
-attain the minimum.
+(:func:`_coupling_lp_deviation`).  It re-solves the decisions that can attain
+the minimum only where the dual cannot pick the binding side: when two or
+more can, or when the one that can has up and down deviations within the
+screen's margin of each other.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import numpy as np
 
 from drolab import bayes as _bayes
 from drolab.cost import CostFunction, DecisionSpace, Regularizer, cost_table
-from drolab.divergence import AmbiguityBall, DivergenceKind, deviation_table, deviations_from, extremal_values
+from drolab.divergence import AmbiguityBall, DivergenceKind, deviations_from, extremal_values
 from drolab.lp import LPFailureError, solve_lp
 from drolab.support import DiscreteDistribution, SampleSet
 
@@ -89,9 +91,9 @@ def solve_regularized_saa(
     space: DecisionSpace,
 ) -> Solution:
     """Minimize expected cost plus ``lam`` times the regularizer."""
-    if lam < 0:
-        raise ValueError("regularization weight must be >= 0")
-    values = nominal_values(data, cf, space) + lam * np.array([f(x) for x in space])
+    if not (math.isfinite(lam) and lam >= 0):
+        raise ValueError("regularization weight must be finite and >= 0")
+    values = nominal_values(data, cf, space) + lam * f.values(space)
     idx, ties = _argmin_lowest(values)
     return Solution(space[idx], idx, float(values[idx]), "reg_saa", diagnostics={"ties": ties, "lambda": lam})
 
@@ -132,11 +134,14 @@ def _coupling_lp_deviation(ball: AmbiguityBall, costs: np.ndarray, ref: float) -
     agree mathematically, each oracle's last-digit rounding picks the
     reported side and witness, and absolute-DRO gaps recorded with the LP
     (such as the benchmark's seed-0 reference) depend on that pick.  So the
-    dual ranks every decision, and only those within
-    :data:`ABSOLUTE_SCREEN_MARGIN` of its minimum come here; the margin is
-    far wider than the LP/dual disagreement, so a decision left out can
-    neither attain the LP minimum nor tie with it, and the result is the one
-    an LP on every decision gives.  Every other deviation reads the dual.
+    dual ranks every decision first.  When a single decision lies within
+    :data:`ABSOLUTE_SCREEN_MARGIN` of its minimum and its up and down
+    deviations lie more than that margin apart, the LP would pick the dual's
+    decision and side, so the dual's value and witness stand (equal to the
+    LP's to 1e-9).  Otherwise every decision within the margin comes here;
+    the margin is far wider than the LP/dual disagreement, so a decision left
+    out can neither attain the LP minimum nor tie with it, and the result is
+    the one an LP on every decision gives.
     """
     center, m = ball.center, ball.grid.size
     if ball.radius >= ball.grid.diameter:
@@ -171,21 +176,27 @@ def _search_ball(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace, me
         worst, witness = extremal_values(ball.center, ball.kind, table, [ball.radius], "max")
         values = worst[:, 0]
     else:
-        deviations, witness = deviation_table(ball.center, ball.kind, table, [ball.radius], ref)
+        hi, lo = (extremal_values(ball.center, ball.kind, table, [ball.radius], sense) for sense in ("max", "min"))
+        deviations, witness = deviations_from(hi, lo, ref)
         values = deviations[:, 0]
         if ball.kind.family == "wasserstein" and ball.radius > 0.0:
-            # The screen of _coupling_lp_deviation: rows outside the margin stay
-            # at +inf, which keeps the argmin, ties and witness of an LP on every row.
+            # The screen of _coupling_lp_deviation.  One screened row whose up
+            # and down deviations lie more than the margin apart keeps the
+            # dual's value and witness: the LP would bind on the same side.
+            # Otherwise rows outside the margin stay at +inf, which keeps the
+            # argmin, ties and witness of an LP on every row.
             low = float(np.min(values))
             margin = ABSOLUTE_SCREEN_MARGIN * max(1.0, abs(low), float(np.max(np.abs(table))))
-            screened = np.flatnonzero(values <= low + margin).tolist()
-            values = np.full(len(table), np.inf)
-            witnesses = {}
-            for k in screened:
-                values[k], witnesses[k] = _coupling_lp_deviation(ball, table[k], ref)
+            screened = np.flatnonzero(values <= low + margin)
+            up, down = hi[0][screened[0], 0] - ref, ref - lo[0][screened[0], 0]
+            if screened.size > 1 or abs(up - down) <= margin:
+                values = np.full(len(table), np.inf)
+                witnesses = {}
+                for k in screened.tolist():
+                    values[k], witnesses[k] = _coupling_lp_deviation(ball, table[k], ref)
 
-            def witness(k: int, r: int) -> DiscreteDistribution:
-                return witnesses[k]
+                def witness(k: int, r: int) -> DiscreteDistribution:
+                    return witnesses[k]
 
     idx, ties = _argmin_lowest(values)
     diagnostics = {"ties": ties, "nominal_ref": ref, "radius": ball.radius, "kind": ball.kind.label()}
@@ -209,7 +220,9 @@ def solve_absolute_dro(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpa
     batched dual of :func:`~drolab.divergence.deviation_table`; the solution
     minimizes it and carries the binding extremal distribution as witness.
     On a positive-radius Wasserstein ball the decisions that can attain the
-    minimum are solved again by the LP step :func:`_coupling_lp_deviation`.
+    minimum are solved again by the LP step :func:`_coupling_lp_deviation`
+    when there are two or more of them, or when the one of them has up and
+    down deviations that tie within :data:`ABSOLUTE_SCREEN_MARGIN`.
     """
     return _search_ball(ball, cf, space, "absolute_dro", "two")
 
@@ -295,14 +308,12 @@ def solve_satisficing_models(
     for sided, target_slack in models:
         if sided not in ("one", "two"):
             raise ValueError("sided must be 'one' or 'two'")
-        if target_slack < 0:
-            raise ValueError("target slack must be >= 0")
+        if not (math.isfinite(target_slack) and target_slack >= 0):
+            raise ValueError("target slack must be finite and >= 0")
     table = cost_table(cf, center.grid, space)
     nominal = table @ center.weights
     ref = float(np.min(nominal))
     feasible = [np.flatnonzero(nominal <= ref + target_slack + 1e-12) for _, target_slack in models]
-    if min(f.size for f in feasible) == 0:
-        raise RuntimeError("no decision meets the nominal target; this cannot happen for slack >= 0")
     rows = max(feasible, key=len)
     radii = satisficing_radius_grid(kind, center)
     hi = extremal_values(center, kind, table[rows], radii, "max")

@@ -1,6 +1,7 @@
 """Posterior mixtures, regularizer/prior conversions, and their identities."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from drolab.bayes import (
     prior_from_regularizer,
     regularizer_from_prior,
 )
-from drolab.cost import DecisionSpace, Regularizer, cost_table, make_cost
+from drolab.cost import DecisionSpace, NonFiniteCostError, Regularizer, cost_table, make_cost
 from drolab.lp import solve_lp
 from drolab.solvers import solve_bayes_dp, solve_regularized_saa
 from drolab.support import DiscreteDistribution, SampleSet, SupportGrid, empirical, mixture, sample
@@ -78,6 +79,37 @@ class TestRegularizerFromPrior:
         f = regularizer_from_prior(DiscreteDistribution.uniform(grid), cf)
         for x in (-1.5, -0.3, 0.0, 0.7, 2.0):
             assert f([x]) == pytest.approx((abs(x + 1) + abs(x - 1)) / 2)
+
+
+    @pytest.mark.parametrize("name", ["absolute", "squared", "newsvendor", "huber", "linreg"])
+    def test_batched_values_equal_the_scalar_loop(self, name):
+        # 2-D atoms (feature, response) serve linreg; the others read them as
+        # points of the plane, with decisions of the same dimension.
+        rng = np.random.default_rng(11)
+        grid = random_grid(rng, 7, 2)
+        dim = 1 if name in ("newsvendor", "linreg") else 2
+        space = DecisionSpace.from_points(rng.uniform(-3.0, 3.0, size=(9, dim)))
+        cf = make_cost(name)
+        for _ in range(50):
+            f = regularizer_from_prior(random_distribution(rng, grid), cf)
+            assert f.values(space).tobytes() == np.array([f(x) for x in space]).tobytes()
+
+    def test_one_cost_table_for_the_whole_grid(self, line_grid):
+        tables = []
+        cf = make_cost("huber")
+        counted = replace(cf, table_fn=lambda points, atoms: tables.append(len(points)) or cf.table_fn(points, atoms))
+        f = regularizer_from_prior(DiscreteDistribution(line_grid, [0.2, 0.3, 0.5]), counted)
+        space = DecisionSpace.interval(0.0, 3.0, 7)
+        f.values(space)
+        assert tables == [7]
+        [f(x) for x in space]
+        assert tables == [7] + [1] * 7
+
+    def test_batched_values_are_checked_finite(self, line_grid):
+        space = DecisionSpace.interval(0.0, 1.0, 3)
+        f = Regularizer(lambda x: 0.0, lambda space: np.array([0.0, np.inf, 1.0]))
+        with pytest.raises(NonFiniteCostError, match="regularizer is not finite"):
+            f.values(space)
 
 
 class TestPriorFromRegularizer:

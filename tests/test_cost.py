@@ -42,6 +42,19 @@ class TestDecisionSpace:
         with pytest.raises(ValueError):
             DecisionSpace.from_points(np.zeros((0, 1)))
 
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: DecisionSpace.from_points([[math.inf]]),
+            lambda: DecisionSpace.from_points([[0.0], [math.nan]]),
+            lambda: DecisionSpace.interval(0.0, math.nan, 3),
+            lambda: DecisionSpace.interval(-math.inf, 0.0, 3),
+        ],
+    )
+    def test_non_finite_points_rejected(self, build):
+        with pytest.raises(ValueError, match="must be finite"):
+            build()
+
     @pytest.mark.parametrize("shape", [(3, 1), (3,)])
     def test_freezes_a_copy_of_the_callers_points(self, shape):
         points = np.array([0.0, 0.5, 1.0]).reshape(shape)

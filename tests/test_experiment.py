@@ -591,10 +591,11 @@ class TestVerifyBounds:
         assert ok
         assert len(calls) == 2 * 2 * 2
 
-    def test_absolute_bound_solves_one_row_by_coupling_lp(self, tmp_path, monkeypatch):
-        # The dual screen keeps one of the 13 decisions of this newsvendor
-        # line, so the replication's absolute_bound makes that row's two
-        # coupling LPs (26 with an LP on every row).
+    @staticmethod
+    def _coupling_lps(tmp_path, monkeypatch, n: int) -> int:
+        """Coupling LPs made by one replication of verify_bounds at sample
+        size ``n`` on a newsvendor line of 13 decisions (26 with an LP on
+        every row)."""
         coupling = []
         solve = solvers.solve_lp
 
@@ -610,14 +611,24 @@ class TestVerifyBounds:
             "cost": {"name": "newsvendor", "params": {"b": 2.0, "c": 1.0}},
             "space": {"interval": {"lo": 0.0, "hi": 15.0, "num": 13}},
             "methods": [{"method": "saa"}],
-            "n": [10],
+            "n": [n],
             "replications": 1,
             "seed": 5,
             "output": str(tmp_path),
         }
         ok, _ = verify_bounds(resolve_config(doc))
         assert ok
-        assert len(coupling) == 2
+        return len(coupling)
+
+    def test_absolute_bound_without_a_tie_makes_no_coupling_lp(self, tmp_path, monkeypatch):
+        # The dual screen keeps one decision, whose up and down deviations
+        # differ, so the replication's absolute_bound reads the dual alone.
+        assert self._coupling_lps(tmp_path, monkeypatch, 10) == 0
+
+    def test_absolute_bound_tie_solves_one_row_by_coupling_lp(self, tmp_path, monkeypatch):
+        # At n=40 the kept decision's up and down deviations tie, so its two
+        # coupling LPs pick the binding side.
+        assert self._coupling_lps(tmp_path, monkeypatch, 40) == 2
 
 
 class TestSatisficingBound:
@@ -880,6 +891,21 @@ class TestCLI:
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-2:] == ["scipy loaded: False", "jsonschema loaded: False"]
         assert (tmp_path / "results.csv").exists()
+
+    def test_imports_load_no_scipy_module(self):
+        # lp.py stands in for SciPy's HiGHS; the tests import scipy
+        # themselves, so only a fresh interpreter can see an import of
+        # scipy or any of its submodules leak into the package.
+        src = str(Path(drolab.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        script = (
+            "import sys\n"
+            "import drolab, drolab.experiment, drolab.cli\n"
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
 
     def test_module_entry_point(self, tmp_path):
         # The CLI is reachable as `python -m drolab` for environments where

@@ -61,6 +61,13 @@ class TestSolveRegularizedSAA:
             == solve_saa(data, make_cost("absolute"), space).x_index
         )
 
+    @pytest.mark.parametrize("lam", [-1.0, math.nan, math.inf])
+    def test_weight_must_be_finite_and_nonnegative(self, line_grid, lam):
+        data = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        f = Regularizer(lambda x: 0.0)
+        with pytest.raises(ValueError, match="regularization weight must be finite and >= 0"):
+            solve_regularized_saa(data, make_cost("absolute"), f, lam, DecisionSpace.interval(0, 3, 7))
+
     def test_large_weight_follows_regularizer(self, line_grid):
         data = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
         space = DecisionSpace.interval(0, 3, 7)
@@ -270,14 +277,14 @@ def _same_solution(got, want) -> bool:
 
 class TestAbsoluteDROScreen:
     """On positive-radius Wasserstein balls the exact dual screens the rows
-    that the coupling LP re-solves; the result must be the LP sweep's."""
+    that the coupling LP re-solves.  Wherever the LP runs (two or more
+    screened rows, or one whose up and down deviations tie within the
+    margin) the result must be the LP sweep's bit for bit; elsewhere the
+    dual's value and witness must agree with it to 1e-9."""
 
     @pytest.fixture
     def lp_calls(self, monkeypatch):
-        calls = []
-        solve = solvers.solve_lp
-        monkeypatch.setattr(solvers, "solve_lp", lambda *a, **k: calls.append(k) or solve(*a, **k))
-        return calls
+        return _count_lp_calls(monkeypatch)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -315,7 +322,24 @@ class TestAbsoluteDROScreen:
             space, cf = DecisionSpace.interval(0.0, 1.0, k), _table_cost(table)
         center = DiscreteDistribution(grid, w / w.sum())
         ball = AmbiguityBall(center, frac * grid.diameter, DivergenceKind.wasserstein_order(p))
-        assert _same_solution(solve_absolute_dro(ball, cf, space), absolute_dro_lp_sweep(ball, cf, space))
+        want = absolute_dro_lp_sweep(ball, cf, space)
+        with pytest.MonkeyPatch.context() as patch:
+            calls = _count_lp_calls(patch)
+            got = solve_absolute_dro(ball, cf, space)
+        if calls:
+            assert _same_solution(got, want)
+            return
+        # The dual alone: the LP sweep's decision, ties and binding side, its
+        # value to 1e-9, and a witness in the ball that attains that value.
+        assert (got.x_index, got.diagnostics) == (want.x_index, want.diagnostics)
+        costs = cost_table(cf, grid, space)[got.x_index]
+        ref = got.diagnostics["nominal_ref"]
+        expectation = got.witness.expectation(costs)
+        assert (expectation >= ref) == (want.witness.expectation(costs) >= ref)
+        for value in (got.objective_value, got.measure):
+            assert abs(value - want.measure) <= 1e-9 * max(1.0, abs(want.measure))
+        assert ball.kind.distance(got.witness, center) <= ball.radius + 1e-9
+        assert abs(abs(expectation - ref) - got.measure) <= 1e-9 * max(1.0, abs(got.measure))
 
     def test_identical_rows_tie_at_the_lower_index(self, line_grid):
         center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
@@ -326,21 +350,54 @@ class TestAbsoluteDROScreen:
         assert (sol.x_index, sol.diagnostics["ties"]) == (1, 2)
         assert _same_solution(sol, absolute_dro_lp_sweep(ball, cf, space))
 
-    def test_newsvendor_line_solves_one_row_by_lp(self, lp_calls):
-        # 13 decisions on a 16-atom line with no near-tie: one row's two
-        # extremal LPs, where the LP on every row makes 26.
+    @staticmethod
+    def _newsvendor_line(weights: np.ndarray, b: float, c: float):
+        # 13 decisions on a 16-atom line, where an LP on every row makes 26.
         grid = SupportGrid.euclidean([[float(v)] for v in range(16)])
-        center = DiscreteDistribution(grid, np.random.default_rng(3).dirichlet(np.full(16, 2.0)))
-        space = DecisionSpace.interval(0.0, 15.0, 13)
-        cf = make_cost("newsvendor", params={"b": 2.0, "c": 1.0})
-        ball = AmbiguityBall(center, 0.7, W1)
+        center = DiscreteDistribution(grid, weights)
+        cf = make_cost("newsvendor", params={"b": b, "c": c})
+        return AmbiguityBall(center, 0.7, W1), cf, DecisionSpace.interval(0.0, 15.0, 13)
+
+    def test_newsvendor_line_without_a_tie_makes_no_lp(self, lp_calls):
+        # One decision attains the dual minimum and its down deviation falls
+        # short of its up deviation, so the dual decides it alone.
+        weights = np.random.default_rng(3).dirichlet(np.full(16, 2.0))
+        ball, cf, space = self._newsvendor_line(weights, 2.0, 1.0)
+        sol = solve_absolute_dro(ball, cf, space)
+        assert len(lp_calls) == 0
+        want = absolute_dro_lp_sweep(ball, cf, space)
+        assert (sol.x_index, sol.diagnostics) == (want.x_index, want.diagnostics)
+        assert sol.diagnostics["ties"] == 1
+        assert sol.measure == pytest.approx(want.measure, rel=1e-9, abs=1e-9)
+
+    def test_symmetric_newsvendor_tie_solves_one_row_by_lp(self, lp_calls):
+        # A centre symmetric about 7.5 with b = c: the middle decision is the
+        # nominal optimum and moves its cost by exactly the radius either
+        # way, so its up and down deviations tie and its two extremal LPs
+        # pick the side.
+        weights = np.random.default_rng(3).dirichlet(np.full(16, 2.0))
+        ball, cf, space = self._newsvendor_line((weights + weights[::-1]) / 2, 1.0, 1.0)
         sol = solve_absolute_dro(ball, cf, space)
         assert len(lp_calls) == 2
-        assert sol.diagnostics["ties"] == 1
+        assert (sol.x_index, sol.diagnostics["ties"]) == (6, 1)
         assert _same_solution(sol, absolute_dro_lp_sweep(ball, cf, space))
 
 
+def _count_lp_calls(patch: pytest.MonkeyPatch) -> list:
+    """Record every ``solve_lp`` call that :mod:`drolab.solvers` makes."""
+    calls = []
+    solve = solvers.solve_lp
+    patch.setattr(solvers, "solve_lp", lambda *a, **k: calls.append(k) or solve(*a, **k))
+    return calls
+
+
 class TestSolveRobustSatisficing:
+    @pytest.mark.parametrize("slack", [-0.1, math.nan, math.inf])
+    def test_slack_must_be_finite_and_nonnegative(self, line_grid, slack):
+        center = DiscreteDistribution(line_grid, [0.1, 0.3, 0.6])
+        with pytest.raises(ValueError, match="target slack must be finite and >= 0"):
+            solve_robust_satisficing(center, make_cost("absolute"), DecisionSpace.interval(0, 3, 7), W1, "two", slack)
+
     def test_zero_slack_forces_nominal_optimizer(self, line_grid):
         # Weights chosen so the nominal optimizer is unique (no flat median).
         center = DiscreteDistribution(line_grid, [0.1, 0.3, 0.6])
