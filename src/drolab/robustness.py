@@ -166,9 +166,12 @@ def local_measure(
     ``objective``: limit of ``min_x sup_ball |expectation - ref| / radius``.
     ``solution``: limit of ``|robust argmin - nominal argmin| / radius``.
     Evaluated on radii ``cap * 2**-k`` for k = 4..12, where ``cap`` is the
-    radius cap, with a first-order Richardson extrapolation; a non-convergent
-    tail (last relative change above 10%) is flagged but the estimate is
-    still returned.  A ball that cannot grow
+    radius cap, with a first-order Richardson extrapolation.  ``converged``
+    is set only when the last two ratios agree to 1e-9 relative: a ratio
+    still moving at the smallest radius (a second decision near the best
+    nominal value can take over there) can leave the extrapolation far off
+    the limit, so such a tail is flagged; the estimate is still returned.
+    A ball that cannot grow
     (:func:`~drolab.solvers.satisficing_radius_grid`) gives no radii and 0.
     """
     if variant not in ("objective", "solution"):
@@ -196,7 +199,7 @@ def local_measure(
         diagnostics={
             "radii": radii,
             "ratios": values,
-            "converged": bool(tail_change <= 0.10),
+            "converged": bool(tail_change <= 1e-9),
             "tail_relative_change": float(tail_change),
             "nominal_index": nominal_idx,
             "kind": kind.label(),

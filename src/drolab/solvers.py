@@ -127,8 +127,10 @@ def _coupling_lp_deviation(ball: AmbiguityBall, costs: np.ndarray, ref: float) -
     and its witness, from the coupling LP: the LP step of the absolute-DRO
     screen in :func:`_search_ball`.
 
-    The LP's highest and lowest expectations give the up and down
-    deviations, and ties go to the high side, as in
+    One :func:`~drolab.lp.solve_lp` call over the objective stack (-c, c)
+    gives the highest and lowest expectations, sharing the LP's phase 1; each
+    has the bits of its own solve.  They give the up and down deviations, and
+    ties go to the high side, as in
     :func:`~drolab.divergence.deviation_table`.  The exact dual gives the same
     deviations to 1e-9 relative (pinned in the tests), but when up and down
     agree mathematically, each oracle's last-digit rounding picks the
@@ -155,13 +157,14 @@ def _coupling_lp_deviation(ball: AmbiguityBall, costs: np.ndarray, ref: float) -
         # equalities are the column marginals, the mass taken from atom j.
         obj, a_eq = np.repeat(costs, m).astype(float), np.tile(np.eye(m), m)
         a_ub, b_ub = (dist_pow / scale).reshape(1, -1), [ball.radius**ball.kind.p / scale]
-        sides = []
-        for sign in (-1.0, 1.0):  # the highest expectation, then the lowest
-            res = solve_lp(sign * obj, a_eq=a_eq, b_eq=center.weights, a_ub=a_ub, b_ub=b_ub)
-            if not res.ok:
-                raise LPFailureError(f"coupling LP status {res.status!r} (m={m}, eps={ball.radius!r}, p={ball.kind.p})")
-            weights = np.maximum(res.x.reshape(m, m).sum(axis=1), 0.0)
-            sides.append((float(sign * res.value), DiscreteDistribution(center.grid, weights)))
+        signs = (-1.0, 1.0)  # the highest expectation, then the lowest
+        res = solve_lp(np.multiply.outer(signs, obj), a_eq=a_eq, b_eq=center.weights, a_ub=a_ub, b_ub=b_ub)
+        if not res.ok:
+            raise LPFailureError(f"coupling LP status {res.status!r} (m={m}, eps={ball.radius!r}, p={ball.kind.p})")
+        sides = [
+            (float(sign * value), DiscreteDistribution(center.grid, np.maximum(x.reshape(m, m).sum(axis=1), 0.0)))
+            for sign, x, value in zip(signs, res.x, res.value)
+        ]
     (hi, hi_witness), (lo, lo_witness) = sides
     up, down = hi - ref, ref - lo
     return (float(up), hi_witness) if up >= down else (float(down), lo_witness)

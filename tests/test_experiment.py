@@ -592,16 +592,16 @@ class TestVerifyBounds:
         assert len(calls) == 2 * 2 * 2
 
     @staticmethod
-    def _coupling_lps(tmp_path, monkeypatch, n: int) -> int:
-        """Coupling LPs made by one replication of verify_bounds at sample
-        size ``n`` on a newsvendor line of 13 decisions (26 with an LP on
-        every row)."""
+    def _coupling_lps(tmp_path, monkeypatch, n: int) -> list:
+        """The objective shape of each coupling LP call made by one
+        replication of verify_bounds at sample size ``n`` on a newsvendor
+        line of 13 decisions (13 calls with an LP on every row)."""
         coupling = []
         solve = solvers.solve_lp
 
         def counting(*args, **kwargs):
             if kwargs.get("a_ub") is not None:  # transport LPs have no inequality
-                coupling.append(args)
+                coupling.append(np.shape(args[0]))
             return solve(*args, **kwargs)
 
         monkeypatch.setattr(solvers, "solve_lp", counting)
@@ -618,17 +618,17 @@ class TestVerifyBounds:
         }
         ok, _ = verify_bounds(resolve_config(doc))
         assert ok
-        return len(coupling)
+        return coupling
 
     def test_absolute_bound_without_a_tie_makes_no_coupling_lp(self, tmp_path, monkeypatch):
         # The dual screen keeps one decision, whose up and down deviations
         # differ, so the replication's absolute_bound reads the dual alone.
-        assert self._coupling_lps(tmp_path, monkeypatch, 10) == 0
+        assert len(self._coupling_lps(tmp_path, monkeypatch, 10)) == 0
 
     def test_absolute_bound_tie_solves_one_row_by_coupling_lp(self, tmp_path, monkeypatch):
-        # At n=40 the kept decision's up and down deviations tie, so its two
-        # coupling LPs pick the binding side.
-        assert self._coupling_lps(tmp_path, monkeypatch, 40) == 2
+        # At n=40 the kept decision's up and down deviations tie, so one
+        # coupling LP call with both senses stacked picks the binding side.
+        assert self._coupling_lps(tmp_path, monkeypatch, 40) == [(2, 256)]
 
 
 class TestSatisficingBound:

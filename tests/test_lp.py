@@ -212,3 +212,98 @@ _FAMILIES = {"transport": _transport_lp, "ball": _ball_coupling_lp, "moment": _m
 def test_bitwise_equal_to_loop_reference(seed, family, m, dim, p, empty, rational):
     lp = _FAMILIES[family](np.random.default_rng(seed), m, dim, p, empty, rational)
     _assert_same_result(solve_lp(**lp), bland_lp_reference(**lp))
+
+
+def _assert_rows_are_lone_solves(batched, lone, phase1):
+    """A stacked solve against the lone solves of its rows: the same bytes
+    row for row, and phase 1's pivots counted once."""
+    assert batched.ok and batched.x.shape[0] == batched.value.shape[0] == len(lone)
+    assert batched.iterations == phase1 + sum(res.iterations - phase1 for res in lone)
+    for row, res in enumerate(lone):
+        assert batched.x[row].tobytes() == res.x.tobytes()
+        assert batched.value[row].tobytes() == np.float64(res.value).tobytes()
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    family=st.sampled_from(sorted(_FAMILIES)),
+    m=st.integers(2, 6),
+    dim=st.sampled_from([1, 2]),
+    p=st.sampled_from([1.0, 2.0]),
+    empty=st.integers(0, 2),
+    rational=st.booleans(),
+    k=st.integers(1, 3),
+)
+@settings(max_examples=150, deadline=None)
+def test_objective_stack_rows_equal_lone_solves(seed, family, m, dim, p, empty, rational, k):
+    rng = np.random.default_rng(seed)
+    lp = _FAMILIES[family](rng, m, dim, p, empty, rational)
+    # The family's objective, its negation, and small integers (which can
+    # make the program unbounded), over the one feasible set.
+    c = np.asarray(lp.pop("c"), dtype=float)
+    stack = np.array([c, -c, rng.integers(-3, 4, size=c.size).astype(float)][:k])
+    batched = solve_lp(stack, **lp)
+    lone = [solve_lp(row.copy(), **lp) for row in stack]
+    # Phase 2 makes no pivot on a zero objective, so this counts phase 1.
+    phase1 = solve_lp(np.zeros(stack.shape[1]), **lp).iterations
+    if lone[0].status == "infeasible":
+        assert (batched.status, batched.x, batched.value, batched.iterations) == ("infeasible", None, None, phase1)
+        return
+    if not all(res.ok for res in lone):
+        assert (batched.status, batched.x, batched.value) == ("unbounded", None, None)
+        assert batched.iterations == phase1 + sum(res.iterations - phase1 for res in lone)
+        return
+    _assert_rows_are_lone_solves(batched, lone, phase1)
+
+
+def _line_transport(m: int, n: int, seed: int) -> dict:
+    """The W1 transport LP between a Dirichlet law on ``m`` line atoms and
+    the empirical law of ``n`` draws from it, which misses some atoms."""
+    rng = np.random.default_rng(seed)
+    atoms = np.linspace(-3.0, 3.0, m)
+    p0 = rng.dirichlet(np.full(m, 2.0))
+    empirical = rng.multinomial(n, p0) / n
+    eye = np.eye(m)
+    return {
+        "c": np.abs(atoms[:, None] - atoms[None, :]).reshape(-1),
+        "a_eq": np.vstack([np.repeat(eye, m, axis=1), np.tile(eye, m)]),
+        "b_eq": np.concatenate([p0, empirical]),
+    }
+
+
+@pytest.mark.parametrize("m, n, seed", [(12, 10, 0), (12, 10, 1), (16, 10, 2), (16, 40, 3)])
+def test_line_transport_at_workload_sizes_matches_loop_reference(m, n, seed):
+    lp = _line_transport(m, n, seed)
+    assert np.any(lp["b_eq"][m:] == 0.0)
+    assert _solve_checked(**lp).ok
+
+
+def test_coupling_lp_stack_at_workload_size_matches_loop_reference():
+    # The absolute-DRO screen's LP on a 16-atom line: newsvendor costs
+    # (b = 2, c = 1) at a decision inside the support, W1 radius 0.7.
+    m = 16
+    atoms = np.arange(m, dtype=float)
+    center = np.random.default_rng(3).dirichlet(np.full(m, 2.0))
+    costs = np.maximum(2.0 * (atoms - 7.5), 7.5 - atoms)
+    metric = np.abs(atoms[:, None] - atoms[None, :])
+    scale = float(np.max(metric))
+    blocks = {"a_eq": np.tile(np.eye(m), m), "b_eq": center, "a_ub": (metric / scale).reshape(1, -1), "b_ub": [0.7 / scale]}
+    obj = np.repeat(costs, m)
+    batched = solve_lp(np.multiply.outer([-1.0, 1.0], obj), **blocks)
+    lone = [_solve_checked(sign * obj, **blocks) for sign in (-1.0, 1.0)]
+    _assert_rows_are_lone_solves(batched, lone, solve_lp(np.zeros(m * m), **blocks).iterations)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("where", ["c", "a_eq", "b_eq", "a_ub", "b_ub"])
+def test_non_finite_data_rejected(bad, where):
+    lp = {"c": [1.0, 2.0], "a_eq": [[1.0, 1.0]], "b_eq": [1.0], "a_ub": [[1.0, 0.0]], "b_ub": [0.5]}
+    lp[where] = np.full(np.shape(lp[where]), bad)
+    with pytest.raises(ValueError, match="LP data must be finite"):
+        solve_lp(**lp)
+
+
+@pytest.mark.parametrize("shape", [(1, 1, 2), (0, 2)])
+def test_objective_not_a_vector_or_stack_rejected(shape):
+    with pytest.raises(ValueError, match=r"\(k, n\) stack of k >= 1"):
+        solve_lp(np.ones(shape), a_eq=[[1.0, 1.0]], b_eq=[1.0])

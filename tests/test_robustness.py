@@ -20,7 +20,7 @@ from _oracles import (
 )
 from conftest import RADIUS_FRACTIONS, random_ball_instance, random_distribution, random_grid
 from drolab import divergence, solvers
-from drolab.cost import CostFunction, DecisionSpace, expected_cost, make_cost
+from drolab.cost import CostFunction, DecisionSpace, cost_table, expected_cost, make_cost
 from drolab.divergence import AmbiguityBall, DivergenceKind, membership
 from drolab.robustness import (
     DirichletPrior,
@@ -235,6 +235,34 @@ class TestLocalMeasure:
         ref = solve_saa(center, cf, space).objective_value
         rep = local_measure(space, center, ref, cf, W1, "solution")
         assert rep.measure == pytest.approx(0.0, abs=1e-12)
+        assert rep.diagnostics["converged"]
+
+    @staticmethod
+    def _plane_report(index: int):
+        # report_w1_plane's instance: a Dirichlet(3) centre on the 3x3 plane,
+        # linreg cost, 21 slopes; and the ratio at a radius far below the grid.
+        axis = [-1.0, 0.0, 1.0]
+        grid = SupportGrid.euclidean([[a, b] for a in axis for b in axis])
+        space = DecisionSpace.interval(-2.0, 2.0, 21)
+        cf = make_cost("linreg", grid=grid, space=space)
+        center = DiscreteDistribution(grid, np.random.default_rng([0, 2, index]).dirichlet(np.full(9, 3.0)))
+        ref = solve_saa(center, cf, space).objective_value
+        rep = local_measure(space, center, ref, cf, W1, "objective")
+        devs, _ = divergence.deviation_table(center, W1, cost_table(cf, grid, space), [1e-8], ref)
+        return rep, float(np.min(devs)) / 1e-8
+
+    def test_tail_still_moving_is_not_converged(self):
+        # A second slope within 5e-4 of the best nominal value has the
+        # smaller ratio at the last two radii, so the estimate is 22% short.
+        rep, limit = self._plane_report(12)
+        assert limit == pytest.approx(1.4, rel=1e-6)
+        assert rep.measure < 0.8 * limit
+        assert 1e-9 < rep.diagnostics["tail_relative_change"] < 0.10
+        assert not rep.diagnostics["converged"]
+
+    def test_settled_tail_is_converged(self):
+        rep, limit = self._plane_report(1)
+        assert rep.measure == pytest.approx(limit, rel=1e-6)
         assert rep.diagnostics["converged"]
 
 
