@@ -6,15 +6,18 @@ balls come from the finite strong dual, a convex piecewise-linear function of
 one multiplier minimized exactly at its breakpoints; over forward KL balls
 they come from the exponential-tilting dual, whose multiplier is the root of
 a one-dimensional equation found by safeguarded Newton steps.  Both are
-batched over cost rows and radii.  Each exact result is kept on the
-distribution it was computed from (its ``_memo``): a distance on its second
-argument, the Wasserstein dual's breakpoints of a table on the centre, so a
-repeated instance costs no second solve.  The witnesses that attain the
-values are batched too: one pass builds every row's witness at a radius
+batched over cost rows and radii, and one pass over the signed table
+``[c; -c]`` gives a table's worst and best cases together.  Each exact
+result is kept on the distribution it was computed from (its ``_memo``), as
+arrays or floats only: a distance on its second argument; on a centre, both
+senses of each (kind, table, radii) pass and the Wasserstein dual's
+breakpoints of each signed table; so a repeated instance, in either sense,
+costs no second solve.  The witnesses that attain the values are batched
+too: one pass builds every row's witness at a radius
 (:meth:`Witnesses.weights`), and a single cell's witness is the one-row case
 of the same builder.  The largest two-sided deviation of an expectation over
 a ball, which every robustness measure and the absolute-DRO model read, is
-:func:`deviation_table`: one worst-case and one best-case sweep.
+:func:`deviation_table`: the worst and best case of one pass.
 """
 
 from __future__ import annotations
@@ -311,12 +314,13 @@ def _upper_envelopes(c: np.ndarray, dist_pow: np.ndarray, w: np.ndarray) -> tupl
 def _dual_breakpoints(
     center: DiscreteDistribution, p: float, c: np.ndarray, dist_pow: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """:func:`_upper_envelopes` of the signed cost table ``c`` over the
-    support of ``center``, walked once per (order, table) for as long as
-    ``center`` lives.  The centre's weights and metric are its own, so the
-    order and the table's shape and bytes key its memo; every later call
-    shares the arrays, which are therefore read-only.  Two threads that miss
-    on one key at once both walk and store equal arrays.
+    """:func:`_upper_envelopes` of the signed cost table ``c`` (both senses
+    of a table, stacked by :func:`_signed_pass`) over the support of
+    ``center``, walked once per (order, table) for as long as ``center``
+    lives, so it serves every radius grid.  The centre's weights and metric
+    are its own, so the order and the table's shape and bytes key its memo;
+    every later call shares the arrays, which are therefore read-only.  Two
+    threads that miss on one key at once both walk and store equal arrays.
     """
     key = ("wasserstein_breakpoints", float(p), c.shape, c.tobytes())
     found = center._memo.get(key)
@@ -368,7 +372,10 @@ def _wasserstein_witness(
 
 def _wasserstein_values(
     center: DiscreteDistribution, p: float, c: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]]:
+) -> tuple[np.ndarray, ...]:
+    """Wasserstein-p extremal values of the cost rows ``c`` (maximized) at
+    each radius, and the dual optimum ``lam`` of each cell, for
+    :func:`_wasserstein_witnesses`."""
     # Strong dual (Mohajerin Esfahani & Kuhn 2018, Thm 4.2; Gao & Kleywegt
     # 2023): v(eps) = min_{lam >= 0} lam * eps**p + G(lam) is convex and
     # piecewise linear in lam, so its minimum sits at lam = 0 or at a
@@ -380,8 +387,18 @@ def _wasserstein_values(
     dual = a[:, :, None] + lam[:, :, None] * (budgets[None, None, :] - s[:, :, None])
     best = np.argmin(dual, axis=1)
     values = np.take_along_axis(dual, best[:, None, :], axis=1)[:, 0, :]
+    values[:, radii >= center.grid.diameter] = np.max(c, axis=1)[:, None]
+    return values, np.take_along_axis(lam, best, axis=1)
+
+
+def _wasserstein_witnesses(
+    center: DiscreteDistribution, p: float, c: np.ndarray, radii: np.ndarray, lam: np.ndarray
+) -> Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]:
+    """The witness builder of :func:`_wasserstein_values`' cells, from their
+    dual optima ``lam[k, r]``."""
+    dist_pow = center.grid.ground_metric**p
+    budgets = radii**p
     covers = radii >= center.grid.diameter
-    values[:, covers] = np.max(c, axis=1)[:, None]
 
     def witnesses(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         if covers[r]:
@@ -389,10 +406,10 @@ def _wasserstein_values(
             q = np.zeros((rows.size, center.grid.size))
             q[np.arange(rows.size), np.argmax(c[rows], axis=1)] = 1.0
         else:
-            q = _wasserstein_witness(center, c[rows], dist_pow, float(budgets[r]), lam[rows, best[rows, r]])
+            q = _wasserstein_witness(center, c[rows], dist_pow, float(budgets[r]), lam[rows, r])
         return q, np.zeros(rows.size, dtype=bool)
 
-    return values, witnesses
+    return witnesses
 
 
 def _log_sum_exp(a: np.ndarray) -> np.ndarray:
@@ -457,9 +474,11 @@ def _kl_tilt_roots(w: np.ndarray, s: np.ndarray, eps: np.ndarray) -> tuple[np.nd
     return theta, log_z
 
 
-def _kl_values(
-    center: DiscreteDistribution, c: np.ndarray, radii: np.ndarray
-) -> tuple[np.ndarray, Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]]:
+def _kl_values(center: DiscreteDistribution, c: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Forward-KL extremal values of the cost rows ``c`` (maximized) at each
+    radius, and what :func:`_kl_witnesses` needs: per cell the root ``theta``
+    and whether the ball is saturated, per row whether it is flat, its top
+    atoms on the support and their mass, and its costs minus their top."""
     # Exponential-tilting dual (Hu & Hong 2013): v(eps) = min_{lam > 0}
     # lam * eps + lam * log E_center exp(c / lam), attained where the tilt's
     # KL equals eps.  Flat rows keep the centre.  Once eps reaches -log of
@@ -486,6 +505,16 @@ def _kl_values(
     values[flat] = np.array([center.expectation(row) for row in c[flat]])[:, None]
     lam = 1.0 / root
     values[rows, cols] = lam * eps + lam * log_z + top[rows]
+    return values, theta, saturated, flat, arg_top, top_mass, shifted
+
+
+def _kl_witnesses(
+    center: DiscreteDistribution, theta: np.ndarray, saturated: np.ndarray, flat: np.ndarray,
+    arg_top: np.ndarray, top_mass: np.ndarray, shifted: np.ndarray,
+) -> Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]:
+    """The witness builder of :func:`_kl_values`' cells, from its arrays."""
+    supp = center.support_indices()
+    w = center.weights[supp]
 
     def witnesses(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         # The tilted centre, or the centre conditioned on the top atoms once
@@ -499,7 +528,34 @@ def _kl_values(
         q[:, supp] = on_supp
         return q, flat[rows]
 
-    return values, witnesses
+    return witnesses
+
+
+def _signed_pass(
+    center: DiscreteDistribution, kind: DivergenceKind, c: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The ball oracle's arrays for the signed table ``[c; -c]``: its values,
+    then its witness builder's inputs, each with ``2 * len(c)`` rows, the
+    worst case of ``c`` on top and the worst case of ``-c`` below.  Solved
+    once per (kind, table, radii) for as long as ``center`` lives: the kind,
+    the table's shape and bytes and the radii's bytes key its memo, which
+    keeps arrays only (a function closing over ``center`` would tie the
+    centre into a reference cycle).  Every later call, for either sense,
+    shares the arrays, which are therefore read-only.  Two threads that miss
+    on one key at once both solve and store equal arrays.
+    """
+    key = ("extremal", kind.family, kind.p, c.shape, c.tobytes(), radii.tobytes())
+    found = center._memo.get(key)
+    if found is None:
+        signed = np.concatenate([c, -c])
+        if kind.family == "wasserstein":
+            found = _wasserstein_values(center, kind.p, signed, radii)
+        else:
+            found = _kl_values(center, signed, radii)
+        for arr in found:
+            arr.setflags(write=False)
+        center._memo[key] = found
+    return found
 
 
 @dataclass(frozen=True)
@@ -542,15 +598,18 @@ def extremal_values(
     at one radius.  Wasserstein balls are solved exactly through the
     finite strong dual ``min_{lam>=0} lam*eps**p + sum_j w_j max_i (c_i -
     lam*d_ij**p)``, with one set of dual breakpoints per row shared by all
-    radii.  The breakpoints are walked once per (centre, table, sense) and
-    kept on the centre, so later calls with that table and sense, at any
-    radii, reuse them; values and witnesses are the same bits either way.
-    Forward KL balls are solved through the exponential-tilting dual
+    radii.  Forward KL balls are solved through the exponential-tilting dual
     of :func:`extremal_expectation`, one vectorised root search over every
-    (row, radius) cell that has no closed form; a cell's value does not
-    depend on the other cells in the table.  Either way witnesses are built
-    only for the cells asked for.  Radius 0 gives the centre's expectation
-    and the centre itself.
+    (row, radius) cell that has no closed form.  Either oracle solves the
+    signed table ``[c; -c]`` in one pass (:func:`_signed_pass`), whose upper
+    half is the worst case and whose negated lower half is the best case,
+    and the centre keeps the pass for its (kind, table, radii): a later call
+    with that table and those radii, in either sense, solves nothing, and
+    the Wasserstein breakpoints, kept per table, serve every other radius
+    grid.  A cell's value and witness do not depend on the other cells in
+    the table, so they are the same bits either way; a lone one-sided call
+    pays for both senses.  Witnesses are built only for the cells asked
+    for.  Radius 0 gives the centre's expectation and the centre itself.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")
@@ -565,14 +624,17 @@ def extremal_values(
     at_center = radii == 0.0
     if not np.all(at_center) and not kind.has_ball_oracle:
         raise ValueError("extremal expectations are implemented for Wasserstein balls and forward KL balls")
-    sign = 1.0 if sense == "max" else -1.0
-    if kind.family == "wasserstein":
-        values, ball_witnesses = _wasserstein_values(center, kind.p, sign * c, radii)
-    elif kind.has_ball_oracle:
-        values, ball_witnesses = _kl_values(center, sign * c, radii)
+    k = c.shape[0]
+    sign, half = (1.0, slice(0, k)) if sense == "max" else (-1.0, slice(k, 2 * k))
+    if kind.has_ball_oracle:
+        values, *parts = (arr[half] for arr in _signed_pass(center, kind, c, radii))
+        if kind.family == "wasserstein":
+            ball_witnesses = _wasserstein_witnesses(center, kind.p, sign * c, radii, *parts)
+        else:
+            ball_witnesses = _kl_witnesses(center, *parts)
+        values = sign * values
     else:  # every radius is 0, checked above
-        values, ball_witnesses = np.empty((c.shape[0], radii.size)), None
-    values = sign * values
+        values, ball_witnesses = np.empty((k, radii.size)), None
     for r in np.flatnonzero(at_center):
         values[:, r] = [center.expectation(row) for row in c]
 

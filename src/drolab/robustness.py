@@ -173,12 +173,30 @@ def local_measure(
     the limit, so such a tail is flagged; the estimate is still returned.
     A ball that cannot grow
     (:func:`~drolab.solvers.satisficing_radius_grid`) gives no radii and 0.
+    If every decision's centre value misses ``ref_value`` by more than 1e-9,
+    each ratio of the ``objective`` variant diverges as the radius shrinks
+    and its measure is +inf, as in :func:`relative_measure`; the smallest
+    miss is reported as ``nominal_gap``.
     """
     if variant not in ("objective", "solution"):
         raise ValueError("variant must be 'objective' or 'solution'")
     ref_value = _finite_ref(ref_value)
     table = cost_table(cf, center.grid, x_space)
-    nominal_idx = int(np.argmin(table @ center.weights))
+    nominal = table @ center.weights
+    nominal_idx = int(np.argmin(nominal))
+    nominal_gap = float(np.min(np.abs(nominal - ref_value)))
+    if variant == "objective" and nominal_gap > 1e-9:
+        return RobustnessReport(
+            None,
+            "local_objective",
+            math.inf,
+            diagnostics={
+                "nominal_gap": nominal_gap,
+                "ref_value": ref_value,
+                "nominal_index": nominal_idx,
+                "kind": kind.label(),
+            },
+        )
     grid = satisficing_radius_grid(kind, center)
     radii = [float(grid[-1]) * 2.0**-k for k in LOCAL_SCALE_RANGE] if grid.size else []
     if variant == "objective":

@@ -302,11 +302,12 @@ def solve_satisficing_models(
 ) -> list[Solution]:
     """:func:`solve_robust_satisficing` for each ``(sided, target_slack)`` model.
 
-    The models share one worst-case sweep of :func:`extremal_values` and, if
-    any is two-sided, one best-case sweep, both over the decisions that meet
-    the loosest target (a superset of every model's feasible set).  A cell's
-    extremal value and witness do not depend on the other rows of its table,
-    so each solution is bit-identical to the model solved alone.
+    The models share one pass of :func:`extremal_values` over the decisions
+    that meet the loosest target (a superset of every model's feasible set),
+    which gives the worst case and, if any model is two-sided, the best
+    case.  A cell's extremal value and witness do not depend on the other
+    rows of its table, so each solution is bit-identical to the model solved
+    alone.
     """
     for sided, target_slack in models:
         if sided not in ("one", "two"):

@@ -174,9 +174,11 @@ class DiscreteDistribution:
     grid: SupportGrid
     weights: np.ndarray
     # Exact results computed from this distribution and the inputs named in
-    # their key (transport distances to it, see ``divergence.wasserstein``,
-    # and the Wasserstein dual's breakpoints, see
-    # ``divergence._dual_breakpoints``); they live exactly as long as it does.
+    # their key, as floats or read-only arrays, never anything that refers
+    # back to it: transport distances to it (``divergence.wasserstein``),
+    # both senses of each ball-oracle pass over a cost table and radii
+    # (``divergence._signed_pass``) and the Wasserstein dual's breakpoints
+    # (``divergence._dual_breakpoints``).  They live exactly as long as it does.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

@@ -50,3 +50,23 @@ def random_ball_instance(
 # through past it.  The smallest positive one is the library's own
 # radius-grid floor (1e-4).
 RADIUS_FRACTIONS = st.sampled_from([0.0, 1e-4, 0.05, 0.3, 0.7, 1.0, 1.5]) | st.floats(1e-4, 1.2)
+
+
+def spy_on(monkeypatch: pytest.MonkeyPatch, module, name: str) -> list:
+    """Wrap ``module.name`` through ``monkeypatch``: the function still runs,
+    and each call appends its ``(args, kwargs)`` to the returned list."""
+    calls = []
+    real = getattr(module, name)
+
+    def spied(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, spied)
+    return calls
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """``calls = spy(module, name)``: :func:`spy_on` for the test's span."""
+    return lambda module, name: spy_on(monkeypatch, module, name)

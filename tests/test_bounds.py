@@ -226,14 +226,14 @@ class TestExpectedBounds:
         assert {r["kind"] for r in rows} == {"absolute_nominal", "absolute_dro"}
         assert all(r["holds"] for r in rows) and summary["skipped"] == 0
 
-    def test_absolute_suite_solves_one_transport_per_replication(self, line_grid, monkeypatch):
-        # The radius and the membership check both ask for W(p0, pbar).
-        calls = []
-        solve = divergence.optimal_transport
-        monkeypatch.setattr(divergence, "optimal_transport", lambda *args: calls.append(args) or solve(*args))
-        p0 = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
-        expected_bounds(p0, make_cost("absolute"), DecisionSpace.interval(0, 3, 4), "absolute", n=10,
-                        replications=30, seed=22)
+    def test_absolute_suite_solves_one_transport_per_replication(self, spy):
+        # The radius and the membership check both ask for W(p0, pbar), by
+        # the transport LP of a 2-D metric.
+        calls = spy(divergence, "optimal_transport")
+        grid = SupportGrid.euclidean([[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]])
+        p0 = DiscreteDistribution(grid, [0.2, 0.3, 0.5])
+        space = DecisionSpace.from_points([[0.0, 0.0], [1.0, 0.0], [2.0, 0.5], [3.0, 1.0]])
+        expected_bounds(p0, make_cost("absolute"), space, "absolute", n=10, replications=30, seed=22)
         assert len(calls) == 30
 
     def test_replication_floor(self, line_grid):

@@ -1,6 +1,8 @@
 """Transport distances, phi-divergences, balls, and extremal oracles."""
 
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from _oracles import (
     w1_dual_vertices,
     w1_from_dual,
 )
-from conftest import RADIUS_FRACTIONS, random_ball_instance, random_distribution, random_grid
+from conftest import RADIUS_FRACTIONS, random_ball_instance, random_distribution, random_grid, spy_on
 from drolab import divergence
 from drolab.divergence import (
     _phi,
@@ -582,40 +584,51 @@ class TestWassersteinDualOracle:
 
 
 class TestDualBreakpointMemo:
-    """Each centre walks the Wasserstein dual's breakpoints once per (order,
-    signed table) and reuses them for every later radius and call."""
+    """Each centre solves a table once per (kind, radii) for both senses, and
+    walks the Wasserstein dual's breakpoints once per (order, table) for
+    every radius; later calls read the arrays it keeps."""
+
+    # The functions that do an oracle's work: a breakpoint walk, a value
+    # sweep, a KL root search.
+    WORK = ("_upper_envelopes", "_wasserstein_values", "_kl_values", "_kl_tilt_roots")
 
     @given(
         seed=st.integers(0, 2**32 - 1),
         m=st.integers(2, 8),
         dim=st.sampled_from([1, 2]),
-        p=st.sampled_from([1.0, 1.5, 2.0]),
+        kind=st.sampled_from([1.0, 1.5, 2.0, "kl"]),
         empty=st.integers(0, 3),
         tied=st.booleans(),
         fracs=st.lists(RADIUS_FRACTIONS, min_size=1, max_size=4),
         sense=st.sampled_from(["max", "min"]),
     )
     @settings(max_examples=60, deadline=None)
-    def test_warm_centre_matches_fresh_centre(self, seed, m, dim, p, empty, tied, fracs, sense):
+    def test_warm_centre_matches_fresh_centre(self, seed, m, dim, kind, empty, tied, fracs, sense):
         rng = np.random.default_rng(seed)
         center, table = random_ball_instance(rng, m, dim, empty, tied)
         # Two centres built alike have the same weight bits and each its own memo.
         center, fresh = (DiscreteDistribution(center.grid, center.weights) for _ in range(2))
-        kind = DivergenceKind.wasserstein_order(p)
-        diameter = center.grid.diameter
-        radii = np.array(fracs) * diameter
+        if kind == "kl":
+            kind, other_kind = DivergenceKind.kl(), DivergenceKind.wasserstein_order(1.0)
+        else:
+            kind, other_kind = DivergenceKind.wasserstein_order(kind), DivergenceKind.wasserstein_order(kind + 1.0)
+        cap = kind.radius_cap(center)
+        radii = np.array(fracs) * cap
         # Other sweeps first: another table, each of its rows alone, the same
-        # table at other radii in both senses, and another order.
+        # table at other radii in both senses and under another kind, and the
+        # same table at the same radii in the other sense.
         other = rng.normal(size=(2, m))
         for s in ("max", "min"):
-            extremal_values(center, kind, other, [0.5 * diameter], s)
-            extremal_values(center, kind, table, [0.1 * diameter, 2.0 * diameter], s)
-            extremal_values(center, DivergenceKind.wasserstein_order(p + 1.0), table, radii, s)
+            extremal_values(center, kind, other, [0.5 * cap], s)
+            extremal_values(center, kind, table, [0.1 * cap, 2.0 * cap], s)
+            extremal_values(center, other_kind, table, radii, s)
         for row in table:
-            extremal_expectation(AmbiguityBall(center, 0.3 * diameter, kind), row, sense)
-        walked = len(center._memo)
-        warm_values, warm = extremal_values(center, kind, table, radii, sense)
-        assert len(center._memo) == walked  # the sweep found its breakpoints
+            extremal_expectation(AmbiguityBall(center, 0.3 * cap, kind), row, sense)
+        extremal_values(center, kind, table, radii, "min" if sense == "max" else "max")
+        with pytest.MonkeyPatch.context() as patch:
+            work = [spy_on(patch, divergence, name) for name in self.WORK]
+            warm_values, warm = extremal_values(center, kind, table, radii, sense)
+        assert not any(work)  # the other sense's pass answered
         assert not fresh._memo
         cold_values, cold = extremal_values(fresh, kind, table, radii, sense)
         assert warm_values.tobytes() == cold_values.tobytes()
@@ -624,28 +637,45 @@ class TestDualBreakpointMemo:
             for k in range(len(table)):
                 assert warm(k, r).weights.tobytes() == cold(k, r).weights.tobytes()
 
-    def test_memoised_breakpoints_are_read_only(self, square_grid):
+    def test_memoised_breakpoints_are_read_only(self, square_grid, spy):
+        walks, sweeps = spy(divergence, "_upper_envelopes"), spy(divergence, "_wasserstein_values")
         center = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
         table = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 1.0, 2.0, -1.0]])
         for sense in ("max", "min"):
             extremal_values(center, DivergenceKind.wasserstein_order(1.0), table, [0.2, 0.7], sense)
-        assert len(center._memo) == 2
+        assert (len(walks), len(sweeps)) == (1, 1)
         for arrays in center._memo.values():
-            assert len(arrays) == 3
             for arr in arrays:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
                     arr[0, 0] = 1.0
 
-    def test_centres_with_other_weights_share_no_entry(self, square_grid, monkeypatch):
-        walks = []
-        walk = divergence._upper_envelopes
+    def test_memo_holds_no_reference_to_its_centre(self, square_grid):
+        # A memo entry that reached back to its centre (a witness builder
+        # closing over it, say) would keep the centre alive until the cycle
+        # collector ran; with the collector off, the centre must go at once.
+        a = DiscreteDistribution(square_grid, [0.4, 0.3, 0.2, 0.1])
+        center = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
+        table = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 1.0, 2.0, -1.0]])
+        gc.disable()
+        try:
+            for kind in (DivergenceKind.wasserstein_order(1.0), DivergenceKind.kl()):
+                for sense in ("max", "min"):
+                    values, witnesses = extremal_values(center, kind, table, [0.2, 0.7], sense)
+                    assert witnesses(1, 1).weights.shape == witnesses.weights(0)[0].shape
+            assert wasserstein(a, center) > 0.0
+            assert len(center._memo) == 4  # two passes, one breakpoint walk, one distance
+            for entry in center._memo.values():
+                if not isinstance(entry, float):
+                    assert all(isinstance(arr, np.ndarray) and not arr.flags.writeable for arr in entry)
+            alive = weakref.ref(center)
+            del center, values, witnesses
+            assert alive() is None
+        finally:
+            gc.enable()
 
-        def counting(*args):
-            walks.append(1)
-            return walk(*args)
-
-        monkeypatch.setattr(divergence, "_upper_envelopes", counting)
+    def test_centres_with_other_weights_share_no_entry(self, square_grid, spy):
+        walks = spy(divergence, "_upper_envelopes")
         kind = DivergenceKind.wasserstein_order(1.0)
         table = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 1.0, 2.0, -1.0]])
         a = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])

@@ -553,12 +553,14 @@ class TestRunner:
                 elif key != "distance_to_witness":
                     assert got[key] == pytest.approx(value, abs=1e-9), key
 
-    def test_golden_run_solves_each_distance_once_per_replication(self, tmp_path, monkeypatch):
-        # Four replications ask for 60 distances, 5 of them distinct in each.
-        calls = []
-        solve = divergence.optimal_transport
-        monkeypatch.setattr(divergence, "optimal_transport", lambda *args: calls.append(args) or solve(*args))
+    def test_golden_run_solves_each_distance_once_per_replication(self, tmp_path, spy):
+        # The golden config's methods and plan, with its atoms lifted off the
+        # line so that the distances take the transport LP of a 2-D metric:
+        # four replications ask for 60 distances, 5 of them distinct in each.
+        calls = spy(divergence, "optimal_transport")
         doc = json.loads((Path(__file__).parent / "data" / "golden_config.json").read_text())
+        heights = [0.0, 0.5, 0.2, 0.9, 0.4, 1.1, 0.3, 0.8]
+        doc["grid"]["atoms"] = [[atom[0], y] for atom, y in zip(doc["grid"]["atoms"], heights)]
         record = run_experiment(resolve_config(doc, str(tmp_path)))
         assert record["errors"] == []
         assert len(calls) == 20
@@ -579,17 +581,29 @@ class TestVerifyBounds:
         assert not ok
         assert report["violations"]
 
-    def test_two_transport_solves_per_replication(self, tmp_path, monkeypatch):
+    def test_two_transport_solves_per_replication(self, tmp_path, spy):
         # W(p0, pbar) for the uniform bound, the radius, both membership
-        # checks and the relative bound is solved once, then W(p0, witness).
-        calls = []
-        solve = divergence.optimal_transport
-        monkeypatch.setattr(divergence, "optimal_transport", lambda *args: calls.append(args) or solve(*args))
+        # checks and the relative bound is solved once, then W(p0, witness),
+        # each by the transport LP of a 2-D metric.
+        calls = spy(divergence, "optimal_transport")
         doc = base_config(str(tmp_path))
+        doc["grid"] = {"atoms": [[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]]}
+        doc["space"] = {"points": [[0.0, 0.0], [0.75, 0.25], [1.5, 0.5], [2.25, 0.75], [3.0, 1.0]]}
         doc["n"], doc["replications"] = [10, 40], 2
         ok, _ = verify_bounds(resolve_config(doc))
         assert ok
         assert len(calls) == 2 * 2 * 2
+
+    def test_one_replication_solves_each_table_once(self, tmp_path, spy):
+        # The absolute and one-sided suites read the decision table at the
+        # radius, and the relative suite the nominal optimum's row on the
+        # satisficing grid, in both senses: one breakpoint walk and one value
+        # sweep per table.
+        walks, sweeps = spy(divergence, "_upper_envelopes"), spy(divergence, "_wasserstein_values")
+        ok, _ = verify_bounds(resolve_config(base_config(str(tmp_path))))
+        assert ok
+        assert len(sweeps) == 2
+        assert sorted(args[0].shape for args, _ in walks) == [(2, 3), (10, 3)]
 
     @staticmethod
     def _coupling_lps(tmp_path, monkeypatch, n: int) -> list:
@@ -629,6 +643,22 @@ class TestVerifyBounds:
         # At n=40 the kept decision's up and down deviations tie, so one
         # coupling LP call with both senses stacked picks the binding side.
         assert self._coupling_lps(tmp_path, monkeypatch, 40) == [(2, 256)]
+
+
+def test_kl_ball_methods_search_each_table_once(tmp_path, spy):
+    # minmax_dro's pass over the decision table at the radius also serves
+    # abs_dro's two senses there, and satisficing's two senses on its radius
+    # grid share one pass: two forward-KL root searches in the replication.
+    roots = spy(divergence, "_kl_tilt_roots")
+    doc = base_config(str(tmp_path))
+    doc["methods"] = [
+        {"method": "minmax_dro", "eps": "auto", "divergence": {"kind": "kl"}},
+        {"method": "abs_dro", "eps": "auto", "divergence": {"kind": "kl"}},
+        {"method": "satisficing", "divergence": {"kind": "kl"}},
+    ]
+    record = run_experiment(resolve_config(doc))
+    assert record["errors"] == []
+    assert len(roots) == 2
 
 
 class TestSatisficingBound:

@@ -237,6 +237,23 @@ class TestLocalMeasure:
         assert rep.measure == pytest.approx(0.0, abs=1e-12)
         assert rep.diagnostics["converged"]
 
+    def test_objective_is_infinite_when_no_decision_meets_ref(self):
+        # Every decision's centre value misses ref = 0.5 (the closest by
+        # 0.3), so each ratio min_x sup |E - ref| / radius doubles as the
+        # radius halves; relative_measure reads inf for the same inputs.
+        grid = SupportGrid.euclidean([[0.0], [1.0], [2.0], [3.0]])
+        center = DiscreteDistribution(grid, [0.1, 0.2, 0.3, 0.4])
+        cf, space = make_cost("absolute"), DecisionSpace.interval(0, 3, 4)
+        rep = local_measure(space, center, 0.5, cf, W1, "objective")
+        assert rep.measure == math.inf
+        assert rep.diagnostics["nominal_gap"] == pytest.approx(0.3, abs=1e-12)
+        assert relative_measure(space[2], 0.5, W1, center, cf).measure == math.inf
+        nominal = solve_saa(center, cf, space).objective_value
+        assert math.isfinite(local_measure(space, center, nominal + 5e-10, cf, W1, "objective").measure)
+        # The solution variant does not read ref_value.
+        assert (local_measure(space, center, 0.5, cf, W1, "solution").diagnostics
+                == local_measure(space, center, nominal, cf, W1, "solution").diagnostics)
+
     @staticmethod
     def _plane_report(index: int):
         # report_w1_plane's instance: a Dirichlet(3) centre on the 3x3 plane,
@@ -466,14 +483,13 @@ class TestRatePath:
             assert _bits(rep.measure) == _bits(max(0.0, 2.0 * values[-1] - values[-2]))
 
 
-def test_report_walks_each_table_once_per_sense(monkeypatch):
+def test_report_walks_each_table_once(spy):
     # The Wasserstein sweeps of one robustness report on a 3x3 plane (the
-    # 21-row decision table and the SAA decision's row, in both senses) walk
-    # the dual's breakpoints once per (table, sense) on the shared centre.
-    walks, sweeps = [], []
-    walk, sweep = divergence._upper_envelopes, divergence._wasserstein_values
-    monkeypatch.setattr(divergence, "_upper_envelopes", lambda *a: walks.append(a[0].shape) or walk(*a))
-    monkeypatch.setattr(divergence, "_wasserstein_values", lambda *a: sweeps.append(1) or sweep(*a))
+    # 21-row decision table and the SAA decision's row) solve each (table,
+    # radii) once for both senses, on one breakpoint walk per table over the
+    # shared centre: the two-sided calls read what the one-sided
+    # minmax_dro and satisficing sweeps left.
+    walks, sweeps = spy(divergence, "_upper_envelopes"), spy(divergence, "_wasserstein_values")
     axis = [-1.0, 0.0, 1.0]
     grid = SupportGrid.euclidean([[a, b] for a in axis for b in axis])
     space = DecisionSpace.interval(-2.0, 2.0, 21)
@@ -487,8 +503,8 @@ def test_report_walks_each_table_once_per_sense(monkeypatch):
     relative_measure(saa.x, saa.objective_value, W1, center, cf)
     local_measure(space, center, saa.objective_value, cf, W1, "objective")
     set_robustness(ball, cf, space, "objective", budget=4, seed=3)
-    assert len(sweeps) == 10
-    assert sorted(walks) == [(1, 9), (1, 9), (21, 9), (21, 9)]
+    assert len(sweeps) == 4
+    assert sorted(args[0].shape for args, _ in walks) == [(2, 9), (42, 9)]
 
 
 class TestBallThatCannotGrow:
