@@ -198,14 +198,6 @@ def with_lipschitz_scale(cf: CostFunction, scale: float) -> CostFunction:
     return replace(cf, lip_in_xi=lip_xi, lip_in_x=lip_x)
 
 
-def measured_lipschitz_in_xi(cf: CostFunction, grid: SupportGrid, x) -> float:
-    """Largest finite-difference quotient of h(x, .) over atom pairs."""
-    vals = cf.atom_costs(grid, x)
-    apart = grid.ground_metric > 0.0
-    quotients = np.abs(vals[:, None] - vals[None, :])[apart] / grid.ground_metric[apart]
-    return float(np.max(quotients, initial=0.0))
-
-
 def validate_cost(cf: CostFunction, grid: SupportGrid, space: DecisionSpace) -> None:
     """Exhaustive desk-scale check of the declared metadata.
 

@@ -6,18 +6,18 @@ balls come from the finite strong dual, a convex piecewise-linear function of
 one multiplier minimized exactly at its breakpoints; over forward KL balls
 they come from the exponential-tilting dual, whose multiplier is the root of
 a one-dimensional equation found by safeguarded Newton steps.  Both are
-batched over cost rows and radii, and one pass over the signed table
-``[c; -c]`` gives a table's worst and best cases together.  Each exact
-result is kept on the distribution it was computed from (its ``_memo``), as
-arrays or floats only: a distance on its second argument; on a centre, both
-senses of each (kind, table, radii) pass and the Wasserstein dual's
-breakpoints of each signed table; so a repeated instance, in either sense,
-costs no second solve.  The witnesses that attain the values are batched
-too: one pass builds every row's witness at a radius
+batched over cost rows and radii, and :func:`extremal_values` returns a
+table's worst and best cases together, stacked as the ``2k`` rows of one
+pass over the signed table ``[c; -c]``.  Each exact result is kept on the
+distribution it was computed from (its ``_memo``), as arrays or floats only:
+a distance on its second argument; on a centre, each (kind, table, radii)
+pass and the Wasserstein dual's breakpoints of each signed table; so a
+repeated instance costs no second solve.  The witnesses that attain the
+values are batched too: one pass builds every row's witness at a radius
 (:meth:`Witnesses.weights`), and a single cell's witness is the one-row case
 of the same builder.  The largest two-sided deviation of an expectation over
 a ball, which every robustness measure and the absolute-DRO model read, is
-:func:`deviation_table`: the worst and best case of one pass.
+:func:`deviation_table`: the two halves of one pass.
 """
 
 from __future__ import annotations
@@ -537,14 +537,14 @@ def _signed_pass(
     """The ball oracle's arrays for the signed table ``[c; -c]``: its values,
     then its witness builder's inputs, each with ``2 * len(c)`` rows, the
     worst case of ``c`` on top and the worst case of ``-c`` below.  Solved
-    once per (kind, table, radii) for as long as ``center`` lives: the kind,
-    the table's shape and bytes and the radii's bytes key its memo, which
-    keeps arrays only (a function closing over ``center`` would tie the
-    centre into a reference cycle).  Every later call, for either sense,
-    shares the arrays, which are therefore read-only.  Two threads that miss
+    once per (kind, table, radii) for as long as ``center`` lives: the kind
+    itself, the table's shape and bytes and the radii's bytes key its memo,
+    which keeps arrays only (a function closing over ``center`` would tie
+    the centre into a reference cycle).  Every later call shares the arrays,
+    which are therefore read-only.  Two threads that miss
     on one key at once both solve and store equal arrays.
     """
-    key = ("extremal", kind.family, kind.p, c.shape, c.tobytes(), radii.tobytes())
+    key = ("extremal", kind, c.shape, c.tobytes(), radii.tobytes())
     found = center._memo.get(key)
     if found is None:
         signed = np.concatenate([c, -c])
@@ -587,32 +587,30 @@ class Witnesses:
 
 
 def extremal_values(
-    center: DiscreteDistribution, kind: DivergenceKind, table, radii, sense: str = "max"
+    center: DiscreteDistribution, kind: DivergenceKind, table, radii
 ) -> tuple[np.ndarray, Witnesses]:
-    """Worst-case (``sense="max"``) or best-case expectations of every row of
-    a k-by-m cost table over the balls of several radii around ``center``.
+    """Worst-case and best-case expectations of every row of a k-by-m cost
+    table over the balls of several radii around ``center``.
 
-    Returns ``values[k, r]``, the extremal expectation of row ``k`` over the
-    ball of radius ``radii[r]``, and the :class:`Witnesses` attaining them:
-    ``witnesses(k, r)`` for one cell, ``witnesses.weights(r)`` for every row
-    at one radius.  Wasserstein balls are solved exactly through the
-    finite strong dual ``min_{lam>=0} lam*eps**p + sum_j w_j max_i (c_i -
-    lam*d_ij**p)``, with one set of dual breakpoints per row shared by all
-    radii.  Forward KL balls are solved through the exponential-tilting dual
-    of :func:`extremal_expectation`, one vectorised root search over every
+    Returns ``values[i, r]``, the worst case of cost row ``i`` over the ball
+    of radius ``radii[r]``, with its best case in row ``k + i``, and the
+    :class:`Witnesses` attaining those ``2k`` rows: ``witnesses(i, r)`` for
+    one cell, ``witnesses.weights(r)`` for every row at one radius.
+    Wasserstein balls are solved exactly through the finite strong dual
+    ``min_{lam>=0} lam*eps**p + sum_j w_j max_i (c_i - lam*d_ij**p)``, with
+    one set of dual breakpoints per row shared by all radii.  Forward KL
+    balls are solved through the exponential-tilting dual of
+    :func:`extremal_expectation`, one vectorised root search over every
     (row, radius) cell that has no closed form.  Either oracle solves the
     signed table ``[c; -c]`` in one pass (:func:`_signed_pass`), whose upper
     half is the worst case and whose negated lower half is the best case,
     and the centre keeps the pass for its (kind, table, radii): a later call
-    with that table and those radii, in either sense, solves nothing, and
-    the Wasserstein breakpoints, kept per table, serve every other radius
-    grid.  A cell's value and witness do not depend on the other cells in
-    the table, so they are the same bits either way; a lone one-sided call
-    pays for both senses.  Witnesses are built only for the cells asked
-    for.  Radius 0 gives the centre's expectation and the centre itself.
+    with that table and those radii solves nothing, and the Wasserstein
+    breakpoints, kept per table, serve every other radius grid.  A cell's
+    value and witness do not depend on the other cells in the table.
+    Witnesses are built only for the cells asked for.  Radius 0 gives the
+    centre's expectation and the centre itself.
     """
-    if sense not in ("max", "min"):
-        raise ValueError("sense must be 'max' or 'min'")
     c = np.asarray(table, dtype=float)
     if c.ndim != 2 or c.shape[1] != center.grid.size:
         raise ValueError(f"need one cost per atom ({center.grid.size}) in each row, got shape {c.shape}")
@@ -625,25 +623,24 @@ def extremal_values(
     if not np.all(at_center) and not kind.has_ball_oracle:
         raise ValueError("extremal expectations are implemented for Wasserstein balls and forward KL balls")
     k = c.shape[0]
-    sign, half = (1.0, slice(0, k)) if sense == "max" else (-1.0, slice(k, 2 * k))
     if kind.has_ball_oracle:
-        values, *parts = (arr[half] for arr in _signed_pass(center, kind, c, radii))
+        values, *parts = _signed_pass(center, kind, c, radii)
         if kind.family == "wasserstein":
-            ball_witnesses = _wasserstein_witnesses(center, kind.p, sign * c, radii, *parts)
+            ball_witnesses = _wasserstein_witnesses(center, kind.p, np.concatenate([c, -c]), radii, *parts)
         else:
             ball_witnesses = _kl_witnesses(center, *parts)
-        values = sign * values
+        values = np.concatenate([values[:k], -values[k:]])
     else:  # every radius is 0, checked above
-        values, ball_witnesses = np.empty((k, radii.size)), None
-    for r in np.flatnonzero(at_center):
-        values[:, r] = [center.expectation(row) for row in c]
+        values, ball_witnesses = np.empty((2 * k, radii.size)), None
+    if at_center.any():
+        values[:, at_center] = np.tile([center.expectation(row) for row in c], 2)[:, None]
 
     def build(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         if at_center[r]:
             return np.zeros((rows.size, center.grid.size)), np.ones(rows.size, dtype=bool)
         return ball_witnesses(rows, r)
 
-    return values, Witnesses(center, c.shape[0], build)
+    return values, Witnesses(center, 2 * k, build)
 
 
 def extremal_expectation(
@@ -651,7 +648,7 @@ def extremal_expectation(
 ) -> tuple[float, DiscreteDistribution]:
     """Worst-case (``sense="max"``) or best-case expectation of per-atom costs.
 
-    A one-cell :func:`extremal_values`.  Wasserstein balls are solved exactly
+    One cell of :func:`extremal_values`.  Wasserstein balls are solved exactly
     through the finite strong dual; the witness moves each centre atom to an
     atom attaining its max at the dual optimum, spending the transport budget
     exactly, and attains the value to 1e-9.  KL balls go through the
@@ -664,11 +661,14 @@ def extremal_expectation(
     both relative to ``max(1, |value|)``; no witness's KL exceeded the
     radius by more than 2.8e-14.
     """
+    if sense not in ("max", "min"):
+        raise ValueError("sense must be 'max' or 'min'")
     c = np.asarray(costs, dtype=float)
     if c.shape != (ball.grid.size,):
         raise ValueError(f"need one cost per atom ({ball.grid.size}), got shape {c.shape}")
-    values, witness = extremal_values(ball.center, ball.kind, c[None, :], [ball.radius], sense)
-    return float(values[0, 0]), witness(0, 0)
+    values, witness = extremal_values(ball.center, ball.kind, c[None, :], [ball.radius])
+    row = 0 if sense == "max" else 1
+    return float(values[row, 0]), witness(row, 0)
 
 
 def deviation_table(
@@ -677,29 +677,22 @@ def deviation_table(
     """Largest deviation of each cost row's expectation from ``ref``, in
     either direction, over the ball of each radius; ties go to the high side.
     Returns the rows-by-radii deviations and the binding witness of a cell,
-    both from :func:`extremal_values`.
+    both from one :func:`extremal_values` call.
     """
-    hi, lo = (extremal_values(center, kind, table, radii, sense) for sense in ("max", "min"))
-    return deviations_from(hi, lo, ref)
+    return deviations_from(*extremal_values(center, kind, table, radii), ref)
 
 
 def deviations_from(
-    hi: tuple[np.ndarray, Callable[[int, int], DiscreteDistribution]],
-    lo: tuple[np.ndarray, Callable[[int, int], DiscreteDistribution]] | None,
-    ref: float,
+    values: np.ndarray, witnesses: Witnesses, ref: float
 ) -> tuple[np.ndarray, Callable[[int, int], DiscreteDistribution]]:
-    """:func:`deviation_table` from its worst-case sweep ``hi`` and, for the
-    two-sided deviation, its best-case sweep ``lo`` (``None`` for upward
-    only), each a ``(values, witness)`` pair of :func:`extremal_values`."""
-    hi_values, hi_witness = hi
-    up = hi_values - ref
-    if lo is None:
-        return up, hi_witness
-    lo_values, lo_witness = lo
-    down = ref - lo_values
+    """:func:`deviation_table` from an :func:`extremal_values` result: the
+    worst-case half's excess over ``ref`` against the best-case half's
+    shortfall, and the witness of the binding side."""
+    k = len(values) // 2
+    up, down = values[:k] - ref, ref - values[k:]
     high = up >= down
 
-    def witness(k: int, r: int) -> DiscreteDistribution:
-        return (hi_witness if high[k, r] else lo_witness)(k, r)
+    def witness(i: int, r: int) -> DiscreteDistribution:
+        return witnesses(i if high[i, r] else k + i, r)
 
     return np.maximum(up, down), witness

@@ -89,21 +89,21 @@ def _finite_ref(ref_value: float) -> float:
 def absolute_measure(x, ref_value: float, ball: AmbiguityBall, cf: CostFunction) -> RobustnessReport:
     """Smallest L with |expectation - ref_value| <= L over the whole ball.
 
-    Read from one worst-case and one best-case cell of
-    :func:`extremal_values` (the exact dual on every ball kind); ties between
-    the two sides go to the high side, as in :func:`deviation_table`.
+    Read from the worst-case and best-case cells of one
+    :func:`extremal_values` call (the exact dual on every ball kind); ties
+    between the two sides go to the high side, as in :func:`deviation_table`.
     """
     ref_value = _finite_ref(ref_value)
     costs = cf.atom_costs(ball.grid, x)[None, :]
-    hi, lo = (extremal_values(ball.center, ball.kind, costs, [ball.radius], s) for s in ("max", "min"))
-    dev, witness = deviations_from(hi, lo, ref_value)
+    extremal, witnesses = extremal_values(ball.center, ball.kind, costs, [ball.radius])
+    dev, witness = deviations_from(extremal, witnesses, ref_value)
     return RobustnessReport(
         np.atleast_1d(np.asarray(x, dtype=float)),
         "absolute",
         float(dev[0, 0]),
         radius=ball.radius,
         witness=witness(0, 0),
-        diagnostics={"max_value": float(hi[0][0, 0]), "min_value": float(lo[0][0, 0]), "ref_value": ref_value},
+        diagnostics={"max_value": float(extremal[0, 0]), "min_value": float(extremal[1, 0]), "ref_value": ref_value},
     )
 
 
@@ -203,7 +203,7 @@ def local_measure(
         devs, _ = deviation_table(center, kind, table, radii, ref_value)
         values = [float(np.min(devs[:, r])) / eps for r, eps in enumerate(radii)]
     else:
-        worst, _ = extremal_values(center, kind, table, radii, "max")
+        worst = extremal_values(center, kind, table, radii)[0][: len(table)]
         values = [
             float(np.linalg.norm(x_space[int(np.argmin(worst[:, r]))] - x_space[nominal_idx])) / eps
             for r, eps in enumerate(radii)
@@ -298,19 +298,17 @@ def set_robustness(
     (``solution``) at the center, at every extremal witness, and at ``budget``
     random ball members (the furthest mixtures toward random Dirac atoms
     that stay in the ball).  Reported as a lower-bound estimate; the true
-    supremum may be larger.  The witnesses of each sense come from one
-    batched pass (:meth:`~drolab.divergence.Witnesses.weights`), and the
-    reported witness is the first candidate, in the order above with each
-    decision's worst case before its best case, that attains the spread.
+    supremum may be larger.  The extremal witnesses of both senses come
+    from one batched pass (:meth:`~drolab.divergence.Witnesses.weights`),
+    and the reported witness is the first candidate, in the order above with
+    each decision's worst case before its best case, that attains the spread.
     """
     if variant not in ("objective", "solution"):
         raise ValueError("variant must be 'objective' or 'solution'")
     if budget < 1:
         raise ValueError("budget must be >= 1")
     table = cost_table(cf, ball.grid, space)
-    witnesses = []
-    if ball.radius > 0.0:
-        witnesses = [extremal_values(ball.center, ball.kind, table, [ball.radius], s)[1] for s in ("max", "min")]
+    witnesses = extremal_values(ball.center, ball.kind, table, [ball.radius])[1] if ball.radius > 0.0 else None
     rng = rng_from_seed(seed)
     members: list[DiscreteDistribution] = []
     for _ in range(budget):
@@ -321,8 +319,8 @@ def set_robustness(
     # One weight row per candidate: the centre, each decision's worst-case
     # then best-case witness, the random members.
     blocks = [ball.center.weights[None, :]]
-    if witnesses:
-        blocks.append(np.stack([w.weights(0) for w in witnesses], axis=1).reshape(-1, ball.grid.size))
+    if witnesses is not None:
+        blocks.append(witnesses.weights(0).reshape(2, len(table), -1).swapaxes(0, 1).reshape(-1, ball.grid.size))
     blocks.extend(cand.weights[None, :] for cand in members)
     weights = np.concatenate(blocks)
     # Row by row, as a single matrix product may round differently.
@@ -333,14 +331,14 @@ def set_robustness(
     else:
         spreads = np.array([float(np.linalg.norm(space[i] - space[best_idx[0]])) for i in best_idx])
     first = int(np.argmax(spreads))
-    extremal = 2 * len(space) if witnesses else 0
+    extremal = 2 * len(space) if witnesses is not None else 0
     witness: DiscreteDistribution | None = None
     if spreads[first] > 0.0:
         if first == 0:
             witness = ball.center
         elif first <= extremal:
             k, side = divmod(first - 1, 2)
-            witness = witnesses[side](k, 0)
+            witness = witnesses(k + side * len(table), 0)
         else:
             witness = members[first - 1 - extremal]
     return RobustnessReport(

@@ -174,13 +174,13 @@ def _search_ball(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace, me
     # The solution minimizes the worst-case value (one-sided) or the largest
     # deviation from the best nominal value (two-sided) and reports it as the measure.
     table = cost_table(cf, ball.grid, space)
+    k = len(table)
     ref = float(np.min(table @ ball.center.weights))
+    extremal, witness = extremal_values(ball.center, ball.kind, table, [ball.radius])
     if sided == "one":
-        worst, witness = extremal_values(ball.center, ball.kind, table, [ball.radius], "max")
-        values = worst[:, 0]
+        values = extremal[:k, 0]
     else:
-        hi, lo = (extremal_values(ball.center, ball.kind, table, [ball.radius], sense) for sense in ("max", "min"))
-        deviations, witness = deviations_from(hi, lo, ref)
+        deviations, witness = deviations_from(extremal, witness, ref)
         values = deviations[:, 0]
         if ball.kind.family == "wasserstein" and ball.radius > 0.0:
             # The screen of _coupling_lp_deviation.  One screened row whose up
@@ -191,9 +191,9 @@ def _search_ball(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace, me
             low = float(np.min(values))
             margin = ABSOLUTE_SCREEN_MARGIN * max(1.0, abs(low), float(np.max(np.abs(table))))
             screened = np.flatnonzero(values <= low + margin)
-            up, down = hi[0][screened[0], 0] - ref, ref - lo[0][screened[0], 0]
+            up, down = extremal[screened[0], 0] - ref, ref - extremal[k + screened[0], 0]
             if screened.size > 1 or abs(up - down) <= margin:
-                values = np.full(len(table), np.inf)
+                values = np.full(k, np.inf)
                 witnesses = {}
                 for k in screened.tolist():
                     values[k], witnesses[k] = _coupling_lp_deviation(ball, table[k], ref)
@@ -302,10 +302,10 @@ def solve_satisficing_models(
 ) -> list[Solution]:
     """:func:`solve_robust_satisficing` for each ``(sided, target_slack)`` model.
 
-    The models share one pass of :func:`extremal_values` over the decisions
-    that meet the loosest target (a superset of every model's feasible set),
-    which gives the worst case and, if any model is two-sided, the best
-    case.  A cell's extremal value and witness do not depend on the other
+    The models share one :func:`extremal_values` call over the decisions
+    that meet the loosest target (a superset of every model's feasible set):
+    a one-sided model reads its worst-case half, a two-sided one both
+    halves.  A cell's extremal value and witness do not depend on the other
     rows of its table, so each solution is bit-identical to the model solved
     alone.
     """
@@ -320,12 +320,12 @@ def solve_satisficing_models(
     feasible = [np.flatnonzero(nominal <= ref + target_slack + 1e-12) for _, target_slack in models]
     rows = max(feasible, key=len)
     radii = satisficing_radius_grid(kind, center)
-    hi = extremal_values(center, kind, table[rows], radii, "max")
-    two_sided = any(sided == "two" for sided, _ in models)
-    lo = extremal_values(center, kind, table[rows], radii, "min") if two_sided else None
+    extremal, witnesses = extremal_values(center, kind, table[rows], radii)
     solutions = []
     for (sided, target_slack), model_rows in zip(models, feasible):
-        deviations, witness = deviations_from(hi, lo if sided == "two" else None, ref)
+        deviations, witness = (
+            deviations_from(extremal, witnesses, ref) if sided == "two" else (extremal[: rows.size] - ref, witnesses)
+        )
         at = np.searchsorted(rows, model_rows)
         rates, ratios, binding = rate_profile(deviations[at], target_slack, radii)
         best = int(np.argmin(rates))

@@ -15,7 +15,9 @@ the package's solver must match bit for bit, and the per-ball bracketed
 batched is kept as :func:`kl_extremal_brentq`.  The built-in costs' scalar
 formulas, which :mod:`drolab.cost` replaced by array formulas over the whole
 decision x atom grid, are kept as :func:`scalar_cost` and evaluated cell by
-cell in :func:`scalar_cost_table`.  The absolute-DRO sweep that ran the
+cell in :func:`scalar_cost_table`; the finite-difference Lipschitz quotient
+of a cost over atom pairs, which no package code reads, is
+:func:`measured_lipschitz_in_xi`.  The absolute-DRO sweep that ran the
 package's coupling LP on every decision row, which the solver now screens
 by the exact dual first, is kept as :func:`absolute_dro_lp_sweep`, over
 :func:`absolute_deviation`: the one-call two-sided deviation that solved the
@@ -58,7 +60,6 @@ from drolab.divergence import (
     AmbiguityBall,
     DivergenceKind,
     deviations_from,
-    extremal_expectation,
     extremal_values,
     membership,
 )
@@ -533,6 +534,14 @@ def scalar_cost_table(fn, points: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     return np.array([[fn(x, xi) for xi in atoms] for x in points], dtype=float)
 
 
+def measured_lipschitz_in_xi(cf, grid, x) -> float:
+    """Largest finite-difference quotient of h(x, .) over atom pairs."""
+    vals = cf.atom_costs(grid, x)
+    apart = grid.ground_metric > 0.0
+    quotients = np.abs(vals[:, None] - vals[None, :])[apart] / grid.ground_metric[apart]
+    return float(np.max(quotients, initial=0.0))
+
+
 def _wasserstein_extremal_lp(
     ball: AmbiguityBall, costs: np.ndarray, maximize: bool
 ) -> tuple[float, DiscreteDistribution]:
@@ -561,12 +570,13 @@ def absolute_deviation(
     """Largest |expectation - ref_value| over the ball, with its witness and
     the extremal values ``hi`` and ``lo``; ties go to the high side.  The
     coupling LP (the package's own simplex) on positive-radius Wasserstein
-    balls, one-cell :func:`extremal_expectation` calls elsewhere."""
+    balls, the two cells of one :func:`extremal_values` call elsewhere."""
     c = np.asarray(costs, dtype=float)
     if ball.kind.family == "wasserstein" and ball.radius > 0.0:
         (hi, hi_witness), (lo, lo_witness) = (_wasserstein_extremal_lp(ball, c, s) for s in (True, False))
     else:
-        (hi, hi_witness), (lo, lo_witness) = (extremal_expectation(ball, c, s) for s in ("max", "min"))
+        values, witnesses = extremal_values(ball.center, ball.kind, c[None, :], [ball.radius])
+        (hi, hi_witness), (lo, lo_witness) = ((float(values[i, 0]), witnesses(i, 0)) for i in (0, 1))
     up = hi - ref_value
     down = ref_value - lo
     if up >= down:
@@ -577,9 +587,10 @@ def absolute_deviation(
 def deviation_table_sided(center: DiscreteDistribution, kind: DivergenceKind, table, radii, ref: float, sided: str):
     """``divergence.deviation_table`` with its former ``sided`` parameter:
     the upward deviations only (``"one"``) or the two-sided ones."""
-    hi = extremal_values(center, kind, table, radii, "max")
-    lo = extremal_values(center, kind, table, radii, "min") if sided == "two" else None
-    return deviations_from(hi, lo, ref)
+    values, witnesses = extremal_values(center, kind, table, radii)
+    if sided == "two":
+        return deviations_from(values, witnesses, ref)
+    return values[: len(values) // 2] - ref, witnesses
 
 
 def deviation_rate_profile(center: DiscreteDistribution, table, ref: float, slack: float, kind: DivergenceKind,
@@ -628,8 +639,8 @@ def set_robustness_loop(
     base_idx, base_val = optimal_under(ball.center.weights)
     candidates = [ball.center]
     if ball.radius > 0.0:
-        witnesses = [extremal_values(ball.center, ball.kind, table, [ball.radius], s)[1] for s in ("max", "min")]
-        candidates.extend(witness(k, 0) for k in range(len(space)) for witness in witnesses)
+        witnesses = extremal_values(ball.center, ball.kind, table, [ball.radius])[1]
+        candidates.extend(witnesses(i, 0) for k in range(len(space)) for i in (k, len(space) + k))
     rng = rng_from_seed(seed)
     accepted = 0
     for _ in range(budget):

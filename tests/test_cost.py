@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from _oracles import scalar_cost, scalar_cost_table
+from _oracles import measured_lipschitz_in_xi, scalar_cost, scalar_cost_table
 from conftest import random_distribution, random_grid
 from drolab.cost import (
     CostFunction,
@@ -20,7 +20,6 @@ from drolab.cost import (
     cost_table,
     expected_cost,
     make_cost,
-    measured_lipschitz_in_xi,
     validate_cost,
     with_lipschitz_scale,
 )

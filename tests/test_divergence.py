@@ -494,15 +494,16 @@ class TestWassersteinDualOracle:
         center, table = random_ball_instance(rng, m, dim, empty, tied)
         kind = DivergenceKind.wasserstein_order(p)
         radii = np.array(fracs) * center.grid.diameter
-        for sense in ("max", "min"):
-            values, witnesses = extremal_values(center, kind, table, radii, sense)
-            assert values.shape == (len(table), len(radii))
+        values, witnesses = extremal_values(center, kind, table, radii)
+        assert values.shape == (2 * len(table), len(radii))
+        for half, sense in enumerate(("max", "min")):
             for k, costs in enumerate(table):
+                row = half * len(table) + k
                 for r, eps in enumerate(radii):
                     ball = AmbiguityBall(center, float(eps), kind)
                     value, _ = extremal_expectation(ball, costs, sense)
-                    assert values[k, r] == value
-                    witness = witnesses(k, r)
+                    assert values[row, r] == value
+                    witness = witnesses(row, r)
                     assert abs(witness.expectation(costs) - value) <= 1e-9 * max(1.0, abs(value))
                     assert membership(ball, witness)
 
@@ -551,24 +552,57 @@ class TestWassersteinDualOracle:
         family, p = kind
         kind = DivergenceKind.wasserstein_order(p) if family == "wasserstein" else DivergenceKind.kl()
         radii = np.array(fracs) * kind.radius_cap(center)
-        for sense in ("max", "min"):
-            _, witnesses = extremal_values(center, kind, table, radii, sense)
-            for r in range(len(radii)):
-                rows = witnesses.weights(r)
-                assert rows.shape == table.shape
-                for k in range(len(table)):
-                    assert rows[k].tobytes() == witnesses(k, r).weights.tobytes()
+        _, witnesses = extremal_values(center, kind, table, radii)
+        for r in range(len(radii)):
+            rows = witnesses.weights(r)
+            assert rows.shape == (2 * len(table), m)
+            for k in range(2 * len(table)):
+                assert rows[k].tobytes() == witnesses(k, r).weights.tobytes()
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 7),
+        dim=st.sampled_from([1, 2]),
+        kind=st.sampled_from([1.0, 1.5, 2.0, "kl"]),
+        empty=st.integers(0, 2),
+        tied=st.booleans(),
+        fracs=st.lists(RADIUS_FRACTIONS, min_size=0, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_best_case_rows_are_the_negated_worst_case_of_the_negated_table(
+        self, seed, m, dim, kind, empty, tied, fracs
+    ):
+        # Rows k..2k-1 of extremal_values(c) hold the best cases of c's rows;
+        # they are the negated worst cases of -c, bit for bit (up to the sign
+        # of a zero, which negation flips), and so are their witnesses.  The
+        # radii include 0 and one past the radius cap (the grid diameter for
+        # Wasserstein balls).
+        rng = np.random.default_rng(seed)
+        center, table = random_ball_instance(rng, m, dim, empty, tied)
+        kind = DivergenceKind.kl() if kind == "kl" else DivergenceKind.wasserstein_order(kind)
+        cap = kind.radius_cap(center)
+        radii = np.array([0.0, *fracs, 1.5]) * cap
+        k = len(table)
+        values, witnesses = extremal_values(center, kind, table, radii)
+        negated, negated_witnesses = extremal_values(center, kind, -table, radii)
+        assert values.shape == negated.shape == (2 * k, radii.size)
+        assert (values[k:] + 0.0).tobytes() == (-negated[:k] + 0.0).tobytes()
+        for r in range(radii.size):
+            rows = witnesses.weights(r)
+            assert rows[k:].tobytes() == negated_witnesses.weights(r)[:k].tobytes()
+            for i in range(2 * k):
+                assert witnesses(i, r).weights.tobytes() == rows[i].tobytes()
 
     def test_kl_batch_matches_per_call_tilting(self, line_grid):
         center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
         table = np.array([[1.0, -2.0, 4.0], [0.5, 0.5, 3.0]])
         radii = [0.0, 0.05, 2.0]
-        values, witnesses = extremal_values(center, DivergenceKind.kl(), table, radii, "min")
+        values, witnesses = extremal_values(center, DivergenceKind.kl(), table, radii)
         for k, costs in enumerate(table):
             for r, eps in enumerate(radii):
                 value, witness = extremal_expectation(AmbiguityBall(center, eps, DivergenceKind.kl()), costs, "min")
-                assert values[k, r] == value
-                assert np.array_equal(witnesses(k, r).weights, witness.weights)
+                assert values[len(table) + k, r] == value
+                assert np.array_equal(witnesses(len(table) + k, r).weights, witness.weights)
 
     def test_rejects_bad_tables_and_radii(self, line_grid):
         center = DiscreteDistribution.uniform(line_grid)
@@ -580,13 +614,19 @@ class TestWassersteinDualOracle:
         with pytest.raises(ValueError, match="implemented"):
             extremal_values(center, DivergenceKind.tv(), np.ones((2, 3)), [0.0, 0.1])
         at_center, _ = extremal_values(center, DivergenceKind.tv(), np.ones((2, 3)), [0.0])
-        assert np.array_equal(at_center, np.ones((2, 1)))
+        assert np.array_equal(at_center, np.ones((4, 1)))
+
+    @pytest.mark.parametrize("sense", ["both", "MAX"])
+    def test_one_cell_rejects_unknown_senses(self, line_grid, sense):
+        ball = AmbiguityBall(DiscreteDistribution.uniform(line_grid), 0.1, DivergenceKind.wasserstein_order(1))
+        with pytest.raises(ValueError, match="sense"):
+            extremal_expectation(ball, np.ones(3), sense)
 
 
 class TestDualBreakpointMemo:
-    """Each centre solves a table once per (kind, radii) for both senses, and
-    walks the Wasserstein dual's breakpoints once per (order, table) for
-    every radius; later calls read the arrays it keeps."""
+    """Each centre solves a table's worst and best cases once per (kind,
+    radii), and walks the Wasserstein dual's breakpoints once per (order,
+    table) for every radius; later calls read the arrays it keeps."""
 
     # The functions that do an oracle's work: a breakpoint walk, a value
     # sweep, a KL root search.
@@ -604,6 +644,7 @@ class TestDualBreakpointMemo:
     )
     @settings(max_examples=60, deadline=None)
     def test_warm_centre_matches_fresh_centre(self, seed, m, dim, kind, empty, tied, fracs, sense):
+        # ``sense`` picks the side of the one-cell warm-up calls.
         rng = np.random.default_rng(seed)
         center, table = random_ball_instance(rng, m, dim, empty, tied)
         # Two centres built alike have the same weight bits and each its own memo.
@@ -614,35 +655,34 @@ class TestDualBreakpointMemo:
             kind, other_kind = DivergenceKind.wasserstein_order(kind), DivergenceKind.wasserstein_order(kind + 1.0)
         cap = kind.radius_cap(center)
         radii = np.array(fracs) * cap
-        # Other sweeps first: another table, each of its rows alone, the same
-        # table at other radii in both senses and under another kind, and the
-        # same table at the same radii in the other sense.
+        # Other sweeps first: another table, each row of the table alone, the
+        # same table at other radii and under another kind, and the same
+        # call itself.
         other = rng.normal(size=(2, m))
-        for s in ("max", "min"):
-            extremal_values(center, kind, other, [0.5 * cap], s)
-            extremal_values(center, kind, table, [0.1 * cap, 2.0 * cap], s)
-            extremal_values(center, other_kind, table, radii, s)
+        extremal_values(center, kind, other, [0.5 * cap])
+        extremal_values(center, kind, table, [0.1 * cap, 2.0 * cap])
+        extremal_values(center, other_kind, table, radii)
         for row in table:
             extremal_expectation(AmbiguityBall(center, 0.3 * cap, kind), row, sense)
-        extremal_values(center, kind, table, radii, "min" if sense == "max" else "max")
+        extremal_values(center, kind, table, radii)
         with pytest.MonkeyPatch.context() as patch:
             work = [spy_on(patch, divergence, name) for name in self.WORK]
-            warm_values, warm = extremal_values(center, kind, table, radii, sense)
-        assert not any(work)  # the other sense's pass answered
+            warm_values, warm = extremal_values(center, kind, table, radii)
+        assert not any(work)  # the first call's pass answered
         assert not fresh._memo
-        cold_values, cold = extremal_values(fresh, kind, table, radii, sense)
+        cold_values, cold = extremal_values(fresh, kind, table, radii)
         assert warm_values.tobytes() == cold_values.tobytes()
         for r in range(radii.size):
             assert warm.weights(r).tobytes() == cold.weights(r).tobytes()
-            for k in range(len(table)):
+            for k in range(2 * len(table)):
                 assert warm(k, r).weights.tobytes() == cold(k, r).weights.tobytes()
 
     def test_memoised_breakpoints_are_read_only(self, square_grid, spy):
         walks, sweeps = spy(divergence, "_upper_envelopes"), spy(divergence, "_wasserstein_values")
         center = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
         table = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 1.0, 2.0, -1.0]])
-        for sense in ("max", "min"):
-            extremal_values(center, DivergenceKind.wasserstein_order(1.0), table, [0.2, 0.7], sense)
+        for _ in range(2):
+            extremal_values(center, DivergenceKind.wasserstein_order(1.0), table, [0.2, 0.7])
         assert (len(walks), len(sweeps)) == (1, 1)
         for arrays in center._memo.values():
             for arr in arrays:
@@ -660,9 +700,9 @@ class TestDualBreakpointMemo:
         gc.disable()
         try:
             for kind in (DivergenceKind.wasserstein_order(1.0), DivergenceKind.kl()):
-                for sense in ("max", "min"):
-                    values, witnesses = extremal_values(center, kind, table, [0.2, 0.7], sense)
-                    assert witnesses(1, 1).weights.shape == witnesses.weights(0)[0].shape
+                for _ in range(2):
+                    values, witnesses = extremal_values(center, kind, table, [0.2, 0.7])
+                    assert witnesses(3, 1).weights.shape == witnesses.weights(0)[0].shape
             assert wasserstein(a, center) > 0.0
             assert len(center._memo) == 4  # two passes, one breakpoint walk, one distance
             for entry in center._memo.values():
@@ -680,17 +720,27 @@ class TestDualBreakpointMemo:
         table = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 1.0, 2.0, -1.0]])
         a = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
         b = DiscreteDistribution(square_grid, [0.4, 0.3, 0.2, 0.1])
-        a_values, _ = extremal_values(a, kind, table, [0.3], "max")
-        b_values, _ = extremal_values(b, kind, table, [0.3], "max")
+        a_values, _ = extremal_values(a, kind, table, [0.3])
+        b_values, _ = extremal_values(b, kind, table, [0.3])
         assert len(walks) == 2
         assert not np.array_equal(a_values, b_values)
         assert a._memo.keys() == b._memo.keys()
         for key in a._memo:
             assert all(x is not y for x, y in zip(a._memo[key], b._memo[key]))
         # Each centre answers again from its own entry, with its own values.
-        assert np.array_equal(extremal_values(a, kind, table, [0.3], "max")[0], a_values)
-        assert np.array_equal(extremal_values(b, kind, table, [0.3], "max")[0], b_values)
+        assert np.array_equal(extremal_values(a, kind, table, [0.3])[0], a_values)
+        assert np.array_equal(extremal_values(b, kind, table, [0.3])[0], b_values)
         assert len(walks) == 2
+
+    def test_passes_of_kinds_sharing_family_and_order_share_no_entry(self, square_grid, spy):
+        # Forward chi-square and forward KL are both phi kinds with p = 1; a
+        # pass keyed by the kind itself never hands one the other's arrays.
+        passes = spy(divergence, "_kl_values")
+        center = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
+        table, radii = np.array([[1.0, -2.0, 0.5, 3.0]]), np.array([0.3])
+        for kind in (DivergenceKind.kl(), DivergenceKind.chi2(), DivergenceKind.kl()):
+            divergence._signed_pass(center, kind, table, radii)
+        assert len(passes) == 2
 
 
 def _saturation_radius(center: DiscreteDistribution, costs: np.ndarray) -> float:
@@ -731,24 +781,24 @@ class TestKLTiltingOracle:
                     sat = _saturation_radius(center, c)
                     radii |= {sat * (1.0 - 1e-9), sat * (1.0 + 1e-9)}  # just inside and just outside
         radii = np.array(sorted(radii))
-        found = {}
-        for sense in ("max", "min"):
-            values, witnesses = extremal_values(center, kind, table, radii, sense)
-            found[sense] = values
+        values, witnesses = extremal_values(center, kind, table, radii)
+        found = {"max": values[: len(table)], "min": values[len(table) :]}
+        for half, sense in enumerate(("max", "min")):
             for k, costs in enumerate(table):
+                row = half * len(table) + k
                 row_scale = float(np.max(np.abs(costs))) or 1.0
                 for r, eps in enumerate(radii):
                     if eps > 0.0:
                         ref, _ = kl_extremal_brentq(AmbiguityBall(center, float(eps), kind), costs, sense == "max")
                     else:
                         ref = center.expectation(costs)
-                    assert abs(values[k, r] - ref) <= 1e-9 * row_scale
-                    witness = witnesses(k, r)
+                    assert abs(values[row, r] - ref) <= 1e-9 * row_scale
+                    witness = witnesses(row, r)
                     assert kl_divergence_vec(witness.weights, center.weights) <= eps + 1e-10
-                    assert abs(witness.expectation(costs) - values[k, r]) <= 1e-9 * row_scale
-                    alone, alone_witness = extremal_values(center, kind, table[k : k + 1], radii[r : r + 1], sense)
-                    assert alone[0, 0] == values[k, r]
-                    assert np.array_equal(alone_witness(0, 0).weights, witness.weights)
+                    assert abs(witness.expectation(costs) - values[row, r]) <= 1e-9 * row_scale
+                    alone, alone_witness = extremal_values(center, kind, table[k : k + 1], radii[r : r + 1])
+                    assert alone[half, 0] == values[row, r]
+                    assert np.array_equal(alone_witness(half, 0).weights, witness.weights)
         for k, costs in enumerate(table):
             slack = 1e-12 * (float(np.max(np.abs(costs))) or 1.0)
             assert np.all(found["min"][k] <= center.expectation(costs) + slack)

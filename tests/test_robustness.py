@@ -467,7 +467,7 @@ class TestRatePath:
         local_radii = [cap * 2.0**-k for k in range(4, 13)]
         ref = float(np.min(table @ center.weights))
         devs, _ = deviation_table_sided(center, kind, table, local_radii, ref, "two")
-        worst, _ = divergence.extremal_values(center, kind, table, local_radii, "max")
+        worst = divergence.extremal_values(center, kind, table, local_radii)[0][: len(table)]
         nominal = space[int(np.argmin(table @ center.weights))]
         expected = {
             "objective": [float(np.min(devs[:, r])) / eps for r, eps in enumerate(local_radii)],
