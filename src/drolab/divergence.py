@@ -201,15 +201,18 @@ def _check_transport(a: DiscreteDistribution, b: DiscreteDistribution, p: float)
 
 
 def optimal_transport(a: DiscreteDistribution, b: DiscreteDistribution, p: float = 1.0) -> TransportPlan:
-    """Solve the transport LP between ``a`` and ``b`` with cost ``d**p``."""
+    """Solve the transport LP between ``a`` and ``b`` with cost ``d**p``.
+
+    The LP is :func:`~drolab.lp.solve_lp`'s transportation form: row sums
+    (mass leaving atom i of ``a``) ``a.weights``, column sums ``b.weights``.
+    It pivots on the basis tree, with no constraint matrix, and keeps the
+    dense tableau's Bland pivots and bits, which the seed-0 benchmark
+    reference pins (ROADMAP item 1).
+    """
     _check_transport(a, b, p)
     m = a.grid.size
     cost = (a.grid.ground_metric**p).reshape(-1)
-    # Row marginals (mass leaving atom i of a), then column marginals.
-    eye = np.eye(m)
-    a_eq = np.vstack([np.repeat(eye, m, axis=1), np.tile(eye, m)])
-    b_eq = np.concatenate([a.weights, b.weights])
-    res = solve_lp(cost, a_eq=a_eq, b_eq=b_eq)
+    res = solve_lp(cost, marginals=(a.weights, b.weights))
     if not res.ok:
         raise LPFailureError(
             f"transport LP ended with status {res.status!r} on a balanced instance (m={m}, p={p})"

@@ -147,6 +147,16 @@ class TestWasserstein:
         plan.validate(a, b)
         assert wasserstein(a, b, 1.0) == pytest.approx(plan.cost)
 
+    def test_transport_lp_takes_the_transportation_form(self, square_grid, spy):
+        # The LP gets the two marginals, not a 2m x m^2 constraint matrix.
+        calls = spy(divergence, "solve_lp")
+        a = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
+        b = DiscreteDistribution(square_grid, [0.5, 0.0, 0.25, 0.25])
+        optimal_transport(a, b, 1.0)
+        ((args, kwargs),) = calls
+        assert len(args) == 1 and args[0].shape == (16,) and list(kwargs) == ["marginals"]
+        assert [m.tobytes() for m in kwargs["marginals"]] == [a.weights.tobytes(), b.weights.tobytes()]
+
     def test_cost_is_the_clamped_plans(self):
         # A W2 instance from set_robustness's membership bisection: the LP
         # leaves an entry near -9e-11, and its objective, taken before the

@@ -1,5 +1,6 @@
 """The dense simplex against known optima, an independent solver, and the
-loop-by-loop Bland simplex it must reproduce bit for bit."""
+loop-by-loop Bland simplex it must reproduce bit for bit; the transportation
+form against the same loop on its dense constraint blocks."""
 
 import numpy as np
 import pytest
@@ -21,10 +22,26 @@ def _assert_same_result(mine, ref):
     assert np.float64(mine.value).tobytes() == np.float64(ref.value).tobytes()
 
 
+def _transport_blocks(a, b) -> dict:
+    """The dense constraint blocks of the transportation form with marginals
+    ``(a, b)``: row sums, then column sums, of the flattened coupling."""
+    a_eq = np.vstack([np.repeat(np.eye(len(a)), len(b), axis=1), np.tile(np.eye(len(b)), len(a))])
+    return {"a_eq": a_eq, "b_eq": np.concatenate([a, b])}
+
+
+def _reference(lp: dict):
+    """The loop reference's result, on the dense blocks of a transportation form."""
+    lp = dict(lp)
+    marginals = lp.pop("marginals", None)
+    if marginals is not None:
+        lp.update(_transport_blocks(*marginals))
+    return bland_lp_reference(**lp)
+
+
 def _solve_checked(c, **blocks):
     """``solve_lp``'s result, checked bit for bit against the loop reference."""
     mine = solve_lp(c, **blocks)
-    _assert_same_result(mine, bland_lp_reference(c, **blocks))
+    _assert_same_result(mine, _reference({"c": c, **blocks}))
     return mine
 
 
@@ -73,21 +90,24 @@ def test_redundant_equalities():
 
 
 def test_degenerate_transport_does_not_cycle():
-    # Dirac-to-Dirac transport: heavily degenerate basis.
+    # Dirac-to-Dirac transport: heavily degenerate basis, in both forms.
     m = 4
     a = np.zeros(m)
     a[0] = 1.0
     b = np.zeros(m)
     b[3] = 1.0
     cost = np.arange(m * m, dtype=float)
-    a_eq = np.zeros((2 * m, m * m))
-    for i in range(m):
-        a_eq[i, i * m : (i + 1) * m] = 1.0
-    for j in range(m):
-        a_eq[m + j, j::m] = 1.0
-    res = _solve_checked(cost, a_eq=a_eq, b_eq=np.concatenate([a, b]))
-    assert res.ok
-    assert res.value == pytest.approx(cost[3], abs=1e-9)
+    for blocks in (_transport_blocks(a, b), {"marginals": (a, b)}):
+        res = _solve_checked(cost, **blocks)
+        assert res.ok
+        assert res.value == pytest.approx(cost[3], abs=1e-9)
+
+
+@pytest.mark.parametrize("excess, status", [(1e-12, "optimal"), (1e-7, "infeasible"), (0.1, "infeasible")])
+def test_unbalanced_marginals_are_infeasible_as_in_the_dense_solve(excess, status):
+    a = np.array([0.25, 0.75, 0.0])
+    b = np.array([0.5, 0.5 + excess])
+    assert _solve_checked(np.arange(6.0), marginals=(a, b)).status == status
 
 
 @pytest.mark.parametrize("trial", range(30))
@@ -140,10 +160,33 @@ def _weights(rng, m, empty, rational):
 
 def _transport_lp(rng, m, dim, p, empty, rational):
     metric = random_grid(rng, m, dim).ground_metric
-    eye = np.eye(m)
-    a_eq = np.vstack([np.repeat(eye, m, axis=1), np.tile(eye, m)])
-    b_eq = np.concatenate([_weights(rng, m, empty, rational), _weights(rng, m, empty, rational)])
-    return {"c": (metric**p).reshape(-1), "a_eq": a_eq, "b_eq": b_eq}
+    blocks = _transport_blocks(_weights(rng, m, empty, rational), _weights(rng, m, empty, rational))
+    return {"c": (metric**p).reshape(-1), **blocks}
+
+
+def _marginals_lp(rng, m, dim, p, empty, rational):
+    # The transport LP in the transportation form, from one atom up and from
+    # ma supply atoms to mb demand atoms of one grid; one instance in four
+    # moves no mass (a == b, an optimal cost of 0).
+    ma, mb = (int(k) for k in rng.integers(1, m + 1, size=2))
+    a = _weights(rng, ma, empty, rational)
+    if rng.random() < 0.25:
+        mb, b = ma, a.copy()
+    else:
+        b = _weights(rng, mb, empty, rational)
+    metric = random_grid(rng, max(ma, mb), dim).ground_metric[:ma, :mb]
+    return {"c": (metric**p).reshape(-1), "marginals": (a, b)}
+
+
+def _near_tied_transport(seed: int) -> dict:
+    """A transport LP whose ratio tests see right-hand sides a few 1e-11
+    apart: within the pivot tolerance of each other, but not all within it
+    of the first, so the scan order decides the leaving row."""
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(2, 7))
+    a, b = (rational_weights(rng, m, 4) + rng.integers(0, 3, size=m) * 6e-11 for _ in range(2))
+    metric = random_grid(rng, m, int(rng.integers(1, 3))).ground_metric
+    return {"c": (metric ** float(rng.choice([1.0, 2.0]))).reshape(-1), "marginals": (a, b)}
 
 
 def _ball_coupling_lp(rng, m, dim, p, empty, rational):
@@ -201,17 +244,25 @@ _FAMILIES = {"transport": _transport_lp, "ball": _ball_coupling_lp, "moment": _m
 
 @given(
     seed=st.integers(0, 2**32 - 1),
-    family=st.sampled_from(sorted(_FAMILIES)),
+    family=st.sampled_from(sorted(_FAMILIES) + ["marginals"]),
     m=st.integers(2, 6),
     dim=st.sampled_from([1, 2]),
     p=st.sampled_from([1.0, 2.0]),
     empty=st.integers(0, 2),
     rational=st.booleans(),
 )
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=250, deadline=None)
 def test_bitwise_equal_to_loop_reference(seed, family, m, dim, p, empty, rational):
-    lp = _FAMILIES[family](np.random.default_rng(seed), m, dim, p, empty, rational)
-    _assert_same_result(solve_lp(**lp), bland_lp_reference(**lp))
+    # The transportation form takes one objective, so the stack test below
+    # draws from the other families only.
+    lp = {**_FAMILIES, "marginals": _marginals_lp}[family](np.random.default_rng(seed), m, dim, p, empty, rational)
+    _assert_same_result(solve_lp(**lp), _reference(lp))
+
+
+def test_transport_ratio_test_scans_near_ties_in_row_order():
+    for seed in range(200):
+        lp = _near_tied_transport(seed)
+        _assert_same_result(solve_lp(**lp), _reference(lp))
 
 
 def _assert_rows_are_lone_solves(batched, lone, phase1):
@@ -263,18 +314,13 @@ def _line_transport(m: int, n: int, seed: int) -> dict:
     atoms = np.linspace(-3.0, 3.0, m)
     p0 = rng.dirichlet(np.full(m, 2.0))
     empirical = rng.multinomial(n, p0) / n
-    eye = np.eye(m)
-    return {
-        "c": np.abs(atoms[:, None] - atoms[None, :]).reshape(-1),
-        "a_eq": np.vstack([np.repeat(eye, m, axis=1), np.tile(eye, m)]),
-        "b_eq": np.concatenate([p0, empirical]),
-    }
+    return {"c": np.abs(atoms[:, None] - atoms[None, :]).reshape(-1), "marginals": (p0, empirical)}
 
 
 @pytest.mark.parametrize("m, n, seed", [(12, 10, 0), (12, 10, 1), (16, 10, 2), (16, 40, 3)])
 def test_line_transport_at_workload_sizes_matches_loop_reference(m, n, seed):
     lp = _line_transport(m, n, seed)
-    assert np.any(lp["b_eq"][m:] == 0.0)
+    assert np.any(lp["marginals"][1] == 0.0)
     assert _solve_checked(**lp).ok
 
 
@@ -307,3 +353,40 @@ def test_non_finite_data_rejected(bad, where):
 def test_objective_not_a_vector_or_stack_rejected(shape):
     with pytest.raises(ValueError, match=r"\(k, n\) stack of k >= 1"):
         solve_lp(np.ones(shape), a_eq=[[1.0, 1.0]], b_eq=[1.0])
+
+
+@pytest.mark.parametrize(
+    "blocks",
+    [{"a_eq": [[1.0, 1.0]], "b_eq": [1.0]}, {"a_ub": [[1.0, 0.0]], "b_ub": [0.5]}, {"b_eq": [1.0]}],
+)
+def test_marginals_with_constraint_blocks_rejected(blocks):
+    with pytest.raises(ValueError, match="marginals replace the constraint blocks"):
+        solve_lp([1.0, 2.0], marginals=([1.0], [0.5, 0.5]), **blocks)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("side", [0, 1])
+def test_non_finite_marginals_rejected(bad, side):
+    marginals = [np.array([0.5, 0.5]), np.array([0.5, 0.5])]
+    marginals[side][1] = bad
+    with pytest.raises(ValueError, match="LP data must be finite"):
+        solve_lp(np.ones(4), marginals=marginals)
+
+
+@pytest.mark.parametrize("side", [0, 1])
+def test_negative_marginals_rejected(side):
+    marginals = [np.array([0.5, 0.5]), np.array([0.5, 0.5])]
+    marginals[side] = np.array([1.5, -0.5])
+    with pytest.raises(ValueError, match="marginals must be nonnegative"):
+        solve_lp(np.ones(4), marginals=marginals)
+
+
+@pytest.mark.parametrize("n", [3, 5])
+def test_objective_length_not_the_coupling_size_rejected(n):
+    with pytest.raises(ValueError, match=r"len\(a\) \* len\(b\)"):
+        solve_lp(np.ones(n), marginals=([0.5, 0.5], [0.5, 0.5]))
+
+
+def test_objective_stack_rejected_in_transportation_form():
+    with pytest.raises(ValueError, match="one objective vector"):
+        solve_lp(np.ones((2, 4)), marginals=([0.5, 0.5], [0.5, 0.5]))
