@@ -17,7 +17,7 @@ import numpy as np
 import drolab
 from drolab.bayes import Infeasible, prior_from_regularizer
 from drolab.cost import DecisionSpace, Regularizer, cost_from_json
-from drolab.divergence import DIVERGENCE_KINDS, ORIENTATIONS, AmbiguityBall, DivergenceKind
+from drolab.divergence import DIVERGENCE_FIELD, DIVERGENCE_KINDS, ORIENTATIONS, AmbiguityBall, DivergenceKind
 from drolab.experiment import METHODS, check_options, load_config, load_problem, plan, verify_bounds
 from drolab.experiment import run as run_experiment
 from drolab.robustness import (
@@ -58,13 +58,23 @@ def _echo_json(doc, output: str | None = None) -> None:
         click.echo(text)
 
 
-def _divergence_doc(kind: str, p: float, orientation: str) -> dict:
-    return {"kind": kind, "p": p, "orientation": orientation}
+def _divergence_doc(kind: str, p: float | None, orientation: str | None) -> dict:
+    """The divergence document of the options given, checked as a config's;
+    ``--p`` or ``--orientation`` given for a kind that does not read it is
+    rejected."""
+    doc = {"kind": kind}
+    for field, value in (("p", p), ("orientation", orientation)):
+        if value is not None:
+            if field != DIVERGENCE_FIELD[kind]:
+                raise ConfigError(f"--{field}: {kind} divergences do not read {field!r}")
+            doc[field] = value
+    check_options({"divergence": doc})
+    return doc
 
 
-def _ball_kind(kind: str, p: float, orientation: str) -> DivergenceKind:
+def _ball_kind(doc: dict) -> DivergenceKind:
     """The divergence of a ball; kinds without a ball oracle are rejected."""
-    out = DivergenceKind.from_json(_divergence_doc(kind, p, orientation))
+    out = DivergenceKind.from_json(doc)
     if not out.has_ball_oracle:
         raise ConfigError(f"{out.label()} balls have no extremal-expectation oracle")
     return out
@@ -80,9 +90,10 @@ def main() -> None:
 @click.argument("a_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("b_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--kind", type=click.Choice(DIVERGENCE_KINDS), default="wasserstein")
-@click.option("--p", type=float, default=1.0, help="Wasserstein order.")
-@click.option("--orientation", type=click.Choice(ORIENTATIONS), default="forward")
-def divergence_cmd(a_path: str, b_path: str, kind: str, p: float, orientation: str) -> None:
+@click.option("--p", type=float, default=None, help="Wasserstein order (default 1).")
+@click.option("--orientation", type=click.Choice(ORIENTATIONS), default=None,
+              help="Phi-divergence orientation (default forward).")
+def divergence_cmd(a_path: str, b_path: str, kind: str, p: float | None, orientation: str | None) -> None:
     """Print the divergence between two distribution documents."""
     try:
         doc_a = load_json(a_path)
@@ -101,8 +112,9 @@ def divergence_cmd(a_path: str, b_path: str, kind: str, p: float, orientation: s
 @click.option("--method", type=click.Choice(list(METHODS)), required=True)
 @click.option("--eps", type=float, default=0.0, help="Ball radius for the DRO methods.")
 @click.option("--divergence", "div_kind", type=click.Choice(DIVERGENCE_KINDS), default="wasserstein")
-@click.option("--p", type=float, default=1.0)
-@click.option("--orientation", type=click.Choice(ORIENTATIONS), default="forward")
+@click.option("--p", type=float, default=None, help="Wasserstein order (default 1).")
+@click.option("--orientation", type=click.Choice(ORIENTATIONS), default=None,
+              help="Phi-divergence orientation (default forward).")
 @click.option("--alpha", type=float, default=0.0, help="Prior concentration of the Bayesian mixture.")
 @click.option("--beta", type=float, default=None, help="Explicit mixture weight override.")
 @click.option("--lam", "--lambda", "lam", type=float, default=0.0, help="Regularization weight.")
@@ -112,12 +124,12 @@ def divergence_cmd(a_path: str, b_path: str, kind: str, p: float, orientation: s
 def solve_cmd(problem, method, eps, div_kind, p, orientation, alpha, beta, lam, delta, sided, output) -> None:
     """Solve one decision model described by a problem document."""
     spec = METHODS[method]
-    entry = {"method": method, "eps": eps, "divergence": _divergence_doc(div_kind, p, orientation),
-             "alpha": alpha, "beta": beta, "lambda": lam, "delta": delta, "sided": sided}
     try:
-        check_options({field: value for field, value in entry.items() if field != "method"})
+        entry = {"method": method, "eps": eps, "divergence": _divergence_doc(div_kind, p, orientation),
+                 "alpha": alpha, "beta": beta, "lambda": lam, "delta": delta, "sided": sided}
+        check_options({field: value for field, value in entry.items() if field not in ("method", "divergence")})
         if spec.ball:
-            _ball_kind(div_kind, p, orientation)
+            _ball_kind(entry["divergence"])
         sol = spec.solve(load_problem(problem), entry)
     except (ConfigError, ValueError, KeyError) as exc:
         _die_validation(str(exc))
@@ -138,8 +150,9 @@ def solve_cmd(problem, method, eps, div_kind, p, orientation, alpha, beta, lam, 
 @click.option("--ref", type=float, default=None, help="Reference value (default: best nominal value).")
 @click.option("--eps", type=float, default=0.0)
 @click.option("--divergence", "div_kind", type=click.Choice(DIVERGENCE_KINDS), default="wasserstein")
-@click.option("--p", type=float, default=1.0)
-@click.option("--orientation", type=click.Choice(ORIENTATIONS), default="forward")
+@click.option("--p", type=float, default=None, help="Wasserstein order (default 1).")
+@click.option("--orientation", type=click.Choice(ORIENTATIONS), default=None,
+              help="Phi-divergence orientation (default forward).")
 @click.option("--alpha", type=float, default=1.0, help="Dirichlet concentration for pac.")
 @click.option("--level", type=float, default=1.0, help="Robustness level L for pac.")
 @click.option("--draws", type=int, default=10000)
@@ -154,7 +167,8 @@ def measure_cmd(problem, measure_kind, variant, x_index, ref, eps, div_kind, p, 
         # The bayes_dp `alpha` check admits 0 and inf; a concentration does not.
         if alpha == 0.0 or alpha == math.inf:
             raise ConfigError(f"--alpha: {alpha!r} must be a positive finite concentration")
-        kind = None if measure_kind == "pac" else _ball_kind(div_kind, p, orientation)
+        divergence = _divergence_doc(div_kind, p, orientation)
+        kind = None if measure_kind == "pac" else _ball_kind(divergence)
         prob = load_problem(problem)
         center, cf, space = prob.center, prob.cf, prob.space
         nominal = solve_saa(center, cf, space)

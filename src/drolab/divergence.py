@@ -34,6 +34,9 @@ from drolab.support import DiscreteDistribution, GridMismatchError, SupportGrid,
 _PHI_GENERATORS = ("kl", "chi2", "tv")
 DIVERGENCE_KINDS = ("wasserstein", *_PHI_GENERATORS)
 ORIENTATIONS = ("forward", "reverse")
+# The one optional field of a divergence document that each kind reads: the
+# Wasserstein order, or a phi-divergence's orientation.
+DIVERGENCE_FIELD = {"wasserstein": "p", **dict.fromkeys(_PHI_GENERATORS, "orientation")}
 _MEMBERSHIP_SLACK = 1e-10
 
 
@@ -89,7 +92,8 @@ class DivergenceKind:
 
     @classmethod
     def from_json(cls, doc: dict | None) -> "DivergenceKind":
-        """Build ``{"kind", "p", "orientation"}``; a missing document means W1."""
+        """Build ``{"kind", "p"}`` or ``{"kind", "orientation"}`` (see
+        ``DIVERGENCE_FIELD``); a missing document means W1."""
         doc = doc or {"kind": "wasserstein"}
         kind = doc["kind"]
         if kind not in DIVERGENCE_KINDS:

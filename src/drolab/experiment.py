@@ -34,7 +34,7 @@ from drolab.bounds import (
     uniform_bound,
 )
 from drolab.cost import CostFunction, DecisionSpace, cost_from_json
-from drolab.divergence import DIVERGENCE_KINDS, ORIENTATIONS, AmbiguityBall, DivergenceKind
+from drolab.divergence import DIVERGENCE_FIELD, DIVERGENCE_KINDS, ORIENTATIONS, AmbiguityBall, DivergenceKind
 from drolab.solvers import (
     Solution,
     solve_absolute_dro,
@@ -265,14 +265,26 @@ METHODS: dict[str, MethodSpec] = {
 }
 
 
+_DIVERGENCE = _object(
+    {"kind": _choice("divergence kind", DIVERGENCE_KINDS)},
+    {"p": _number(1.0), "orientation": _choice("orientation", ORIENTATIONS)},
+)
+
+
+def _divergence(ptr: str, v) -> None:
+    """A divergence document with no field its kind does not read."""
+    _DIVERGENCE(ptr, v)
+    kind = v["kind"]
+    for field in v:
+        if field not in ("kind", DIVERGENCE_FIELD[kind]):
+            _fail(f"{ptr}/{field}", f"{kind} divergences do not read {field!r}")
+
+
 # How the value of each method-entry field is checked; METHODS says which
 # methods read it.
 _FIELDS = {
     "eps": lambda ptr, v: None if v == "auto" else _NONNEG(ptr, v),
-    "divergence": _object(
-        {"kind": _choice("divergence kind", DIVERGENCE_KINDS)},
-        {"p": _number(1.0), "orientation": _choice("orientation", ORIENTATIONS)},
-    ),
+    "divergence": _divergence,
     "alpha": _number(0.0, inf_ok=True),  # inf: the prior alone
     "beta": _number(0.0, 1.0),
     "lambda": _NONNEG,
@@ -491,13 +503,17 @@ def plan(cfg: ResolvedConfig) -> dict:
 def run(cfg: ResolvedConfig, jobs: int = 1) -> dict:
     """Execute the full plan and write ``results.csv`` and ``run_record.json``.
 
-    Returns the run record.  Replications can run in parallel; rows are
-    reduced in (n, replication) order so output is schedule-independent.
+    Returns the run record.  Replications can run in parallel, on at most
+    ``jobs`` worker processes and never more than there are (n, replication)
+    tasks; rows are reduced in (n, replication) order so output is
+    schedule-independent.
     """
     start = time.perf_counter()
     tasks = [(n, rep) for n in cfg.ns for rep in range(cfg.replications)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs, initializer=_init_worker, initargs=(cfg.raw,)) as pool:
+    # A process pool starts all its workers at the first submit.
+    workers = min(jobs, len(tasks))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(cfg.raw,)) as pool:
             futures = [pool.submit(_run_in_worker, n, rep) for n, rep in tasks]
             outcomes = [f.result() for f in futures]
     else:

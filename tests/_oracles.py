@@ -494,6 +494,30 @@ def bland_lp_reference(c, a_eq=None, b_eq=None, a_ub=None, b_ub=None, max_iter: 
     return LPResult("optimal", x, float(c @ x), it1 + it2)
 
 
+def transport_blocks(a, b) -> dict:
+    """The dense constraint blocks of ``solve_lp``'s transportation form with
+    marginals ``(a, b)``: row sums, then column sums, of the flattened coupling."""
+    a_eq = np.vstack([np.repeat(np.eye(len(a)), len(b), axis=1), np.tile(np.eye(len(b)), len(a))])
+    return {"a_eq": a_eq, "b_eq": np.concatenate([a, b])}
+
+
+def dense_transport_lp(monkeypatch, module) -> list:
+    """Swap ``module.solve_lp``'s transportation form for the loop reference on
+    its dense blocks, through ``monkeypatch``; other calls run as before.  Each
+    transport LP solved appends its marginals to the returned list."""
+    calls = []
+    real = module.solve_lp
+
+    def solve(c, *args, marginals=None, **blocks):
+        if marginals is None:
+            return real(c, *args, **blocks)
+        calls.append(marginals)
+        return bland_lp_reference(c, **transport_blocks(*marginals))
+
+    monkeypatch.setattr(module, "solve_lp", solve)
+    return calls
+
+
 def scalar_cost(name: str, params: dict | None = None):
     """The built-in cost ``name`` as a scalar ``h(x, xi)`` on 1-D arrays."""
     params = params or {}

@@ -2,13 +2,16 @@
 
 import copy
 import csv
+import dataclasses
 import json
 import math
 import os
 import subprocess
 import sys
 import time
+from concurrent.futures import Future
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,7 +19,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import drolab
-from _oracles import validate_config_jsonschema
+from _oracles import dense_transport_lp, validate_config_jsonschema
 from drolab import divergence, experiment, solvers
 from drolab.cli import main
 from drolab.experiment import (
@@ -138,6 +141,23 @@ class TestConfigValidation:
         doc["methods"][1] = entry
         with pytest.raises(ConfigError, match=f"^/methods/1/{field}: {entry['method']} does not read '{field}'"):
             resolve_config(doc)
+
+    @pytest.mark.parametrize(
+        "div, field",
+        [
+            ({"kind": "kl", "p": 2.0}, "p"),
+            ({"kind": "chi2", "orientation": "forward", "p": 1.0}, "p"),
+            ({"kind": "wasserstein", "orientation": "reverse"}, "orientation"),
+            ({"kind": "wasserstein", "p": 2.0, "orientation": "forward"}, "orientation"),
+        ],
+    )
+    def test_divergence_field_the_kind_never_reads_is_rejected(self, tmp_path, div, field):
+        for i in (0, 3):
+            doc = base_config(str(tmp_path))
+            doc["methods"][i] = {"method": "minmax_dro", "eps": 0.1, "divergence": div}
+            message = f"^/methods/{i}/divergence/{field}: {div['kind']} divergences do not read '{field}'"
+            with pytest.raises(ConfigError, match=message):
+                resolve_config(doc)
 
     def test_ball_methods_are_those_reading_a_divergence(self):
         assert [name for name, spec in METHODS.items() if spec.ball] == ["minmax_dro", "abs_dro", "satisficing"]
@@ -412,6 +432,9 @@ class TestOracleValidator:
             (("grid", "metric"), [[0, -1]]),
             (("p0", "weights"), [0, 0, 1]),
             (("p0", "weights"), [-0.1, 0.6, 0.5]),
+            (("methods", 3, "divergence"), {"kind": "kl", "p": 2.0}),
+            (("methods", 3, "divergence"), {"kind": "tv", "p": 0.5}),
+            (("methods", 3, "divergence"), {"kind": "wasserstein", "orientation": "reverse"}),
         ],
     )
     def test_boundaries(self, path, value):
@@ -453,6 +476,40 @@ class TestRunner:
         assert (tmp_path / "serial" / "results.csv").read_bytes() == (
             tmp_path / "parallel" / "results.csv"
         ).read_bytes()
+
+    @pytest.mark.parametrize("ns, replications, jobs, workers", [
+        ([10, 20], 1, 5000, 2), ([10], 1, 5000, None), ([10, 20], 2, 3, 3), ([10], 2, 1, None),
+    ])
+    def test_pool_never_has_more_workers_than_tasks(self, tmp_path, monkeypatch, ns, replications, jobs, workers):
+        # An in-process stand-in for the pool records its size; no process
+        # starts.  None means the run stays serial and makes no pool.
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers, initializer, initargs):
+                sizes.append(max_workers)
+                initializer(*initargs)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(experiment, "_worker_cfg", None)
+        outputs = []
+        for label, n_jobs in (("serial", 1), ("pooled", jobs)):
+            doc = dict(base_config(str(tmp_path / label)), n=ns, replications=replications)
+            run_experiment(resolve_config(doc), jobs=n_jobs)
+            outputs.append((tmp_path / label / "results.csv").read_bytes())
+        assert sizes == ([] if workers is None else [workers])
+        assert outputs[0] == outputs[1]
 
     def test_rows_replay_through_library_calls(self, tmp_path):
         doc = base_config(str(tmp_path / "out"))
@@ -661,6 +718,99 @@ def test_kl_ball_methods_search_each_table_once(tmp_path, spy):
     assert len(roots) == 2
 
 
+def _line_config(output: str, kind: str) -> dict:
+    """The benchmark's two line configs: a 16-atom integer line with
+    newsvendor costs at n = 10 and 40, or a 12-atom line on [-3, 3] with
+    Huber costs and forward-KL ball methods at n = 400."""
+    rng = np.random.default_rng(5)
+    if kind == "integer":
+        return {
+            "grid": {"atoms": [[float(v)] for v in range(16)]},
+            "p0": {"weights": rng.dirichlet(np.full(16, 2.0)).tolist()},
+            "cost": {"name": "newsvendor", "params": {"b": 2.0, "c": 1.0}},
+            "space": {"interval": {"lo": 0.0, "hi": 15.0, "num": 13}},
+            "methods": [{"method": "saa"}], "n": [10, 40], "replications": 1, "seed": 17, "output": output,
+        }
+    p0 = 0.5 / 12 + 0.5 * rng.dirichlet(np.ones(12))
+    prior = {"weights": rng.dirichlet(np.full(12, 2.0)).tolist()}
+    kl = {"kind": "kl", "orientation": "forward"}
+    return {
+        "grid": {"atoms": [[float(v)] for v in np.linspace(-3.0, 3.0, 12)]},
+        "p0": {"weights": (p0 / p0.sum()).tolist()},
+        "cost": {"name": "huber", "params": {"delta": 1.0}},
+        "space": {"interval": {"lo": -3.0, "hi": 3.0, "num": 61}},
+        "methods": [
+            {"method": "saa"},
+            {"method": "reg_saa", "lambda": 0.5, "prior": prior},
+            {"method": "bayes_dp", "alpha": 5.0, "prior": prior},
+            {"method": "minmax_dro", "eps": "auto", "divergence": kl},
+            {"method": "abs_dro", "eps": "auto", "divergence": kl},
+            {"method": "satisficing", "divergence": kl},
+        ],
+        "n": [400], "replications": 1, "seed": 23, "output": output,
+    }
+
+
+def _bits(value) -> str:
+    """A text that pins every bit of the floats in ``value`` (records, arrays,
+    dicts and lists of them)."""
+    def plain(obj):
+        if dataclasses.is_dataclass(obj):
+            return {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)}
+        if isinstance(obj, np.ndarray):
+            return [str(obj.dtype), obj.shape, obj.tobytes().hex()]
+        if isinstance(obj, np.generic):
+            return obj.item()
+        return repr(obj)
+
+    return json.dumps(value, sort_keys=True, default=plain)
+
+
+class TestTreeTransportEndToEnd:
+    """A run and a bound check with every transport LP solved by the loop
+    reference on its dense blocks keep every record and every file's bytes."""
+
+    def _suite_records(self, monkeypatch) -> list:
+        records = []
+        for name in ("uniform_bound", "absolute_bound", "relative_bound", "minmax_one_sided_bound"):
+            real = getattr(experiment, name)
+
+            def suite(*args, _real=real, **kwargs):
+                out = _real(*args, **kwargs)
+                records.append(_bits(out if isinstance(out, list) else [out[0], out[1].to_json()]))
+                return out
+
+            monkeypatch.setattr(experiment, name, suite)
+        return records
+
+    def test_verify_bounds_on_the_integer_line(self, tmp_path, monkeypatch):
+        records = self._suite_records(monkeypatch)
+        results = []
+        for dense in (False, True):
+            with monkeypatch.context() as patch:
+                calls = dense_transport_lp(patch, divergence) if dense else []
+                ok, report = verify_bounds(resolve_config(_line_config(str(tmp_path), "integer")))
+            results.append(_bits([ok, report]))
+            assert len(calls) == (4 if dense else 0)  # two per task
+        assert ok and results[0] == results[1]
+        assert len(records) == 16 and records[:8] == records[8:]
+
+    def test_run_on_the_huber_line_with_kl_methods(self, tmp_path, monkeypatch):
+        # The record's wall time is the one field that may differ.
+        monkeypatch.setattr(experiment, "time", SimpleNamespace(perf_counter=lambda: 0.0))
+        records = self._suite_records(monkeypatch)
+        results = []
+        for dense in (False, True):
+            with monkeypatch.context() as patch:
+                calls = dense_transport_lp(patch, divergence) if dense else []
+                record = run_experiment(resolve_config(_line_config(str(tmp_path / "out"), "huber")))
+            files = [(tmp_path / "out" / name).read_bytes() for name in ("results.csv", "run_record.json")]
+            results.append((_bits(record), files))
+            assert len(calls) == (2 if dense else 0)
+        assert record["errors"] == [] and results[0] == results[1]
+        assert len(records) == 12 and records[:6] == records[6:]
+
+
 class TestSatisficingBound:
     """A configured satisficing model other than the two-sided zero-slack
     one that the relative bound reads shares its extremal sweeps."""
@@ -717,6 +867,40 @@ class TestCLI:
         )
         assert result.exit_code == 0
         assert float(result.output) == pytest.approx(1.3, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (["divergence", "--kind", "kl", "--p", "7"], "--p: kl divergences do not read 'p'"),
+            (["divergence", "--orientation", "reverse"], "--orientation: wasserstein divergences do not read 'orientation'"),
+            (["solve", "--method", "minmax_dro", "--divergence", "kl", "--p", "2"], "--p: kl divergences do not read 'p'"),
+            (["solve", "--method", "saa", "--orientation", "reverse"],
+             "--orientation: wasserstein divergences do not read 'orientation'"),
+            (["measure", "--kind", "absolute", "--divergence", "kl", "--p", "2"], "--p: kl divergences do not read 'p'"),
+            (["measure", "--kind", "absolute", "--p", "0.5"], "--divergence/p: 0.5 must be >= 1"),
+            (["divergence", "--p", "nan"], "--divergence/p: nan is not finite"),
+        ],
+    )
+    def test_divergence_option_the_kind_never_reads_is_rejected(self, tmp_path, args, message):
+        (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))
+        a = {"atoms": [[0.0], [1.0], [3.0]], "weights": [0.2, 0.3, 0.5]}
+        (tmp_path / "a.json").write_text(json.dumps(a))
+        files = [str(tmp_path / "a.json")] * 2 if args[0] == "divergence" else [str(tmp_path / "prob.json")]
+        result = CliRunner().invoke(main, [args[0], *files, *args[1:]])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == [f"error: {message}"]
+
+    def test_divergence_options_default_to_what_the_kind_reads(self, tmp_path):
+        a = {"atoms": [[0.0], [1.0], [3.0]], "weights": [0.2, 0.3, 0.5]}
+        b = {"weights": [0.5, 0.5, 0.0]}
+        (tmp_path / "a.json").write_text(json.dumps(a))
+        (tmp_path / "b.json").write_text(json.dumps(b))
+        files = [str(tmp_path / "a.json"), str(tmp_path / "b.json")]
+        runner = CliRunner()
+        for given, default in ((["--kind", "wasserstein"], ["--p", "1"]), (["--kind", "kl"], ["--orientation", "forward"])):
+            outputs = [runner.invoke(main, ["divergence", *given, *extra, *files]) for extra in ([], default)]
+            assert [r.exit_code for r in outputs] == [0, 0]
+            assert outputs[0].output == outputs[1].output
 
     def test_solve_command(self, tmp_path):
         (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))

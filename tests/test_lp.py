@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.optimize import linprog
 
-from _oracles import bland_lp_reference, rational_weights
+from _oracles import bland_lp_reference, rational_weights, transport_blocks
 from conftest import random_grid
-from drolab.lp import solve_lp
+from drolab.lp import _BasisTree, solve_lp
 
 
 def _assert_same_result(mine, ref):
@@ -22,19 +22,12 @@ def _assert_same_result(mine, ref):
     assert np.float64(mine.value).tobytes() == np.float64(ref.value).tobytes()
 
 
-def _transport_blocks(a, b) -> dict:
-    """The dense constraint blocks of the transportation form with marginals
-    ``(a, b)``: row sums, then column sums, of the flattened coupling."""
-    a_eq = np.vstack([np.repeat(np.eye(len(a)), len(b), axis=1), np.tile(np.eye(len(b)), len(a))])
-    return {"a_eq": a_eq, "b_eq": np.concatenate([a, b])}
-
-
 def _reference(lp: dict):
     """The loop reference's result, on the dense blocks of a transportation form."""
     lp = dict(lp)
     marginals = lp.pop("marginals", None)
     if marginals is not None:
-        lp.update(_transport_blocks(*marginals))
+        lp.update(transport_blocks(*marginals))
     return bland_lp_reference(**lp)
 
 
@@ -97,7 +90,7 @@ def test_degenerate_transport_does_not_cycle():
     b = np.zeros(m)
     b[3] = 1.0
     cost = np.arange(m * m, dtype=float)
-    for blocks in (_transport_blocks(a, b), {"marginals": (a, b)}):
+    for blocks in (transport_blocks(a, b), {"marginals": (a, b)}):
         res = _solve_checked(cost, **blocks)
         assert res.ok
         assert res.value == pytest.approx(cost[3], abs=1e-9)
@@ -160,7 +153,7 @@ def _weights(rng, m, empty, rational):
 
 def _transport_lp(rng, m, dim, p, empty, rational):
     metric = random_grid(rng, m, dim).ground_metric
-    blocks = _transport_blocks(_weights(rng, m, empty, rational), _weights(rng, m, empty, rational))
+    blocks = transport_blocks(_weights(rng, m, empty, rational), _weights(rng, m, empty, rational))
     return {"c": (metric**p).reshape(-1), **blocks}
 
 
@@ -322,6 +315,47 @@ def test_line_transport_at_workload_sizes_matches_loop_reference(m, n, seed):
     lp = _line_transport(m, n, seed)
     assert np.any(lp["marginals"][1] == 0.0)
     assert _solve_checked(**lp).ok
+
+
+def _workload_transport(name: str) -> dict:
+    """The transport LPs of the benchmark's workloads and their neighbours:
+    W1 between a Dirichlet law and the empirical law of n draws from it."""
+    rng = np.random.default_rng(11)
+    if name.startswith("integer line"):
+        atoms = np.arange(16.0)[:, None]
+    elif name == "float line":
+        atoms = np.linspace(-3.0, 3.0, 12)[:, None]
+    else:
+        atoms = np.array([[a, b] for a in (-1.0, 0.0, 1.0) for b in (-1.0, 0.0, 1.0)])
+    p0 = rng.dirichlet(np.full(len(atoms), 2.0))
+    n = {"integer line, n=10": 10, "integer line, n=40": 40, "float line": 10, "plane": 10}.get(name)
+    center = p0 if n is None else rng.multinomial(n, p0) / n
+    metric = np.linalg.norm(atoms[:, None] - atoms[None, :], axis=-1)
+    return {"c": metric.reshape(-1), "marginals": (p0, center)}
+
+
+@pytest.mark.parametrize(
+    "name", ["integer line, n=10", "integer line, n=40", "float line", "plane", "integer line, a == b"]
+)
+def test_tree_replay_at_workload_sizes_matches_loop_reference(name, monkeypatch):
+    # Most demand atoms of a 16-atom line are empty at n=10 and many at
+    # n=40, so many pivots move no mass (theta == 0) and skip the
+    # right-hand-side updates; the result keeps the dense run's bits anyway.
+    lp = _workload_transport(name)
+    zero_steps = []
+    real_pivot = _BasisTree.pivot
+
+    def pivot(tree, q, u, v, plus, minus, leaving, positive, cost_q):
+        zero_steps.append(tree.rhs[leaving] == 0.0)
+        real_pivot(tree, q, u, v, plus, minus, leaving, positive, cost_q)
+
+    monkeypatch.setattr(_BasisTree, "pivot", pivot)
+    res = _solve_checked(**lp)
+    assert res.ok
+    assert not np.any(np.signbit(res.x))  # no sign bit set: no -0.0 among the zeros
+    assert any(zero_steps) and not all(zero_steps)
+    if "a == b" not in name:
+        assert np.any(lp["marginals"][1] == 0.0)
 
 
 def test_coupling_lp_stack_at_workload_size_matches_loop_reference():
