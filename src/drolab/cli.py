@@ -10,6 +10,8 @@ import json
 import math
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import NoReturn
 
 import click
 import numpy as np
@@ -32,7 +34,7 @@ from drolab.solvers import solve_saa
 from drolab.support import ConfigError, DiscreteDistribution, SupportGrid, load_json
 
 
-def _die_validation(message: str) -> None:
+def _die_validation(message: str) -> NoReturn:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
 
@@ -72,12 +74,35 @@ def _divergence_doc(kind: str, p: float | None, orientation: str | None) -> dict
     return doc
 
 
-def _ball_kind(doc: dict) -> DivergenceKind:
-    """The divergence of a ball; kinds without a ball oracle are rejected."""
-    out = DivergenceKind.from_json(doc)
-    if not out.has_ball_oracle:
-        raise ConfigError(f"{out.label()} balls have no extremal-expectation oracle")
-    return out
+def _read(flags: dict, reads, unread: str, defaults: dict) -> dict:
+    """Each field in ``reads`` that a flag sets, at the flag's value or else its
+    default (``divergence``: the document of ``--divergence``, ``--p`` and
+    ``--orientation``); a flag given for another field is rejected."""
+    flags = {flag.replace("_", "-"): value for flag, value in flags.items()}
+    doc = _divergence_doc(flags["divergence"] or "wasserstein", flags["p"], flags["orientation"])
+    for flag, value in flags.items():
+        field = "divergence" if flag in ("p", "orientation") else flag
+        if value is not None and field not in reads:
+            raise ConfigError(f"--{flag}: {unread} {field!r}")
+    values = {field: defaults.get(field) if flags[field] is None else flags[field] for field in reads if field in flags}
+    return {**values, "divergence": doc} if "divergence" in values else values
+
+
+# Each measure kind: the fields `drolab measure` reads for it, and its measure.
+_MEASURES = {
+    "absolute": (("x-index", "ref", "eps", "divergence"), lambda a: absolute_measure(a.x, a.ref, a.ball, a.cf)),
+    "relative": (("x-index", "ref", "divergence"), lambda a: relative_measure(a.x, a.ref, a.kind, a.center, a.cf)),
+    "local": (("variant", "ref", "divergence"),
+              lambda a: local_measure(a.space, a.center, a.ref, a.cf, a.kind, a.variant)),
+    "set": (("variant", "eps", "divergence", "budget", "seed"),
+            lambda a: set_robustness(a.ball, a.cf, a.space, a.variant, a.budget, a.seed)),
+    "pac": (("x-index", "ref", "alpha", "level", "draws", "seed"),
+            lambda a: pac_robustness(DirichletPrior(a.center, a.alpha), a.cf, a.x, a.ref, a.level, a.draws, a.seed)),
+}
+# What an option left unset reads as, where a command reads it.
+_SOLVE_DEFAULTS = {"eps": 0.0, "alpha": 0.0, "lambda": 0.0, "delta": 0.0, "sided": "one"}
+_MEASURE_DEFAULTS = {"variant": "objective", "eps": 0.0, "alpha": 1.0, "level": 1.0, "draws": 10000, "budget": 200,
+                     "seed": 0}
 
 
 @click.group()
@@ -90,9 +115,8 @@ def main() -> None:
 @click.argument("a_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("b_path", type=click.Path(exists=True, dir_okay=False))
 @click.option("--kind", type=click.Choice(DIVERGENCE_KINDS), default="wasserstein")
-@click.option("--p", type=float, default=None, help="Wasserstein order (default 1).")
-@click.option("--orientation", type=click.Choice(ORIENTATIONS), default=None,
-              help="Phi-divergence orientation (default forward).")
+@click.option("--p", type=float, help="Wasserstein order (default 1).")
+@click.option("--orientation", type=click.Choice(ORIENTATIONS), help="Phi-divergence orientation (default forward).")
 def divergence_cmd(a_path: str, b_path: str, kind: str, p: float | None, orientation: str | None) -> None:
     """Print the divergence between two distribution documents."""
     try:
@@ -103,90 +127,72 @@ def divergence_cmd(a_path: str, b_path: str, kind: str, p: float | None, orienta
         value = DivergenceKind.from_json(_divergence_doc(kind, p, orientation)).distance(b, a)
     except (ValueError, KeyError) as exc:
         _die_validation(str(exc))
-        return
     click.echo(repr(float(value)))
 
 
 @main.command("solve")
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
 @click.option("--method", type=click.Choice(list(METHODS)), required=True)
-@click.option("--eps", type=float, default=0.0, help="Ball radius for the DRO methods.")
-@click.option("--divergence", "div_kind", type=click.Choice(DIVERGENCE_KINDS), default="wasserstein")
-@click.option("--p", type=float, default=None, help="Wasserstein order (default 1).")
-@click.option("--orientation", type=click.Choice(ORIENTATIONS), default=None,
-              help="Phi-divergence orientation (default forward).")
-@click.option("--alpha", type=float, default=0.0, help="Prior concentration of the Bayesian mixture.")
-@click.option("--beta", type=float, default=None, help="Explicit mixture weight override.")
-@click.option("--lam", "--lambda", "lam", type=float, default=0.0, help="Regularization weight.")
-@click.option("--delta", type=float, default=0.0, help="Target slack above the best nominal value.")
-@click.option("--sided", type=click.Choice(["one", "two"]), default="one")
+@click.option("--eps", type=float, help="Ball radius for the DRO methods.")
+@click.option("--divergence", type=click.Choice(DIVERGENCE_KINDS))
+@click.option("--p", type=float, help="Wasserstein order (default 1).")
+@click.option("--orientation", type=click.Choice(ORIENTATIONS), help="Phi-divergence orientation (default forward).")
+@click.option("--alpha", type=float, help="Prior concentration of the Bayesian mixture.")
+@click.option("--beta", type=float, help="Explicit mixture weight override.")
+@click.option("--lam", "--lambda", "lambda", type=float, help="Regularization weight.")
+@click.option("--delta", type=float, help="Target slack above the best nominal value.")
+@click.option("--sided", type=click.Choice(["one", "two"]))
 @click.option("--output", type=click.Path(dir_okay=False), default=None, help="Write JSON here instead of stdout.")
-def solve_cmd(problem, method, eps, div_kind, p, orientation, alpha, beta, lam, delta, sided, output) -> None:
+def solve_cmd(problem, method, output, **flags) -> None:
     """Solve one decision model described by a problem document."""
     spec = METHODS[method]
     try:
-        entry = {"method": method, "eps": eps, "divergence": _divergence_doc(div_kind, p, orientation),
-                 "alpha": alpha, "beta": beta, "lambda": lam, "delta": delta, "sided": sided}
+        reads = (*spec.requires, *spec.one_of, *spec.optional)
+        entry = {"method": method, **_read(flags, reads, f"{method} does not read", _SOLVE_DEFAULTS)}
+        if len(given := [field for field in spec.one_of if flags[field] is not None]) > 1:
+            raise ConfigError(f"--{given[1]}: {method} needs exactly one of {'/'.join(map(repr, spec.one_of))}")
         check_options({field: value for field, value in entry.items() if field not in ("method", "divergence")})
         if spec.ball:
-            _ball_kind(entry["divergence"])
+            DivergenceKind.from_json(entry["divergence"], ball=True)
         sol = spec.solve(load_problem(problem), entry)
     except (ConfigError, ValueError, KeyError) as exc:
         _die_validation(str(exc))
-        return
     _echo_json(sol.to_json(), output)
 
 
 @main.command("measure")
 @click.argument("problem", type=click.Path(exists=True, dir_okay=False))
-@click.option(
-    "--kind",
-    "measure_kind",
-    type=click.Choice(["absolute", "relative", "local", "set", "pac"]),
-    required=True,
-)
-@click.option("--variant", type=click.Choice(["objective", "solution"]), default="objective")
-@click.option("--x-index", type=int, default=None, help="Decision index into the space (default: nominal argmin).")
-@click.option("--ref", type=float, default=None, help="Reference value (default: best nominal value).")
-@click.option("--eps", type=float, default=0.0)
-@click.option("--divergence", "div_kind", type=click.Choice(DIVERGENCE_KINDS), default="wasserstein")
-@click.option("--p", type=float, default=None, help="Wasserstein order (default 1).")
-@click.option("--orientation", type=click.Choice(ORIENTATIONS), default=None,
-              help="Phi-divergence orientation (default forward).")
-@click.option("--alpha", type=float, default=1.0, help="Dirichlet concentration for pac.")
-@click.option("--level", type=float, default=1.0, help="Robustness level L for pac.")
-@click.option("--draws", type=int, default=10000)
-@click.option("--budget", type=int, default=200)
-@click.option("--seed", type=int, default=0)
-def measure_cmd(problem, measure_kind, variant, x_index, ref, eps, div_kind, p, orientation,
-                alpha, level, draws, budget, seed) -> None:
+@click.option("--kind", "measure_kind", type=click.Choice(list(_MEASURES)), required=True)
+@click.option("--variant", type=click.Choice(["objective", "solution"]))
+@click.option("--x-index", type=int, help="Decision index into the space (default: nominal argmin).")
+@click.option("--ref", type=float, help="Reference value (default: best nominal value).")
+@click.option("--eps", type=float)
+@click.option("--divergence", type=click.Choice(DIVERGENCE_KINDS))
+@click.option("--p", type=float, help="Wasserstein order (default 1).")
+@click.option("--orientation", type=click.Choice(ORIENTATIONS), help="Phi-divergence orientation (default forward).")
+@click.option("--alpha", type=float, help="Dirichlet concentration for pac.")
+@click.option("--level", type=float, help="Robustness level L for pac.")
+@click.option("--draws", type=int)
+@click.option("--budget", type=int)
+@click.option("--seed", type=int)
+def measure_cmd(problem, measure_kind, **flags) -> None:
     """Report a robustness measure of a decision (JSON on stdout)."""
+    reads, measure = _MEASURES[measure_kind]
     try:
-        check_options({"ref": ref, "level": level, "alpha": alpha, "eps": eps,
-                       "draws": draws, "budget": budget, "seed": seed, "x-index": x_index})
+        opts = _read(flags, reads, f"{measure_kind} measures do not read", _MEASURE_DEFAULTS)
+        check_options({name: value for name, value in opts.items() if name not in ("variant", "divergence")})
         # The bayes_dp `alpha` check admits 0 and inf; a concentration does not.
-        if alpha == 0.0 or alpha == math.inf:
-            raise ConfigError(f"--alpha: {alpha!r} must be a positive finite concentration")
-        divergence = _divergence_doc(div_kind, p, orientation)
-        kind = None if measure_kind == "pac" else _ball_kind(divergence)
+        if opts.get("alpha") in (0.0, math.inf):
+            raise ConfigError(f"--alpha: {opts['alpha']!r} must be a positive finite concentration")
+        kind = DivergenceKind.from_json(opts["divergence"], ball=True) if "divergence" in opts else None
         prob = load_problem(problem)
-        center, cf, space = prob.center, prob.cf, prob.space
-        nominal = solve_saa(center, cf, space)
-        x = space[x_index] if x_index is not None else nominal.x
-        ref_value = nominal.objective_value if ref is None else ref
-        if measure_kind == "absolute":
-            report = absolute_measure(x, ref_value, AmbiguityBall(center, eps, kind), cf)
-        elif measure_kind == "relative":
-            report = relative_measure(x, ref_value, kind, center, cf)
-        elif measure_kind == "local":
-            report = local_measure(space, center, ref_value, cf, kind, variant)
-        elif measure_kind == "set":
-            report = set_robustness(AmbiguityBall(center, eps, kind), cf, space, variant, budget, seed)
-        else:
-            report = pac_robustness(DirichletPrior(center, alpha), cf, x, ref_value, level, draws, seed)
+        nominal = solve_saa(prob.center, prob.cf, prob.space)
+        opts["x"] = nominal.x if opts.get("x-index") is None else prob.space[opts["x-index"]]
+        opts["ref"] = nominal.objective_value if opts.get("ref") is None else opts["ref"]
+        ball = AmbiguityBall(prob.center, opts["eps"], kind) if "eps" in opts else None
+        report = measure(SimpleNamespace(**opts, **vars(prob), kind=kind, ball=ball))
     except (ConfigError, ValueError, KeyError, IndexError) as exc:
         _die_validation(str(exc))
-        return
     _echo_json(report.to_json())
 
 
@@ -213,7 +219,6 @@ def prior_from_reg_cmd(spec_path: str, max_entropy: bool) -> None:
         result = prior_from_regularizer(f, cf, space, grid, max_entropy=max_entropy)
     except (ConfigError, ValueError, KeyError) as exc:
         _die_validation(str(exc))
-        return
     if isinstance(result, Infeasible):
         _echo_json({"infeasible": True, "residual": result.residual})
     else:
@@ -233,7 +238,6 @@ def verify_bounds_cmd(config: str) -> None:
         ok, report = verify_bounds(cfg)
     except (ConfigError, ValueError, KeyError) as exc:
         _die_validation(str(exc))
-        return
     _echo_json(report)
     if not ok:
         click.echo(f"{len(report['violations'])} bound violation(s) detected", err=True)
@@ -251,7 +255,6 @@ def run_cmd(config: str, dry_run: bool, jobs: int) -> None:
         cfg = load_config(config)
     except (ConfigError, ValueError, KeyError) as exc:
         _die_validation(str(exc))
-        return
     if dry_run:
         _echo_json(plan(cfg))
         return

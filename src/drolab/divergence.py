@@ -1,28 +1,22 @@
 """Statistical similarity measures, ambiguity balls, and extremal oracles.
 
-Wasserstein distances are computed exactly as transport linear programs over
-the shared grid.  Worst-case and best-case expectations over Wasserstein
-balls come from the finite strong dual, a convex piecewise-linear function of
-one multiplier minimized exactly at its breakpoints; over forward KL balls
-they come from the exponential-tilting dual, whose multiplier is the root of
-a one-dimensional equation found by safeguarded Newton steps.  Both are
-batched over cost rows and radii, and :func:`extremal_values` returns a
-table's worst and best cases together, stacked as the ``2k`` rows of one
-pass over the signed table ``[c; -c]``.  Each exact result is kept on the
-distribution it was computed from (its ``_memo``), as arrays or floats only:
-a distance on its second argument; on a centre, each (kind, table, radii)
-pass and the Wasserstein dual's breakpoints of each signed table; so a
-repeated instance costs no second solve.  The witnesses that attain the
-values are batched too: one pass builds every row's witness at a radius
-(:meth:`Witnesses.weights`), and a single cell's witness is the one-row case
-of the same builder.  The largest two-sided deviation of an expectation over
-a ball, which every robustness measure and the absolute-DRO model read, is
-:func:`deviation_table`: the two halves of one pass.
+Every divergence kind is one entry of ``_KINDS``: its distance, its radius
+cap and its ball oracle, if it has one.  Wasserstein distances are exact
+transport linear programs over the shared grid.  The ball oracles, exact for
+Wasserstein-p (the finite strong dual, minimized at its breakpoints) and for
+forward KL (the exponential-tilting dual, solved by safeguarded Newton
+steps), are batched over cost rows and radii: :func:`extremal_values` reads a
+table's worst and best cases, and the witnesses attaining them, from one
+pass, and :func:`deviation_table` the largest two-sided deviation, which
+every robustness measure and the absolute-DRO model read.  Exact results are
+kept on the distribution they were computed from (its ``_memo``), so a
+repeated instance costs no second solve.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from typing import Callable
 
@@ -31,32 +25,27 @@ import numpy as np
 from drolab.lp import LPFailureError, solve_lp
 from drolab.support import DiscreteDistribution, GridMismatchError, SupportGrid, _normalize_rows
 
-_PHI_GENERATORS = ("kl", "chi2", "tv")
-DIVERGENCE_KINDS = ("wasserstein", *_PHI_GENERATORS)
+
+# Each phi-divergence generator, shared by both orientations: phi, and
+# lim phi(t)/t as t -> inf, the cost per unit of mass placed where the
+# reference distribution has none.  KL's phi is t log t, with 0 log 0 = 0.
+_GENERATORS = {
+    "kl": (lambda t: t * np.log(np.where(t > 0.0, t, 1.0)), math.inf),
+    "chi2": (lambda t: (t - 1.0) ** 2, math.inf),
+    "tv": (lambda t: 0.5 * np.abs(t - 1.0), 0.5),
+}
+DIVERGENCE_KINDS = ("wasserstein", *_GENERATORS)
 ORIENTATIONS = ("forward", "reverse")
 # The one optional field of a divergence document that each kind reads: the
 # Wasserstein order, or a phi-divergence's orientation.
-DIVERGENCE_FIELD = {"wasserstein": "p", **dict.fromkeys(_PHI_GENERATORS, "orientation")}
+DIVERGENCE_FIELD = {"wasserstein": "p", **dict.fromkeys(_GENERATORS, "orientation")}
 _MEMBERSHIP_SLACK = 1e-10
 
 
 def _phi(generator: str, t: np.ndarray) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    if generator == "kl":
-        out = np.zeros_like(t)
-        pos = t > 0.0
-        out[pos] = t[pos] * np.log(t[pos])
-        return out
-    if generator == "chi2":
-        return (t - 1.0) ** 2
-    if generator == "tv":
-        return 0.5 * np.abs(t - 1.0)
-    raise ValueError(f"unknown phi generator {generator!r}")
-
-
-# lim phi(t)/t as t -> inf: the cost per unit of mass placed where the
-# reference distribution has none.
-_PHI_SLOPE_AT_INFINITY = {"kl": math.inf, "chi2": math.inf, "tv": 0.5}
+    if generator not in _GENERATORS:
+        raise ValueError(f"unknown phi generator {generator!r}")
+    return _GENERATORS[generator][0](np.asarray(t, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -80,27 +69,34 @@ class DivergenceKind:
         if self.family == "wasserstein":
             if not (math.isfinite(self.p) and self.p >= 1.0):
                 raise ValueError("Wasserstein order must be finite and >= 1")
+            key = "wasserstein"
         else:
-            if self.generator not in _PHI_GENERATORS:
+            if self.generator not in _GENERATORS:
                 raise ValueError(f"unknown phi generator {self.generator!r}")
             if self.orientation not in ORIENTATIONS:
                 raise ValueError("orientation must be 'forward' or 'reverse'")
+            key = self.generator if self.orientation == "forward" else f"{self.generator}-rev"
+        # The kind's entry in ``_KINDS``, which every other method reads.
+        object.__setattr__(self, "_key", key)
 
     @classmethod
     def wasserstein_order(cls, p: float = 1.0) -> "DivergenceKind":
         return cls("wasserstein", p=float(p))
 
     @classmethod
-    def from_json(cls, doc: dict | None) -> "DivergenceKind":
+    def from_json(cls, doc: dict | None, ball: bool = False) -> "DivergenceKind":
         """Build ``{"kind", "p"}`` or ``{"kind", "orientation"}`` (see
-        ``DIVERGENCE_FIELD``); a missing document means W1."""
+        ``DIVERGENCE_FIELD``); a missing document means W1.  With ``ball``, a
+        kind without a ball oracle is rejected."""
         doc = doc or {"kind": "wasserstein"}
         kind = doc["kind"]
         if kind not in DIVERGENCE_KINDS:
             raise ValueError(f"unknown divergence kind {kind!r}; available: {list(DIVERGENCE_KINDS)}")
-        if kind == "wasserstein":
-            return cls.wasserstein_order(doc.get("p", 1.0))
-        return cls("phi", generator=kind, orientation=doc.get("orientation", "forward"))
+        out = (cls.wasserstein_order(doc.get("p", 1.0)) if kind == "wasserstein"
+               else cls("phi", generator=kind, orientation=doc.get("orientation", "forward")))
+        if ball and not out.has_ball_oracle:
+            raise ValueError(f"{out.label()} balls have no extremal-expectation oracle")
+        return out
 
     @classmethod
     def kl(cls, orientation: str = "forward") -> "DivergenceKind":
@@ -115,11 +111,7 @@ class DivergenceKind:
         return cls("phi", generator="tv", orientation=orientation)
 
     def distance(self, q: DiscreteDistribution, center: DiscreteDistribution) -> float:
-        if self.family == "wasserstein":
-            return wasserstein(q, center, self.p)
-        if self.orientation == "forward":
-            return phi_divergence(q, center, self.generator)
-        return phi_divergence(center, q, self.generator)
+        return _KINDS[self._key].distance(self, q, center)
 
     def radius_cap(self, center: DiscreteDistribution) -> float:
         """A radius at which the ball has stopped growing.
@@ -132,28 +124,15 @@ class DivergenceKind:
         grow without bound as ``q`` empties an atom the centre holds, so
         their balls never stop growing and the cap is ``inf``.
         """
-        if self.family == "wasserstein":
-            return center.grid.diameter
-        if self.generator == "tv":
-            return 1.0
-        if self.orientation == "reverse":
-            return math.inf
-        supp = center.support_indices()
-        wmin = float(np.min(center.weights[supp]))
-        if self.generator == "kl":
-            return -math.log(wmin)
-        return (1.0 - wmin) ** 2 / wmin + (1.0 - wmin)
+        return _KINDS[self._key].radius_cap(center)
 
     @property
     def has_ball_oracle(self) -> bool:
         """Whether :func:`extremal_expectation` solves balls of this kind."""
-        return self.family == "wasserstein" or (self.generator == "kl" and self.orientation == "forward")
+        return _KINDS[self._key].values is not None
 
     def label(self) -> str:
-        if self.family == "wasserstein":
-            return f"wasserstein-{self.p:g}"
-        suffix = "" if self.orientation == "forward" else "-rev"
-        return f"{self.generator}{suffix}"
+        return f"wasserstein-{self.p:g}" if self.family == "wasserstein" else self._key
 
 
 @dataclass(frozen=True)
@@ -254,14 +233,12 @@ def phi_divergence(a: DiscreteDistribution, b: DiscreteDistribution, generator: 
     non-absolutely-continuous ``a`` are ``+inf`` while TV stays finite.
     """
     _require_same_grid(a, b)
-    if generator not in _PHI_GENERATORS:
-        raise ValueError(f"unknown phi generator {generator!r}")
     aw, bw = a.weights, b.weights
     pos = bw > 0.0
     total = float(np.sum(bw[pos] * _phi(generator, aw[pos] / bw[pos])))
     escaped = float(np.sum(aw[~pos]))
     if escaped > 0.0:
-        slope = _PHI_SLOPE_AT_INFINITY[generator]
+        slope = _GENERATORS[generator][1]
         total = total + slope * escaped if math.isfinite(slope) else math.inf
     return total
 
@@ -318,6 +295,23 @@ def _upper_envelopes(c: np.ndarray, dist_pow: np.ndarray, w: np.ndarray) -> tupl
     return np.where(pad, 0.0, lam), np.where(pad, np.inf, np.cumsum(d_a, axis=1)), np.cumsum(d_s, axis=1)
 
 
+def _kept(center: DiscreteDistribution, key: tuple, solve: Callable[[], tuple]) -> tuple[np.ndarray, ...]:
+    """``solve()``'s arrays, kept in ``center``'s memo under ``key`` for as
+    long as ``center`` lives, so a later call with that key solves nothing.
+    The memo keeps arrays only (a function closing over ``center`` would tie
+    the centre into a reference cycle); every later call shares them, so
+    they are read-only.  Two threads that miss on one key at once both solve
+    and store equal arrays.
+    """
+    found = center._memo.get(key)
+    if found is None:
+        found = solve()
+        for arr in found:
+            arr.setflags(write=False)
+        center._memo[key] = found
+    return found
+
+
 def _dual_breakpoints(
     center: DiscreteDistribution, p: float, c: np.ndarray, dist_pow: np.ndarray
 ) -> tuple[np.ndarray, ...]:
@@ -325,60 +319,15 @@ def _dual_breakpoints(
     of a table, stacked by :func:`_signed_pass`) over the support of
     ``center``, walked once per (order, table) for as long as ``center``
     lives, so it serves every radius grid.  The centre's weights and metric
-    are its own, so the order and the table's shape and bytes key its memo;
-    every later call shares the arrays, which are therefore read-only.  Two
-    threads that miss on one key at once both walk and store equal arrays.
-    """
-    key = ("wasserstein_breakpoints", float(p), c.shape, c.tobytes())
-    found = center._memo.get(key)
-    if found is None:
-        supp = center.support_indices()
-        found = _upper_envelopes(c, dist_pow[:, supp], center.weights[supp])
-        for arr in found:
-            arr.setflags(write=False)
-        center._memo[key] = found
-    return found
-
-
-def _wasserstein_witness(
-    center: DiscreteDistribution, c: np.ndarray, dist_pow: np.ndarray, budget: float, lam: np.ndarray
-) -> np.ndarray:
-    """Primal optima for the dual optima ``lam[k]`` of the cost rows ``c[k]``
-    (maximized), as unnormalized weights, one row per cost row.
-
-    Every centre atom moves to an atom that attains its max in the dual
-    objective at ``lam``: the nearest such atom, or the farthest, so that the
-    transport budget is spent exactly when ``lam > 0``.  At most one atom's
-    mass per row is split between the two.  One pass over (rows, atoms,
-    support); a row's weights do not depend on the other rows.
+    are its own, so the order and the table's shape and bytes key it.
     """
     supp = center.support_indices()
-    w = center.weights[supp]
-    d = dist_pow[:, supp]
-    vals = c[:, :, None] - lam[:, None, None] * d
-    top = np.max(vals, axis=1, keepdims=True)
-    scale = np.maximum(np.maximum(1.0, np.max(np.abs(c), axis=1)), lam * float(np.max(d)))
-    near = vals >= top - (1e-12 * scale)[:, None, None]
-    cols = np.arange(supp.size)
-    nearest = np.argmin(np.where(near, d, np.inf), axis=1)
-    farthest = np.argmax(np.where(near, d, -np.inf), axis=1)
-    # Share of each atom's mass sent to the farthest choice, spending what
-    # the nearest choices leave of the budget in support order.
-    extra = w * (d[farthest, cols] - d[nearest, cols])
-    need = budget - np.sum(w * d[nearest, cols], axis=1, keepdims=True)
-    before = np.concatenate([np.zeros((c.shape[0], 1)), np.cumsum(extra, axis=1)[:, :-1]], axis=1)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        frac = np.clip(np.where(extra > 0.0, (need - before) / extra, 0.0), 0.0, 1.0)
-    frac = np.where((lam > 0.0)[:, None], frac, 0.0)
-    rows = np.arange(c.shape[0])[:, None]
-    q = np.zeros((c.shape[0], center.grid.size))
-    np.add.at(q, (rows, nearest), w * (1.0 - frac))
-    np.add.at(q, (rows, farthest), w * frac)
-    return q
+    key = ("wasserstein_breakpoints", float(p), c.shape, c.tobytes())
+    return _kept(center, key, lambda: _upper_envelopes(c, dist_pow[:, supp], center.weights[supp]))
 
 
 def _wasserstein_values(
-    center: DiscreteDistribution, p: float, c: np.ndarray, radii: np.ndarray
+    center: DiscreteDistribution, kind: DivergenceKind, c: np.ndarray, radii: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """Wasserstein-p extremal values of the cost rows ``c`` (maximized) at
     each radius, and the dual optimum ``lam`` of each cell, for
@@ -388,9 +337,9 @@ def _wasserstein_values(
     # piecewise linear in lam, so its minimum sits at lam = 0 or at a
     # breakpoint of G, and one breakpoint set per row serves every radius
     # and every later call on the same centre.
-    dist_pow = center.grid.ground_metric**p
-    budgets = radii**p
-    lam, a, s = _dual_breakpoints(center, p, c, dist_pow)
+    dist_pow = center.grid.ground_metric**kind.p
+    budgets = radii**kind.p
+    lam, a, s = _dual_breakpoints(center, kind.p, c, dist_pow)
     dual = a[:, :, None] + lam[:, :, None] * (budgets[None, None, :] - s[:, :, None])
     best = np.argmin(dual, axis=1)
     values = np.take_along_axis(dual, best[:, None, :], axis=1)[:, 0, :]
@@ -399,21 +348,48 @@ def _wasserstein_values(
 
 
 def _wasserstein_witnesses(
-    center: DiscreteDistribution, p: float, c: np.ndarray, radii: np.ndarray, lam: np.ndarray
+    center: DiscreteDistribution, kind: DivergenceKind, c: np.ndarray, radii: np.ndarray, lam: np.ndarray
 ) -> Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]:
-    """The witness builder of :func:`_wasserstein_values`' cells, from their
-    dual optima ``lam[k, r]``."""
-    dist_pow = center.grid.ground_metric**p
-    budgets = radii**p
+    """The witness builder of :func:`_wasserstein_values`' cells: primal
+    optima for their dual optima ``lam[k, r]``, as unnormalized weights.
+
+    Every centre atom moves to an atom that attains its max in the dual
+    objective at ``lam``: the nearest such atom, or the farthest, so that the
+    transport budget is spent exactly when ``lam > 0``.  At most one atom's
+    mass per row is split between the two.  One pass over (rows, atoms,
+    support); a row's weights do not depend on the other rows.
+    """
+    supp = center.support_indices()
+    w = center.weights[supp]
+    d = (center.grid.ground_metric**kind.p)[:, supp]
+    budgets = radii**kind.p
     covers = radii >= center.grid.diameter
+    cols = np.arange(supp.size)
 
     def witnesses(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
+        q = np.zeros((rows.size, center.grid.size))
         if covers[r]:
             # The ball covers the whole simplex; a Dirac at the best atom wins.
-            q = np.zeros((rows.size, center.grid.size))
             q[np.arange(rows.size), np.argmax(c[rows], axis=1)] = 1.0
-        else:
-            q = _wasserstein_witness(center, c[rows], dist_pow, float(budgets[r]), lam[rows, r])
+            return q, np.zeros(rows.size, dtype=bool)
+        cr, lr = c[rows], lam[rows, r]
+        vals = cr[:, :, None] - lr[:, None, None] * d
+        top = np.max(vals, axis=1, keepdims=True)
+        scale = np.maximum(np.maximum(1.0, np.max(np.abs(cr), axis=1)), lr * float(np.max(d)))
+        near = vals >= top - (1e-12 * scale)[:, None, None]
+        nearest = np.argmin(np.where(near, d, np.inf), axis=1)
+        farthest = np.argmax(np.where(near, d, -np.inf), axis=1)
+        # Share of each atom's mass sent to the farthest choice, spending what
+        # the nearest choices leave of the budget in support order.
+        extra = w * (d[farthest, cols] - d[nearest, cols])
+        need = float(budgets[r]) - np.sum(w * d[nearest, cols], axis=1, keepdims=True)
+        before = np.concatenate([np.zeros((rows.size, 1)), np.cumsum(extra, axis=1)[:, :-1]], axis=1)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            frac = np.clip(np.where(extra > 0.0, (need - before) / extra, 0.0), 0.0, 1.0)
+        frac = np.where((lr > 0.0)[:, None], frac, 0.0)
+        at = np.arange(rows.size)[:, None]
+        np.add.at(q, (at, nearest), w * (1.0 - frac))
+        np.add.at(q, (at, farthest), w * frac)
         return q, np.zeros(rows.size, dtype=bool)
 
     return witnesses
@@ -481,7 +457,9 @@ def _kl_tilt_roots(w: np.ndarray, s: np.ndarray, eps: np.ndarray) -> tuple[np.nd
     return theta, log_z
 
 
-def _kl_values(center: DiscreteDistribution, c: np.ndarray, radii: np.ndarray) -> tuple[np.ndarray, ...]:
+def _kl_values(
+    center: DiscreteDistribution, kind: DivergenceKind, c: np.ndarray, radii: np.ndarray
+) -> tuple[np.ndarray, ...]:
     """Forward-KL extremal values of the cost rows ``c`` (maximized) at each
     radius, and what :func:`_kl_witnesses` needs: per cell the root ``theta``
     and whether the ball is saturated, per row whether it is flat, its top
@@ -516,8 +494,8 @@ def _kl_values(center: DiscreteDistribution, c: np.ndarray, radii: np.ndarray) -
 
 
 def _kl_witnesses(
-    center: DiscreteDistribution, theta: np.ndarray, saturated: np.ndarray, flat: np.ndarray,
-    arg_top: np.ndarray, top_mass: np.ndarray, shifted: np.ndarray,
+    center: DiscreteDistribution, kind: DivergenceKind, c: np.ndarray, radii: np.ndarray, theta: np.ndarray,
+    saturated: np.ndarray, flat: np.ndarray, arg_top: np.ndarray, top_mass: np.ndarray, shifted: np.ndarray,
 ) -> Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]:
     """The witness builder of :func:`_kl_values`' cells, from its arrays."""
     supp = center.support_indices()
@@ -538,31 +516,58 @@ def _kl_witnesses(
     return witnesses
 
 
+def _at_lightest(cap: Callable[[float], float]) -> Callable[[DiscreteDistribution], float]:
+    """The cap ``cap(w)`` of a forward phi divergence whose largest finite
+    value is at the Dirac on the lightest support atom, of weight ``w``."""
+    return lambda center: cap(float(np.min(center.weights[center.support_indices()])))
+
+
+def _forward(kind: DivergenceKind, q: DiscreteDistribution, center: DiscreteDistribution) -> float:
+    return phi_divergence(q, center, kind.generator)
+
+
+def _reverse(kind: DivergenceKind, q: DiscreteDistribution, center: DiscreteDistribution) -> float:
+    return phi_divergence(center, q, kind.generator)
+
+
+# One divergence kind: its distance ``(kind, q, center)``, its radius cap
+# ``(center)`` and its ball oracle, if any: ``values(center, kind, signed,
+# radii)`` solves a signed table (see _signed_pass), and ``witnesses(center,
+# kind, signed, radii, *arrays)`` makes the witness builder of its cells from
+# the arrays after the values.
+_Kind = namedtuple("_Kind", "distance radius_cap values witnesses", defaults=(None, None))
+# Every kind a DivergenceKind can be, under its ``_key``; nothing else tells
+# the kinds apart.  Entries look the module's functions up when they run, so
+# a rebound name (a tracer's, a test's spy) is the one called.
+_KINDS = {
+    "wasserstein": _Kind(
+        lambda kind, q, center: wasserstein(q, center, kind.p), lambda center: center.grid.diameter,
+        lambda *args: _wasserstein_values(*args), lambda *args: _wasserstein_witnesses(*args),
+    ),
+    "kl": _Kind(
+        _forward, _at_lightest(lambda w: -math.log(w)),
+        lambda *args: _kl_values(*args), lambda *args: _kl_witnesses(*args),
+    ),
+    "kl-rev": _Kind(_reverse, lambda center: math.inf),
+    "chi2": _Kind(_forward, _at_lightest(lambda w: (1.0 - w) ** 2 / w + (1.0 - w))),
+    "chi2-rev": _Kind(_reverse, lambda center: math.inf),
+    "tv": _Kind(_forward, lambda center: 1.0),
+    "tv-rev": _Kind(_reverse, lambda center: 1.0),
+}
+
+
 def _signed_pass(
     center: DiscreteDistribution, kind: DivergenceKind, c: np.ndarray, radii: np.ndarray
 ) -> tuple[np.ndarray, ...]:
     """The ball oracle's arrays for the signed table ``[c; -c]``: its values,
     then its witness builder's inputs, each with ``2 * len(c)`` rows, the
     worst case of ``c`` on top and the worst case of ``-c`` below.  Solved
-    once per (kind, table, radii) for as long as ``center`` lives: the kind
-    itself, the table's shape and bytes and the radii's bytes key its memo,
-    which keeps arrays only (a function closing over ``center`` would tie
-    the centre into a reference cycle).  Every later call shares the arrays,
-    which are therefore read-only.  Two threads that miss
-    on one key at once both solve and store equal arrays.
+    once per (kind, table, radii) for as long as ``center`` lives
+    (:func:`_kept`): the kind itself, the table's shape and bytes and the
+    radii's bytes key it.
     """
     key = ("extremal", kind, c.shape, c.tobytes(), radii.tobytes())
-    found = center._memo.get(key)
-    if found is None:
-        signed = np.concatenate([c, -c])
-        if kind.family == "wasserstein":
-            found = _wasserstein_values(center, kind.p, signed, radii)
-        else:
-            found = _kl_values(center, signed, radii)
-        for arr in found:
-            arr.setflags(write=False)
-        center._memo[key] = found
-    return found
+    return _kept(center, key, lambda: _KINDS[kind._key].values(center, kind, np.concatenate([c, -c]), radii))
 
 
 @dataclass(frozen=True)
@@ -602,21 +607,15 @@ def extremal_values(
     Returns ``values[i, r]``, the worst case of cost row ``i`` over the ball
     of radius ``radii[r]``, with its best case in row ``k + i``, and the
     :class:`Witnesses` attaining those ``2k`` rows: ``witnesses(i, r)`` for
-    one cell, ``witnesses.weights(r)`` for every row at one radius.
-    Wasserstein balls are solved exactly through the finite strong dual
-    ``min_{lam>=0} lam*eps**p + sum_j w_j max_i (c_i - lam*d_ij**p)``, with
-    one set of dual breakpoints per row shared by all radii.  Forward KL
-    balls are solved through the exponential-tilting dual of
-    :func:`extremal_expectation`, one vectorised root search over every
-    (row, radius) cell that has no closed form.  Either oracle solves the
-    signed table ``[c; -c]`` in one pass (:func:`_signed_pass`), whose upper
-    half is the worst case and whose negated lower half is the best case,
-    and the centre keeps the pass for its (kind, table, radii): a later call
-    with that table and those radii solves nothing, and the Wasserstein
-    breakpoints, kept per table, serve every other radius grid.  A cell's
-    value and witness do not depend on the other cells in the table.
-    Witnesses are built only for the cells asked for.  Radius 0 gives the
-    centre's expectation and the centre itself.
+    one cell, ``witnesses.weights(r)`` for every row at one radius.  The
+    kind's oracle solves the signed table ``[c; -c]`` in one pass
+    (:func:`_signed_pass`), whose upper half is the worst case and whose
+    negated lower half is the best case; the centre keeps the pass for its
+    (kind, table, radii), and the Wasserstein breakpoints, kept per table,
+    serve every other radius grid.  A cell's value and witness do not depend
+    on the other cells in the table.  Witnesses are built only for the cells
+    asked for.  Radius 0 gives the centre's expectation and the centre
+    itself, and is the only radius a kind without an oracle admits.
     """
     c = np.asarray(table, dtype=float)
     if c.ndim != 2 or c.shape[1] != center.grid.size:
@@ -627,15 +626,13 @@ def extremal_values(
     if radii.ndim != 1 or not np.all(np.isfinite(radii) & (radii >= 0.0)):
         raise ValueError("ball radii must be finite and >= 0")
     at_center = radii == 0.0
-    if not np.all(at_center) and not kind.has_ball_oracle:
+    oracle = _KINDS[kind._key].witnesses
+    if not np.all(at_center) and oracle is None:
         raise ValueError("extremal expectations are implemented for Wasserstein balls and forward KL balls")
     k = c.shape[0]
-    if kind.has_ball_oracle:
+    if oracle is not None:
         values, *parts = _signed_pass(center, kind, c, radii)
-        if kind.family == "wasserstein":
-            ball_witnesses = _wasserstein_witnesses(center, kind.p, np.concatenate([c, -c]), radii, *parts)
-        else:
-            ball_witnesses = _kl_witnesses(center, *parts)
+        ball_witnesses = oracle(center, kind, np.concatenate([c, -c]), radii, *parts)
         values = np.concatenate([values[:k], -values[k:]])
     else:  # every radius is 0, checked above
         values, ball_witnesses = np.empty((2 * k, radii.size)), None

@@ -319,9 +319,8 @@ def _method(ptr: str, entry) -> None:
             _fail(ptr, f"{name} needs a {field!r}")
     if spec.one_of and sum(field in entry for field in spec.one_of) != 1:
         _fail(ptr, f"{name} needs exactly one of {'/'.join(repr(field) for field in spec.one_of)}")
-    kind = DivergenceKind.from_json(entry.get("divergence"))
-    if spec.ball and not kind.has_ball_oracle:
-        _fail(f"{ptr}/divergence", f"{kind.label()} balls have no extremal-expectation oracle")
+    if spec.ball:
+        _built(f"{ptr}/divergence", DivergenceKind.from_json, entry.get("divergence"), ball=True)
     allowed = ("method", *spec.requires, *spec.one_of, *spec.optional)
     for field in entry:
         if field not in allowed:

@@ -40,7 +40,10 @@ only after a feasibility LP finds no prior, is kept as
 config validator that ran a JSON Schema (``tests/data/config.schema.json``)
 through ``jsonschema`` and then checked method entries against
 ``experiment.METHODS``, which the package replaced by plain-Python checks, is
-kept as :func:`validate_config_jsonschema`.
+kept as :func:`validate_config_jsonschema`.  ``DivergenceKind.radius_cap``'s
+if-chain over family, generator and orientation, which the package replaced
+by one entry per kind in ``divergence._KINDS``, is kept as
+:func:`radius_cap_chain`.
 """
 
 from __future__ import annotations
@@ -812,3 +815,18 @@ def validate_config_jsonschema(doc: dict) -> None:
         for field in entry:
             if field not in allowed:
                 raise ConfigError(f"/methods/{i}/{field}: {name} does not read {field!r}")
+
+
+def radius_cap_chain(kind: DivergenceKind, center: DiscreteDistribution) -> float:
+    """``DivergenceKind.radius_cap`` as an if-chain over the kind's fields."""
+    if kind.family == "wasserstein":
+        return center.grid.diameter
+    if kind.generator == "tv":
+        return 1.0
+    if kind.orientation == "reverse":
+        return math.inf
+    supp = center.support_indices()
+    wmin = float(np.min(center.weights[supp]))
+    if kind.generator == "kl":
+        return -math.log(wmin)
+    return (1.0 - wmin) ** 2 / wmin + (1.0 - wmin)

@@ -14,6 +14,7 @@ from _oracles import (
     extremal_oracle_w1,
     kl_divergence_vec,
     kl_extremal_brentq,
+    radius_cap_chain,
     rational_weights,
     transport_grid_search,
     transport_vertex_search,
@@ -102,6 +103,61 @@ class TestDivergenceKind:
         assert reverse_tv.radius_cap(center) == 1.0
         for j in range(3):
             assert reverse_tv.distance(DiscreteDistribution.dirac(line_grid, j), center) <= 1.0
+
+
+# Every kind a divergence document can name: each order of three, each
+# phi-divergence in both orientations.
+DOCUMENT_KINDS = [{"kind": "wasserstein", "p": p} for p in (1.0, 1.5, 2.0)] + [
+    {"kind": kind, "orientation": orientation}
+    for kind in ("kl", "chi2", "tv")
+    for orientation in ("forward", "reverse")
+]
+
+
+class TestKindTable:
+    """``divergence._KINDS`` holds one entry per kind, and every method of
+    ``DivergenceKind`` that tells the kinds apart reads it."""
+
+    def test_every_kind_a_document_builds_has_an_entry(self):
+        keys = {DivergenceKind.from_json(doc)._key for doc in DOCUMENT_KINDS}
+        assert keys == set(divergence._KINDS) == {"wasserstein", "kl", "kl-rev", "chi2", "chi2-rev", "tv", "tv-rev"}
+
+    def test_ball_oracles_are_wasserstein_and_forward_kl(self):
+        with_oracle = [doc for doc in DOCUMENT_KINDS if DivergenceKind.from_json(doc).has_ball_oracle]
+        assert with_oracle == DOCUMENT_KINDS[:3] + [{"kind": "kl", "orientation": "forward"}]
+        for key, entry in divergence._KINDS.items():
+            assert (entry.values is None) == (entry.witnesses is None), key
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_radius_cap_equals_the_chain_bit_for_bit(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(2, 8))
+        grid = random_grid(rng, m, dim=1 + seed % 2)
+        w = rng.dirichlet(np.ones(m))
+        if seed % 4 == 1:  # empty atoms
+            w[rng.choice(m, size=int(rng.integers(1, m)), replace=False)] = 0.0
+        if seed % 4 == 2:  # a Dirac
+            w = np.eye(m)[int(rng.integers(m))]
+        center = DiscreteDistribution(grid, w / w.sum())
+        for doc in DOCUMENT_KINDS:
+            kind = DivergenceKind.from_json(doc)
+            got, want = kind.radius_cap(center), radius_cap_chain(kind, center)
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), doc
+
+    @pytest.mark.parametrize("doc", DOCUMENT_KINDS[4:])
+    def test_kind_without_oracle_answers_radius_zero_only(self, line_grid, doc):
+        kind = DivergenceKind.from_json(doc)
+        center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        table = np.array([[1.0, -2.0, 0.5], [0.0, 1.0, 2.0]])
+        with pytest.raises(ValueError, match="implemented for Wasserstein balls and forward KL balls"):
+            extremal_values(center, kind, table, [0.0, 0.1])
+        values, witnesses = extremal_values(center, kind, table, [0.0])
+        expected = [center.expectation(row) for row in table]
+        assert values[:, 0].tolist() == expected * 2
+        assert all(witnesses(k, 0) is center for k in range(4))
+        assert witnesses.weights(0).tobytes() == np.tile(center.weights, (4, 1)).tobytes()
+        with pytest.raises(ValueError, match=f"^{kind.label()} balls have no extremal-expectation oracle$"):
+            DivergenceKind.from_json(doc, ball=True)
 
 
 class TestWasserstein:
@@ -742,9 +798,12 @@ class TestDualBreakpointMemo:
         assert np.array_equal(extremal_values(b, kind, table, [0.3])[0], b_values)
         assert len(walks) == 2
 
-    def test_passes_of_kinds_sharing_family_and_order_share_no_entry(self, square_grid, spy):
+    def test_passes_of_kinds_sharing_family_and_order_share_no_entry(self, square_grid, spy, monkeypatch):
         # Forward chi-square and forward KL are both phi kinds with p = 1; a
         # pass keyed by the kind itself never hands one the other's arrays.
+        # Chi-square balls have no oracle, so this one borrows KL's.
+        chi2 = divergence._KINDS["chi2"]._replace(values=divergence._KINDS["kl"].values)
+        monkeypatch.setitem(divergence._KINDS, "chi2", chi2)
         passes = spy(divergence, "_kl_values")
         center = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
         table, radii = np.array([[1.0, -2.0, 0.5, 3.0]]), np.array([0.3])

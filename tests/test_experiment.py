@@ -22,6 +22,7 @@ import drolab
 from _oracles import dense_transport_lp, validate_config_jsonschema
 from drolab import divergence, experiment, solvers
 from drolab.cli import main
+from drolab.divergence import DIVERGENCE_FIELD, DIVERGENCE_KINDS, ORIENTATIONS
 from drolab.experiment import (
     METHODS,
     OUTPUT_DIR_ENV,
@@ -855,6 +856,30 @@ def strict_json(text: str):
     return json.loads(text, parse_constant=reject)
 
 
+def test_kind_declarations_agree_with_the_kind_table():
+    """Every list of divergence kinds names those of ``divergence._KINDS``: a
+    kind with a ``-rev`` entry reads an orientation, the other its order."""
+    table = set(divergence._KINDS)
+    phi = {key.removesuffix("-rev") for key in table if key.endswith("-rev")}
+    assert set(DIVERGENCE_KINDS) == {key.removesuffix("-rev") for key in table}
+    assert table == {*DIVERGENCE_KINDS, *(f"{kind}-rev" for kind in phi)}
+    assert DIVERGENCE_FIELD == {kind: "orientation" if kind in phi else "p" for kind in DIVERGENCE_KINDS}
+    assert ORIENTATIONS == ("forward", "reverse")
+    for command, option in (("divergence", "--kind"), ("solve", "--divergence"), ("measure", "--divergence")):
+        params = {opt: param for param in main.commands[command].params for opt in param.opts}
+        assert tuple(params[option].type.choices) == DIVERGENCE_KINDS
+        assert tuple(params["--orientation"].type.choices) == ORIENTATIONS
+    schema = json.loads((Path(__file__).parent / "data" / "config.schema.json").read_text())["$defs"]["divergence"]
+    assert schema["properties"]["orientation"]["enum"] == list(ORIENTATIONS)
+    reads = {}
+    for clause in schema["allOf"]:
+        kinds = clause["if"]["properties"]["kind"]
+        (forbidden,) = clause["then"]["properties"]
+        for kind in kinds.get("enum", [kinds.get("const")]):
+            reads[kind] = ({"p", "orientation"} - {forbidden}).pop()
+    assert reads == DIVERGENCE_FIELD
+
+
 class TestCLI:
     def test_divergence_command(self, tmp_path):
         a = {"atoms": [[0.0], [1.0], [3.0]], "weights": [0.2, 0.3, 0.5]}
@@ -889,6 +914,56 @@ class TestCLI:
         result = CliRunner().invoke(main, [args[0], *files, *args[1:]])
         assert result.exit_code == 1
         assert result.output.splitlines() == [f"error: {message}"]
+
+    def test_solve_rejects_a_flag_its_method_does_not_read(self, tmp_path):
+        (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))
+        runner = CliRunner()
+        for args, message in (
+            (["saa", "--eps", "0.7", "--divergence", "kl", "--alpha", "3"], "--eps: saa does not read 'eps'"),
+            (["saa", "--p", "2"], "--p: saa does not read 'divergence'"),
+            (["reg_saa", "--lam", "0.5", "--sided", "two"], "--sided: reg_saa does not read 'sided'"),
+            (["bayes_dp", "--alpha", "1", "--beta", "0.5"], "--beta: bayes_dp needs exactly one of 'alpha'/'beta'"),
+            (["minmax_dro", "--eps", "0.3", "--delta", "0.1"], "--delta: minmax_dro does not read 'delta'"),
+            (["abs_dro", "--lambda", "0.1"], "--lambda: abs_dro does not read 'lambda'"),
+            (["satisficing", "--eps", "0.1"], "--eps: satisficing does not read 'eps'"),
+        ):
+            result = runner.invoke(main, ["solve", str(tmp_path / "prob.json"), "--method", *args])
+            assert result.exit_code == 1
+            assert result.output.splitlines() == [f"error: {message}"]
+        # A flag left unset reads as its old default wherever it is read.
+        for method, defaults in (("abs_dro", ["--eps", "0", "--divergence", "wasserstein"]),
+                                 ("reg_saa", ["--lambda", "0"]), ("bayes_dp", ["--alpha", "0"]),
+                                 ("satisficing", ["--sided", "one", "--delta", "0"])):
+            outputs = [runner.invoke(main, ["solve", str(tmp_path / "prob.json"), "--method", method, *extra])
+                       for extra in ([], defaults)]
+            assert [r.exit_code for r in outputs] == [0, 0]
+            assert outputs[0].output == outputs[1].output
+
+    def test_measure_rejects_a_flag_its_kind_does_not_read(self, tmp_path):
+        (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))
+        runner = CliRunner()
+        for args, message in (
+            (["absolute", "--draws", "7", "--level", "9", "--alpha", "2"],
+             "--draws: absolute measures do not read 'draws'"),
+            (["relative", "--eps", "0.1"], "--eps: relative measures do not read 'eps'"),
+            (["local", "--x-index", "1"], "--x-index: local measures do not read 'x-index'"),
+            (["set", "--ref", "1"], "--ref: set measures do not read 'ref'"),
+            (["set", "--eps", "0.2", "--alpha", "2"], "--alpha: set measures do not read 'alpha'"),
+            (["pac", "--divergence", "kl"], "--divergence: pac measures do not read 'divergence'"),
+            (["pac", "--variant", "solution"], "--variant: pac measures do not read 'variant'"),
+            (["pac", "--budget", "5"], "--budget: pac measures do not read 'budget'"),
+        ):
+            result = runner.invoke(main, ["measure", str(tmp_path / "prob.json"), "--kind", *args])
+            assert result.exit_code == 1
+            assert result.output.splitlines() == [f"error: {message}"]
+        for kind, defaults in (("absolute", ["--eps", "0", "--divergence", "wasserstein"]),
+                               ("local", ["--variant", "objective"]),
+                               ("set", ["--variant", "objective", "--eps", "0", "--budget", "200", "--seed", "0"]),
+                               ("pac", ["--alpha", "1", "--level", "1", "--draws", "10000", "--seed", "0"])):
+            outputs = [runner.invoke(main, ["measure", str(tmp_path / "prob.json"), "--kind", kind, *extra])
+                       for extra in ([], defaults)]
+            assert [r.exit_code for r in outputs] == [0, 0]
+            assert outputs[0].output == outputs[1].output
 
     def test_divergence_options_default_to_what_the_kind_reads(self, tmp_path):
         a = {"atoms": [[0.0], [1.0], [3.0]], "weights": [0.2, 0.3, 0.5]}
