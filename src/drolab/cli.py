@@ -20,7 +20,7 @@ import drolab
 from drolab.bayes import Infeasible, prior_from_regularizer
 from drolab.cost import DecisionSpace, Regularizer, cost_from_json
 from drolab.divergence import DIVERGENCE_FIELD, DIVERGENCE_KINDS, ORIENTATIONS, AmbiguityBall, DivergenceKind
-from drolab.experiment import METHODS, check_options, load_config, load_problem, plan, verify_bounds
+from drolab.experiment import METHODS, check_options, load_config, load_document, load_problem, plan, verify_bounds
 from drolab.experiment import run as run_experiment
 from drolab.robustness import (
     DirichletPrior,
@@ -31,7 +31,7 @@ from drolab.robustness import (
     set_robustness,
 )
 from drolab.solvers import solve_saa
-from drolab.support import ConfigError, DiscreteDistribution, SupportGrid, load_json
+from drolab.support import ConfigError, DiscreteDistribution, SupportGrid
 
 
 def _die_validation(message: str) -> NoReturn:
@@ -120,14 +120,13 @@ def main() -> None:
 def divergence_cmd(a_path: str, b_path: str, kind: str, p: float | None, orientation: str | None) -> None:
     """Print the divergence between two distribution documents."""
     try:
-        doc_a = load_json(a_path)
-        a = DiscreteDistribution.from_json(doc_a)
-        doc_b = load_json(b_path)
+        a = DiscreteDistribution.from_json(load_document(a_path, "distribution"))
+        doc_b = load_document(b_path, "distribution")
         b = DiscreteDistribution.from_json(doc_b, grid=a.grid if "atoms" not in doc_b else None)
         value = DivergenceKind.from_json(_divergence_doc(kind, p, orientation)).distance(b, a)
     except (ValueError, KeyError) as exc:
         _die_validation(str(exc))
-    click.echo(repr(float(value)))
+    _echo_json(float(value))
 
 
 @main.command("solve")
@@ -203,10 +202,10 @@ def prior_from_reg_cmd(spec_path: str, max_entropy: bool) -> None:
     """Find weights reproducing a regularizer table ``{x_k: f_k}``.
 
     The document needs ``grid``, ``cost``, and ``f_table`` with parallel
-    ``points`` and ``values`` arrays.
+    ``points`` and ``values`` arrays, each point at most once.
     """
     try:
-        doc = load_json(spec_path)
+        doc = load_document(spec_path, "regularizer")
         grid = SupportGrid.from_json(doc["grid"])
         table = doc["f_table"]
         space = DecisionSpace.from_points(table["points"])
@@ -230,8 +229,9 @@ def prior_from_reg_cmd(spec_path: str, max_entropy: bool) -> None:
 def verify_bounds_cmd(config: str) -> None:
     """Check every deviation bound on the configured instances.
 
-    The bound suites use W1 balls whatever divergences the config's methods
-    name.  Exits 2 if any finite bound fails to contain its gap.
+    The ball suites are the bounds of the abs_dro, satisficing and minmax_dro
+    methods at their defaults (W1, eps "auto"), whatever methods the config
+    names.  Exits 2 if any finite bound fails to contain its gap.
     """
     try:
         cfg = load_config(config)

@@ -165,12 +165,10 @@ _NONNEG, _COUNT, _INDEX = _number(0.0), _number(1, integer=True), _number(0, int
 _POINTS = _array(_array(_number()))
 _INTERVAL = _object({"lo": _number(), "hi": _number(), "num": _COUNT})
 _WEIGHTS = _object({"weights": _array(_NONNEG)})
+_METRIC = {"metric": lambda ptr, v: None if v is None else _array(_array(_NONNEG, False), False)(ptr, v)}
 # The sections that configs and problem documents share.
 _SETTING = {
-    "grid": _object(
-        {"atoms": _POINTS},
-        {"metric": lambda ptr, v: None if v is None else _array(_array(_NONNEG, False), False)(ptr, v)},
-    ),
+    "grid": _object({"atoms": _POINTS}, _METRIC),
     "cost": _object({"name": _string}, {"params": _params, "lip_scale": _number(0.0, above=True)}),
     "space": _space,
 }
@@ -338,6 +336,24 @@ _PROBLEM = _object(
 )
 
 
+def _f_table(ptr: str, v) -> None:
+    """A regularizer table: each decision point at most once."""
+    _object({"points": _POINTS, "values": _array(_number())})(ptr, v)
+    first: dict = {}
+    for i, point in enumerate(v["points"]):
+        j = first.setdefault(tuple(map(float, point)), i)
+        if j != i:
+            _fail(f"{ptr}/points/{i}", f"repeats point {j}")
+
+
+# The documents of `drolab divergence` (atoms optional on the second) and
+# `drolab prior-from-reg`.
+_DOCUMENTS = {
+    "distribution": _object({"weights": _array(_NONNEG)}, {"atoms": _POINTS, **_METRIC}),
+    "regularizer": _object({"grid": _SETTING["grid"], "cost": _SETTING["cost"], "f_table": _f_table}),
+}
+
+
 def validate_config(doc: dict) -> None:
     """Check a config document; raises :class:`ConfigError` as ``"<pointer>: <message>"``."""
     _CONFIG("", doc)
@@ -420,6 +436,13 @@ def load_problem(path: str | Path) -> Problem:
     return Problem(_weights("/center", doc["center"], grid), cf, space, prior=prior, samples=samples)
 
 
+def load_document(path: str | Path, kind: str) -> dict:
+    """Load a ``distribution`` or ``regularizer`` document, checked as a config is."""
+    doc = load_json(path)
+    _DOCUMENTS[kind]("", doc)
+    return doc
+
+
 def _format_x(x) -> str:
     return ";".join(repr(float(v)) for v in np.atleast_1d(np.asarray(x, dtype=float)))
 
@@ -440,11 +463,16 @@ def _bound_row(n: int, seed: int, gap: GapRecord, rec: BoundRecord, method: str)
     }
 
 
-def _run_replication(cfg: ResolvedConfig, n: int, rep: int) -> tuple[int, int, list[dict], list[dict], list[str]]:
-    """Run all methods of one replication; errors recorded, not swallowed."""
+def _draw(cfg: ResolvedConfig, n: int, rep: int) -> tuple[int, SampleSet, DiscreteDistribution]:
+    """Replication ``rep`` at sample size ``n``: its seed, draws and empirical distribution."""
     rep_seed = derive_seed(cfg.seed, n, rep)
     data = sample(cfg.p0, n, rep_seed)
-    pbar = empirical(data)
+    return rep_seed, data, empirical(data)
+
+
+def _run_replication(cfg: ResolvedConfig, n: int, rep: int) -> tuple[int, int, list[dict], list[dict], list[str]]:
+    """Run all methods of one replication; errors recorded, not swallowed."""
+    rep_seed, data, pbar = _draw(cfg, n, rep)
     rows: list[dict] = []
     summaries: list[dict] = []
     errors: list[str] = []
@@ -551,28 +579,21 @@ def run(cfg: ResolvedConfig, jobs: int = 1) -> dict:
 def verify_bounds(cfg: ResolvedConfig) -> tuple[bool, dict]:
     """Run every bound suite across the plan; returns (all_held, report).
 
-    Every suite uses the order-1 Wasserstein distance, whatever divergences
-    the config's methods name.  Ball radii are set to the exact W1 distance
-    from the configured true distribution so every hypothesis holds; any
-    finite bound that fails to contain its gap is a violated inequality
-    (exit code 2 in the CLI).
+    Each replication checks ``uniform_bound`` over the space, then the bounds
+    of the ``abs_dro``, ``satisficing`` and ``minmax_dro`` entries of
+    :data:`METHODS` at their defaults, whatever the config's methods: W1 balls
+    of radius W1(p0, pbar), so every hypothesis holds.  Any finite bound that
+    fails to contain its gap is a violated inequality (exit code 2 in the CLI).
     """
-    kind = DivergenceKind.wasserstein_order(1.0)
     failures: list[dict] = []
     checked = 0
     for n in cfg.ns:
         for rep in range(cfg.replications):
-            rep_seed = derive_seed(cfg.seed, n, rep)
-            pbar = empirical(sample(cfg.p0, n, rep_seed))
-            records: list[tuple[GapRecord, BoundRecord]] = []
-            records.extend(uniform_bound(cfg.p0, pbar, cfg.cf, cfg.space))
-            ball = AmbiguityBall(pbar, kind.distance(cfg.p0, pbar), kind)
-            for pairs, _ in (
-                absolute_bound(cfg.p0, ball, cfg.cf, cfg.space),
-                relative_bound(cfg.p0, pbar, cfg.cf, cfg.space, kind),
-                minmax_one_sided_bound(cfg.p0, ball, cfg.cf, cfg.space),
-            ):
-                records.extend(pairs)
+            rep_seed, _, pbar = _draw(cfg, n, rep)
+            prob = Problem(pbar, cfg.cf, cfg.space, p0=cfg.p0)
+            records = list(uniform_bound(cfg.p0, pbar, cfg.cf, cfg.space))
+            for name in ("abs_dro", "satisficing", "minmax_dro"):
+                records.extend(METHODS[name].bound(prob, {"method": name})[0])
             for gap, rec in records:
                 checked += 1
                 if not rec.holds and math.isfinite(rec.bound):

@@ -4,8 +4,8 @@ Every LP solved here has at most a few hundred nonnegative variables and a
 couple dozen rows, and Bland's anti-cycling rule solves it with no external
 solver.  Feasibility tolerance is 1e-9 throughout.  The general LPs (the
 absolute-DRO screen's coupling LP, the moment-feasibility LP in ``bayes`` and
-the membership LP in ``robustness``) run on a dense tableau; transport LPs run
-on their basis tree (below).
+the p > 1 toward-Dirac share LP in ``robustness._wasserstein_dirac_share``) run
+on a dense tableau; transport LPs run on their basis tree (below).
 
 The entering-column scan, the ratio test and the elimination are vectorised
 over the tableau, but they pick the same pivots and do the same floating-point

@@ -663,6 +663,32 @@ class TestVerifyBounds:
         assert len(sweeps) == 2
         assert sorted(args[0].shape for args, _ in walks) == [(2, 3), (10, 3)]
 
+    def test_ball_records_are_the_rows_run_writes_for_the_default_entries(self, tmp_path, monkeypatch):
+        # verify_bounds reads its ball suites through METHODS, so run on the
+        # default abs_dro, satisficing and minmax_dro entries writes the same
+        # records, in the same order and with the same bits.
+        seen = []
+        for name in ("absolute_bound", "relative_bound", "minmax_one_sided_bound"):
+            def capturing(*args, _suite=getattr(experiment, name), **kwargs):
+                pairs, sol = _suite(*args, **kwargs)
+                seen.extend(pairs)
+                return pairs, sol
+
+            monkeypatch.setattr(experiment, name, capturing)
+        doc = base_config(str(tmp_path))
+        doc["methods"] = [{"method": "abs_dro"}, {"method": "satisficing"}, {"method": "minmax_dro"}]
+        doc["n"], doc["replications"] = [10, 40], 2
+        cfg = resolve_config(doc)
+        ok, _ = verify_bounds(cfg)
+        assert ok
+        verified = [(rec.kind, experiment._format_x(gap.x), repr(float(rec.observed)), repr(float(rec.bound)))
+                    for gap, rec in seen]
+        assert run_experiment(cfg)["errors"] == []
+        with open(tmp_path / "results.csv", newline="") as fh:
+            rows = [(row["kind"], row["x_star"], row["gap"], row["bound"]) for row in csv.DictReader(fh)]
+        assert len(verified) == 4 * 5  # two absolute, two relative, one one-sided
+        assert verified == rows
+
     @staticmethod
     def _coupling_lps(tmp_path, monkeypatch, n: int) -> list:
         """The objective shape of each coupling LP call made by one
@@ -893,6 +919,36 @@ class TestCLI:
         assert result.exit_code == 0
         assert float(result.output) == pytest.approx(1.3, abs=1e-9)
 
+    def test_divergence_command_prints_an_infinite_value_as_strict_json(self, tmp_path):
+        a = {"atoms": [[0.0], [1.0], [3.0]], "weights": [0.5, 0.5, 0.0]}
+        b = {"weights": [0.2, 0.3, 0.5]}
+        (tmp_path / "a.json").write_text(json.dumps(a))
+        (tmp_path / "b.json").write_text(json.dumps(b))
+        result = CliRunner().invoke(main, ["divergence", "--kind", "kl", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+        assert result.exit_code == 0
+        assert strict_json(result.output) == "Infinity"
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["divergence", "DOC", "A"],
+            ["divergence", "A", "DOC"],
+            ["solve", "DOC", "--method", "saa"],
+            ["measure", "DOC", "--kind", "absolute"],
+            ["prior-from-reg", "DOC"],
+            ["verify-bounds", "DOC"],
+            ["run", "DOC"],
+        ],
+    )
+    def test_a_document_that_is_not_an_object_exits_1_with_one_error_line(self, tmp_path, args):
+        (tmp_path / "doc.json").write_text("5")
+        (tmp_path / "a.json").write_text(json.dumps({"atoms": [[0.0], [1.0], [3.0]], "weights": [0.2, 0.3, 0.5]}))
+        paths = {"DOC": str(tmp_path / "doc.json"), "A": str(tmp_path / "a.json")}
+        result = CliRunner().invoke(main, [paths.get(arg, arg) for arg in args])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == ["error: /: must be an object"]
+
     @pytest.mark.parametrize(
         "args, message",
         [
@@ -1115,6 +1171,23 @@ class TestCLI:
         assert result.exit_code == 0
         payload = json.loads(result.output)
         assert payload["infeasible"] in (True, False)
+
+    @pytest.mark.parametrize(
+        "f_table, message",
+        [
+            (7, "/f_table: must be an object"),
+            ({"points": [[1.0], [1.0]], "values": [0.5, 0.9]}, "/f_table/points/1: repeats point 0"),
+            ({"points": [[0.0], [1.5], [0], [3.0]], "values": [1.8, 1.05, 1.8, 1.2]},
+             "/f_table/points/2: repeats point 0"),
+        ],
+    )
+    def test_prior_from_reg_rejects_a_malformed_table(self, tmp_path, f_table, message):
+        doc = {"grid": {"atoms": [[0.0], [1.0], [3.0]]}, "cost": {"name": "absolute"}, "f_table": f_table}
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["prior-from-reg", str(tmp_path / "spec.json")])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"error: {message}"]
 
     def test_run_dry_run_writes_nothing(self, tmp_path):
         out = tmp_path / "results"
