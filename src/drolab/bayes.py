@@ -41,6 +41,13 @@ class PriorSpec:
         if self.beta is not None and not (0.0 <= self.beta <= 1.0):
             raise ValueError("mixture weight beta must lie in [0, 1]")
 
+    def weight(self, n: int) -> float:
+        """The prior's weight after ``n >= 1`` observations: ``beta``, or
+        ``alpha / (alpha + n)``, which is 1 at ``alpha=inf``."""
+        if self.beta is not None:
+            return self.beta
+        return 1.0 if math.isinf(self.alpha) else self.alpha / (self.alpha + n)
+
 
 @dataclass(frozen=True)
 class Infeasible:
@@ -72,27 +79,16 @@ def beta_from_lambda(lam: float) -> float:
 
 
 def dp_posterior_mean(spec: PriorSpec, data: SampleSet | None) -> DiscreteDistribution:
-    """Mixture of the prior estimate and the empirical distribution.
-
-    The prior weight is ``alpha / (alpha + n)`` (``alpha=inf`` returns the
-    prior exactly) or the explicit ``beta`` override.
+    """Mixture of the prior estimate and the empirical distribution, with
+    weight :meth:`PriorSpec.weight` on the prior; without data, only a weight
+    of 1 (``alpha=inf`` or ``beta=1``) has a posterior mean, the prior.
     """
-    if spec.beta is not None:
-        beta = spec.beta
-    else:
-        if spec.alpha == 0.0:
-            beta = 0.0
-        elif math.isinf(spec.alpha):
-            return spec.prior_estimate
-        else:
-            if data is None:
-                raise ValueError("the concentration form needs observed data (n >= 1)")
-            beta = spec.alpha / (spec.alpha + data.n)
-    if beta == 1.0:
-        return spec.prior_estimate
     if data is None:
+        if spec.beta == 1.0 or spec.alpha == math.inf:
+            return spec.prior_estimate
         raise ValueError("a mixture with weight on the empirical side needs data")
-    return mixture(beta, spec.prior_estimate, empirical(data))
+    beta = spec.weight(data.n)
+    return spec.prior_estimate if beta == 1.0 else mixture(beta, spec.prior_estimate, empirical(data))
 
 
 def _project_to_moments(w: np.ndarray, c: np.ndarray, d: np.ndarray) -> np.ndarray:

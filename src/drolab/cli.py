@@ -111,6 +111,16 @@ def main() -> None:
     """Distributionally robust optimization toolkit on finite supports."""
 
 
+def _distribution(path: str, grid: SupportGrid | None = None) -> DiscreteDistribution:
+    """The distribution document at ``path``, on ``grid`` unless it gives its
+    own atoms; an error in it names the file before its pointer."""
+    try:
+        doc = load_document(path, "distribution")
+        return DiscreteDistribution.from_json(doc, grid=None if "atoms" in doc else grid)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from exc
+
+
 @main.command("divergence")
 @click.argument("a_path", type=click.Path(exists=True, dir_okay=False))
 @click.argument("b_path", type=click.Path(exists=True, dir_okay=False))
@@ -120,9 +130,8 @@ def main() -> None:
 def divergence_cmd(a_path: str, b_path: str, kind: str, p: float | None, orientation: str | None) -> None:
     """Print the divergence between two distribution documents."""
     try:
-        a = DiscreteDistribution.from_json(load_document(a_path, "distribution"))
-        doc_b = load_document(b_path, "distribution")
-        b = DiscreteDistribution.from_json(doc_b, grid=a.grid if "atoms" not in doc_b else None)
+        a = _distribution(a_path)
+        b = _distribution(b_path, a.grid)
         value = DivergenceKind.from_json(_divergence_doc(kind, p, orientation)).distance(b, a)
     except (ValueError, KeyError) as exc:
         _die_validation(str(exc))
@@ -210,8 +219,6 @@ def prior_from_reg_cmd(spec_path: str, max_entropy: bool) -> None:
         table = doc["f_table"]
         space = DecisionSpace.from_points(table["points"])
         values = [float(v) for v in table["values"]]
-        if len(space) != len(values):
-            raise ConfigError("f_table points and values must have equal length")
         cf = cost_from_json(doc["cost"], grid, space)
         lookup = {tuple(x.tolist()): v for x, v in zip(space, values)}
         f = Regularizer(lambda x: lookup[tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())])

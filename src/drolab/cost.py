@@ -9,6 +9,7 @@ default Euclidean ground metric.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -275,8 +276,6 @@ def _squared(grid: SupportGrid | None = None, space: DecisionSpace | None = None
 
 
 def _newsvendor(grid=None, space=None, b: float = 1.0, c: float = 1.0) -> CostFunction:
-    if b < 0 or c < 0:
-        raise ValueError("newsvendor penalties must be nonnegative")
     lip = float(max(b, c))
 
     def table(points, atoms):
@@ -287,9 +286,6 @@ def _newsvendor(grid=None, space=None, b: float = 1.0, c: float = 1.0) -> CostFu
 
 
 def _huber(grid=None, space=None, delta: float = 1.0) -> CostFunction:
-    if delta <= 0:
-        raise ValueError("huber threshold must be positive")
-
     def table(points, atoms):
         u = _distances(points, atoms)
         return np.where(u <= delta, 0.5 * u * u, delta * (u - 0.5 * delta))
@@ -320,18 +316,22 @@ def _linreg(grid: SupportGrid | None = None, space: DecisionSpace | None = None)
     return CostFunction.vectorised("linreg", table, lip_xi, lip_x, nonneg=True)
 
 
-_BUILTINS: dict[str, Callable[..., CostFunction]] = {
-    "absolute": _absolute,
-    "squared": _squared,
-    "newsvendor": _newsvendor,
-    "huber": _huber,
-    "linreg": _linreg,
+# Each built-in cost: its factory; each parameter it takes, with the least
+# value it admits and whether that value is excluded; and a test of the
+# (decision, atom) dimensions it reads, None for any.  newsvendor reads the
+# first coordinate of each side, and linreg a slope on (feature, response) atoms.
+_BUILTINS = {
+    "absolute": (_absolute, {}, operator.eq),
+    "squared": (_squared, {}, operator.eq),
+    "newsvendor": (_newsvendor, {"b": (0.0, False), "c": (0.0, False)}, None),
+    "huber": (_huber, {"delta": (0.0, True)}, operator.eq),
+    "linreg": (_linreg, {}, lambda x_dim, atom_dim: atom_dim == 2),
 }
 
 
 def builtin_costs() -> dict[str, Callable[..., CostFunction]]:
     """Registry of built-in cost factories, keyed by name."""
-    return dict(_BUILTINS)
+    return {name: factory for name, (factory, _, _) in _BUILTINS.items()}
 
 
 def make_cost(
@@ -340,20 +340,32 @@ def make_cost(
     space: DecisionSpace | None = None,
     params: dict | None = None,
 ) -> CostFunction:
-    """Instantiate a built-in cost by name with its parameter object."""
-    try:
-        factory = _BUILTINS[name]
-    except KeyError:
-        raise KeyError(f"unknown cost {name!r}; available: {sorted(_BUILTINS)}") from None
+    """Instantiate a built-in cost by name with its parameter object.
+
+    A parameter the cost does not take, or out of range, raises
+    :class:`ConfigError` at ``/params/<key>``; given a grid and a space,
+    dimensions the cost does not read raise ``ValueError``.
+    """
+    if name not in _BUILTINS:
+        raise KeyError(f"unknown cost {name!r}; available: {sorted(_BUILTINS)}")
+    factory, takes, reads = _BUILTINS[name]
+    for key, value in (params or {}).items():
+        if key not in takes:
+            raise ConfigError(f"/params/{key}: {name} reads {list(takes) or 'no parameters'}, not {key!r}")
+        lo, above = takes[key]
+        if not (value > lo or (value == lo and not above)):
+            raise ConfigError(f"/params/{key}: {value!r} must be {'>' if above else '>='} {lo:g}")
+    if reads and grid is not None and space is not None and not reads(space.points.shape[1], grid.dim):
+        raise ValueError(f"{name} does not read {space.points.shape[1]}-D decisions on {grid.dim}-D atoms")
     return factory(grid=grid, space=space, **(params or {}))
 
 
 def cost_from_json(doc: dict, grid: SupportGrid, space: DecisionSpace) -> CostFunction:
     """Build ``{"name", "params", "lip_scale"}``; errors point at ``/cost``."""
     try:
-        cf = make_cost(doc["name"], grid=grid, space=space, params=doc.get("params"))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"/cost: {exc}") from exc
+        cf = make_cost(doc.get("name"), grid=grid, space=space, params=doc.get("params"))
+    except (KeyError, ValueError) as exc:  # a ConfigError points into the cost document
+        raise ConfigError(f"/cost{'' if isinstance(exc, ConfigError) else ': '}{exc.args[0]}") from exc
     scale = doc.get("lip_scale")
     if scale is not None and scale != 1.0:
         cf = with_lipschitz_scale(cf, float(scale))

@@ -214,9 +214,13 @@ def wasserstein(a: DiscreteDistribution, b: DiscreteDistribution, p: float = 1.0
 
     ``b`` keeps every distance it is asked for, keyed by the order and the
     weights of ``a`` (the grids are equal), so a repeated instance returns the
-    identical float without a second solve for as long as ``b`` lives.
+    identical float without a second solve for as long as ``b`` lives.  Equal
+    weights are at distance 0 with no LP: the LP's reduced-cost tolerance
+    would pass a plan that moves mass between near-coincident atoms.
     """
     _check_transport(a, b, p)
+    if np.array_equal(a.weights, b.weights):
+        return 0.0
     key = ("wasserstein", float(p), a.weights.tobytes())
     found = b._memo.get(key)
     if found is None:

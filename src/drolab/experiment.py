@@ -127,8 +127,9 @@ def _array(item, nonempty: bool = True):
     return check
 
 
-def _object(required: dict, optional: dict | None = None):
-    """An object with every key of ``required``, any of ``optional`` and no other."""
+def _object(required: dict, optional: dict | None = None, other=None):
+    """An object with every key of ``required``, any of ``optional`` and no
+    other, unless ``other`` checks the value of any other key."""
     fields = {**required, **(optional or {})}
 
     def check(ptr: str, v) -> None:
@@ -138,21 +139,11 @@ def _object(required: dict, optional: dict | None = None):
             if key not in v:
                 _fail(ptr, f"missing {key!r}")
         for key, x in v.items():
-            if key not in fields:
+            if key not in fields and other is None:
                 _fail(f"{ptr}/{key}", f"unknown key {key!r}")
-            fields[key](f"{ptr}/{key}", x)
+            fields.get(key, other)(f"{ptr}/{key}", x)
 
     return check
-
-
-def _params(ptr: str, v, top: bool = True) -> None:
-    """Cost parameters: an object whose numbers, at any depth, are finite."""
-    if top and not isinstance(v, dict):
-        _fail(ptr, "must be an object")
-    if isinstance(v, float) and not math.isfinite(v):
-        _fail(ptr, f"{v!r} is not finite")
-    for key, x in v.items() if isinstance(v, dict) else enumerate(v) if isinstance(v, list) else ():
-        _params(f"{ptr}/{key}", x, False)
 
 
 def _space(ptr: str, v) -> None:
@@ -169,7 +160,8 @@ _METRIC = {"metric": lambda ptr, v: None if v is None else _array(_array(_NONNEG
 # The sections that configs and problem documents share.
 _SETTING = {
     "grid": _object({"atoms": _POINTS}, _METRIC),
-    "cost": _object({"name": _string}, {"params": _params, "lip_scale": _number(0.0, above=True)}),
+    # make_cost checks which parameters a cost reads, and their range.
+    "cost": _object({"name": _string}, {"params": _object({}, other=_number()), "lip_scale": _number(0.0, above=True)}),
     "space": _space,
 }
 
@@ -337,8 +329,10 @@ _PROBLEM = _object(
 
 
 def _f_table(ptr: str, v) -> None:
-    """A regularizer table: each decision point at most once."""
+    """A regularizer table: one value per decision point, each point at most once."""
     _object({"points": _POINTS, "values": _array(_number())})(ptr, v)
+    if len(v["values"]) != len(v["points"]):
+        _fail(f"{ptr}/values", f"needs one value per point: {len(v['points'])}, not {len(v['values'])}")
     first: dict = {}
     for i, point in enumerate(v["points"]):
         j = first.setdefault(tuple(map(float, point)), i)

@@ -114,11 +114,7 @@ def solve_bayes_dp(
     spec = _bayes.PriorSpec(prior, alpha=None if beta is not None else alpha, beta=beta)
     blended = _bayes.dp_posterior_mean(spec, data)
     sol = solve_saa(blended, cf, space)
-    diag = dict(sol.diagnostics)
-    if beta is not None:
-        diag["beta"] = beta
-    else:
-        diag["beta"] = 1.0 if math.isinf(alpha) else alpha / (alpha + data.n)
+    diag = dict(sol.diagnostics, beta=spec.weight(data.n))
     return Solution(sol.x, sol.x_index, sol.objective_value, "bayes_dp", diagnostics=diag)
 
 

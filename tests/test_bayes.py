@@ -65,6 +65,25 @@ class TestPosteriorMean:
         post = dp_posterior_mean(PriorSpec(prior, beta=0.25), data)
         assert post.weights == pytest.approx([0.25, 0.0, 0.75], abs=1e-15)
 
+    @pytest.mark.parametrize("alpha, beta, weight", [(2.0, None, 2.0 / 7.0), (0.0, None, 0.0),
+                                                     (math.inf, None, 1.0), (None, 0.25, 0.25)])
+    def test_solver_reports_the_weight_it_mixed_with(self, line_grid, alpha, beta, weight):
+        prior = DiscreteDistribution(line_grid, [0.1, 0.3, 0.6])
+        data = SampleSet(line_grid, [0, 1, 1, 2, 2])
+        spec = PriorSpec(prior, alpha=alpha, beta=beta)
+        assert spec.weight(data.n) == weight
+        mixed = dp_posterior_mean(spec, data)
+        assert mixed.weights.tolist() == mixture(weight, prior, empirical(data)).weights.tolist()
+        sol = solve_bayes_dp(prior, alpha, data, make_cost("absolute"), DecisionSpace.interval(0, 3, 4), beta=beta)
+        assert sol.diagnostics["beta"] == weight
+
+    def test_without_data_only_the_prior_alone_has_a_mean(self, line_grid):
+        prior = DiscreteDistribution.uniform(line_grid)
+        assert dp_posterior_mean(PriorSpec(prior, beta=1.0), None) is prior
+        for spec in (PriorSpec(prior, alpha=0.0), PriorSpec(prior, alpha=2.0), PriorSpec(prior, beta=0.5)):
+            with pytest.raises(ValueError, match="needs data"):
+                dp_posterior_mean(spec, None)
+
 
 class TestRegularizerFromPrior:
     def test_dirac_prior_gives_pointwise_cost(self, line_grid):

@@ -1,5 +1,6 @@
 """Cost registry, expected cost, and Lipschitz metadata checks."""
 
+import inspect
 import math
 import re
 
@@ -23,7 +24,8 @@ from drolab.cost import (
     validate_cost,
     with_lipschitz_scale,
 )
-from drolab.support import DiscreteDistribution, SupportGrid, mixture
+from drolab import cost
+from drolab.support import ConfigError, DiscreteDistribution, SupportGrid, mixture
 
 
 class TestDecisionSpace:
@@ -119,6 +121,45 @@ class TestBuiltins:
     def test_unknown_name_rejected(self):
         with pytest.raises(KeyError, match="unknown cost"):
             make_cost("entropy")
+
+    def test_each_entry_lists_its_factorys_parameters(self):
+        for name, (factory, takes, _) in cost._BUILTINS.items():
+            taken = [key for key in inspect.signature(factory).parameters if key not in ("grid", "space")]
+            assert taken == list(takes), name
+
+    @pytest.mark.parametrize(
+        "name, params, message",
+        [
+            ("newsvendor", {"b": -1.0}, "/params/b: -1.0 must be >= 0"),
+            ("newsvendor", {"b": 2.0, "c": math.nan}, "/params/c: nan must be >= 0"),
+            ("huber", {"delta": 0.0}, "/params/delta: 0.0 must be > 0"),
+            ("huber", {"delta": -math.inf}, "/params/delta: -inf must be > 0"),
+            ("newsvendor", {"q": 1.0}, "/params/q: newsvendor reads ['b', 'c'], not 'q'"),
+            ("squared", {"delta": 1.0}, "/params/delta: squared reads no parameters, not 'delta'"),
+        ],
+    )
+    def test_parameter_it_does_not_read_or_out_of_range_rejected(self, name, params, message):
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
+            make_cost(name, params=params)
+
+    def test_least_values_admitted(self):
+        assert make_cost("newsvendor", params={"b": 0, "c": 0.0})([0.0], [1.0]) == 0.0
+        assert make_cost("huber", params={"delta": 1e-300}).lip_in_xi([0.0]) == 1e-300
+
+    def test_dimensions_it_does_not_read_rejected(self):
+        line, plane = SupportGrid.euclidean([[0.0], [1.0]]), SupportGrid.euclidean([[0.0, 1.0], [1.0, 0.5]])
+        flat, slopes = DecisionSpace.from_points([[0.0, 1.0]]), DecisionSpace.interval(0.0, 1.0, 3)
+        for name in ("absolute", "squared", "huber"):
+            with pytest.raises(ValueError, match=f"^{name} does not read 2-D decisions on 1-D atoms$"):
+                make_cost(name, grid=line, space=flat)
+            make_cost(name, grid=plane, space=flat)
+            make_cost(name, grid=line)  # no space, nothing to compare
+        with pytest.raises(ValueError, match="^linreg does not read 1-D decisions on 1-D atoms$"):
+            make_cost("linreg", grid=line, space=slopes)
+        # linreg reads a slope, newsvendor the first coordinate of each side.
+        validate_cost(make_cost("linreg", grid=plane, space=slopes), plane, slopes)
+        for grid, space in ((line, flat), (plane, slopes)):
+            validate_cost(make_cost("newsvendor", grid=grid, space=space), grid, space)
 
     def test_absolute_lipschitz_is_one(self):
         cf = make_cost("absolute")

@@ -6,7 +6,7 @@ import weakref
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from _oracles import (
     absolute_deviation,
@@ -554,6 +554,9 @@ class TestWassersteinDualOracle:
         tied=st.booleans(),
         fracs=st.lists(RADIUS_FRACTIONS, min_size=1, max_size=5),
     )
+    # Two atoms 2.7e-5 apart: their squared distance is below the transport
+    # LP's reduced-cost tolerance, so W2(c, c) solved by the LP was 9.8e-6.
+    @example(seed=126729975, m=5, dim=1, p=2.0, empty=0, tied=False, fracs=[0.0])
     @settings(max_examples=40, deadline=None)
     def test_batched_values_equal_per_call_values(self, seed, m, dim, p, empty, tied, fracs):
         rng = np.random.default_rng(seed)

@@ -642,7 +642,8 @@ class TestVerifyBounds:
     def test_two_transport_solves_per_replication(self, tmp_path, spy):
         # W(p0, pbar) for the uniform bound, the radius, both membership
         # checks and the relative bound is solved once, then W(p0, witness),
-        # each by the transport LP of a 2-D metric.
+        # each by the transport LP of a 2-D metric.  One replication at n=10
+        # draws pbar = p0, whose distance is 0 with no LP.
         calls = spy(divergence, "optimal_transport")
         doc = base_config(str(tmp_path))
         doc["grid"] = {"atoms": [[0.0, 0.0], [1.0, 0.0], [3.0, 1.0]]}
@@ -650,7 +651,7 @@ class TestVerifyBounds:
         doc["n"], doc["replications"] = [10, 40], 2
         ok, _ = verify_bounds(resolve_config(doc))
         assert ok
-        assert len(calls) == 2 * 2 * 2
+        assert len(calls) == 2 * 2 * 2 - 1
 
     def test_one_replication_solves_each_table_once(self, tmp_path, spy):
         # The absolute and one-sided suites read the decision table at the
@@ -947,7 +948,9 @@ class TestCLI:
         result = CliRunner().invoke(main, [paths.get(arg, arg) for arg in args])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
-        assert result.output.splitlines() == ["error: /: must be an object"]
+        # `divergence` reads two documents, so it names the one at fault.
+        at = f"{paths['DOC']}: " if args[0] == "divergence" else ""
+        assert result.output.splitlines() == [f"error: {at}/: must be an object"]
 
     @pytest.mark.parametrize(
         "args, message",
@@ -1179,6 +1182,7 @@ class TestCLI:
             ({"points": [[1.0], [1.0]], "values": [0.5, 0.9]}, "/f_table/points/1: repeats point 0"),
             ({"points": [[0.0], [1.5], [0], [3.0]], "values": [1.8, 1.05, 1.8, 1.2]},
              "/f_table/points/2: repeats point 0"),
+            ({"points": [[0.0], [1.5]], "values": [1.8]}, "/f_table/values: needs one value per point: 2, not 1"),
         ],
     )
     def test_prior_from_reg_rejects_a_malformed_table(self, tmp_path, f_table, message):
@@ -1188,6 +1192,57 @@ class TestCLI:
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.splitlines() == [f"error: {message}"]
+
+    @pytest.mark.parametrize(
+        "command, section, value, message",
+        [
+            ("solve", "space", {"points": [[0.0, 1.0], [1.0, 2.0]]},
+             "/cost: absolute does not read 2-D decisions on 1-D atoms"),
+            ("prior-from-reg", "f_table", {"points": [[0.0, 1.0], [1.0, 2.0]], "values": [1.8, 1.05]},
+             "/cost: absolute does not read 2-D decisions on 1-D atoms"),
+            ("solve", "cost", {"name": "linreg"}, "/cost: linreg does not read 1-D decisions on 1-D atoms"),
+            ("solve", "cost", {"name": "newsvendor", "params": {"b": True}}, "/cost/params/b: True is not a number"),
+            ("solve", "cost", {"name": "newsvendor", "params": {"b": "x"}}, "/cost/params/b: 'x' is not a number"),
+            ("solve", "cost", {"name": "newsvendor", "params": {"b": [1]}}, "/cost/params/b: [1] is not a number"),
+            ("solve", "cost", {"name": "newsvendor", "params": {"q": 1}},
+             "/cost/params/q: newsvendor reads ['b', 'c'], not 'q'"),
+            ("measure", "cost", {"name": "huber", "params": {"delta": 0}}, "/cost/params/delta: 0 must be > 0"),
+            ("prior-from-reg", "cost", {"name": "newsvendor", "params": {"c": -1.0}},
+             "/cost/params/c: -1.0 must be >= 0"),
+            ("verify-bounds", "cost", {"name": "absolute", "params": {"b": 1.0}},
+             "/cost/params/b: absolute reads no parameters, not 'b'"),
+            ("run", "cost", {"name": "entropy"},
+             "/cost: unknown cost 'entropy'; available: ['absolute', 'huber', 'linreg', 'newsvendor', 'squared']"),
+        ],
+    )
+    def test_a_cost_that_cannot_read_its_input_exits_1_with_one_error_line(
+        self, tmp_path, command, section, value, message
+    ):
+        docs = {
+            "solve": problem_doc(),
+            "measure": problem_doc(),
+            "prior-from-reg": {"grid": {"atoms": [[0.0], [1.0], [3.0]]}, "cost": {"name": "absolute"},
+                               "f_table": {"points": [[0.0], [1.5], [3.0]], "values": [1.8, 1.05, 1.2]}},
+            "verify-bounds": base_config(str(tmp_path / "out")),
+            "run": base_config(str(tmp_path / "out")),
+        }
+        (tmp_path / "doc.json").write_text(json.dumps(dict(docs[command], **{section: value})))
+        options = {"solve": ["--method", "saa"], "measure": ["--kind", "absolute"]}.get(command, [])
+        result = CliRunner().invoke(main, [command, str(tmp_path / "doc.json"), *options])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.splitlines() == [f"error: {message}"]
+        assert not (tmp_path / "out").exists()
+
+    def test_divergence_names_the_document_at_fault(self, tmp_path):
+        good = {"atoms": [[0.0], [1.0], [3.0]], "weights": [0.2, 0.3, 0.5]}
+        bad = {"weights": [0.2, "x", 0.5]}
+        for a, b, at in ((good, bad, "b.json"), (bad, good, "a.json")):
+            (tmp_path / "a.json").write_text(json.dumps(a))
+            (tmp_path / "b.json").write_text(json.dumps(b))
+            result = CliRunner().invoke(main, ["divergence", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+            assert result.exit_code == 1
+            assert result.output.splitlines() == [f"error: {tmp_path / at}: /weights/1: 'x' is not a number"]
 
     def test_run_dry_run_writes_nothing(self, tmp_path):
         out = tmp_path / "results"
