@@ -21,7 +21,7 @@ from drolab.bayes import Infeasible, prior_from_regularizer
 from drolab.cost import DecisionSpace, Regularizer, cost_from_json
 from drolab.divergence import DIVERGENCE_FIELD, DIVERGENCE_KINDS, ORIENTATIONS, AmbiguityBall, DivergenceKind
 from drolab.experiment import METHODS, check_options, load_config, load_document, load_problem, plan, verify_bounds
-from drolab.experiment import run as run_experiment
+from drolab.experiment import _built, run as run_experiment
 from drolab.robustness import (
     DirichletPrior,
     absolute_measure,
@@ -215,7 +215,7 @@ def prior_from_reg_cmd(spec_path: str, max_entropy: bool) -> None:
     """
     try:
         doc = load_document(spec_path, "regularizer")
-        grid = SupportGrid.from_json(doc["grid"])
+        grid = _built("/grid", SupportGrid.from_json, doc["grid"])
         table = doc["f_table"]
         space = DecisionSpace.from_points(table["points"])
         values = [float(v) for v in table["values"]]

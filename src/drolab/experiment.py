@@ -10,13 +10,11 @@ in the rows so any number can be replayed through library calls.
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NoReturn
@@ -127,6 +125,19 @@ def _array(item, nonempty: bool = True):
     return check
 
 
+def _rows(item, name: str, unit: str, nonempty: bool = True):
+    """An array of arrays of ``item``, each as long as the first."""
+    rows = _array(_array(item, nonempty), nonempty)
+
+    def check(ptr: str, v) -> None:
+        rows(ptr, v)
+        for i, row in enumerate(v):
+            if len(row) != len(v[0]):
+                _fail(f"{ptr}/{i}", f"has {len(row)} {unit}{'s' * (len(row) != 1)}, {name} 0 has {len(v[0])}")
+
+    return check
+
+
 def _object(required: dict, optional: dict | None = None, other=None):
     """An object with every key of ``required``, any of ``optional`` and no
     other, unless ``other`` checks the value of any other key."""
@@ -153,10 +164,11 @@ def _space(ptr: str, v) -> None:
 
 
 _NONNEG, _COUNT, _INDEX = _number(0.0), _number(1, integer=True), _number(0, integer=True)
-_POINTS = _array(_array(_number()))
+_POINTS = _rows(_number(), "point", "coordinate")
 _INTERVAL = _object({"lo": _number(), "hi": _number(), "num": _COUNT})
 _WEIGHTS = _object({"weights": _array(_NONNEG)})
-_METRIC = {"metric": lambda ptr, v: None if v is None else _array(_array(_NONNEG, False), False)(ptr, v)}
+_METRIC_ROWS = _rows(_NONNEG, "row", "number", nonempty=False)
+_METRIC = {"metric": lambda ptr, v: None if v is None else _METRIC_ROWS(ptr, v)}
 # The sections that configs and problem documents share.
 _SETTING = {
     "grid": _object({"atoms": _POINTS}, _METRIC),
@@ -354,6 +366,8 @@ def validate_config(doc: dict) -> None:
 
 
 def config_hash(doc: dict) -> str:
+    import hashlib  # imported here: it loads OpenSSL, which no other code needs
+
     canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
 
@@ -534,6 +548,10 @@ def run(cfg: ResolvedConfig, jobs: int = 1) -> dict:
     # A process pool starts all its workers at the first submit.
     workers = min(jobs, len(tasks))
     if workers > 1:
+        # Imported here: the pool's modules (multiprocessing, socket,
+        # subprocess, ...) would otherwise load into every process.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_init_worker, initargs=(cfg.raw,)) as pool:
             futures = [pool.submit(_run_in_worker, n, rep) for n, rep in tasks]
             outcomes = [f.result() for f in futures]

@@ -794,6 +794,12 @@ def validate_config_jsonschema(doc: dict) -> None:
         err = errors[0]
         pointer = "/" + "/".join(str(p) for p in err.absolute_path)
         raise ConfigError(f"{pointer}: {err.message}")
+    # JSON Schema cannot say that the rows of an array share one length.
+    for section, key in (("grid", "atoms"), ("grid", "metric"), ("space", "points")):
+        lengths = [len(row) for row in doc[section].get(key) or []]
+        for i, length in enumerate(lengths):
+            if length != lengths[0]:
+                raise ConfigError(f"/{section}/{key}/{i}: {length} entries, row 0 has {lengths[0]}")
     for i, entry in enumerate(doc["methods"]):
         name = entry["method"]
         if name not in METHODS:

@@ -266,11 +266,9 @@ class TestResolvePointers:
     @pytest.mark.parametrize(
         "path, value, message",
         [
-            (("grid", "atoms"), [[0.0], [1.0, 2.0], [3.0]], "^/grid: .*inhomogeneous"),
             (("grid", "atoms"), [[0.0], [0.0], [3.0]], "^/grid: atoms 0 and 1 coincide"),
             (("grid", "metric"), [[0.0, 1.0], [1.0, 0.0]], "^/grid: ground metric must be 3x3"),
             (("space", "interval"), {"lo": 3.0, "hi": 0.0, "num": 5}, "^/space: interval upper end below lower end"),
-            (("space",), {"points": [[0.0], [1.0, 2.0]]}, "^/space: .*inhomogeneous"),
             (("p0", "weights"), [0.2, 0.3], "^/p0/weights: expected 3 weights"),
             (("methods", 1, "prior", "weights"), [0.5, 0.5], "^/methods/1/prior/weights: expected 3 weights"),
             (("methods", 2, "prior", "weights"), [1.0, 1.0, 2.0], "^/methods/2/prior/weights: weights sum to 4.0"),
@@ -319,6 +317,30 @@ class TestResolvePointers:
             result = runner.invoke(main, [*args, str(tmp_path / "prob.json")])
             assert result.exit_code == 1
             assert f"error: {pointer}: " in result.output
+
+
+def _assert_one_error_line(tmp_path, command: str, section: str, value, message: str) -> None:
+    """``command`` on a valid document with ``section`` set to ``value``
+    exits 1 with one ``error:`` line (``divergence`` names the file first)
+    and writes no output."""
+    docs = {
+        "solve": problem_doc(),
+        "measure": problem_doc(),
+        "prior-from-reg": {"grid": {"atoms": [[0.0], [1.0], [3.0]]}, "cost": {"name": "absolute"},
+                           "f_table": {"points": [[0.0], [1.5], [3.0]], "values": [1.8, 1.05, 1.2]}},
+        "verify-bounds": base_config(str(tmp_path / "out")),
+        "run": base_config(str(tmp_path / "out")),
+        "divergence": {"atoms": [[0.0], [1.0], [3.0]], "weights": [0.2, 0.3, 0.5]},
+    }
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps(dict(docs[command], **{section: value})))
+    options = {"solve": ["--method", "saa"], "measure": ["--kind", "absolute"], "divergence": [str(doc)]}
+    result = CliRunner().invoke(main, [command, str(doc), *options.get(command, [])])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    at = f"{doc}: " if command == "divergence" else ""
+    assert result.output.splitlines() == [f"error: {at}{message}"]
+    assert not (tmp_path / "out").exists()
 
 
 def _paths(node, path=()):
@@ -483,7 +505,8 @@ class TestRunner:
     ])
     def test_pool_never_has_more_workers_than_tasks(self, tmp_path, monkeypatch, ns, replications, jobs, workers):
         # An in-process stand-in for the pool records its size; no process
-        # starts.  None means the run stays serial and makes no pool.
+        # starts.  None means the run stays serial and makes no pool.  `run`
+        # imports the pool class from concurrent.futures when it starts one.
         sizes = []
 
         class InProcessPool:
@@ -502,7 +525,7 @@ class TestRunner:
                 future.set_result(fn(*args))
                 return future
 
-        monkeypatch.setattr(experiment, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", InProcessPool)
         monkeypatch.setattr(experiment, "_worker_cfg", None)
         outputs = []
         for label, n_jobs in (("serial", 1), ("pooled", jobs)):
@@ -874,6 +897,13 @@ class TestSatisficingBound:
         assert kinds == seen == ["relative_nominal", "relative_dro"]
 
 
+def _child_env(**extra) -> dict:
+    """The environment of a fresh interpreter that imports the same drolab
+    as this process, installed or not."""
+    src = str(Path(drolab.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])), **extra)
+
+
 def strict_json(text: str):
     """``json.loads`` that rejects the NaN and Infinity tokens Python writes."""
 
@@ -1218,21 +1248,35 @@ class TestCLI:
     def test_a_cost_that_cannot_read_its_input_exits_1_with_one_error_line(
         self, tmp_path, command, section, value, message
     ):
-        docs = {
-            "solve": problem_doc(),
-            "measure": problem_doc(),
-            "prior-from-reg": {"grid": {"atoms": [[0.0], [1.0], [3.0]]}, "cost": {"name": "absolute"},
-                               "f_table": {"points": [[0.0], [1.5], [3.0]], "values": [1.8, 1.05, 1.2]}},
-            "verify-bounds": base_config(str(tmp_path / "out")),
-            "run": base_config(str(tmp_path / "out")),
-        }
-        (tmp_path / "doc.json").write_text(json.dumps(dict(docs[command], **{section: value})))
-        options = {"solve": ["--method", "saa"], "measure": ["--kind", "absolute"]}.get(command, [])
-        result = CliRunner().invoke(main, [command, str(tmp_path / "doc.json"), *options])
-        assert result.exit_code == 1
-        assert isinstance(result.exception, SystemExit)
-        assert result.output.splitlines() == [f"error: {message}"]
-        assert not (tmp_path / "out").exists()
+        _assert_one_error_line(tmp_path, command, section, value, message)
+
+    @pytest.mark.parametrize(
+        "command, section, value, message",
+        [
+            ("solve", "space", {"points": [[0.0], [1.0, 2.0]]}, "/space/points/1: has 2 coordinates, point 0 has 1"),
+            ("measure", "grid", {"atoms": [[0.0], [1.0], [3.0, 4.0]]},
+             "/grid/atoms/2: has 2 coordinates, point 0 has 1"),
+            ("run", "grid", {"atoms": [[0.0, 1.0], [1.0], [3.0, 0.0]]},
+             "/grid/atoms/1: has 1 coordinate, point 0 has 2"),
+            ("verify-bounds", "grid", {"atoms": [[0.0], [1.0], [3.0]], "metric": [[0, 1, 3], [1, 0], [3, 2, 0]]},
+             "/grid/metric/1: has 2 numbers, row 0 has 3"),
+            ("solve", "grid", {"atoms": [[0.0], [1.0], [3.0]], "metric": [[0, 1, 3], [1, 0, 2], [3, 2, 0, 1]]},
+             "/grid/metric/2: has 4 numbers, row 0 has 3"),
+            ("prior-from-reg", "f_table", {"points": [[0.0], [1.5, 0.0]], "values": [1.8, 1.05]},
+             "/f_table/points/1: has 2 coordinates, point 0 has 1"),
+            ("prior-from-reg", "grid", {"atoms": [[0.0], [1.0, 2.0], [3.0]]},
+             "/grid/atoms/1: has 2 coordinates, point 0 has 1"),
+            ("divergence", "atoms", [[0.0], [1.0], [3.0, 1.0]], "/atoms/2: has 2 coordinates, point 0 has 1"),
+            ("divergence", "metric", [[0, 1, 3], [1, 0, 2], [3]], "/metric/2: has 1 number, row 0 has 3"),
+            # A square metric of the wrong size: the grid rejects it, as `solve` does.
+            ("prior-from-reg", "grid", {"atoms": [[0.0], [1.0], [3.0]], "metric": [[0.0, 1.0], [1.0, 0.0]]},
+             "/grid: ground metric must be 3x3, got (2, 2)"),
+        ],
+    )
+    def test_an_array_of_the_wrong_shape_exits_1_with_one_error_line(
+        self, tmp_path, command, section, value, message
+    ):
+        _assert_one_error_line(tmp_path, command, section, value, message)
 
     def test_divergence_names_the_document_at_fault(self, tmp_path):
         good = {"atoms": [[0.0], [1.0], [3.0]], "weights": [0.2, 0.3, 0.5]}
@@ -1282,12 +1326,7 @@ class TestCLI:
     def test_run_does_not_import_scipy(self, tmp_path):
         # scipy is only a test dependency: a run that loaded it would carry
         # ~40 MB more peak memory.
-        src = str(Path(drolab.__file__).resolve().parents[1])
-        env = dict(
-            os.environ,
-            PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
-            **{OUTPUT_DIR_ENV: str(tmp_path)},
-        )
+        env = _child_env(**{OUTPUT_DIR_ENV: str(tmp_path)})
         script = (
             "import sys\n"
             "from drolab.cli import main\n"
@@ -1305,25 +1344,33 @@ class TestCLI:
         # lp.py stands in for SciPy's HiGHS; the tests import scipy
         # themselves, so only a fresh interpreter can see an import of
         # scipy or any of its submodules leak into the package.
-        src = str(Path(drolab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         script = (
             "import sys\n"
             "import drolab, drolab.experiment, drolab.cli\n"
             "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))\n"
         )
-        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=env)
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.splitlines()[-1] == "[]"
+
+    def test_imports_load_no_process_pool_or_hashlib(self):
+        # Only `run` with more than one worker needs the process pool's
+        # modules, and only `config_hash` needs hashlib (OpenSSL): importing
+        # the package loads neither.
+        script = (
+            "import sys\n"
+            "import drolab, drolab.experiment, drolab.cli\n"
+            "print([m for m in ('concurrent.futures.process', 'multiprocessing', 'hashlib') if m in sys.modules])\n"
+        )
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
         assert result.returncode == 0, result.stderr
         assert result.stdout.splitlines()[-1] == "[]"
 
     def test_module_entry_point(self, tmp_path):
         # The CLI is reachable as `python -m drolab` for environments where
         # the console script is not on PATH.
-        # The child imports the same drolab as this process, installed or not.
-        src = str(Path(drolab.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         result = subprocess.run(
-            [sys.executable, "-m", "drolab", "--version"], capture_output=True, text=True, env=env
+            [sys.executable, "-m", "drolab", "--version"], capture_output=True, text=True, env=_child_env()
         )
         assert result.returncode == 0
         assert "drolab" in result.stdout
