@@ -15,9 +15,12 @@ repeated instance costs no second solve.
 
 from __future__ import annotations
 
+import dataclasses
 import math
+import sys
 from collections import namedtuple
 from dataclasses import dataclass
+from functools import cache, partial
 from typing import Callable
 
 import numpy as np
@@ -578,11 +581,13 @@ def _signed_pass(
 class Witnesses:
     """The distributions attaining a table of :func:`extremal_values`.
 
-    ``witnesses(k, r)`` is a member of the ball of radius index ``r`` that
-    attains row ``k``'s extremal value, and ``witnesses.weights(r)`` is the
-    rows-by-atoms matrix of every row's witness weights at that radius.  Both
-    come from one builder batched over rows, so row ``k`` of ``weights(r)``
-    equals ``witnesses(k, r).weights`` bit for bit.
+    ``witnesses(k, r)`` builds the member of the ball of radius index ``r``
+    that attains row ``k``'s extremal value, and ``witnesses.weights(r)`` is
+    the rows-by-atoms matrix of every row's witness weights at that radius.
+    Both come from one builder batched over rows, so row ``k`` of
+    ``weights(r)`` equals ``witnesses(k, r).weights`` bit for bit.  Nothing
+    is built until one of them is called; a result that may never read its
+    witness holds the cell as ``PendingWitness(witnesses, k, r)``.
     """
 
     center: DiscreteDistribution
@@ -602,6 +607,43 @@ class Witnesses:
         return q
 
 
+class PendingWitness(partial):
+    """A witness not built yet: ``PendingWitness(fn, *args)`` builds
+    ``fn(*args)`` when called, such as the :class:`Witnesses` cell
+    ``(witnesses, k, r)``.  A result's :class:`LazyWitness` field holds it."""
+
+
+# dataclasses.replace reads every field of the old instance to pass it to the
+# new one; a pending witness read there passes on unbuilt.
+_REPLACE_CODE = dataclasses.replace.__code__
+
+
+class LazyWitness:
+    """The ``witness`` field of a result (``solvers.Solution``,
+    ``robustness.RobustnessReport``), set as the field's default: None.
+
+    The constructor takes a distribution, None or a :class:`PendingWitness`.
+    A pending witness is built the first time the field is read and then
+    kept, so a result whose witness is never read builds none.
+    :func:`dataclasses.replace` carries it over unbuilt.  Two threads reading
+    one pending witness may both build it; they get equal bits.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None  # the default, as dataclasses reads it from the class
+        held = obj.__dict__[self.name]
+        if isinstance(held, PendingWitness) and sys._getframe(1).f_code is not _REPLACE_CODE:
+            held = obj.__dict__[self.name] = held()
+        return held
+
+    def __set__(self, obj, value) -> None:
+        obj.__dict__[self.name] = value
+
+
 def extremal_values(
     center: DiscreteDistribution, kind: DivergenceKind, table, radii
 ) -> tuple[np.ndarray, Witnesses]:
@@ -618,8 +660,9 @@ def extremal_values(
     (kind, table, radii), and the Wasserstein breakpoints, kept per table,
     serve every other radius grid.  A cell's value and witness do not depend
     on the other cells in the table.  Witnesses are built only for the cells
-    asked for.  Radius 0 gives the centre's expectation and the centre
-    itself, and is the only radius a kind without an oracle admits.
+    asked for, when they are asked for.  Radius 0 gives the centre's
+    expectation and the centre itself, and is the only radius a kind without
+    an oracle admits.
     """
     c = np.asarray(table, dtype=float)
     if c.ndim != 2 or c.shape[1] != center.grid.size:
@@ -636,17 +679,21 @@ def extremal_values(
     k = c.shape[0]
     if oracle is not None:
         values, *parts = _signed_pass(center, kind, c, radii)
-        ball_witnesses = oracle(center, kind, np.concatenate([c, -c]), radii, *parts)
         values = np.concatenate([values[:k], -values[k:]])
     else:  # every radius is 0, checked above
-        values, ball_witnesses = np.empty((2 * k, radii.size)), None
+        values = np.empty((2 * k, radii.size))
     if at_center.any():
         values[:, at_center] = np.tile([center.expectation(row) for row in c], 2)[:, None]
+
+    @cache
+    def ball_witnesses() -> Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]:
+        # The oracle's witness builder, made for the first ball cell asked for.
+        return oracle(center, kind, np.concatenate([c, -c]), radii, *parts)
 
     def build(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         if at_center[r]:
             return np.zeros((rows.size, center.grid.size)), np.ones(rows.size, dtype=bool)
-        return ball_witnesses(rows, r)
+        return ball_witnesses()(rows, r)
 
     return values, Witnesses(center, 2 * k, build)
 

@@ -18,6 +18,8 @@ from drolab.cost import CostFunction, DecisionSpace, cost_table
 from drolab.divergence import (
     AmbiguityBall,
     DivergenceKind,
+    LazyWitness,
+    PendingWitness,
     deviation_table,
     deviations_from,
     extremal_values,
@@ -25,7 +27,7 @@ from drolab.divergence import (
 )
 from drolab.lp import LPFailureError, solve_lp
 from drolab.solvers import lipschitz_rate_certificate, rate_profile, satisficing_radius_grid
-from drolab.support import DiscreteDistribution, mixture, rng_from_seed
+from drolab.support import DiscreteDistribution, _normalize_rows, mixture, rng_from_seed
 
 LOCAL_SCALE_RANGE = range(4, 13)  # radii: radius cap * 2**-k
 
@@ -56,15 +58,25 @@ class DirichletPrior:
 
 @dataclass(frozen=True)
 class RobustnessReport:
-    """One robustness measurement of a decision."""
+    """One robustness measurement of a decision.
+
+    A measure's witness is left pending
+    (:class:`~drolab.divergence.LazyWitness`): it is built the first time
+    ``witness`` is read, as ``to_json`` does, and then kept.
+    """
 
     x: np.ndarray | None
     kind: str
     measure: float
     radius: float | None = None
-    witness: DiscreteDistribution | None = None
+    witness: DiscreteDistribution | None = LazyWitness()
     confidence: float | None = None
     diagnostics: dict = field(default_factory=dict)
+
+    def __getstate__(self) -> dict:
+        # A pickle or copy holds the witness built: a pending one refers to
+        # the oracle's local functions.
+        return dict(vars(self), witness=self.witness)
 
     def to_json(self) -> dict:
         doc: dict = {
@@ -102,7 +114,7 @@ def absolute_measure(x, ref_value: float, ball: AmbiguityBall, cf: CostFunction)
         "absolute",
         float(dev[0, 0]),
         radius=ball.radius,
-        witness=witness(0, 0),
+        witness=PendingWitness(witness, 0, 0),
         diagnostics={"max_value": float(extremal[0, 0]), "min_value": float(extremal[1, 0]), "ref_value": ref_value},
     )
 
@@ -141,7 +153,7 @@ def relative_measure(
         np.atleast_1d(np.asarray(x, dtype=float)),
         "relative",
         val,
-        witness=witness(0, binding[0]) if radii.size else center,
+        witness=PendingWitness(witness, 0, binding[0]) if radii.size else center,
         diagnostics={
             "radius_grid": radii.tolist(),
             "ratios": ratios[0].tolist(),
@@ -260,28 +272,26 @@ def _wasserstein_dirac_share(ball: AmbiguityBall, index: int) -> float:
     return min(max(float(res.x[-1]), 0.0), 1.0)
 
 
-def _toward_dirac(ball: AmbiguityBall, index: int) -> DiscreteDistribution | None:
-    """Furthest ball member on the segment from the center to a Dirac atom.
+def _dirac_share(ball: AmbiguityBall, index: int) -> float:
+    """Largest share t in [0, 1] with (1 - t) * center + t * Dirac(index) in
+    the ball: the furthest ball member on the segment toward that Dirac atom.
 
     Exact on Wasserstein balls (:func:`_wasserstein_dirac_share`); other
     kinds bisect the share by :func:`membership` to 2**-40.
     """
-    target = DiscreteDistribution.dirac(ball.grid, index)
     if ball.kind.family == "wasserstein":
-        share = _wasserstein_dirac_share(ball, index)
-    elif membership(ball, target):
-        share = 1.0
-    else:
-        share, hi = 0.0, 1.0
-        for _ in range(40):
-            mid = 0.5 * (share + hi)
-            if membership(ball, mixture(mid, target, ball.center)):
-                share = mid
-            else:
-                hi = mid
-    if share <= 0.0:
-        return None
-    return mixture(share, target, ball.center)
+        return _wasserstein_dirac_share(ball, index)
+    target = DiscreteDistribution.dirac(ball.grid, index)
+    if membership(ball, target):
+        return 1.0
+    share, hi = 0.0, 1.0
+    for _ in range(40):
+        mid = 0.5 * (share + hi)
+        if membership(ball, mixture(mid, target, ball.center)):
+            share = mid
+        else:
+            hi = mid
+    return share
 
 
 def set_robustness(
@@ -298,10 +308,13 @@ def set_robustness(
     (``solution``) at the center, at every extremal witness, and at ``budget``
     random ball members (the furthest mixtures toward random Dirac atoms
     that stay in the ball).  Reported as a lower-bound estimate; the true
-    supremum may be larger.  The extremal witnesses of both senses come
-    from one batched pass (:meth:`~drolab.divergence.Witnesses.weights`),
-    and the reported witness is the first candidate, in the order above with
-    each decision's worst case before its best case, that attains the spread.
+    supremum may be larger.  Every candidate is scored as a weight row: the
+    extremal witnesses of both senses come from one batched pass
+    (:meth:`~drolab.divergence.Witnesses.weights`), and each random member
+    is the row :func:`~drolab.support.mixture` would hold.  The reported
+    witness is the first candidate, in the order above with each decision's
+    worst case before its best case, that attains the spread; it is the one
+    candidate made a distribution, when it is read.
     """
     if variant not in ("objective", "solution"):
         raise ValueError("variant must be 'objective' or 'solution'")
@@ -310,18 +323,19 @@ def set_robustness(
     table = cost_table(cf, ball.grid, space)
     witnesses = extremal_values(ball.center, ball.kind, table, [ball.radius])[1] if ball.radius > 0.0 else None
     rng = rng_from_seed(seed)
-    members: list[DiscreteDistribution] = []
-    for _ in range(budget):
-        j = int(rng.integers(ball.grid.size))
-        cand = _toward_dirac(ball, j) if ball.radius > 0.0 else None
-        if cand is not None:
-            members.append(cand)
+    drawn = [int(rng.integers(ball.grid.size)) for _ in range(budget)]
+    shares = np.array([_dirac_share(ball, j) if ball.radius > 0.0 else 0.0 for j in drawn])
+    accepted = shares > 0.0
+    # Each accepted member's weights before normalization, computed as
+    # mixture(share, Dirac, centre) computes them.
+    mixed = (shares[accepted, None] * np.eye(ball.grid.size)[np.array(drawn)[accepted]]
+             + (1.0 - shares[accepted])[:, None] * ball.center.weights)
     # One weight row per candidate: the centre, each decision's worst-case
     # then best-case witness, the random members.
     blocks = [ball.center.weights[None, :]]
     if witnesses is not None:
         blocks.append(witnesses.weights(0).reshape(2, len(table), -1).swapaxes(0, 1).reshape(-1, ball.grid.size))
-    blocks.extend(cand.weights[None, :] for cand in members)
+    blocks.append(_normalize_rows(mixed.copy()))
     weights = np.concatenate(blocks)
     # Row by row, as a single matrix product may round differently.
     values = np.array([table @ w for w in weights])
@@ -332,15 +346,15 @@ def set_robustness(
         spreads = np.array([float(np.linalg.norm(space[i] - space[best_idx[0]])) for i in best_idx])
     first = int(np.argmax(spreads))
     extremal = 2 * len(space) if witnesses is not None else 0
-    witness: DiscreteDistribution | None = None
+    witness: DiscreteDistribution | PendingWitness | None = None
     if spreads[first] > 0.0:
         if first == 0:
             witness = ball.center
         elif first <= extremal:
             k, side = divmod(first - 1, 2)
-            witness = witnesses(k + side * len(table), 0)
+            witness = PendingWitness(witnesses, k + side * len(table), 0)
         else:
-            witness = members[first - 1 - extremal]
+            witness = PendingWitness(DiscreteDistribution, ball.grid, mixed[first - 1 - extremal])
     return RobustnessReport(
         None,
         f"{variant}_set",
@@ -349,7 +363,7 @@ def set_robustness(
         witness=witness,
         diagnostics={
             "evaluations": len(weights),
-            "random_accepted": len(members),
+            "random_accepted": len(mixed),
             "budget": budget,
             "seed": seed,
             "estimate_is_lower_bound": True,

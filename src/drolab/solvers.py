@@ -21,7 +21,14 @@ import numpy as np
 
 from drolab import bayes as _bayes
 from drolab.cost import CostFunction, DecisionSpace, Regularizer, cost_table
-from drolab.divergence import AmbiguityBall, DivergenceKind, deviations_from, extremal_values
+from drolab.divergence import (
+    AmbiguityBall,
+    DivergenceKind,
+    LazyWitness,
+    PendingWitness,
+    deviations_from,
+    extremal_values,
+)
 from drolab.lp import LPFailureError, solve_lp
 from drolab.support import DiscreteDistribution, SampleSet
 
@@ -40,16 +47,23 @@ class Solution:
     ``objective_value`` is the model's own optimum (expected cost for SAA
     variants, worst-case value for min-max, the measure itself for the
     deviation-minimizing models); ``measure`` and ``witness`` are populated
-    by the robust models.
+    by the robust models.  The robust models leave their witness pending
+    (:class:`~drolab.divergence.LazyWitness`): it is built the first time
+    ``witness`` is read, as ``to_json`` does, and then kept.
     """
 
     x: np.ndarray
     x_index: int
     objective_value: float
     method: str
-    witness: DiscreteDistribution | None = None
+    witness: DiscreteDistribution | None = LazyWitness()
     measure: float | None = None
     diagnostics: dict = field(default_factory=dict)
+
+    def __getstate__(self) -> dict:
+        # A pickle or copy holds the witness built: a pending one refers to
+        # the oracle's local functions.
+        return dict(vars(self), witness=self.witness)
 
     def to_json(self) -> dict:
         doc: dict = {
@@ -199,7 +213,8 @@ def _search_ball(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace, me
 
     idx, ties = _argmin_lowest(values)
     diagnostics = {"ties": ties, "nominal_ref": ref, "radius": ball.radius, "kind": ball.kind.label()}
-    return Solution(space[idx], idx, float(values[idx]), method, witness(idx, 0), float(values[idx]), diagnostics)
+    value = float(values[idx])
+    return Solution(space[idx], idx, value, method, PendingWitness(witness, idx, 0), value, diagnostics)
 
 
 def solve_minmax_dro(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace) -> Solution:
@@ -332,7 +347,7 @@ def solve_satisficing_models(
             best_idx,
             best_val,
             "satisficing",
-            witness=witness(int(at[best]), binding[best]) if radii.size else center,
+            witness=PendingWitness(witness, int(at[best]), binding[best]) if radii.size else center,
             measure=best_val,
             diagnostics={
                 "sided": sided,

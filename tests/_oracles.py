@@ -28,9 +28,10 @@ whose one caller always asked for the two-sided zero-slack rate, is kept as
 :func:`deviation_rate_profile`.  The
 loop of ``robustness.set_robustness`` that built and evaluated one candidate
 distribution at a time, which the package replaced by one batched pass, is
-kept as :func:`set_robustness_loop`.  The membership bisection that found
-its random ball members on W_p balls, which the package replaced by one LP
-in the mixing share, is kept as :func:`toward_dirac_share_bisection`, and
+kept as :func:`set_robustness_loop`, over the distribution it built for
+each random member (:func:`toward_dirac`).  The membership bisection that
+found its random ball members on W_p balls, which the package replaced by
+one LP in the mixing share, is kept as :func:`toward_dirac_share_bisection`, and
 ``robustness.pac_robustness`` with Monte-Carlo draws on every instance,
 which the package skips when the level band decides the probability, is
 kept as :func:`pac_robustness_mc`.  ``bayes.prior_from_regularizer``
@@ -68,7 +69,7 @@ from drolab.divergence import (
 )
 from drolab.experiment import METHODS
 from drolab.lp import FEASIBILITY_TOL, LPFailureError, LPResult, solve_lp
-from drolab.robustness import RobustnessReport, _toward_dirac
+from drolab.robustness import RobustnessReport, _dirac_share
 from drolab.solvers import Solution
 from drolab.support import ConfigError, DiscreteDistribution, mixture, rng_from_seed
 
@@ -672,7 +673,7 @@ def set_robustness_loop(
     accepted = 0
     for _ in range(budget):
         j = int(rng.integers(ball.grid.size))
-        cand = _toward_dirac(ball, j) if ball.radius > 0.0 else None
+        cand = toward_dirac(ball, j) if ball.radius > 0.0 else None
         if cand is None:
             continue
         candidates.append(cand)
@@ -691,10 +692,21 @@ def set_robustness_loop(
                             diagnostics=diagnostics)
 
 
+def toward_dirac(ball: AmbiguityBall, index: int) -> DiscreteDistribution | None:
+    """The furthest ball member on the segment from the centre to a Dirac
+    atom, built as a distribution (None if the share is 0): the per-member
+    step of ``robustness.set_robustness`` before it scored its members as
+    weight rows."""
+    share = _dirac_share(ball, index)
+    if share <= 0.0:
+        return None
+    return mixture(share, DiscreteDistribution.dirac(ball.grid, index), ball.center)
+
+
 def toward_dirac_share_bisection(ball: AmbiguityBall, index: int) -> float:
     """Share t of the furthest ball member ``(1 - t) * center + t * Dirac``,
     by the 40-step :func:`~drolab.divergence.membership` bisection that
-    ``robustness._toward_dirac`` ran on every ball kind but W1 (one transport
+    ``robustness._dirac_share`` ran on every ball kind but W1 (one transport
     LP per step on a W_p ball)."""
     target = DiscreteDistribution.dirac(ball.grid, index)
     if membership(ball, target):

@@ -1,4 +1,6 @@
+import pickle
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -70,3 +72,54 @@ def spy_on(monkeypatch: pytest.MonkeyPatch, module, name: str) -> list:
 def spy(monkeypatch):
     """``calls = spy(module, name)``: :func:`spy_on` for the test's span."""
     return lambda module, name: spy_on(monkeypatch, module, name)
+
+
+def binding_cell(values: np.ndarray, i: int, r: int, ref: float) -> int:
+    """The row of an ``extremal_values`` table whose witness binds the
+    two-sided deviation of row ``i`` at radius ``r``: the worst case on a
+    tie, as ``deviations_from`` picks it."""
+    k = len(values) // 2
+    return i if values[i, r] - ref >= ref - values[k + i, r] else k + i
+
+
+def witness_builds(monkeypatch: pytest.MonkeyPatch, kind) -> list:
+    """Wrap the witness builder of ``kind``'s ball oracle (Wasserstein or
+    forward KL): each call appends the number of rows it builds to the
+    returned list."""
+    from drolab import divergence
+
+    name = {"wasserstein": "_wasserstein_witnesses", "kl": "_kl_witnesses"}[kind._key]
+    builds = []
+    make = getattr(divergence, name)
+
+    def spied(*args):
+        build = make(*args)
+        return lambda rows, r: builds.append(rows.size) or build(rows, r)
+
+    monkeypatch.setattr(divergence, name, spied)
+    return builds
+
+
+def assert_pending_witness(make, eager: DiscreteDistribution, builds: list, during=(), on_read=(1,)) -> None:
+    """``make()`` returns a result (a ``Solution`` or ``RobustnessReport``)
+    whose witness waits to be read.  Its builder calls, as
+    :func:`witness_builds` records them, are ``during`` while it is made and
+    ``on_read`` more at the first read of ``witness`` (one single-row
+    build; none for a distribution already in hand), and none at later reads
+    or in ``dataclasses.replace``.  The witness has the bits of ``eager``,
+    the distribution built for it before, also after ``replace`` and a
+    pickle round trip, and the result's JSON is the one it has with
+    ``eager`` as its witness."""
+    builds.clear()
+    result = make()
+    assert builds == list(during)
+    moved = replace(result, measure=-1.0)
+    assert builds == list(during)
+    witness = result.witness
+    assert builds == [*during, *on_read]
+    assert result.witness is witness
+    assert builds == [*during, *on_read]
+    assert witness.weights.tobytes() == eager.weights.tobytes()
+    assert result.to_json() == replace(result, witness=eager).to_json()
+    assert moved.witness.weights.tobytes() == eager.weights.tobytes()
+    assert pickle.loads(pickle.dumps(make())).witness.weights.tobytes() == eager.weights.tobytes()

@@ -1288,6 +1288,23 @@ class TestCLI:
             assert result.exit_code == 1
             assert result.output.splitlines() == [f"error: {tmp_path / at}: /weights/1: 'x' is not a number"]
 
+    def test_divergence_rejects_a_metric_it_would_not_read(self, tmp_path):
+        # The second document takes the first one's grid unless it gives its
+        # own atoms, so a metric without atoms there would be ignored.
+        a = {"atoms": [[0.0], [1.0], [3.0]], "weights": [0.2, 0.3, 0.5]}
+        b = {"weights": [0.5, 0.5, 0.0], "metric": [[0, 9, 9], [9, 0, 9], [9, 9, 0]]}
+        (tmp_path / "a.json").write_text(json.dumps(a))
+        (tmp_path / "b.json").write_text(json.dumps(b))
+        result = CliRunner().invoke(main, ["divergence", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+        assert result.exit_code == 1
+        [line] = result.output.splitlines()
+        assert line.startswith(f"error: {tmp_path / 'b.json'}: /metric: ")
+        # With its atoms the metric is read, and its grid is not the first one's.
+        (tmp_path / "b.json").write_text(json.dumps(dict(b, atoms=a["atoms"])))
+        result = CliRunner().invoke(main, ["divergence", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
+        assert result.exit_code == 1
+        assert result.output.splitlines() == ["error: distributions live on different grids"]
+
     def test_run_dry_run_writes_nothing(self, tmp_path):
         out = tmp_path / "results"
         (tmp_path / "config.json").write_text(json.dumps(base_config(str(out))))

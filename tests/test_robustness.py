@@ -14,14 +14,23 @@ from _oracles import (
     pac_robustness_mc,
     set_robustness_loop,
     simplex_grid,
+    toward_dirac,
     toward_dirac_share_bisection,
     w1_dual_vertices,
     w1_from_dual_many,
 )
-from conftest import RADIUS_FRACTIONS, random_ball_instance, random_distribution, random_grid
-from drolab import divergence, solvers
+from conftest import (
+    RADIUS_FRACTIONS,
+    assert_pending_witness,
+    binding_cell,
+    random_ball_instance,
+    random_distribution,
+    random_grid,
+    witness_builds,
+)
+from drolab import bayes, divergence, solvers, support
 from drolab.cost import CostFunction, DecisionSpace, cost_table, expected_cost, make_cost
-from drolab.divergence import AmbiguityBall, DivergenceKind, membership
+from drolab.divergence import AmbiguityBall, DivergenceKind, extremal_values, membership
 from drolab.robustness import (
     DirichletPrior,
     absolute_measure,
@@ -332,7 +341,6 @@ class TestSetRobustness:
     @pytest.mark.parametrize("p", [1.0, 2.0])
     def test_toward_dirac_reaches_the_ball_boundary(self, p):
         from drolab.divergence import wasserstein
-        from drolab.robustness import _toward_dirac
 
         rng = np.random.default_rng(17)
         grid = random_grid(rng, 5, dim=2)
@@ -342,7 +350,7 @@ class TestSetRobustness:
             reach = wasserstein(DiscreteDistribution.dirac(grid, j), center, p)
             for eps in (0.3 * reach, 0.9 * reach, reach, 1.5 * reach):
                 ball = AmbiguityBall(center, eps, kind)
-                cand = _toward_dirac(ball, j)
+                cand = toward_dirac(ball, j)
                 assert membership(ball, cand)
                 if eps >= reach:
                     assert cand.weights[j] == pytest.approx(1.0, abs=1e-12)
@@ -351,14 +359,14 @@ class TestSetRobustness:
                     assert wasserstein(cand, center, p) == pytest.approx(eps, rel=1e-9)
         # A Dirac centre is its own furthest member.
         dirac = DiscreteDistribution.dirac(grid, 2)
-        assert _toward_dirac(AmbiguityBall(dirac, 0.1, W1), 2).weights[2] == 1.0
+        assert toward_dirac(AmbiguityBall(dirac, 0.1, W1), 2).weights[2] == 1.0
 
     @pytest.mark.parametrize("p", [1.5, 2.0, 3.0])
     def test_wasserstein_share_matches_bisection(self, p):
         # One LP in the mixing share against the membership bisection, on
         # centres with an empty atom (sometimes the target itself).
         from drolab.divergence import wasserstein
-        from drolab.robustness import _toward_dirac, _wasserstein_dirac_share
+        from drolab.robustness import _wasserstein_dirac_share
 
         rng = np.random.default_rng(29)
         kind = DivergenceKind.wasserstein_order(p)
@@ -370,7 +378,7 @@ class TestSetRobustness:
                     ball = AmbiguityBall(center, eps, kind)
                     share = _wasserstein_dirac_share(ball, j)
                     assert share == pytest.approx(toward_dirac_share_bisection(ball, j), abs=1e-8)
-                    cand = _toward_dirac(ball, j)
+                    cand = toward_dirac(ball, j)
                     assert membership(ball, cand)
                     assert cand.weights[j] == pytest.approx(share + (1.0 - share) * center.weights[j], abs=1e-15)
 
@@ -505,6 +513,107 @@ def test_report_walks_each_table_once(spy):
     set_robustness(ball, cf, space, "objective", budget=4, seed=3)
     assert len(sweeps) == 4
     assert sorted(args[0].shape for args, _ in walks) == [(2, 9), (42, 9)]
+
+
+class TestWitnessBuiltWhenRead:
+    """A report keeps its witness pending until ``witness`` is read: one
+    single-cell build then (none for a random set member, which is a
+    mixture row), the eager witness's bits, and nothing built for a report
+    whose witness is never read (see conftest.assert_pending_witness)."""
+
+    @staticmethod
+    def _instance(seed: int, kind: DivergenceKind, m: int = 5, dim: int = 2, empty: int = 1, rows: int = 6):
+        center, table = random_ball_instance(np.random.default_rng(seed), m, dim, empty, False, rows=rows)
+        cf, space = table_cost(table)
+        return AmbiguityBall(center, 0.3 * kind.radius_cap(center), kind), cf, space, table
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_absolute_measure(self, monkeypatch, kind, seed):
+        ball, cf, space, table = self._instance(seed, KINDS[kind])
+        builds = witness_builds(monkeypatch, ball.kind)
+        ref = float(ball.center.expectation(table[1])) + 0.1
+        values, witnesses = extremal_values(ball.center, ball.kind, table[1:2], [ball.radius])
+        eager = witnesses(binding_cell(values, 0, 0, ref), 0)
+        assert_pending_witness(lambda: absolute_measure(space[1], ref, ball, cf), eager, builds)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_relative_measure(self, monkeypatch, kind, seed):
+        ball, cf, space, table = self._instance(seed, KINDS[kind])
+        center = ball.center
+        builds = witness_builds(monkeypatch, ball.kind)
+        ref = float(center.expectation(table[2]))
+        radii = satisficing_radius_grid(ball.kind, center)
+        rep = relative_measure(space[2], ref, ball.kind, center, cf)
+        r = rep.diagnostics["radius_grid"].index(rep.diagnostics["binding_radius"])
+        values, witnesses = extremal_values(center, ball.kind, table[2:3], radii)
+        eager = witnesses(binding_cell(values, 0, r, ref), r)
+        assert_pending_witness(lambda: relative_measure(space[2], ref, ball.kind, center, cf), eager, builds)
+
+    # Instances found by search whose reported witness is an extremal cell
+    # or a random member (a W1 share LP, or a KL membership bisection).
+    @pytest.mark.parametrize(
+        "kind, seed, member", [("w1", 0, False), ("w1", 21, True), ("kl", 0, False), ("kl", 15, True)]
+    )
+    def test_set_robustness(self, monkeypatch, kind, seed, member):
+        ball, cf, space, _ = self._instance(seed, KINDS[kind], m=4, dim=1, empty=0, rows=4)
+        builds = witness_builds(monkeypatch, ball.kind)
+        # The per-candidate loop built every candidate as a distribution:
+        # extremal witnesses as single cells, members by mixture().
+        eager = set_robustness_loop(ball, cf, space, "objective", budget=20, seed=seed).witness
+        assert_pending_witness(
+            lambda: set_robustness(ball, cf, space, "objective", budget=20, seed=seed),
+            eager,
+            builds,
+            during=[2 * len(space)],  # the one batched pass over every extremal witness
+            on_read=() if member else (1,),
+        )
+
+    # Found by search: a member row normalized twice moves the W1 instance's
+    # witness and the KL instances' measures by an ulp.
+    @pytest.mark.parametrize("kind, seed", [("w1", 21), ("w1", 94), ("kl", 15), ("kl", 70), ("kl", 363)])
+    def test_members_keep_their_mixture_bits(self, kind, seed):
+        # A member's row is the one mixture() builds, normalized once.
+        ball, cf, space, _ = self._instance(seed, KINDS[kind], m=4, dim=1, empty=0, rows=4)
+        rep = set_robustness(ball, cf, space, "objective", budget=20, seed=seed)
+        ref = set_robustness_loop(ball, cf, space, "objective", budget=20, seed=seed)
+        assert _bits(rep.measure) == _bits(ref.measure)
+        assert rep.witness.weights.tobytes() == ref.witness.weights.tobytes()
+
+
+def test_report_builds_three_distributions_and_one_witness_pass(monkeypatch):
+    # One robustness report on a 3x3 plane, call for call: the two input
+    # distributions, the recovered prior and the set measure's batched
+    # witness pass are all that is built while no witness is read.
+    made = []
+    init = support.DiscreteDistribution.__post_init__
+    monkeypatch.setattr(support.DiscreteDistribution, "__post_init__", lambda self: made.append(1) or init(self))
+    builds = witness_builds(monkeypatch, W1)
+    axis = [-1.0, 0.0, 1.0]
+    grid = SupportGrid.euclidean([[a, b] for a in axis for b in axis])
+    space = DecisionSpace.interval(-2.0, 2.0, 21)
+    cf = make_cost("linreg", grid=grid, space=space)
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        made.clear()
+        builds.clear()
+        center = DiscreteDistribution(grid, rng.dirichlet(np.full(9, 3.0)))
+        seed = int(rng.integers(2**31))
+        ball = AmbiguityBall(center, 0.2, W1)
+        saa = solve_saa(center, cf, space)
+        solvers.solve_minmax_dro(ball, cf, space)
+        solvers.solve_robust_satisficing(center, cf, space, W1, sided="one")
+        absolute_measure(saa.x, saa.objective_value, ball, cf)
+        relative_measure(saa.x, saa.objective_value, W1, center, cf)
+        local_measure(space, center, saa.objective_value, cf, W1, "objective")
+        set_robustness(ball, cf, space, "objective", budget=4, seed=seed)
+        pac_robustness(DirichletPrior(center, 10.0), cf, saa.x, saa.objective_value, level=2.0, mc_draws=10_000,
+                       seed=seed)
+        f = bayes.regularizer_from_prior(DiscreteDistribution(grid, rng.dirichlet(np.full(9, 3.0))), cf)
+        bayes.prior_from_regularizer(f, cf, list(space), grid)
+        assert len(made) == 3
+        assert builds == [2 * len(space)]
 
 
 class TestBallThatCannotGrow:

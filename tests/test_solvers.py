@@ -7,13 +7,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from _oracles import absolute_dro_lp_sweep, kl_extremal_brentq, simplex_grid, w1_dual_vertices, w1_from_dual_many
-from conftest import random_distribution, random_grid
+from conftest import assert_pending_witness, binding_cell, random_ball_instance, random_distribution, random_grid, witness_builds
 from drolab import solvers
 from drolab.bayes import beta_from_lambda, regularizer_from_prior
 from drolab.cost import CostFunction, DecisionSpace, Regularizer, cost_table, expected_cost, make_cost
-from drolab.divergence import AmbiguityBall, DivergenceKind, deviation_table, extremal_expectation
+from drolab.divergence import AmbiguityBall, DivergenceKind, deviation_table, extremal_expectation, extremal_values
 from drolab.solvers import (
     _coupling_lp_deviation,
+    satisficing_radius_grid,
     solve_absolute_dro,
     solve_bayes_dp,
     solve_minmax_dro,
@@ -485,6 +486,71 @@ class TestSolveRobustSatisficing:
             assert sol.witness is center
             assert sol.diagnostics["radius_grid"] == sol.diagnostics["ratios"] == []
             assert sol.diagnostics["binding_radius"] is None
+
+
+class TestWitnessBuiltWhenRead:
+    """A solution keeps its witness pending until ``witness`` is read: one
+    single-cell build then, the eager witness's bits, and none at all for a
+    solution whose witness is never read (see conftest.assert_pending_witness)."""
+
+    KINDS = {"w1": W1, "w2": DivergenceKind.wasserstein_order(2.0), "kl": DivergenceKind.kl()}
+
+    @staticmethod
+    def _instance(seed: int, kind: DivergenceKind):
+        center, table = random_ball_instance(np.random.default_rng(seed), 5, 2, 1, False, rows=6)
+        ball = AmbiguityBall(center, 0.3 * kind.radius_cap(center), kind)
+        return ball, _table_cost(table), DecisionSpace.interval(0.0, 1.0, 6), table
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_minmax_dro(self, monkeypatch, kind, seed):
+        ball, cf, space, table = self._instance(seed, self.KINDS[kind])
+        builds = witness_builds(monkeypatch, ball.kind)
+        sol = solve_minmax_dro(ball, cf, space)
+        eager = extremal_values(ball.center, ball.kind, table, [ball.radius])[1](sol.x_index, 0)
+        assert_pending_witness(lambda: solve_minmax_dro(ball, cf, space), eager, builds)
+
+    @pytest.mark.parametrize("kind", sorted(KINDS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_absolute_dro_dual_rows(self, monkeypatch, kind, seed):
+        ball, cf, space, table = self._instance(seed, self.KINDS[kind])
+        builds = witness_builds(monkeypatch, ball.kind)
+        lp_calls = _count_lp_calls(monkeypatch)
+        sol = solve_absolute_dro(ball, cf, space)
+        assert lp_calls == []  # the dual decides these instances alone
+        values, witnesses = extremal_values(ball.center, ball.kind, table, [ball.radius])
+        eager = witnesses(binding_cell(values, sol.x_index, 0, sol.diagnostics["nominal_ref"]), 0)
+        assert_pending_witness(lambda: solve_absolute_dro(ball, cf, space), eager, builds)
+
+    def test_absolute_dro_coupling_lp_rows(self, monkeypatch):
+        # The symmetric newsvendor tie of TestAbsoluteDROScreen: the LP step
+        # already holds the witness as a distribution, so no builder runs.
+        weights = np.random.default_rng(3).dirichlet(np.full(16, 2.0))
+        ball, cf, space = TestAbsoluteDROScreen._newsvendor_line((weights + weights[::-1]) / 2, 1.0, 1.0)
+        builds = witness_builds(monkeypatch, ball.kind)
+        eager = absolute_dro_lp_sweep(ball, cf, space).witness
+        assert_pending_witness(lambda: solve_absolute_dro(ball, cf, space), eager, builds, on_read=())
+
+    @pytest.mark.parametrize("kind", ["w1", "kl"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_satisficing_models(self, monkeypatch, kind, seed):
+        ball, cf, space, table = self._instance(seed, self.KINDS[kind])
+        center = ball.center
+        builds = witness_builds(monkeypatch, ball.kind)
+        models = [("one", 0.0), ("two", 0.0), ("two", 0.5)]
+        nominal = table @ center.weights
+        ref = float(np.min(nominal))
+        rows = np.flatnonzero(nominal <= ref + 0.5 + 1e-12)
+        radii = satisficing_radius_grid(ball.kind, center)
+        values, witnesses = extremal_values(center, ball.kind, table[rows], radii)
+        solutions = solve_satisficing_models(center, cf, space, ball.kind, models)
+        for m, ((sided, _), sol) in enumerate(zip(models, solutions)):
+            i = int(np.searchsorted(rows, sol.x_index))
+            r = sol.diagnostics["radius_grid"].index(sol.diagnostics["binding_radius"])
+            eager = witnesses(i if sided == "one" else binding_cell(values, i, r, ref), r)
+            assert_pending_witness(
+                lambda: solve_satisficing_models(center, cf, space, ball.kind, models)[m], eager, builds
+            )
 
 
 def test_solutions_are_bit_deterministic(line_grid):
