@@ -113,14 +113,19 @@ def main() -> None:
 
 def _distribution(path: str, grid: SupportGrid | None = None) -> DiscreteDistribution:
     """The distribution document at ``path``, on ``grid`` unless it gives its
-    own atoms; an error in it names the file before its pointer.  A metric
-    is read only with the atoms it measures, so one without them on ``grid``
-    is rejected."""
+    own atoms, which must then make ``grid``; an error in it names the file
+    before its pointer.  A metric is read only with the atoms it measures, so
+    one without them on ``grid`` is rejected."""
     try:
         doc = load_document(path, "distribution")
         if grid is not None and "atoms" not in doc and "metric" in doc:
             raise ConfigError("/metric: is read only with 'atoms'; this document takes the first one's grid")
-        return DiscreteDistribution.from_json(doc, grid=None if "atoms" in doc else grid)
+        dist = DiscreteDistribution.from_json(doc, grid=None if "atoms" in doc else grid)
+        if grid is not None and not dist.grid.same_as(grid):
+            if "metric" in doc and np.array_equal(dist.grid.atoms, grid.atoms):
+                raise ConfigError("/metric: differs from the first document's ground metric")
+            raise ConfigError("/atoms: give a grid other than the first document's")
+        return dist
     except ValueError as exc:
         raise ConfigError(f"{path}: {exc}") from exc
 

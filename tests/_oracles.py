@@ -12,7 +12,9 @@ the package's dual oracle.  The loop-by-loop Bland simplex that
 :mod:`drolab.lp` vectorised is kept here as :func:`bland_lp_reference`, which
 the package's solver must match bit for bit, and the per-ball bracketed
 ``brentq`` solve of the KL tilting dual that :mod:`drolab.divergence`
-batched is kept as :func:`kl_extremal_brentq`.  The built-in costs' scalar
+batched is kept as :func:`kl_extremal_brentq`; :func:`kl_extremal_mpmath`
+solves the same dual in multiple precision, for radii too small for a
+double-precision root.  The built-in costs' scalar
 formulas, which :mod:`drolab.cost` replaced by array formulas over the whole
 decision x atom grid, are kept as :func:`scalar_cost` and evaluated cell by
 cell in :func:`scalar_cost_table`; the finite-difference Lipschitz quotient
@@ -52,9 +54,11 @@ from __future__ import annotations
 import itertools
 import json
 import math
+from fractions import Fraction
 from pathlib import Path
 
 import jsonschema
+import mpmath
 import numpy as np
 from scipy.optimize import brentq, linprog
 from scipy.special import logsumexp
@@ -298,6 +302,55 @@ def kl_extremal_brentq(ball: AmbiguityBall, costs: np.ndarray, maximize: bool) -
     witness = DiscreteDistribution(center.grid, tilt)
     value = dual if maximize else -dual
     return float(value), witness
+
+
+def kl_extremal_mpmath(weights: np.ndarray, costs: np.ndarray, eps: float) -> float:
+    """Worst-case expectation of ``costs`` over the forward-KL ball of radius
+    ``eps > 0`` around ``weights``, from the tilting dual solved in mpmath.
+
+    The float weights are read as rationals and divided by their exact sum,
+    and the work runs at ``2 * |log10 eps| + 20`` significant digits (at
+    least 40), so that ``KL(tilt) - eps`` keeps 20 digits at the root.  The
+    root in ``theta = 1/lam`` comes from Newton steps kept inside a bracket
+    (bisection otherwise) until a step moves ``theta`` by less than half the
+    working digits; the dual is stationary there, so the value keeps all.
+    """
+    with mpmath.workdps(max(40, 2 * math.ceil(abs(math.log10(eps))) + 20)):
+        supp = np.flatnonzero(weights > 0.0)
+        total = sum(Fraction(float(x)) for x in weights[supp])
+        w = [Fraction(float(x)) / total for x in weights[supp]]
+        w = [mpmath.mpf(x.numerator) / x.denominator for x in w]
+        c = [mpmath.mpf(float(x)) for x in costs[supp]]
+        top = max(c)
+        if top == min(c):
+            return float(top)
+        s = [ci - top for ci in c]
+        eps = mpmath.mpf(eps)
+        if eps >= -mpmath.log(mpmath.fsum(wi for wi, si in zip(w, s) if si == 0)):
+            return float(top)  # saturated: the centre conditioned on the top atoms
+
+        def tilt(theta):
+            """log Z, E_t[s] and Var_t(s) of the tilt t ~ w * exp(theta * s)."""
+            u = [wi * mpmath.exp(theta * si) for wi, si in zip(w, s)]
+            z = mpmath.fsum(u)
+            mean = mpmath.fsum(ui * si for ui, si in zip(u, s)) / z
+            return mpmath.log(z), mean, mpmath.fsum(ui * (si - mean) ** 2 for ui, si in zip(u, s)) / z
+
+        theta, lo, hi = mpmath.sqrt(2 * eps / tilt(mpmath.mpf(0))[2]), mpmath.mpf(0), mpmath.inf
+        step_tol = mpmath.mpf(10) ** (-(mpmath.mp.dps // 2))
+        for _ in range(10_000):
+            log_z, mean, var = tilt(theta)
+            kl_excess = theta * mean - log_z - eps  # increasing in theta
+            lo, hi = (theta, hi) if kl_excess < 0 else (lo, theta)
+            nxt = theta - kl_excess / (theta * var)
+            if not lo < nxt < hi:
+                nxt = 2 * theta if hi == mpmath.inf else (lo + hi) / 2
+            if abs(nxt - theta) <= theta * step_tol:
+                break
+            theta = nxt
+        else:
+            raise LPFailureError("KL dual Newton search did not converge")
+        return float(top + (eps + log_z) / theta)
 
 
 def extremal_oracle_w1(

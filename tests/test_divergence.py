@@ -14,6 +14,7 @@ from _oracles import (
     extremal_oracle_w1,
     kl_divergence_vec,
     kl_extremal_brentq,
+    kl_extremal_mpmath,
     radius_cap_chain,
     rational_weights,
     transport_grid_search,
@@ -846,7 +847,7 @@ class TestKLTiltingOracle:
         if flat:
             table[0] = table[0, 0]
         kind = DivergenceKind.kl()
-        radii = {0.0, 1e-6, 1e-3, 0.05, 0.3, 1.0}
+        radii = {0.0, 5e-324, 1e-300, 1e-6, 1e-3, 0.05, 0.3, 1.0}
         for costs in table:
             if np.ptp(costs[center.support_indices()]) > 0.0:  # flat rows never saturate
                 for c in (costs, -costs):
@@ -860,9 +861,9 @@ class TestKLTiltingOracle:
                 row = half * len(table) + k
                 row_scale = float(np.max(np.abs(costs))) or 1.0
                 for r, eps in enumerate(radii):
-                    if eps > 0.0:
+                    if eps > 1e-100:
                         ref, _ = kl_extremal_brentq(AmbiguityBall(center, float(eps), kind), costs, sense == "max")
-                    else:
+                    else:  # within range * sqrt(eps / 2) of the centre's value; brentq cannot bracket it
                         ref = center.expectation(costs)
                     assert abs(values[row, r] - ref) <= 1e-9 * row_scale
                     witness = witnesses(row, r)
@@ -871,12 +872,37 @@ class TestKLTiltingOracle:
                     alone, alone_witness = extremal_values(center, kind, table[k : k + 1], radii[r : r + 1])
                     assert alone[half, 0] == values[row, r]
                     assert np.array_equal(alone_witness(half, 0).weights, witness.weights)
+        assert np.all(np.isfinite(values))
         for k, costs in enumerate(table):
             slack = 1e-12 * (float(np.max(np.abs(costs))) or 1.0)
             assert np.all(found["min"][k] <= center.expectation(costs) + slack)
             assert np.all(found["max"][k] >= center.expectation(costs) - slack)
             assert np.all(np.diff(found["max"][k]) >= -slack)
             assert np.all(np.diff(found["min"][k]) <= slack)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 8),
+        empty=st.integers(0, 3),
+        tied=st.booleans(),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_matches_mpmath_root_at_tiny_radii(self, seed, m, empty, tied, scale):
+        # At these radii the worst case exceeds the centre's expectation by
+        # about sqrt(2 eps Var), far below the rounding of top - E[c]: the
+        # value must keep that excess, not lose it to cancellation.
+        rng = np.random.default_rng(seed)
+        center, table = random_ball_instance(rng, m, 1, empty, tied)
+        table = table * scale
+        radii = np.array([1e-60, 1e-30, 1e-20, 1e-16, 1e-12])
+        values, _ = extremal_values(center, DivergenceKind.kl(), table, radii)
+        for k, costs in enumerate(table):
+            for r, eps in enumerate(radii):
+                worst = kl_extremal_mpmath(center.weights, costs, eps)
+                best = -kl_extremal_mpmath(center.weights, -costs, eps)
+                assert abs(values[k, r] - worst) <= 1e-12 * max(1.0, abs(worst))
+                assert abs(values[len(table) + k, r] - best) <= 1e-12 * max(1.0, abs(best))
 
 
 def test_absolute_deviation_picks_binding_side(line_grid):

@@ -1299,11 +1299,27 @@ class TestCLI:
         assert result.exit_code == 1
         [line] = result.output.splitlines()
         assert line.startswith(f"error: {tmp_path / 'b.json'}: /metric: ")
-        # With its atoms the metric is read, and its grid is not the first one's.
-        (tmp_path / "b.json").write_text(json.dumps(dict(b, atoms=a["atoms"])))
+
+    @pytest.mark.parametrize(
+        "own, pointer",
+        [
+            ({"metric": [[0, 9, 9], [9, 0, 9], [9, 9, 0]]}, "/metric"),
+            ({"atoms": [[0.0], [1.0], [2.0]]}, "/atoms"),
+            ({"atoms": [[0.0], [1.0], [2.0]], "metric": [[0, 1, 2], [1, 0, 1], [2, 1, 0]]}, "/atoms"),
+            ({"atoms": [[0.0, 0.0], [1.0, 0.0], [3.0, 0.0]]}, "/atoms"),
+        ],
+    )
+    def test_divergence_names_the_grid_the_second_document_makes(self, tmp_path, own, pointer):
+        # Atoms in the second document make its own grid, which must be the
+        # first one's; the pointer is the metric when only the metric differs.
+        a = {"atoms": [[0.0], [1.0], [3.0]], "weights": [0.2, 0.3, 0.5]}
+        b = {"atoms": a["atoms"], "weights": [0.5, 0.5, 0.0], **own}
+        (tmp_path / "a.json").write_text(json.dumps(a))
+        (tmp_path / "b.json").write_text(json.dumps(b))
         result = CliRunner().invoke(main, ["divergence", str(tmp_path / "a.json"), str(tmp_path / "b.json")])
         assert result.exit_code == 1
-        assert result.output.splitlines() == ["error: distributions live on different grids"]
+        [line] = result.output.splitlines()
+        assert line.startswith(f"error: {tmp_path / 'b.json'}: {pointer}: ")
 
     def test_run_dry_run_writes_nothing(self, tmp_path):
         out = tmp_path / "results"

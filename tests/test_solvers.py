@@ -183,6 +183,18 @@ class TestSolveMinmaxDRO:
             assert sol.objective_value >= prev - 1e-9
             prev = sol.objective_value
 
+    @pytest.mark.parametrize("eps", [1e-20, 1e-30, 1e-60])
+    def test_kl_ball_at_a_tiny_radius_keeps_the_nominal_optimum(self, line_grid, eps):
+        # The centre is in the ball, so no worst case is below the best
+        # nominal value; by Pinsker's inequality none exceeds the centre's
+        # expectation by more than the cost's range (3) times sqrt(eps / 2).
+        center = DiscreteDistribution(line_grid, [0.2, 0.3, 0.5])
+        space = DecisionSpace.interval(0, 3, 7)
+        cf = make_cost("absolute")
+        nominal = float(np.min(cost_table(cf, line_grid, space) @ center.weights))
+        sol = solve_minmax_dro(AmbiguityBall(center, eps, DivergenceKind.kl()), cf, space)
+        assert nominal <= sol.objective_value <= nominal + 3.0 * math.sqrt(eps / 2.0) + 4 * math.ulp(nominal)
+
 
 class TestSolveAbsoluteDRO:
     def test_zero_radius_zero_measure(self, line_grid):
