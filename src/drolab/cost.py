@@ -56,14 +56,17 @@ class DecisionSpace:
 
     @classmethod
     def interval(cls, lo: float, hi: float, num: int) -> "DecisionSpace":
-        """Evenly discretized 1-D interval with ``num`` grid points."""
+        """Evenly discretized 1-D interval with ``num`` grid points; an
+        integral float such as ``4.0`` counts as the integer, as in JSON."""
+        if not float(num).is_integer():
+            raise ValueError(f"interval discretization needs a whole number of points, got {num!r}")
         if num < 1:
             raise ValueError("interval discretization needs at least one point")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("interval ends must be finite")
         if hi < lo:
             raise ValueError("interval upper end below lower end")
-        return cls(np.linspace(lo, hi, num)[:, None])
+        return cls(np.linspace(lo, hi, int(num))[:, None])
 
     @classmethod
     def from_json(cls, doc: dict) -> "DecisionSpace":

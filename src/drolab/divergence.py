@@ -15,12 +15,10 @@ repeated instance costs no second solve.
 
 from __future__ import annotations
 
-import dataclasses
 import math
-import sys
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -585,8 +583,10 @@ class Witnesses:
     the rows-by-atoms matrix of every row's witness weights at that radius.
     Both come from one builder batched over rows, so row ``k`` of
     ``weights(r)`` equals ``witnesses(k, r).weights`` bit for bit.  Nothing
-    is built until one of them is called; a result that may never read its
-    witness holds the cell as ``PendingWitness(witnesses, k, r)``.
+    is built until one of them is called, and each call builds its cells
+    anew; a result that may never read its witness holds the cell as
+    ``partial(witnesses, k, r)``, which the first read of its ``witness``
+    builds (:class:`LazyWitness`).
     """
 
     center: DiscreteDistribution
@@ -606,26 +606,18 @@ class Witnesses:
         return q
 
 
-class PendingWitness(partial):
-    """A witness not built yet: ``PendingWitness(fn, *args)`` builds
-    ``fn(*args)`` when called, such as the :class:`Witnesses` cell
-    ``(witnesses, k, r)``.  A result's :class:`LazyWitness` field holds it."""
-
-
-# dataclasses.replace reads every field of the old instance to pass it to the
-# new one; a pending witness read there passes on unbuilt.
-_REPLACE_CODE = dataclasses.replace.__code__
-
-
 class LazyWitness:
     """The ``witness`` field of a result (``solvers.Solution``,
     ``robustness.RobustnessReport``), set as the field's default: None.
 
-    The constructor takes a distribution, None or a :class:`PendingWitness`.
-    A pending witness is built the first time the field is read and then
-    kept, so a result whose witness is never read builds none.
-    :func:`dataclasses.replace` carries it over unbuilt.  Two threads reading
-    one pending witness may both build it; they get equal bits.
+    The constructor takes a distribution, None or a pending witness: a
+    :func:`functools.partial` that builds it when called, such as the
+    :class:`Witnesses` cell ``partial(witnesses, k, r)``.  The first read of
+    the field builds a pending witness and keeps it, so a result whose
+    witness is never read builds none.  :func:`dataclasses.replace`,
+    :mod:`copy` and pickling all read the field, so they build it too.  Two
+    threads reading one pending witness may both build it; they get equal
+    bits.
     """
 
     def __set_name__(self, owner, name: str) -> None:
@@ -635,7 +627,7 @@ class LazyWitness:
         if obj is None:
             return None  # the default, as dataclasses reads it from the class
         held = obj.__dict__[self.name]
-        if isinstance(held, PendingWitness) and sys._getframe(1).f_code is not _REPLACE_CODE:
+        if isinstance(held, partial):
             held = obj.__dict__[self.name] = held()
         return held
 
@@ -684,15 +676,10 @@ def extremal_values(
     if at_center.any():
         values[:, at_center] = np.tile([center.expectation(row) for row in c], 2)[:, None]
 
-    @cache
-    def ball_witnesses() -> Callable[[np.ndarray, int], tuple[np.ndarray, np.ndarray]]:
-        # The oracle's witness builder, made for the first ball cell asked for.
-        return oracle(center, kind, np.concatenate([c, -c]), radii, *parts)
-
     def build(rows: np.ndarray, r: int) -> tuple[np.ndarray, np.ndarray]:
         if at_center[r]:
             return np.zeros((rows.size, center.grid.size)), np.ones(rows.size, dtype=bool)
-        return ball_witnesses()(rows, r)
+        return oracle(center, kind, np.concatenate([c, -c]), radii, *parts)(rows, r)
 
     return values, Witnesses(center, 2 * k, build)
 

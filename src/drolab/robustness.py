@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -19,7 +20,6 @@ from drolab.divergence import (
     AmbiguityBall,
     DivergenceKind,
     LazyWitness,
-    PendingWitness,
     deviation_table,
     deviations_from,
     extremal_values,
@@ -61,8 +61,9 @@ class RobustnessReport:
     """One robustness measurement of a decision.
 
     A measure's witness is left pending
-    (:class:`~drolab.divergence.LazyWitness`): it is built the first time
-    ``witness`` is read, as ``to_json`` does, and then kept.
+    (:class:`~drolab.divergence.LazyWitness`): the first read of ``witness``
+    builds it, and it is then kept.  ``to_json``, ``dataclasses.replace``,
+    :mod:`copy` and pickling all read it, so they build it too.
     """
 
     x: np.ndarray | None
@@ -114,7 +115,7 @@ def absolute_measure(x, ref_value: float, ball: AmbiguityBall, cf: CostFunction)
         "absolute",
         float(dev[0, 0]),
         radius=ball.radius,
-        witness=PendingWitness(witness, 0, 0),
+        witness=partial(witness, 0, 0),
         diagnostics={"max_value": float(extremal[0, 0]), "min_value": float(extremal[1, 0]), "ref_value": ref_value},
     )
 
@@ -153,7 +154,7 @@ def relative_measure(
         np.atleast_1d(np.asarray(x, dtype=float)),
         "relative",
         val,
-        witness=PendingWitness(witness, 0, binding[0]) if radii.size else center,
+        witness=partial(witness, 0, binding[0]) if radii.size else center,
         diagnostics={
             "radius_grid": radii.tolist(),
             "ratios": ratios[0].tolist(),
@@ -346,15 +347,15 @@ def set_robustness(
         spreads = np.array([float(np.linalg.norm(space[i] - space[best_idx[0]])) for i in best_idx])
     first = int(np.argmax(spreads))
     extremal = 2 * len(space) if witnesses is not None else 0
-    witness: DiscreteDistribution | PendingWitness | None = None
+    witness: DiscreteDistribution | partial | None = None
     if spreads[first] > 0.0:
         if first == 0:
             witness = ball.center
         elif first <= extremal:
             k, side = divmod(first - 1, 2)
-            witness = PendingWitness(witnesses, k + side * len(table), 0)
+            witness = partial(witnesses, k + side * len(table), 0)
         else:
-            witness = PendingWitness(DiscreteDistribution, ball.grid, mixed[first - 1 - extremal])
+            witness = partial(DiscreteDistribution, ball.grid, mixed[first - 1 - extremal])
     return RobustnessReport(
         None,
         f"{variant}_set",

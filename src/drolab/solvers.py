@@ -14,8 +14,8 @@ screen's margin of each other.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
-from typing import Callable
+from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -25,7 +25,6 @@ from drolab.divergence import (
     AmbiguityBall,
     DivergenceKind,
     LazyWitness,
-    PendingWitness,
     deviations_from,
     extremal_values,
 )
@@ -48,8 +47,9 @@ class Solution:
     variants, worst-case value for min-max, the measure itself for the
     deviation-minimizing models); ``measure`` and ``witness`` are populated
     by the robust models.  The robust models leave their witness pending
-    (:class:`~drolab.divergence.LazyWitness`): it is built the first time
-    ``witness`` is read, as ``to_json`` does, and then kept.
+    (:class:`~drolab.divergence.LazyWitness`): the first read of ``witness``
+    builds it, and it is then kept.  ``to_json``, ``dataclasses.replace``,
+    :mod:`copy` and pickling all read it, so they build it too.
     """
 
     x: np.ndarray
@@ -182,11 +182,14 @@ def _coupling_lp_deviation(ball: AmbiguityBall, costs: np.ndarray, ref: float) -
 
 def _search_ball(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace, method: str, sided: str) -> Solution:
     # The solution minimizes the worst-case value (one-sided) or the largest
-    # deviation from the best nominal value (two-sided) and reports it as the measure.
+    # deviation from the best nominal value (two-sided).  Either way its
+    # measure is the deviation it guarantees: the worst case minus the best
+    # nominal value, or the two-sided deviation itself.
     table = cost_table(cf, ball.grid, space)
     k = len(table)
     ref = float(np.min(table @ ball.center.weights))
     extremal, witness = extremal_values(ball.center, ball.kind, table, [ball.radius])
+    lp_witnesses: dict[int, DiscreteDistribution] = {}
     if sided == "one":
         values = extremal[:k, 0]
     else:
@@ -204,17 +207,15 @@ def _search_ball(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace, me
             up, down = extremal[screened[0], 0] - ref, ref - extremal[k + screened[0], 0]
             if screened.size > 1 or abs(up - down) <= margin:
                 values = np.full(k, np.inf)
-                witnesses = {}
-                for k in screened.tolist():
-                    values[k], witnesses[k] = _coupling_lp_deviation(ball, table[k], ref)
-
-                def witness(k: int, r: int) -> DiscreteDistribution:
-                    return witnesses[k]
+                for row in screened.tolist():
+                    values[row], lp_witnesses[row] = _coupling_lp_deviation(ball, table[row], ref)
 
     idx, ties = _argmin_lowest(values)
     diagnostics = {"ties": ties, "nominal_ref": ref, "radius": ball.radius, "kind": ball.kind.label()}
     value = float(values[idx])
-    return Solution(space[idx], idx, value, method, PendingWitness(witness, idx, 0), value, diagnostics)
+    measure = value - ref if sided == "one" else value
+    witness = lp_witnesses[idx] if lp_witnesses else partial(witness, idx, 0)
+    return Solution(space[idx], idx, value, method, witness, measure, diagnostics)
 
 
 def solve_minmax_dro(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace) -> Solution:
@@ -223,8 +224,7 @@ def solve_minmax_dro(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace
     The reported measure is the worst-case value minus the best nominal value
     at the ball's center (the one-sided deviation the solution guarantees).
     """
-    sol = _search_ball(ball, cf, space, "minmax_dro", "one")
-    return replace(sol, measure=sol.objective_value - sol.diagnostics["nominal_ref"])
+    return _search_ball(ball, cf, space, "minmax_dro", "one")
 
 
 def solve_absolute_dro(ball: AmbiguityBall, cf: CostFunction, space: DecisionSpace) -> Solution:
@@ -347,7 +347,7 @@ def solve_satisficing_models(
             best_idx,
             best_val,
             "satisficing",
-            witness=PendingWitness(witness, int(at[best]), binding[best]) if radii.size else center,
+            witness=partial(witness, int(at[best]), binding[best]) if radii.size else center,
             measure=best_val,
             diagnostics={
                 "sided": sided,

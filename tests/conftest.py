@@ -1,3 +1,4 @@
+import copy
 import pickle
 import sys
 from dataclasses import replace
@@ -105,15 +106,15 @@ def assert_pending_witness(make, eager: DiscreteDistribution, builds: list, duri
     whose witness waits to be read.  Its builder calls, as
     :func:`witness_builds` records them, are ``during`` while it is made and
     ``on_read`` more at the first read of ``witness`` (one single-row
-    build; none for a distribution already in hand), and none at later reads
-    or in ``dataclasses.replace``.  The witness has the bits of ``eager``,
-    the distribution built for it before, also after ``replace`` and a
-    pickle round trip, and the result's JSON is the one it has with
-    ``eager`` as its witness."""
+    build; none for a distribution already in hand), and none at later
+    reads.  ``dataclasses.replace``, ``copy.copy``, ``copy.deepcopy`` and a
+    pickle round trip each read the witness, so each builds a fresh result's
+    witness as that first read does, and the copy holds it built.  The
+    witness has the bits of ``eager``, the distribution built for it before,
+    in the result and in every copy, and the result's JSON is the one it has
+    with ``eager`` as its witness."""
     builds.clear()
     result = make()
-    assert builds == list(during)
-    moved = replace(result, measure=-1.0)
     assert builds == list(during)
     witness = result.witness
     assert builds == [*during, *on_read]
@@ -121,5 +122,10 @@ def assert_pending_witness(make, eager: DiscreteDistribution, builds: list, duri
     assert builds == [*during, *on_read]
     assert witness.weights.tobytes() == eager.weights.tobytes()
     assert result.to_json() == replace(result, witness=eager).to_json()
-    assert moved.witness.weights.tobytes() == eager.weights.tobytes()
-    assert pickle.loads(pickle.dumps(make())).witness.weights.tobytes() == eager.weights.tobytes()
+    assert replace(result, measure=-1.0).witness is witness
+    for move in (lambda r: replace(r, measure=-1.0), copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+        builds.clear()
+        moved = move(make())
+        assert builds == [*during, *on_read]
+        assert moved.witness.weights.tobytes() == eager.weights.tobytes()
+        assert builds == [*during, *on_read]

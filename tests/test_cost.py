@@ -35,6 +35,12 @@ class TestDecisionSpace:
         assert space[0] == pytest.approx([0.0])
         assert space[4] == pytest.approx([1.0])
 
+    def test_interval_takes_an_integral_float_count(self):
+        assert DecisionSpace.interval(0.0, 3.0, 4.0).points.tobytes() == DecisionSpace.interval(0.0, 3.0, 4).points.tobytes()
+        for num in (2.5, math.nan, math.inf):
+            with pytest.raises(ValueError, match="whole number of points"):
+                DecisionSpace.interval(0.0, 3.0, num)
+
     def test_points_accept_scalars(self):
         space = DecisionSpace.from_points([0.0, 0.5, 1.0])
         assert space.points.shape == (3, 1)

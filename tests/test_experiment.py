@@ -8,6 +8,7 @@ import math
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from concurrent.futures import Future
 from pathlib import Path
@@ -16,7 +17,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 import drolab
 from _oracles import dense_transport_lp, validate_config_jsonschema
@@ -465,6 +466,23 @@ class TestOracleValidator:
         if path[:2] == ("methods", 2) and path[2] == "beta":
             del doc["methods"][2]["alpha"]
         self._agree(_set(doc, path, value))
+
+
+class TestAcceptedDocumentsRun:
+    """A mutated config, accepted or not, ends ``run`` and ``verify-bounds``
+    with an exit code (0, 1 or 2) and never with a traceback."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(single_mutations())
+    # The validator admits an integral float count, as JSON Schema does.
+    @example(_set(base_config("results"), ("space", "interval", "num"), 4.0))
+    def test_single_mutations_exit_cleanly(self, tmp_path, doc):
+        folder = Path(tempfile.mkdtemp(dir=tmp_path))
+        (folder / "config.json").write_text(json.dumps(doc))
+        runner = CliRunner(env={OUTPUT_DIR_ENV: str(folder / "results")})
+        for command in ("run", "verify-bounds"):
+            result = runner.invoke(main, [command, str(folder / "config.json")])
+            assert result.exception is None or isinstance(result.exception, SystemExit), (command, result.output)
 
 
 class TestRunner:
@@ -1004,6 +1022,27 @@ class TestCLI:
         assert result.exit_code == 1
         assert result.output.splitlines() == [f"error: {message}"]
 
+    def test_an_integral_float_interval_count_reads_as_the_integer(self, tmp_path):
+        # "num": 4.0 passes validation, as JSON Schema's integer admits it;
+        # every command that builds the space prints what it prints for 4.
+        # Only the config hash differs, as it names the document's own text.
+        printed = []
+        for num in (4, 4.0):
+            problem, config = tmp_path / "problem.json", tmp_path / "config.json"
+            problem.write_text(json.dumps(_set(problem_doc(), ("space", "interval", "num"), num)))
+            doc = _set(base_config(str(tmp_path / "out")), ("space", "interval", "num"), num)
+            config.write_text(json.dumps(doc))
+            results = [CliRunner().invoke(main, args) for args in (
+                ["solve", str(problem), "--method", "abs_dro", "--eps", "0.3"],
+                ["measure", str(problem), "--kind", "set", "--eps", "0.3"],
+                ["verify-bounds", str(config)],
+                ["run", str(config)],
+            )]
+            assert [result.exit_code for result in results] == [0, 0, 0, 0], results[-1].output
+            printed.append([result.output.replace(config_hash(doc), "HASH") for result in results])
+            printed[-1].append((tmp_path / "out" / "results.csv").read_text())
+        assert printed[0] == printed[1]
+
     def test_solve_rejects_a_flag_its_method_does_not_read(self, tmp_path):
         (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))
         runner = CliRunner()
@@ -1407,3 +1446,53 @@ class TestCLI:
         )
         assert result.returncode == 0
         assert "drolab" in result.stdout
+
+
+# `drolab solve` and `drolab measure` on problem_doc(): every method and every
+# measure kind, the ball ones on W1 and W2 balls.  KL balls are left out: their
+# oracle's values may move by ulps.
+_BALL_SOLVES = [
+    ["minmax_dro", "--eps", "0.3"],
+    ["abs_dro", "--eps", "0.3"],  # the screen's coupling LP decides
+    ["abs_dro", "--eps", "0.6"],  # the dual decides alone
+    ["satisficing", "--sided", "one"],
+    ["satisficing", "--sided", "two", "--delta", "0.2"],
+]
+_BALL_MEASURES = [
+    ["absolute", "--eps", "0.3"],
+    ["absolute", "--eps", "0.3", "--x-index", "4", "--ref", "1.0"],
+    ["relative"],
+    ["local", "--variant", "objective"],
+    ["local", "--variant", "solution"],
+    ["set", "--eps", "0.3", "--variant", "objective", "--budget", "20"],
+    ["set", "--eps", "0.6", "--variant", "solution", "--budget", "20", "--seed", "3"],
+]
+GOLDEN_CLI_CASES = [
+    ["solve", "--method", "saa"],
+    ["solve", "--method", "reg_saa", "--lambda", "0.5"],
+    ["solve", "--method", "bayes_dp", "--alpha", "2.0"],
+    ["solve", "--method", "bayes_dp", "--beta", "0.3"],
+    *(["solve", "--method", *args, "--p", p] for p in ("1", "2") for args in _BALL_SOLVES),
+    ["measure", "--kind", "pac", "--draws", "500", "--level", "0.5"],
+    *(["measure", "--kind", *args, "--p", p] for p in ("1", "2") for args in _BALL_MEASURES),
+]
+GOLDEN_CLI = Path(__file__).parent / "data" / "golden_cli.json"
+
+
+def golden_cli_output(problem: Path, case: list) -> str:
+    """What ``drolab`` prints for ``case`` on the problem document ``problem``."""
+    result = CliRunner().invoke(main, [case[0], str(problem), *case[1:]])
+    assert result.exit_code == 0, result.output
+    return result.output
+
+
+def test_solve_and_measure_keep_their_golden_bytes(tmp_path):
+    # tests/data/golden_cli.json holds each case's printed document under its
+    # command line; printed again as the CLI prints it, it must give the same
+    # bytes, so every value and witness weight keeps its bits.
+    golden = json.loads(GOLDEN_CLI.read_text())
+    assert sorted(golden) == sorted(" ".join(case) for case in GOLDEN_CLI_CASES)
+    (tmp_path / "prob.json").write_text(json.dumps(problem_doc()))
+    for case in GOLDEN_CLI_CASES:
+        want = json.dumps(golden[" ".join(case)], indent=2, sort_keys=True, allow_nan=False) + "\n"
+        assert golden_cli_output(tmp_path / "prob.json", case) == want, case
