@@ -25,6 +25,7 @@ from drolab.divergence import (
     AmbiguityBall,
     DivergenceKind,
     LazyWitness,
+    _kept,
     deviations_from,
     extremal_values,
 )
@@ -248,14 +249,17 @@ def satisficing_radius_grid(kind: DivergenceKind, center: DiscreteDistribution) 
     Empty when the cap is 0, as for a forward phi ball around a Dirac: such
     a ball is its centre at every radius, so every deviation over it is 0 and
     the rate measures read 0.  The local measure's radii halve down from the
-    last radius here, so this decides for both grids.
+    last radius here, so this decides for both grids.  The grid is made once
+    per kind and kept on ``center`` (see :func:`~drolab.divergence._kept`);
+    every call returns that shared array, which is read-only.
     """
-    cap = kind.radius_cap(center)
-    if not math.isfinite(cap):
-        raise ValueError(f"{kind.label()} balls never stop growing, so they have no radius grid")
-    if cap == 0.0:
-        return np.empty(0)
-    return np.geomspace(cap * SATISFICING_RADIUS_FLOOR, cap, SATISFICING_RADII)
+    def grid() -> tuple[np.ndarray]:
+        cap = kind.radius_cap(center)
+        if not math.isfinite(cap):
+            raise ValueError(f"{kind.label()} balls never stop growing, so they have no radius grid")
+        return (np.geomspace(cap * SATISFICING_RADIUS_FLOOR, cap, SATISFICING_RADII) if cap > 0.0 else np.empty(0),)
+
+    return _kept(center, ("satisficing_radius_grid", kind), grid)[0]
 
 
 def rate_profile(

@@ -177,8 +177,11 @@ class DiscreteDistribution:
     # their key, as floats or read-only arrays, never anything that refers
     # back to it: transport distances to it (``divergence.wasserstein``),
     # both senses of each ball-oracle pass over a cost table and radii
-    # (``divergence._signed_pass``) and the Wasserstein dual's breakpoints
-    # (``divergence._dual_breakpoints``).  They live exactly as long as it does.
+    # (``divergence._signed_pass``), the Wasserstein dual's breakpoints of
+    # each table (``divergence._dual_breakpoints``) and the satisficing radius
+    # grid of each kind (``solvers.satisficing_radius_grid``).  A table whose
+    # rows are all rows of a kept table is served from its arrays and adds no
+    # entry (``divergence._kept``).  They live exactly as long as it does.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:

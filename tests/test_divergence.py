@@ -815,6 +815,75 @@ class TestDualBreakpointMemo:
             divergence._signed_pass(center, kind, table, radii)
         assert len(passes) == 2
 
+    # Rows of a kept 4-row table: a subset, a single row, all rows permuted,
+    # and a row repeated.
+    PICKS = {"subset": [0, 2], "single": [3], "permuted": [2, 0, 3, 1], "repeated": [1, 1, 2]}
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 8),
+        dim=st.sampled_from([1, 2]),
+        kind=st.sampled_from([1.0, 1.5, 2.0, "kl"]),
+        empty=st.integers(1, 3),
+        tied=st.booleans(),
+        fracs=st.lists(RADIUS_FRACTIONS, min_size=1, max_size=4),
+        other=st.lists(RADIUS_FRACTIONS, min_size=1, max_size=3),
+        pick=st.sampled_from(sorted(PICKS)),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_rows_of_a_kept_table_match_a_fresh_centre(self, seed, m, dim, kind, empty, tied, fracs, other, pick):
+        rng = np.random.default_rng(seed)
+        center, table = random_ball_instance(rng, m, dim, empty, tied, rows=4)
+        center, fresh = (DiscreteDistribution(center.grid, center.weights) for _ in range(2))
+        kind = DivergenceKind.kl() if kind == "kl" else DivergenceKind.wasserstein_order(kind)
+        cap = kind.radius_cap(center)
+        radii = np.array(fracs) * cap
+        other = np.concatenate([np.array(other) * cap, radii])  # another grid, never this one
+        sub = table[self.PICKS[pick]]
+        extremal_values(center, kind, table, radii)
+        kept = len(center._memo)
+        # The same radii: the kept pass answers, with no new entry.
+        with pytest.MonkeyPatch.context() as patch:
+            work = [spy_on(patch, divergence, name) for name in self.WORK]
+            served = divergence._signed_pass(center, kind, sub, radii)
+            warm_values, warm = extremal_values(center, kind, sub, radii)
+        assert not any(work)
+        assert len(center._memo) == kept
+        cold = divergence._signed_pass(fresh, kind, sub, radii)
+        assert [arr.tobytes() for arr in served] == [arr.tobytes() for arr in cold]
+        self._assert_same_bits((warm_values, warm), extremal_values(fresh, kind, sub, radii), radii.size)
+        # Other radii: one sweep, on the kept breakpoints for a Wasserstein
+        # ball, and one new entry, the sweep's pass.
+        with pytest.MonkeyPatch.context() as patch:
+            walks = spy_on(patch, divergence, "_upper_envelopes")
+            warm = extremal_values(center, kind, sub, other)
+        assert not walks
+        assert len(center._memo) == kept + 1
+        self._assert_same_bits(warm, extremal_values(fresh, kind, sub, other), other.size)
+
+    @staticmethod
+    def _assert_same_bits(warm, cold, radii: int) -> None:
+        (warm_values, warm), (cold_values, cold) = warm, cold
+        assert warm_values.tobytes() == cold_values.tobytes()
+        for r in range(radii):
+            assert warm.weights(r).tobytes() == cold.weights(r).tobytes()
+            for k in range(warm.rows):
+                assert warm(k, r).weights.tobytes() == cold(k, r).weights.tobytes()
+
+    @pytest.mark.parametrize("kind", [DivergenceKind.wasserstein_order(1.0), DivergenceKind.kl()])
+    def test_a_signed_zero_is_another_row(self, square_grid, spy, kind):
+        # 0.0 and -0.0 compare equal as floats but are different bytes, so
+        # the row with -0.0 is solved anew and kept under its own key.
+        work = spy(divergence, "_wasserstein_values" if kind.family == "wasserstein" else "_kl_values")
+        center = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
+        table = np.array([[0.0, 1.0, 2.0, -1.0], [1.0, -2.0, 0.5, 3.0]])
+        entries = 2 if kind.family == "wasserstein" else 1  # a pass, and its breakpoints
+        extremal_values(center, kind, table, [0.2])
+        extremal_values(center, kind, table[1:], [0.2])
+        assert (len(work), len(center._memo)) == (1, entries)
+        extremal_values(center, kind, [[-0.0, 1.0, 2.0, -1.0]], [0.2])
+        assert (len(work), len(center._memo)) == (2, 2 * entries)
+
 
 def _saturation_radius(center: DiscreteDistribution, costs: np.ndarray) -> float:
     """-log of the centre's mass on its costliest support atoms: from this

@@ -470,7 +470,8 @@ class TestOracleValidator:
 
 class TestAcceptedDocumentsRun:
     """A mutated config, accepted or not, ends ``run`` and ``verify-bounds``
-    with an exit code (0, 1 or 2) and never with a traceback."""
+    with an exit code (0, 1 or 2) and never with a traceback; a rejected one
+    ends ``run`` with exit code 1, one ``error:`` line and nothing written."""
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(single_mutations())
@@ -483,6 +484,21 @@ class TestAcceptedDocumentsRun:
         for command in ("run", "verify-bounds"):
             result = runner.invoke(main, [command, str(folder / "config.json")])
             assert result.exception is None or isinstance(result.exception, SystemExit), (command, result.output)
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(single_mutations())
+    def test_rejected_mutations_exit_1_and_write_nothing(self, tmp_path, doc):
+        # A document the validator rejects ends ``run`` before any task: one
+        # ``error:`` line and no results.csv or run_record.json.
+        if _pointer(validate_config, doc) is None:
+            return
+        folder = Path(tempfile.mkdtemp(dir=tmp_path))
+        (folder / "config.json").write_text(json.dumps(doc))
+        runner = CliRunner(env={OUTPUT_DIR_ENV: str(folder / "results")})
+        result = runner.invoke(main, ["run", str(folder / "config.json")])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
+        assert len(result.output.splitlines()) == 1 and result.output.startswith("error: "), result.output
+        assert sorted(path.name for path in folder.rglob("*")) == ["config.json"]
 
 
 class TestRunner:
@@ -697,13 +713,14 @@ class TestVerifyBounds:
     def test_one_replication_solves_each_table_once(self, tmp_path, spy):
         # The absolute and one-sided suites read the decision table at the
         # radius, and the relative suite the nominal optimum's row on the
-        # satisficing grid, in both senses: one breakpoint walk and one value
-        # sweep per table.
+        # satisficing grid, in both senses: one value sweep per (table,
+        # radii), on the one breakpoint walk of the decision table, of which
+        # the nominal optimum's row is a row.
         walks, sweeps = spy(divergence, "_upper_envelopes"), spy(divergence, "_wasserstein_values")
         ok, _ = verify_bounds(resolve_config(base_config(str(tmp_path))))
         assert ok
         assert len(sweeps) == 2
-        assert sorted(args[0].shape for args, _ in walks) == [(2, 3), (10, 3)]
+        assert [args[0].shape for args, _ in walks] == [(10, 3)]
 
     def test_ball_records_are_the_rows_run_writes_for_the_default_entries(self, tmp_path, monkeypatch):
         # verify_bounds reads its ball suites through METHODS, so run on the

@@ -493,11 +493,14 @@ class TestRatePath:
 
 def test_report_walks_each_table_once(spy):
     # The Wasserstein sweeps of one robustness report on a 3x3 plane (the
-    # 21-row decision table and the SAA decision's row) solve each (table,
-    # radii) once for both senses, on one breakpoint walk per table over the
-    # shared centre: the two-sided calls read what the one-sided
-    # minmax_dro and satisficing sweeps left.
+    # 21-row decision table and the SAA decision's row) solve each radius
+    # grid once for both senses, on the one breakpoint walk of the decision
+    # table over the shared centre: the SAA row is a row of that table, so
+    # the two-sided calls read what the one-sided minmax_dro and
+    # satisficing sweeps left, and the three rate measures share one
+    # satisficing radius grid.
     walks, sweeps = spy(divergence, "_upper_envelopes"), spy(divergence, "_wasserstein_values")
+    grids = spy(np, "geomspace")
     axis = [-1.0, 0.0, 1.0]
     grid = SupportGrid.euclidean([[a, b] for a in axis for b in axis])
     space = DecisionSpace.interval(-2.0, 2.0, 21)
@@ -511,8 +514,9 @@ def test_report_walks_each_table_once(spy):
     relative_measure(saa.x, saa.objective_value, W1, center, cf)
     local_measure(space, center, saa.objective_value, cf, W1, "objective")
     set_robustness(ball, cf, space, "objective", budget=4, seed=3)
-    assert len(sweeps) == 4
-    assert sorted(args[0].shape for args, _ in walks) == [(2, 9), (42, 9)]
+    assert len(sweeps) == 3
+    assert [args[0].shape for args, _ in walks] == [(42, 9)]
+    assert len(grids) == 1
 
 
 class TestWitnessBuiltWhenRead:

@@ -499,6 +499,23 @@ class TestSolveRobustSatisficing:
             assert sol.diagnostics["radius_grid"] == sol.diagnostics["ratios"] == []
             assert sol.diagnostics["binding_radius"] is None
 
+    @pytest.mark.parametrize("kind", [W1, DivergenceKind.wasserstein_order(2.0), DivergenceKind.kl()])
+    @pytest.mark.parametrize("weights", [[0.2, 0.3, 0.5], [0.0, 0.4, 0.6], [0.0, 1.0, 0.0]])
+    def test_radius_grid_is_kept_on_the_centre_read_only(self, line_grid, kind, weights):
+        # One grid per (centre, kind), shared by every later call; a write to
+        # it would change every later rate measure on that centre.
+        center = DiscreteDistribution(line_grid, weights)
+        radii = satisficing_radius_grid(kind, center)
+        assert satisficing_radius_grid(kind, center) is radii
+        assert list(center._memo.values()) == [(radii,)]
+        assert not radii.flags.writeable
+        cap = kind.radius_cap(center)
+        fresh = np.geomspace(cap * 1e-4, cap, 40) if cap > 0.0 else np.empty(0)
+        assert radii.tobytes() == fresh.tobytes()
+        if radii.size:
+            with pytest.raises(ValueError):
+                radii[0] = 1.0
+
 
 class TestWitnessBuiltWhenRead:
     """A solution keeps its witness pending until ``witness`` is read: one
