@@ -5,10 +5,13 @@ estimate ``P`` has posterior mean ``alpha/(alpha+n) * P + n/(alpha+n) * Pn``
 after n observations.  Conversely, any regularizer that matches the expected
 cost under some distribution at every decision grid point turns a regularized
 empirical model into such a mixture model.  The matching distribution is found
-by a moment-feasibility LP over the weights alone; only when that finds none
-within tolerance does a minimum-L1-residual LP run, whose vertex either
-reproduces the moments or gives the :class:`Infeasible` verdict and its
-residual.
+by a moment-feasibility LP over the weights alone, which reads an orthonormal
+basis of the moment rows rather than the rows themselves (the k + 1 rows of
+k decisions over m atoms have rank at most m, however large k is).
+Residuals and verdicts are still checked on every row: only when that LP
+finds no weights within tolerance does a minimum-L1-residual LP over all the
+rows run, whose vertex either reproduces the moments or gives the
+:class:`Infeasible` verdict and its residual.
 """
 
 from __future__ import annotations
@@ -176,12 +179,16 @@ def prior_from_regularizer(
 
     Solves the moment-feasibility program ``w >= 0, sum w = 1,
     sum_j w_j h(x_k, xi_j) = f(x_k)`` for all constraint points.  A
-    zero-objective LP over the weights alone runs first; when its vertex,
-    clamped at 0 and renormalised, reproduces every moment within
-    :data:`MOMENT_TOL` it is the answer.  Otherwise a minimum-L1-residual LP
-    (with ``2k`` more columns for the residual splits) decides: its vertex is
-    returned when its residual is within tolerance, and an
-    :class:`Infeasible` verdict carrying that residual when it is not.
+    zero-objective LP over the weights alone runs first, on an orthonormal
+    basis of the row space of ``[h; 1]`` (the left singular vectors above
+    numpy's ``matrix_rank`` tolerance), so its equality rows are as many as
+    the system's rank, not one per decision.  When its vertex, clamped at 0
+    and renormalised, reproduces every moment of every row within
+    :data:`MOMENT_TOL` it is the answer.  Otherwise, or when that LP finds
+    no vertex, a minimum-L1-residual LP over all the rows (with ``2k`` more
+    columns for the residual splits) decides: its vertex is returned when
+    its residual is within tolerance, and an :class:`Infeasible` verdict
+    carrying that residual when it is not.
     ``max_entropy=True`` nudges the vertex toward the maximum-entropy
     representative.
     """
@@ -194,7 +201,10 @@ def prior_from_regularizer(
     m = grid.size
     c_full = np.vstack([h, np.ones((1, m))])
     d_full = np.concatenate([targets, [1.0]])
-    res = solve_lp(np.zeros(m), a_eq=c_full, b_eq=d_full)
+    # An orthonormal basis of the row space, at numpy's matrix_rank tolerance.
+    u, s, _ = np.linalg.svd(c_full, full_matrices=False)
+    basis = u[:, s > s[0] * max(c_full.shape) * np.finfo(float).eps].T
+    res = solve_lp(np.zeros(m), a_eq=basis @ c_full, b_eq=basis @ d_full)
     found = _lp_weights(res.x, h, targets) if res.ok else None
     if found is None or found[1] > MOMENT_TOL:
         found = _min_l1_weights(h, targets)

@@ -184,11 +184,10 @@ def cost_table(cf: CostFunction, grid: SupportGrid, space: DecisionSpace) -> np.
 
 def _checked_table(cf: CostFunction, points: np.ndarray, atoms: np.ndarray) -> np.ndarray:
     table = cf.table(points, atoms)
-    bad = np.argwhere(~np.isfinite(table))
-    if bad.size:
-        k, j = bad[0]
-        raise NonFiniteCostError(f"cost {cf.name!r} is not finite at x={points[k].tolist()}, atom index {int(j)}")
-    return table
+    if np.isfinite(table).all():
+        return table
+    k, j = np.argwhere(~np.isfinite(table))[0]
+    raise NonFiniteCostError(f"cost {cf.name!r} is not finite at x={points[k].tolist()}, atom index {int(j)}")
 
 
 def with_lipschitz_scale(cf: CostFunction, scale: float) -> CostFunction:

@@ -276,7 +276,9 @@ def _upper_envelopes(c: np.ndarray, dist_pow: np.ndarray, w: np.ndarray) -> tupl
     events = [(np.zeros((c.shape[0], 1)), np.sum(w * c_act, axis=1, keepdims=True),
                np.sum(w * d_act, axis=1, keepdims=True))]
     with np.errstate(divide="ignore", invalid="ignore"):
-        while True:
+        # Each centre atom's own line is flat (the metric's diagonal is 0), so
+        # an envelope can still move exactly while its active slope is > 0.
+        while d_act.any():
             # cross[k, i, j]: where line i overtakes the active line of (k, j).
             flatter = dist_pow[None] < d_act[:, None, :]
             slope_gap = d_act[:, None, :] - dist_pow[None]
@@ -376,8 +378,51 @@ def _wasserstein_values(
     dual = a[:, :, None] + lam[:, :, None] * (budgets[None, None, :] - s[:, :, None])
     best = np.argmin(dual, axis=1)
     values = np.take_along_axis(dual, best[:, None, :], axis=1)[:, 0, :]
+    lam_best = np.take_along_axis(lam, best, axis=1)
+    _resolve_inexact_cells(center, c, dist_pow, budgets, lam, values, lam_best)
     values[:, radii >= center.grid.diameter] = np.max(c, axis=1)[:, None]
-    return values, np.take_along_axis(lam, best, axis=1)
+    return values, lam_best
+
+
+# The largest share of a row's cost scale, max(1, max |c|), that the rounding
+# of a Wasserstein dual value read from the breakpoints' running sums may
+# reach through its multiplier; cells above it are solved term by term.  On
+# the benchmark's workloads no cell's bound reaches 1/900 of it.
+_RUNNING_SUM_ERROR_MAX = 1e-10
+_UNIT_ROUNDOFF = np.finfo(float).eps / 2
+
+
+def _resolve_inexact_cells(
+    center: DiscreteDistribution, c: np.ndarray, dist_pow: np.ndarray, budgets: np.ndarray,
+    lam: np.ndarray, values: np.ndarray, lam_best: np.ndarray,
+) -> None:
+    """Solve again, in place, the cells of :func:`_wasserstein_values` whose
+    value the running sums ``a - lam * s`` may carry too much rounding into.
+
+    ``s`` sums up to ``max dist_pow`` over up to ``1 + m**2`` terms, so a
+    large dual optimum ``lam`` (two atoms very close, at a small radius)
+    leaves ``a - lam * s`` with up to ``(1 + m**2) * u * lam * (max dist_pow
+    + eps**p)`` of rounding, ``u`` the unit roundoff.  A cell where that
+    exceeds :data:`_RUNNING_SUM_ERROR_MAX` of its row's cost scale takes the
+    dual's minimum over its row's breakpoints from the direct form ``lam *
+    eps**p + sum_j w_j max_i (c_i - lam * dist_pow[i, j])``, whose terms
+    stay within the costs' range at the optimum, and that minimum's ``lam``.
+    A cell's verdict reads its own row and radius only.
+    """
+    reach = lam_best * ((1 + dist_pow.size) * _UNIT_ROUNDOFF * (float(np.max(dist_pow)) + budgets))
+    if float(np.max(reach)) <= _RUNNING_SUM_ERROR_MAX:
+        return  # within every row's bound: a cost scale is at least 1
+    inexact = reach > _RUNNING_SUM_ERROR_MAX * np.maximum(1.0, np.max(np.abs(c), axis=1))[:, None]
+    supp = center.support_indices()
+    w, d = center.weights[supp], dist_pow[:, supp]
+    for k in np.flatnonzero(inexact.any(axis=1)):
+        direct = lam[k][:, None] * budgets[None, :] + (
+            np.max(c[k][None, :, None] - lam[k][:, None, None] * d[None], axis=1) @ w
+        )[:, None]
+        cells = np.flatnonzero(inexact[k])
+        pick = np.argmin(direct[:, cells], axis=0)
+        values[k, cells] = direct[pick, cells]
+        lam_best[k, cells] = lam[k][pick]
 
 
 def _wasserstein_witnesses(
@@ -724,9 +769,13 @@ def extremal_expectation(
     """Worst-case (``sense="max"``) or best-case expectation of per-atom costs.
 
     One cell of :func:`extremal_values`.  Wasserstein balls are solved exactly
-    through the finite strong dual; the witness moves each centre atom to an
-    atom attaining its max at the dual optimum, spending the transport budget
-    exactly, and attains the value to 1e-9.  KL balls go through the
+    through the finite strong dual; the rounding that the breakpoints'
+    running sums add to the value through a large multiplier stays within
+    1e-10 of the row's cost scale, ``max(1, max |c|)`` (a cell whose bound
+    exceeds that is solved term by term, see
+    :func:`_resolve_inexact_cells`), and the witness moves each centre atom
+    to an atom attaining its max at the dual optimum, spending the transport
+    budget exactly, and attains the value to 1e-9.  KL balls go through the
     exponential-tilting dual ``min_{lam>0} lam*eps + lam*log E_center exp(c/lam)``;
     the returned value is the dual at the root of ``KL(tilt) = eps`` and the
     witness is the tilted center.  Against a per-ball bracketed root search
@@ -735,7 +784,10 @@ def extremal_expectation(
     values agreed to 1.7e-11 and the witnesses attained them to 6.1e-11,
     both relative to ``max(1, |value|)``; no witness's KL exceeded the
     radius by more than 7.8e-15.  Against a multiple-precision root (also
-    in the tests) the values agreed to 1.4e-14 at radii from 1e-300 to 1.
+    in the tests), on 1,800 random rows at radii from 1e-300 to 1 and cost
+    scales from 1e-3 to 1e3, the values agreed to 4.5e-16 of the row's cost
+    scale, ``max(1, max |c|)``; relative to ``max(1, |value|)`` that reads
+    up to 1.5e-13, where the value is much smaller than the costs.
     """
     if sense not in ("max", "min"):
         raise ValueError("sense must be 'max' or 'min'")

@@ -8,13 +8,14 @@ enumerated polytope corners, and order-1 distances by enumerating the
 vertices of the potential polytope.  Values frozen into tests come from
 these.  Worst- and best-case expectations over Wasserstein balls also have
 their primal coupling LP here, solved by SciPy's HiGHS, as the reference for
-the package's dual oracle.  The loop-by-loop Bland simplex that
-:mod:`drolab.lp` vectorised is kept here as :func:`bland_lp_reference`, which
-the package's solver must match bit for bit, and the per-ball bracketed
-``brentq`` solve of the KL tilting dual that :mod:`drolab.divergence`
-batched is kept as :func:`kl_extremal_brentq`; :func:`kl_extremal_mpmath`
-solves the same dual in multiple precision, for radii too small for a
-double-precision root.  The built-in costs' scalar
+the package's dual oracle, and :func:`wasserstein_dual_rational` evaluates
+that dual at every candidate multiplier in exact rationals.  The
+loop-by-loop Bland simplex that :mod:`drolab.lp` vectorised is kept here
+as :func:`bland_lp_reference`, which the package's solver must match bit
+for bit, and the per-ball bracketed ``brentq`` solve of the KL tilting dual
+that :mod:`drolab.divergence` batched is kept as :func:`kl_extremal_brentq`;
+:func:`kl_extremal_mpmath` solves the same dual in multiple precision, for
+radii too small for a double-precision root.  The built-in costs' scalar
 formulas, which :mod:`drolab.cost` replaced by array formulas over the whole
 decision x atom grid, are kept as :func:`scalar_cost` and evaluated cell by
 cell in :func:`scalar_cost_table`; the finite-difference Lipschitz quotient
@@ -39,7 +40,10 @@ which the package skips when the level band decides the probability, is
 kept as :func:`pac_robustness_mc`.  ``bayes.prior_from_regularizer``
 with its minimum-L1-residual LP on every instance, which the package now runs
 only after a feasibility LP finds no prior, is kept as
-:func:`prior_from_regularizer_l1`.  The
+:func:`prior_from_regularizer_l1`.  ``divergence._upper_envelopes`` as
+it walked before it stopped at its last transition, with one more crossing
+pass that found nothing to move, is kept as
+:func:`upper_envelopes_full_walk`.  The
 config validator that ran a JSON Schema (``tests/data/config.schema.json``)
 through ``jsonschema`` and then checked method entries against
 ``experiment.METHODS``, which the package replaced by plain-Python checks, is
@@ -377,6 +381,29 @@ def extremal_oracle_w1(
     ok = corners[corner_dists <= eps + 1e-9]
     corner_best = float(np.max(ok @ costs)) if ok.size else -math.inf
     return scan_best, max(scan_best, corner_best)
+
+
+def wasserstein_dual_rational(weights: np.ndarray, dist_pow: np.ndarray, costs: np.ndarray, budget: float) -> float:
+    """Worst-case expectation of ``costs`` over a W_p ball, from the strong
+    dual ``min_{lam >= 0} lam * budget + sum_j w_j max_i (c_i - lam *
+    dist_pow[i, j])`` evaluated in exact rationals at ``lam = 0`` and at
+    every crossing of two lines of one centre atom, where its minimum lies.
+    ``budget`` is ``eps**p`` and ``dist_pow`` the metric to the power p,
+    both as the floats the package reads; only the result is rounded."""
+    supp = [j for j, wj in enumerate(weights) if wj > 0]
+    c = [Fraction(float(x)) for x in costs]
+    d = [[Fraction(float(x)) for x in row] for row in dist_pow]
+    w = {j: Fraction(float(weights[j])) for j in supp}
+    lams = {Fraction(0)}
+    for j in supp:
+        for i, k in itertools.combinations(range(len(c)), 2):
+            if d[i][j] != d[k][j]:
+                lam = (c[i] - c[k]) / (d[i][j] - d[k][j])
+                if lam > 0:
+                    lams.add(lam)
+    eps_p = Fraction(float(budget))
+    return float(min(lam * eps_p + sum(w[j] * max(ci - lam * d[i][j] for i, ci in enumerate(c)) for j in supp)
+                     for lam in lams))
 
 
 def ball_extremal_lp(
@@ -847,6 +874,45 @@ def prior_from_regularizer_l1(f, cf, x_constraints, grid, max_entropy: bool = Fa
 
 
 _CONFIG_SCHEMA = json.loads((Path(__file__).parent / "data" / "config.schema.json").read_text())
+
+
+def upper_envelopes_full_walk(c: np.ndarray, dist_pow: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """``divergence._upper_envelopes`` as it walked before it stopped at the
+    last transition: every walk ends with one more crossing pass over all
+    (row, line, atom) cells, which finds no envelope left to move."""
+    rows, cols = np.arange(c.shape[0])[:, None], np.arange(dist_pow.shape[1])[None, :]
+    top = np.max(c, axis=1)
+    active = np.argmin(np.where((c == top[:, None])[:, :, None], dist_pow[None], np.inf), axis=1)
+    c_act, d_act = c[rows, active], dist_pow[active, cols]
+    lam_now = np.zeros(active.shape)
+    # (lam, change of a, change of s) per event: the sums at lam = 0, then one
+    # (k, s) block per step.
+    events = [(np.zeros((c.shape[0], 1)), np.sum(w * c_act, axis=1, keepdims=True),
+               np.sum(w * d_act, axis=1, keepdims=True))]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            # cross[k, i, j]: where line i overtakes the active line of (k, j).
+            flatter = dist_pow[None] < d_act[:, None, :]
+            slope_gap = d_act[:, None, :] - dist_pow[None]
+            cross = np.where(flatter, (c_act[:, None, :] - c[:, :, None]) / slope_gap, np.inf)
+            nxt = np.min(cross, axis=1)
+            live = np.isfinite(nxt)
+            if not live.any():
+                break
+            pick = np.argmin(np.where(cross == nxt[:, None, :], dist_pow[None], np.inf), axis=1)
+            c_new, d_new = c[rows, pick], dist_pow[pick, cols]
+            lam_now = np.where(live, np.maximum(nxt, lam_now), lam_now)
+            events.append((
+                np.where(live, lam_now, np.inf),
+                np.where(live, w * (c_new - c_act), 0.0),
+                np.where(live, w * (d_new - d_act), 0.0),
+            ))
+            c_act, d_act = np.where(live, c_new, c_act), np.where(live, d_new, d_act)
+    lam, d_a, d_s = (np.concatenate(parts, axis=1) for parts in zip(*events))
+    order = np.argsort(lam, axis=1, kind="stable")
+    lam, d_a, d_s = (np.take_along_axis(x, order, axis=1) for x in (lam, d_a, d_s))
+    pad = np.isinf(lam)
+    return np.where(pad, 0.0, lam), np.where(pad, np.inf, np.cumsum(d_a, axis=1)), np.cumsum(d_s, axis=1)
 
 
 def validate_config_jsonschema(doc: dict) -> None:

@@ -1,15 +1,20 @@
 """Posterior mixtures, regularizer/prior conversions, and their identities."""
 
+import json
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from _oracles import prior_from_regularizer_l1
 from conftest import random_distribution, random_grid
 from drolab import bayes
 from drolab.bayes import (
+    MOMENT_TOL,
     Infeasible,
     PriorSpec,
     beta_from_lambda,
@@ -18,7 +23,8 @@ from drolab.bayes import (
     prior_from_regularizer,
     regularizer_from_prior,
 )
-from drolab.cost import DecisionSpace, NonFiniteCostError, Regularizer, cost_table, make_cost
+from drolab.cli import main
+from drolab.cost import DecisionSpace, NonFiniteCostError, Regularizer, builtin_costs, cost_table, make_cost
 from drolab.lp import solve_lp
 from drolab.solvers import solve_bayes_dp, solve_regularized_saa
 from drolab.support import DiscreteDistribution, SampleSet, SupportGrid, empirical, mixture, sample
@@ -198,27 +204,34 @@ def _moment_instance(seed: int, target: str):
     k = grid.size + int(rng.integers(2, 12)) if target == "perturbed" else int(rng.integers(1, 22))
     space = DecisionSpace.interval(-2.0, 2.0, k)
     cf = make_cost(name, grid=grid, space=space)
+    f, h, values = _regularizer_table(rng, cf, grid, space, target)
+    return f, cf, list(space), grid, h, values
+
+
+def _regularizer_table(rng: np.random.Generator, cf, grid: SupportGrid, space: DecisionSpace, target: str):
+    """A regularizer whose values on ``space`` are ``target`` moments (see
+    :func:`_moment_instance`), with the cost table and those values."""
     w = rng.dirichlet(np.ones(grid.size))
     w[rng.random(grid.size) < 0.3] = 0.0
     w[0] += 1e-3  # never all zero
     h = cost_table(cf, grid, space)
     values = h @ (w / w.sum())
     if target == "perturbed":
-        values = values + rng.normal(size=k) * rng.uniform(1e-3, 1.0)
+        values = values + rng.normal(size=len(space)) * rng.uniform(1e-3, 1.0)
     elif target == "floor":
-        values = np.full(k, float(np.min(h)) - 1.0)
+        values = np.full(len(space), float(np.min(h)) - 1.0)
     lookup = {tuple(x.tolist()): v for x, v in zip(space, values)}
     f = Regularizer(lambda x: lookup[tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())])
-    return f, cf, list(space), grid, h, values
+    return f, h, values
 
 
 @pytest.fixture
 def lp_calls(monkeypatch):
-    """The number of columns of each moment LP the package solves."""
+    """The (columns, rows) of each moment LP the package solves."""
     calls = []
 
     def counting(c, *args, **kwargs):
-        calls.append(len(c))
+        calls.append((len(c), len(kwargs["a_eq"])))
         return solve_lp(c, *args, **kwargs)
 
     monkeypatch.setattr(bayes, "solve_lp", counting)
@@ -236,7 +249,9 @@ class TestMomentPath:
             found = prior_from_regularizer(f, cf, space, grid)
             assert not isinstance(found, Infeasible), seed
             assert float(np.max(np.abs(h @ found.weights - values))) <= 1e-8, seed
-            assert lp_calls == [grid.size], seed  # the feasibility LP alone
+            # The feasibility LP alone, on a basis of the moment rows.
+            rank = np.linalg.matrix_rank(np.vstack([h, np.ones(grid.size)]))
+            assert lp_calls == [(grid.size, rank)], seed
 
     @pytest.mark.parametrize("target", ["perturbed", "floor"])
     def test_infeasible_targets_keep_the_min_l1_residual(self, target, lp_calls):
@@ -244,7 +259,9 @@ class TestMomentPath:
             f, cf, space, grid, _, _ = _moment_instance(seed, target)
             lp_calls.clear()
             verdict = prior_from_regularizer(f, cf, space, grid)
-            assert lp_calls == [grid.size, grid.size + 2 * len(space)], seed
+            # The minimum-L1 LP reads every moment row.
+            assert [columns for columns, _ in lp_calls] == [grid.size, grid.size + 2 * len(space)], seed
+            assert lp_calls[1][1] == len(space) + 1, seed
             reference = prior_from_regularizer_l1(f, cf, space, grid)
             assert isinstance(reference, Infeasible) and isinstance(verdict, Infeasible), seed
             assert verdict.residual == reference.residual, seed
@@ -267,6 +284,95 @@ class TestMomentPath:
             refined = prior_from_regularizer(f, cf, space, grid, max_entropy=True)
             assert float(np.max(np.abs(h @ refined.weights - values))) <= 1e-7, seed
             assert entropy(refined.weights) >= entropy(vertex.weights) - 1e-12, seed
+
+
+class TestRowBasisLP:
+    """The feasibility LP reads an orthonormal basis of the moment rows;
+    residuals and verdicts are still checked on every row."""
+
+    @staticmethod
+    def _huber_document() -> dict:
+        # A feasible table whose 42-row feasibility LP ran Bland's rule into
+        # its iteration cap: the moments of a Dirichlet draw over 16 atoms.
+        grid = SupportGrid.euclidean([[float(i)] for i in range(16)])
+        space = DecisionSpace.interval(0.0, 15.0, 41)
+        rng = np.random.default_rng(41)
+        prior = [rng.dirichlet(np.full(16, 3.0)) for _ in range(3)][-1]
+        cf = make_cost("huber", params={"delta": 1.0})
+        values = regularizer_from_prior(DiscreteDistribution(grid, prior), cf).values(space)
+        return {"grid": {"atoms": grid.atoms.tolist()}, "cost": {"name": "huber", "params": {"delta": 1.0}},
+                "f_table": {"points": space.points.tolist(), "values": values.tolist()}}
+
+    def test_redundant_huber_system_returns_a_prior(self, tmp_path):
+        doc = self._huber_document()
+        grid = SupportGrid.euclidean(doc["grid"]["atoms"])
+        space = DecisionSpace.from_points(doc["f_table"]["points"])
+        targets = np.array(doc["f_table"]["values"])
+        lookup = {tuple(x.tolist()): v for x, v in zip(space, targets)}
+        f = Regularizer(lambda x: lookup[tuple(np.atleast_1d(np.asarray(x, dtype=float)).tolist())])
+        cf = make_cost("huber", params={"delta": 1.0})
+        found = prior_from_regularizer(f, cf, list(space), grid)
+        assert not isinstance(found, Infeasible)
+        assert float(np.max(np.abs(cost_table(cf, grid, space) @ found.weights - targets))) <= MOMENT_TOL
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["prior-from-reg", str(tmp_path / "spec.json")])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["infeasible"] is False and len(payload["weights"]) == 16
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        name=st.sampled_from(sorted(builtin_costs())),
+        dim=st.sampled_from([1, 2]),
+        lattice=st.booleans(),
+        k=st.integers(1, 60),
+        target=st.sampled_from(["prior", "perturbed", "floor"]),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_random_moment_systems(self, seed, name, dim, lattice, k, target):
+        # Line and plane grids, random or regular, with up to 60 decisions.
+        # A prior's moments always give a prior.  Other targets get the
+        # minimum-L1 LP's verdict; on a prior's moments that LP over all
+        # rows can itself stall or misjudge at this size, so it is not the
+        # reference there.
+        rng = np.random.default_rng(seed)
+        dim = 2 if name == "linreg" else dim
+        m = int(rng.integers(2 if dim == 1 else 3, 13))
+        if not lattice:
+            grid = random_grid(rng, m, dim)
+        elif dim == 1:
+            grid = SupportGrid.euclidean(np.arange(m, dtype=float)[:, None])
+        else:
+            side = np.arange(2 + m // 4, dtype=float)
+            grid = SupportGrid.euclidean([[a, b] for a in side for b in side[:3]])
+        if dim == 1 or name in ("newsvendor", "linreg"):
+            space = DecisionSpace.interval(-3.0, 3.0, k)
+        else:
+            space = DecisionSpace.from_points(np.unique(np.round(rng.uniform(-3.0, 3.0, size=(k, 2)), 6), axis=0))
+        cf = make_cost(name, grid=grid, space=space)
+        f, h, values = _regularizer_table(rng, cf, grid, space, target)
+        verdict = prior_from_regularizer(f, cf, list(space), grid)
+        if target == "prior":
+            assert not isinstance(verdict, Infeasible)
+            assert float(np.max(np.abs(h @ verdict.weights - values))) <= MOMENT_TOL
+        else:
+            assert type(verdict) is type(prior_from_regularizer_l1(f, cf, list(space), grid))
+
+    def test_many_decisions_on_the_plane_stay_fast(self, lp_calls):
+        # 401 decisions of linreg on the 3x3 plane: 402 moment rows of rank 4.
+        axis = [-1.0, 0.0, 1.0]
+        grid = SupportGrid.euclidean([[a, b] for a in axis for b in axis])
+        space = DecisionSpace.interval(-2.0, 2.0, 401)
+        cf = make_cost("linreg", grid=grid, space=space)
+        f = regularizer_from_prior(DiscreteDistribution(grid, np.random.default_rng(5).dirichlet(np.ones(9))), cf)
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            found = prior_from_regularizer(f, cf, list(space), grid)
+            times.append(time.perf_counter() - started)
+        assert not isinstance(found, Infeasible)
+        assert lp_calls == [(9, 4)] * 3
+        assert min(times) < 5e-3, times
 
 
 class TestEquivalenceLadder:

@@ -19,8 +19,10 @@ from _oracles import (
     rational_weights,
     transport_grid_search,
     transport_vertex_search,
+    upper_envelopes_full_walk,
     w1_dual_vertices,
     w1_from_dual,
+    wasserstein_dual_rational,
 )
 from conftest import RADIUS_FRACTIONS, random_ball_instance, random_distribution, random_grid, spy_on
 from drolab import divergence
@@ -586,6 +588,9 @@ class TestWassersteinDualOracle:
         tied=st.booleans(),
         fracs=st.lists(RADIUS_FRACTIONS, min_size=1, max_size=3),
     )
+    # Two atoms 7.3e-4 apart push the dual optimum to about 1.3e7; read from
+    # the breakpoints' running sums, row 1's worst case was 2.9e-9 off.
+    @example(seed=86, m=3, dim=1, p=2.0, empty=0, tied=False, fracs=[1e-4])
     @settings(max_examples=30, deadline=None)
     def test_absolute_deviation_matches_two_sided_table(self, seed, m, dim, p, empty, tied, fracs):
         # The absolute-DRO screen's LP step solves the coupling LP per call;
@@ -602,6 +607,60 @@ class TestWassersteinDualOracle:
                 assert abs(dev - deviations[k, r]) <= 1e-9 * max(1.0, abs(dev))
                 for q in (witness, witnesses(k, r)):
                     assert abs(abs(q.expectation(costs) - ref) - dev) <= 1e-9 * max(1.0, abs(dev))
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 7),
+        p=st.sampled_from([1.5, 2.0]),
+        gap=st.sampled_from([1e-3, 1e-4, 1e-5, 1e-7]),
+        fracs=st.lists(st.sampled_from([1e-4, 1e-3, 1e-2, 0.05]), min_size=1, max_size=3),
+    )
+    # The instance of test_absolute_deviation_matches_two_sided_table's example.
+    @example(seed=86, m=3, p=2.0, gap=None, fracs=[1e-4])
+    @settings(max_examples=40, deadline=None)
+    def test_values_match_the_rational_dual_at_large_multipliers(self, seed, m, p, gap, fracs):
+        # Two atoms ``gap`` apart on a line make the dual optimum large at
+        # small radii, the case where the breakpoints' running sums lose
+        # digits (at p > 1, where the squared gap is tiny); every value must
+        # still match the dual solved exactly, to 1e-10 of the cost scale.
+        rng = np.random.default_rng(seed)
+        center, table = random_ball_instance(rng, m, 1, 0, False)
+        if gap is not None:
+            atoms = center.grid.atoms.copy()
+            atoms[1] = atoms[0] + gap
+            center = DiscreteDistribution(SupportGrid.euclidean(atoms), center.weights)
+        kind = DivergenceKind.wasserstein_order(p)
+        radii = np.array(fracs) * center.grid.diameter
+        values, _ = extremal_values(center, kind, table, radii)
+        dist_pow = center.grid.ground_metric**p
+        for k, costs in enumerate(np.concatenate([table, -table])):
+            for r, eps in enumerate(radii):
+                exact = wasserstein_dual_rational(center.weights, dist_pow, costs, eps**p)
+                value = values[k, r] if k < len(table) else -values[k, r]
+                assert abs(value - exact) <= 1e-10 * max(1.0, float(np.max(np.abs(costs)))), (k, r)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 9),
+        dim=st.sampled_from([1, 2]),
+        p=st.sampled_from([1.0, 1.5, 2.0]),
+        empty=st.integers(0, 3),
+        tied=st.booleans(),
+        rows=st.integers(1, 6),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_envelope_walk_matches_the_full_walk(self, seed, m, dim, p, empty, tied, rows):
+        # The walk stops once no envelope can move; the walk that made one
+        # more crossing pass returns the same arrays, bytes and shapes.
+        rng = np.random.default_rng(seed)
+        center, table = random_ball_instance(rng, m, dim, empty, tied, rows)
+        supp = center.support_indices()
+        signed = np.concatenate([table, -table])
+        dist_pow = (center.grid.ground_metric**p)[:, supp]
+        got = divergence._upper_envelopes(signed, dist_pow, center.weights[supp])
+        want = upper_envelopes_full_walk(signed, dist_pow, center.weights[supp])
+        assert [x.shape for x in got] == [x.shape for x in want]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
     @given(
         seed=st.integers(0, 2**32 - 1),

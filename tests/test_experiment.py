@@ -358,6 +358,9 @@ def _node(doc, path):
 
 
 _BASE_DOCS = [_golden(), base_config("results")]
+# A ``prior-from-reg`` document: huber moments of the prior (0.2, 0.3, 0.5).
+_REGULARIZER_DOC = {"grid": {"atoms": [[0.0], [1.0], [3.0]]}, "cost": {"name": "huber", "params": {"delta": 1.0}},
+                    "f_table": {"points": [[0.0], [1.5], [3.0]], "values": [1.4, 0.7375, 0.95]}}
 _VALUES = [
     True, False, None, 0, 1, -1, 2, 2.5, -0.5, 10.0, 0.0, -0.0, "auto", "x", "one", "kl", "tv", "reverse", "saa",
     [], {}, [1.0], [[1.0]], [0.5, 0.5], {"kind": "wasserstein"}, {"kind": "tv"}, {"weights": [1.0]},
@@ -368,11 +371,11 @@ _KEYS = ["unknown", "eps", "alpha", "beta", "lambda", "delta", "sided", "prior",
 
 
 @st.composite
-def single_mutations(draw):
+def single_mutations(draw, bases=tuple(_BASE_DOCS)):
     """A base document changed at one place: a value swapped (booleans,
     integral floats, negatives, empty arrays and objects included), a key
     removed or added, or an array element removed or repeated."""
-    doc = copy.deepcopy(draw(st.sampled_from(_BASE_DOCS)))
+    doc = copy.deepcopy(draw(st.sampled_from(bases)))
     path = draw(st.sampled_from(list(_paths(doc))))
     node = _node(doc, path)
     values = list(_VALUES)
@@ -499,6 +502,22 @@ class TestAcceptedDocumentsRun:
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit), result.output
         assert len(result.output.splitlines()) == 1 and result.output.startswith("error: "), result.output
         assert sorted(path.name for path in folder.rglob("*")) == ["config.json"]
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(single_mutations((_REGULARIZER_DOC,)), st.booleans())
+    def test_regularizer_mutations_exit_cleanly(self, tmp_path, doc, max_entropy):
+        # ``prior-from-reg`` on a mutated document: an accepted one prints its
+        # JSON verdict and exits 0, a rejected one exits 1 with one
+        # ``error:`` line; neither ends in a traceback.
+        path = Path(tempfile.mkdtemp(dir=tmp_path)) / "spec.json"
+        path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["prior-from-reg", str(path), *["--max-entropy"] * max_entropy])
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+        if result.exit_code == 0:
+            assert json.loads(result.output)["infeasible"] in (True, False)
+        else:
+            assert result.exit_code == 1, result.output
+            assert len(result.output.splitlines()) == 1 and result.output.startswith("error: "), result.output
 
 
 class TestRunner:
