@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
@@ -102,6 +102,10 @@ class CostFunction:
     maps an atom xi to a constant dominating the variation of ``h(., xi)``
     between decisions per unit of Euclidean distance.  ``nonneg`` declares
     ``h >= 0`` on the modeled grids.
+
+    A cost function keeps each checked table :func:`cost_table` builds,
+    read-only and keyed by the content of the decision points and atoms, for
+    as long as it lives, so a repeated table costs no second evaluation.
     """
 
     name: str
@@ -110,6 +114,10 @@ class CostFunction:
     lip_in_x: Callable[[np.ndarray], float] | None = None
     nonneg: bool = False
     table_fn: Callable[[np.ndarray, np.ndarray], np.ndarray] | None = None
+    # Checked tables of :func:`cost_table`, keyed by the shapes and bytes of
+    # the decision points and the atoms.  ``dataclasses.replace`` starts a
+    # new cost with an empty memo.
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def vectorised(
@@ -178,8 +186,21 @@ def expected_cost(dist, cf: CostFunction, x) -> float:
 
 
 def cost_table(cf: CostFunction, grid: SupportGrid, space: DecisionSpace) -> np.ndarray:
-    """Matrix H[k, j] = h(x_k, xi_j) over decision grid x atom grid, checked finite."""
-    return _checked_table(cf, space.points, grid.atoms)
+    """Matrix H[k, j] = h(x_k, xi_j) over decision grid x atom grid, checked finite.
+
+    ``cf`` keeps the table, read-only, for as long as it lives, keyed by the
+    content of ``space.points`` and ``grid.atoms``: equal grids and decision
+    grids held in other objects share it, and a repeat evaluates nothing.  A
+    table that is not finite raises on every call and is not kept.
+    """
+    points, atoms = space.points, grid.atoms
+    key = (points.shape, points.tobytes(), atoms.shape, atoms.tobytes())
+    table = cf._memo.get(key)
+    if table is None:
+        table = np.array(_checked_table(cf, points, atoms))  # a copy: frozen below
+        table.setflags(write=False)
+        cf._memo[key] = table
+    return table
 
 
 def _checked_table(cf: CostFunction, points: np.ndarray, atoms: np.ndarray) -> np.ndarray:

@@ -11,7 +11,9 @@ pass, and :func:`deviation_table` the largest two-sided deviation, which
 every robustness measure and the absolute-DRO model read.  Exact results are
 kept on the distribution they were computed from (its ``_memo``), so a
 repeated instance, or a table made of rows of a solved one, costs no second
-solve.
+solve.  The cost tables that callers pass in are kept in turn on their cost
+function (:func:`drolab.cost.cost_table`), so a repeated report builds no
+table either.
 """
 
 from __future__ import annotations
@@ -298,7 +300,7 @@ def _upper_envelopes(c: np.ndarray, dist_pow: np.ndarray, w: np.ndarray) -> tupl
             c_act, d_act = np.where(live, c_new, c_act), np.where(live, d_new, d_act)
     lam, d_a, d_s = (np.concatenate(parts, axis=1) for parts in zip(*events))
     order = np.argsort(lam, axis=1, kind="stable")
-    lam, d_a, d_s = (np.take_along_axis(x, order, axis=1) for x in (lam, d_a, d_s))
+    lam, d_a, d_s = (x[rows, order] for x in (lam, d_a, d_s))
     pad = np.isinf(lam)
     return np.where(pad, 0.0, lam), np.where(pad, np.inf, np.cumsum(d_a, axis=1)), np.cumsum(d_s, axis=1)
 
@@ -375,13 +377,22 @@ def _wasserstein_values(
     dist_pow = center.grid.ground_metric**kind.p
     budgets = radii**kind.p
     lam, a, s = _dual_breakpoints(center, kind.p, c, dist_pow)
-    dual = a[:, :, None] + lam[:, :, None] * (budgets[None, None, :] - s[:, :, None])
-    best = np.argmin(dual, axis=1)
-    values = np.take_along_axis(dual, best[:, None, :], axis=1)[:, 0, :]
-    lam_best = np.take_along_axis(lam, best, axis=1)
+    values, lam_best = _dual_minimum(lam, a, s, budgets)
     _resolve_inexact_cells(center, c, dist_pow, budgets, lam, values, lam_best)
     values[:, radii >= center.grid.diameter] = np.max(c, axis=1)[:, None]
     return values, lam_best
+
+
+def _dual_minimum(lam: np.ndarray, a: np.ndarray, s: np.ndarray, budgets: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The least of each row's dual values ``a + lam * (budget - s)`` over
+    its breakpoints, at each budget, and the breakpoint ``lam`` that attains
+    it, the first one on a tie.  The value is the argmin's own element, not
+    ``min``'s: on a row whose least values are +0.0 and -0.0 the two read
+    zeros of opposite signs."""
+    dual = a[:, :, None] + lam[:, :, None] * (budgets[None, None, :] - s[:, :, None])
+    best = np.argmin(dual, axis=1)
+    rows = np.arange(lam.shape[0])[:, None]
+    return dual[rows, best, np.arange(budgets.size)], lam[rows, best]
 
 
 # The largest share of a row's cost scale, max(1, max |c|), that the rounding

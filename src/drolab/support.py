@@ -22,6 +22,7 @@ RNG_ALGORITHM = "numpy-pcg64-inverse-cdf"
 _SUM_SLACK = 1e-9
 _NEG_SLACK = 1e-9
 _TRIANGLE_CHECK_MAX_ATOMS = 200
+_TRIANGLE_BLOCK_ENTRIES = 2**20
 
 
 class InvalidDistributionError(ValueError):
@@ -78,8 +79,12 @@ class SupportGrid:
             i, j = np.argwhere(coincide)[0]
             raise ValueError(f"atoms {i} and {j} coincide")
         if m <= _TRIANGLE_CHECK_MAX_ATOMS:
-            for k in range(m):
-                detour = metric[:, k][:, None] + metric[k, :][None, :]
+            # detour[k, i, j] = metric[i, k] + metric[k, j], over blocks of
+            # pivots k small enough that a 200-atom grid needs no 64 MB cube.
+            step = max(1, _TRIANGLE_BLOCK_ENTRIES // (m * m))
+            for k in range(0, m, step):
+                pivots = slice(k, k + step)
+                detour = metric[:, pivots].T[:, :, None] + metric[pivots, :][:, None, :]
                 if np.any(metric > detour + 1e-9):
                     raise ValueError("ground metric violates the triangle inequality")
         atoms.setflags(write=False)

@@ -43,7 +43,11 @@ only after a feasibility LP finds no prior, is kept as
 :func:`prior_from_regularizer_l1`.  ``divergence._upper_envelopes`` as
 it walked before it stopped at its last transition, with one more crossing
 pass that found nothing to move, is kept as
-:func:`upper_envelopes_full_walk`.  The
+:func:`upper_envelopes_full_walk`, and its dual minimum read through
+``np.take_along_axis``, which the package replaced by direct indexing, as
+:func:`wasserstein_dual_minimum_gather`.  ``SupportGrid``'s triangle check
+that looped over the pivots one at a time, which the package replaced by
+blocks of pivots, is kept as :func:`triangle_violated_loop`.  The
 config validator that ran a JSON Schema (``tests/data/config.schema.json``)
 through ``jsonschema`` and then checked method entries against
 ``experiment.METHODS``, which the package replaced by plain-Python checks, is
@@ -913,6 +917,24 @@ def upper_envelopes_full_walk(c: np.ndarray, dist_pow: np.ndarray, w: np.ndarray
     lam, d_a, d_s = (np.take_along_axis(x, order, axis=1) for x in (lam, d_a, d_s))
     pad = np.isinf(lam)
     return np.where(pad, 0.0, lam), np.where(pad, np.inf, np.cumsum(d_a, axis=1)), np.cumsum(d_s, axis=1)
+
+
+def wasserstein_dual_minimum_gather(lam, a, s, budgets) -> tuple[np.ndarray, np.ndarray]:
+    """``divergence._dual_minimum`` as it read the argmin's value and
+    multiplier through ``np.take_along_axis``."""
+    dual = a[:, :, None] + lam[:, :, None] * (budgets[None, None, :] - s[:, :, None])
+    best = np.argmin(dual, axis=1)
+    return np.take_along_axis(dual, best[:, None, :], axis=1)[:, 0, :], np.take_along_axis(lam, best, axis=1)
+
+
+def triangle_violated_loop(metric: np.ndarray) -> bool:
+    """``SupportGrid``'s triangle check, one pivot ``k`` at a time: some
+    ``metric[i, j]`` exceeds ``metric[i, k] + metric[k, j]`` by over 1e-9."""
+    for k in range(metric.shape[0]):
+        detour = metric[:, k][:, None] + metric[k, :][None, :]
+        if np.any(metric > detour + 1e-9):
+            return True
+    return False
 
 
 def validate_config_jsonschema(doc: dict) -> None:

@@ -358,6 +358,57 @@ def test_regularizer_rejects_non_finite():
         f([1.0])
 
 
+class TestTableMemo:
+    """A cost function keeps each checked table it builds, read-only and
+    keyed by the content of the decision points and atoms."""
+
+    @staticmethod
+    def _rows(calls: list) -> list:
+        """The number of decisions of each recorded ``CostFunction.table`` call."""
+        return [len(args[1]) for args, _ in calls]
+
+    def test_equal_content_shares_one_entry(self, spy):
+        builds = spy(CostFunction, "table")
+        cf = make_cost("huber", params={"delta": 0.5})
+        atoms = [[0.0], [1.0], [3.0]]
+        first = cost_table(cf, SupportGrid.euclidean(atoms), DecisionSpace.interval(0.0, 3.0, 7))
+        again = cost_table(cf, SupportGrid.euclidean(atoms), DecisionSpace.from_points(np.linspace(0.0, 3.0, 7)))
+        assert again is first and self._rows(builds) == [7] and len(cf._memo) == 1
+        other = cost_table(cf, SupportGrid.euclidean(atoms), DecisionSpace.interval(0.0, 3.0, 5))
+        assert other.shape == (5, 3) and self._rows(builds) == [7, 5] and len(cf._memo) == 2
+
+    def test_table_is_read_only(self, line_grid):
+        held = np.ones((2, 3))
+        cf = CostFunction.vectorised("held", lambda points, atoms: held)
+        table = cost_table(cf, line_grid, DecisionSpace.from_points([0.0, 1.0]))
+        with pytest.raises(ValueError, match="read-only"):
+            table[0, 0] = 2.0
+        assert held.flags.writeable  # the cost's own array is not frozen
+
+    def test_each_cost_function_builds_its_own(self, spy, line_grid):
+        builds = spy(CostFunction, "table")
+        space = DecisionSpace.interval(0.0, 3.0, 4)
+        cf = make_cost("absolute")
+        table = cost_table(cf, line_grid, space)
+        scaled = with_lipschitz_scale(cf, 0.5)
+        assert not scaled._memo
+        again = cost_table(scaled, line_grid, space)
+        twin = make_cost("absolute")
+        assert cost_table(twin, line_grid, space) is not table
+        assert self._rows(builds) == [4, 4, 4]
+        assert _same_bits(again, table) and again is not table
+        assert len(cf._memo) == len(scaled._memo) == len(twin._memo) == 1
+
+    def test_non_finite_table_raises_every_call_and_is_not_kept(self, spy, line_grid):
+        builds = spy(CostFunction, "table")
+        cf = CostFunction.vectorised("bad", lambda points, atoms: np.where(atoms[None, :, 0] > 2, math.nan, 1.0))
+        space = DecisionSpace.from_points([0.0, 1.0])
+        for calls in (1, 2):
+            with pytest.raises(NonFiniteCostError, match="atom index 2"):
+                cost_table(cf, line_grid, space)
+            assert self._rows(builds) == [2] * calls and not cf._memo
+
+
 def test_cost_table_shape(line_grid):
     cf = make_cost("absolute")
     space = DecisionSpace.interval(0, 1, 4)

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from _oracles import (
     absolute_deviation,
@@ -21,6 +22,7 @@ from _oracles import (
     transport_vertex_search,
     upper_envelopes_full_walk,
     w1_dual_vertices,
+    wasserstein_dual_minimum_gather,
     w1_from_dual,
     wasserstein_dual_rational,
 )
@@ -41,6 +43,23 @@ from drolab.divergence import (
 from drolab.solvers import _coupling_lp_deviation, satisficing_radius_grid
 from drolab.support import DiscreteDistribution, GridMismatchError, SupportGrid
 
+
+@st.composite
+def _dual_arrays(draw):
+    """``(lam, a, s, budgets)`` as ``divergence._dual_minimum`` reads them:
+    per row, breakpoints ``lam >= 0`` with running sums ``a`` and ``s``, and
+    pads at ``lam = 0`` and ``a = inf``.  Few distinct values, so dual
+    values tie; ``a = -0.0`` with ``budget < s`` at ``lam = 0`` makes -0.0."""
+    rows, events, radii = draw(st.integers(1, 4)), draw(st.integers(1, 5)), draw(st.integers(1, 4))
+    few = st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0, -1.0])
+    nonneg = st.sampled_from([0.0, 0.5, 1.0, 2.0]) | st.floats(0.0, 4.0)
+    lam = draw(hnp.arrays(np.float64, (rows, events), elements=nonneg))
+    a = draw(hnp.arrays(np.float64, (rows, events), elements=few | st.floats(-4.0, 4.0)))
+    s = draw(hnp.arrays(np.float64, (rows, events), elements=nonneg))
+    budgets = draw(hnp.arrays(np.float64, radii, elements=st.sampled_from([0.0, 0.5, 1.0]) | st.floats(0.0, 4.0)))
+    pad = draw(hnp.arrays(np.bool_, (rows, events)))
+    lam[pad], a[pad] = 0.0, np.inf
+    return lam, a, s, budgets
 
 class TestDivergenceKind:
     def test_wasserstein_orders_validated(self):
@@ -659,6 +678,19 @@ class TestWassersteinDualOracle:
         dist_pow = (center.grid.ground_metric**p)[:, supp]
         got = divergence._upper_envelopes(signed, dist_pow, center.weights[supp])
         want = upper_envelopes_full_walk(signed, dist_pow, center.weights[supp])
+        assert [x.shape for x in got] == [x.shape for x in want]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+    @given(case=_dual_arrays())
+    # Row 0's least values are +0.0 (first) and -0.0: ``min`` reads the -0.0.
+    @example(case=(np.zeros((1, 2)), np.array([[0.0, -0.0]]), np.ones((1, 2)), np.array([0.5])))
+    @settings(max_examples=300, deadline=None)
+    def test_dual_minimum_reads_the_gathered_cells(self, case):
+        # The direct read of each cell's least dual value and its multiplier
+        # has the bytes of the take_along_axis read, on exact ties, signed
+        # zeros at a row's minimum and inf pads.
+        got = divergence._dual_minimum(*case)
+        want = wasserstein_dual_minimum_gather(*case)
         assert [x.shape for x in got] == [x.shape for x in want]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 

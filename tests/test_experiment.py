@@ -23,6 +23,7 @@ import drolab
 from _oracles import dense_transport_lp, validate_config_jsonschema
 from drolab import divergence, experiment, solvers
 from drolab.cli import main
+from drolab.cost import CostFunction
 from drolab.divergence import DIVERGENCE_FIELD, DIVERGENCE_KINDS, ORIENTATIONS
 from drolab.experiment import (
     METHODS,
@@ -361,6 +362,21 @@ _BASE_DOCS = [_golden(), base_config("results")]
 # A ``prior-from-reg`` document: huber moments of the prior (0.2, 0.3, 0.5).
 _REGULARIZER_DOC = {"grid": {"atoms": [[0.0], [1.0], [3.0]]}, "cost": {"name": "huber", "params": {"delta": 1.0}},
                     "f_table": {"points": [[0.0], [1.5], [3.0]], "values": [1.4, 0.7375, 0.95]}}
+# A ``divergence`` pair on 3 atoms: the first document gives the grid, and the
+# second takes it, or restates its atoms, or its atoms and a metric.
+_FIRST_DISTRIBUTION = {"atoms": [[0.0], [1.0], [3.0]], "weights": [0.2, 0.3, 0.5]}
+_SECOND_DISTRIBUTIONS = [
+    {"weights": [0.5, 0.25, 0.25]},
+    {"atoms": [[0.0], [1.0], [3.0]], "weights": [0.5, 0.25, 0.25]},
+    {"atoms": [[0.0], [1.0], [3.0]], "metric": [[0.0, 1.0, 3.0], [1.0, 0.0, 2.0], [3.0, 2.0, 0.0]],
+     "weights": [0.5, 0.25, 0.25]},
+]
+# The options of every kind and orientation (Wasserstein: its order).
+_DIVERGENCE_OPTIONS = [
+    ["--kind", "wasserstein"], ["--kind", "wasserstein", "--p", "2"],
+    *(["--kind", kind, *orientation] for kind in DIVERGENCE_KINDS if kind != "wasserstein"
+      for orientation in ([], ["--orientation", "forward"], ["--orientation", "reverse"])),
+]
 _VALUES = [
     True, False, None, 0, 1, -1, 2, 2.5, -0.5, 10.0, 0.0, -0.0, "auto", "x", "one", "kl", "tv", "reverse", "saa",
     [], {}, [1.0], [[1.0]], [0.5, 0.5], {"kind": "wasserstein"}, {"kind": "tv"}, {"weights": [1.0]},
@@ -518,6 +534,28 @@ class TestAcceptedDocumentsRun:
         else:
             assert result.exit_code == 1, result.output
             assert len(result.output.splitlines()) == 1 and result.output.startswith("error: "), result.output
+
+    @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(st.sampled_from(_SECOND_DISTRIBUTIONS), st.integers(0, 1), st.sampled_from(_DIVERGENCE_OPTIONS), st.data())
+    def test_divergence_mutations_exit_cleanly(self, tmp_path, second, mutated, options, data):
+        # ``divergence`` on a pair with one document mutated: an accepted
+        # pair prints one JSON number (a non-finite one spelled as a string)
+        # and exits 0, a rejected one exits 1 with one ``error:`` line;
+        # neither ends in a traceback.
+        docs = [_FIRST_DISTRIBUTION, second]
+        docs[mutated] = data.draw(single_mutations((docs[mutated],)))
+        folder = Path(tempfile.mkdtemp(dir=tmp_path))
+        paths = [folder / "a.json", folder / "b.json"]
+        for path, doc in zip(paths, docs):
+            path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["divergence", *map(str, paths), *options])
+        assert result.exception is None or isinstance(result.exception, SystemExit), result.output
+        assert len(result.output.splitlines()) == 1, result.output
+        if result.exit_code == 0:
+            value = json.loads(result.output)
+            assert isinstance(value, float) or value == "Infinity", result.output
+        else:
+            assert result.exit_code == 1 and result.output.startswith("error: "), result.output
 
 
 class TestRunner:
@@ -734,12 +772,15 @@ class TestVerifyBounds:
         # radius, and the relative suite the nominal optimum's row on the
         # satisficing grid, in both senses: one value sweep per (table,
         # radii), on the one breakpoint walk of the decision table, of which
-        # the nominal optimum's row is a row.
+        # the nominal optimum's row is a row.  The cost function builds that
+        # table once for every suite and solver.
         walks, sweeps = spy(divergence, "_upper_envelopes"), spy(divergence, "_wasserstein_values")
+        tables = spy(CostFunction, "table")
         ok, _ = verify_bounds(resolve_config(base_config(str(tmp_path))))
         assert ok
         assert len(sweeps) == 2
         assert [args[0].shape for args, _ in walks] == [(10, 3)]
+        assert [args[1].shape for args, _ in tables if len(args[1]) > 1] == [(5, 1)]
 
     def test_ball_records_are_the_rows_run_writes_for_the_default_entries(self, tmp_path, monkeypatch):
         # verify_bounds reads its ball suites through METHODS, so run on the

@@ -498,8 +498,10 @@ def test_report_walks_each_table_once(spy):
     # table over the shared centre: the SAA row is a row of that table, so
     # the two-sided calls read what the one-sided minmax_dro and
     # satisficing sweeps left, and the three rate measures share one
-    # satisficing radius grid.
+    # satisficing radius grid.  The cost function builds the decision table
+    # once and serves every later call from its memo.
     walks, sweeps = spy(divergence, "_upper_envelopes"), spy(divergence, "_wasserstein_values")
+    tables = spy(CostFunction, "table")
     grids = spy(np, "geomspace")
     axis = [-1.0, 0.0, 1.0]
     grid = SupportGrid.euclidean([[a, b] for a in axis for b in axis])
@@ -517,6 +519,7 @@ def test_report_walks_each_table_once(spy):
     assert len(sweeps) == 3
     assert [args[0].shape for args, _ in walks] == [(42, 9)]
     assert len(grids) == 1
+    assert [args[1].shape for args, _ in tables if len(args[1]) > 1] == [(21, 1)]
 
 
 class TestWitnessBuiltWhenRead:

@@ -1,13 +1,18 @@
 """Grids, distributions, sampling, empirical and mixture constructions."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.stats import binom
 
+from _oracles import triangle_violated_loop
 from conftest import random_distribution, random_grid
+from drolab import support
 from drolab.divergence import wasserstein
 from drolab.support import (
     DiscreteDistribution,
@@ -19,6 +24,19 @@ from drolab.support import (
     mixture,
     sample,
 )
+
+
+@st.composite
+def _near_equality_metric(draw):
+    """The distances of up to 8 points of a line, where every triple of
+    atoms meets the triangle inequality with equality, with each pair's
+    distance moved by at most 2e-9: many entries sit within 1e-9 of an
+    equality, on either side of the check's 1e-9 slack."""
+    steps = draw(hnp.arrays(np.float64, draw(st.integers(2, 7)), elements=st.sampled_from([0.1, 0.3, 1 / 3, 1.0, 2.5])))
+    x = np.concatenate([[0.0], np.cumsum(steps)])
+    moves = st.sampled_from([0.0, 5e-10, -5e-10, 1e-9, -1e-9, 2e-9, -2e-9]) | st.floats(-2e-9, 2e-9)
+    shift = np.triu(draw(hnp.arrays(np.float64, (x.size, x.size), elements=moves)), 1)
+    return np.abs(x[:, None] - x[None, :]) + shift + shift.T
 
 
 class TestSupportGrid:
@@ -58,6 +76,40 @@ class TestSupportGrid:
         metric = np.array([[0.0, 1.0, 5.0], [1.0, 0.0, 1.0], [5.0, 1.0, 0.0]])
         with pytest.raises(ValueError, match="triangle"):
             SupportGrid([[0.0], [1.0], [2.0]], metric)
+
+    @given(metric=_near_equality_metric(), pivots=st.integers(1, 8))
+    # Entry (0, 2) sits 2e-9 over its detour through atom 1: rejected.
+    @example(metric=np.array([[0.0, 1.0, 2.000000002], [1.0, 0.0, 1.0], [2.000000002, 1.0, 0.0]]), pivots=2)
+    @settings(max_examples=300, deadline=None)
+    def test_triangle_check_matches_the_pivot_loop(self, metric, pivots):
+        # Blocks of ``pivots`` pivots, from one each to all at once, reach the
+        # pivot loop's verdict, with the same float operations, on metrics
+        # within +-2e-9 of triangle equalities.
+        atoms = np.arange(len(metric), dtype=float)[:, None]
+        with mock.patch.object(support, "_TRIANGLE_BLOCK_ENTRIES", pivots * metric.size):
+            if triangle_violated_loop(metric):
+                with pytest.raises(ValueError, match="triangle"):
+                    SupportGrid(atoms, metric)
+            else:
+                assert SupportGrid(atoms, metric).ground_metric.tobytes() == metric.tobytes()
+
+    def test_largest_checked_grid_is_checked_in_blocks(self):
+        # 200 atoms, the check's cap: a cube of every detour would take
+        # 64 MB.  Atom 199 sits between atoms 0 and 1 of a line, so only its
+        # pivot, in the last block, finds (0, 1) stretched past the detour.
+        x = np.append(np.arange(199.0), 0.5)
+        metric = np.abs(x[:, None] - x[None, :])
+        tracemalloc.start()
+        try:
+            SupportGrid(x, metric)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        metric[0, 1] = metric[1, 0] = 1.0 + 1e-6
+        assert triangle_violated_loop(metric)
+        with pytest.raises(ValueError, match="triangle"):
+            SupportGrid(x, metric)
 
     def test_custom_metric_accepted(self):
         metric = np.array([[0.0, 2.0], [2.0, 0.0]])
