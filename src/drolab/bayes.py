@@ -9,9 +9,10 @@ by a moment-feasibility LP over the weights alone, which reads an orthonormal
 basis of the moment rows rather than the rows themselves (the k + 1 rows of
 k decisions over m atoms have rank at most m, however large k is).
 Residuals and verdicts are still checked on every row: only when that LP
-finds no weights within tolerance does a minimum-L1-residual LP over all the
-rows run, whose vertex either reproduces the moments or gives the
-:class:`Infeasible` verdict and its residual.
+finds no weights within tolerance does a non-negative least-squares solve on
+the same rows run (Lawson and Hanson's active-set method), whose weights
+either reproduce the moments or give the :class:`Infeasible` verdict and
+its residual.
 """
 
 from __future__ import annotations
@@ -57,11 +58,12 @@ class Infeasible:
     """Verdict of :func:`prior_from_regularizer` that no distribution was
     found to reproduce the moments.
 
-    ``residual`` is the max-abs moment residual at the vertex the
-    minimum-L1-residual LP returns (clamped and renormalised), which exceeds
-    :data:`MOMENT_TOL`.  That LP minimizes the residuals' sum, not their
-    largest entry, so this is not the smallest max-abs residual any
-    distribution attains.
+    ``residual`` is the max-abs moment residual, over every row, of the
+    non-negative least-squares weights (clamped and renormalised; a zero
+    weight vector's own residual, the sum row's included), which exceeds
+    :data:`MOMENT_TOL`.  Those weights minimize the residuals' Euclidean
+    norm, not their largest entry, so this is not the smallest max-abs
+    residual any distribution attains.
     """
 
     residual: float
@@ -136,9 +138,9 @@ def _max_entropy_refine(w0: np.ndarray, c: np.ndarray, d: np.ndarray, steps: int
     return best
 
 
-def _lp_weights(x: np.ndarray, h: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float] | None:
-    """An LP's weights clamped at 0 and renormalised, with the max-abs moment
-    residual they leave; None for a zero weight vector."""
+def _clamped_weights(x: np.ndarray, h: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float] | None:
+    """A solve's weights clamped at 0 and renormalised, with the max-abs
+    moment residual they leave; None for a zero weight vector."""
     w = np.maximum(x, 0.0)
     total = w.sum()
     if total <= 0.0:
@@ -147,25 +149,56 @@ def _lp_weights(x: np.ndarray, h: np.ndarray, targets: np.ndarray) -> tuple[np.n
     return w, float(np.max(np.abs(h @ w - targets)))
 
 
-def _min_l1_weights(h: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, float]:
-    """The vertex of ``min sum |h w - f|`` over the simplex, and its residual."""
-    k, m = h.shape
-    # Variables: w (m), then residual splits s+ and s- (k each).
-    n_var = m + 2 * k
-    obj = np.concatenate([np.zeros(m), np.ones(2 * k)])
-    a_eq = np.zeros((k + 1, n_var))
-    a_eq[:k, :m] = h
-    a_eq[:k, m : m + k] = np.eye(k)
-    a_eq[:k, m + k :] = -np.eye(k)
-    a_eq[k, :m] = 1.0
-    b_eq = np.concatenate([targets, [1.0]])
-    res = solve_lp(obj, a_eq=a_eq, b_eq=b_eq)
-    if not res.ok:
-        raise LPFailureError(f"moment LP ended with status {res.status!r}")
-    found = _lp_weights(res.x[:m], h, targets)
-    if found is None:
-        raise LPFailureError("moment LP returned a zero weight vector")
-    return found
+def _nnls(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The ``x >= 0`` minimizing ``||a x - b||``, by Lawson and Hanson's
+    active-set method (*Solving Least Squares Problems*, 1974, ch. 23).
+
+    The column with the largest positive correlation with the residual
+    joins the passive set if the least-squares solve on the passive columns
+    gives it a positive weight; otherwise it is passed over until ``x``
+    moves.  While that solve has weights <= 0, ``x`` moves toward it until
+    the first passive weight reaches 0, which leaves.  Each solve runs
+    ``lstsq`` on the passive columns, not the normal equations, whose
+    squared condition number costs digits of the residual.  In exact
+    arithmetic every new passive set lowers the residual, so the solve
+    stops at the first that does not: near a zero residual the correlations
+    are rounding, and following them could cycle.
+    """
+    n = a.shape[1]
+    x, passive, passed = np.zeros(n), np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+
+    def solve() -> np.ndarray:
+        z = np.zeros(n)
+        z[passive] = np.linalg.lstsq(a[:, passive], b, rcond=None)[0]
+        return z
+
+    for _ in range(3 * n):
+        # The residual's correlation with each column, read in the
+        # complement of the passive columns' span, where it stays exact to
+        # rounding of the residual itself, not of ``b``.
+        rest = np.linalg.qr(a[:, passive], mode="complete")[0][:, int(passive.sum()):]
+        residual = rest.T @ b
+        grad = np.where(passive | passed, -np.inf, (rest.T @ a).T @ residual)
+        j = int(np.argmax(grad))
+        if grad[j] <= 0.0:
+            break
+        passive[j] = True
+        z = solve()
+        if z[j] <= 0.0:
+            passive[j], passed[j] = False, True
+            continue
+        y = x
+        while np.any(z[passive] <= 0.0):
+            out = np.flatnonzero(passive & (z <= 0.0))
+            share = y[out] / (y[out] - z[out])
+            y = y + float(np.min(share)) * (z - y)
+            passive[out[np.argmin(share)]] = False
+            passive &= y > 0.0
+            z = solve()
+        if np.linalg.norm(a @ z - b) >= np.linalg.norm(residual):
+            break  # an exact step lowers the residual; this one is rounding
+        x, passed = z, np.zeros(n, dtype=bool)
+    return x
 
 
 def prior_from_regularizer(
@@ -185,10 +218,12 @@ def prior_from_regularizer(
     the system's rank, not one per decision.  When its vertex, clamped at 0
     and renormalised, reproduces every moment of every row within
     :data:`MOMENT_TOL` it is the answer.  Otherwise, or when that LP finds
-    no vertex, a minimum-L1-residual LP over all the rows (with ``2k`` more
-    columns for the residual splits) decides: its vertex is returned when
-    its residual is within tolerance, and an :class:`Infeasible` verdict
-    carrying that residual when it is not.
+    no vertex, a non-negative least-squares solve on the same basis rows
+    (:func:`_nnls`) decides.  Since ``[h; 1] @ w`` lies in their span, its
+    minimizer is the least-squares one over all the rows; it is returned,
+    clamped and renormalised, when every row's residual is within
+    tolerance, and an :class:`Infeasible` verdict carrying that residual
+    when it is not.
     ``max_entropy=True`` nudges the vertex toward the maximum-entropy
     representative.
     """
@@ -204,10 +239,15 @@ def prior_from_regularizer(
     # An orthonormal basis of the row space, at numpy's matrix_rank tolerance.
     u, s, _ = np.linalg.svd(c_full, full_matrices=False)
     basis = u[:, s > s[0] * max(c_full.shape) * np.finfo(float).eps].T
-    res = solve_lp(np.zeros(m), a_eq=basis @ c_full, b_eq=basis @ d_full)
-    found = _lp_weights(res.x, h, targets) if res.ok else None
+    a, b = basis @ c_full, basis @ d_full
+    try:
+        res = solve_lp(np.zeros(m), a_eq=a, b_eq=b)
+        found = _clamped_weights(res.x, h, targets) if res.ok else None
+    except LPFailureError:  # a stall, or a vertex off its own rows
+        found = None
     if found is None or found[1] > MOMENT_TOL:
-        found = _min_l1_weights(h, targets)
+        x = _nnls(a, b)
+        found = _clamped_weights(x, h, targets) or (x, float(np.max(np.abs(c_full @ x - d_full))))
         if found[1] > MOMENT_TOL:
             return Infeasible(found[1])
     w = found[0]

@@ -397,8 +397,8 @@ def _dual_minimum(lam: np.ndarray, a: np.ndarray, s: np.ndarray, budgets: np.nda
 
 # The largest share of a row's cost scale, max(1, max |c|), that the rounding
 # of a Wasserstein dual value read from the breakpoints' running sums may
-# reach through its multiplier; cells above it are solved term by term.  On
-# the benchmark's workloads no cell's bound reaches 1/900 of it.
+# reach through its multiplier; cells above it are solved again on the direct
+# form.  On the benchmark's workloads no cell's bound reaches 1/900 of it.
 _RUNNING_SUM_ERROR_MAX = 1e-10
 _UNIT_ROUNDOFF = np.finfo(float).eps / 2
 
@@ -408,17 +408,15 @@ def _resolve_inexact_cells(
     lam: np.ndarray, values: np.ndarray, lam_best: np.ndarray,
 ) -> None:
     """Solve again, in place, the cells of :func:`_wasserstein_values` whose
-    value the running sums ``a - lam * s`` may carry too much rounding into.
-
+    value the running sums ``a - lam * s`` may carry too much rounding into:
     ``s`` sums up to ``max dist_pow`` over up to ``1 + m**2`` terms, so a
-    large dual optimum ``lam`` (two atoms very close, at a small radius)
-    leaves ``a - lam * s`` with up to ``(1 + m**2) * u * lam * (max dist_pow
-    + eps**p)`` of rounding, ``u`` the unit roundoff.  A cell where that
-    exceeds :data:`_RUNNING_SUM_ERROR_MAX` of its row's cost scale takes the
-    dual's minimum over its row's breakpoints from the direct form ``lam *
-    eps**p + sum_j w_j max_i (c_i - lam * dist_pow[i, j])``, whose terms
-    stay within the costs' range at the optimum, and that minimum's ``lam``.
-    A cell's verdict reads its own row and radius only.
+    large dual optimum ``lam`` leaves up to ``(1 + m**2) * u * lam * (max
+    dist_pow + eps**p)``, ``u`` the unit roundoff.  A cell above
+    :data:`_RUNNING_SUM_ERROR_MAX` of its row's cost scale walks the direct
+    form ``H(lam) = lam * eps**p + sum_j w_j max_i (c_i - lam * dist_pow[i,
+    j])``, convex and within the costs' range at the optimum, over its row's
+    distinct breakpoints from the pick: left while ``H`` does not rise (a tie
+    keeps the least), then right while it falls, to the minimum of ``H``.
     """
     reach = lam_best * ((1 + dist_pow.size) * _UNIT_ROUNDOFF * (float(np.max(dist_pow)) + budgets))
     if float(np.max(reach)) <= _RUNNING_SUM_ERROR_MAX:
@@ -427,13 +425,15 @@ def _resolve_inexact_cells(
     supp = center.support_indices()
     w, d = center.weights[supp], dist_pow[:, supp]
     for k in np.flatnonzero(inexact.any(axis=1)):
-        direct = lam[k][:, None] * budgets[None, :] + (
-            np.max(c[k][None, :, None] - lam[k][:, None, None] * d[None], axis=1) @ w
-        )[:, None]
-        cells = np.flatnonzero(inexact[k])
-        pick = np.argmin(direct[:, cells], axis=0)
-        values[k, cells] = direct[pick, cells]
-        lam_best[k, cells] = lam[k][pick]
+        steps = np.unique(lam[k])
+        direct = lambda i, r: steps[i] * budgets[r] + np.max(c[k][:, None] - steps[i] * d, axis=0) @ w
+        for r in np.flatnonzero(inexact[k]):
+            i = int(np.searchsorted(steps, lam_best[k, r]))
+            best = direct(i, r)
+            for step, better in ((-1, np.less_equal), (1, np.less)):
+                while 0 <= i + step < steps.size and better(h := direct(i + step, r), best):
+                    i, best = i + step, h
+            values[k, r], lam_best[k, r] = best, steps[i]
 
 
 def _wasserstein_witnesses(
@@ -783,7 +783,8 @@ def extremal_expectation(
     through the finite strong dual; the rounding that the breakpoints'
     running sums add to the value through a large multiplier stays within
     1e-10 of the row's cost scale, ``max(1, max |c|)`` (a cell whose bound
-    exceeds that is solved term by term, see
+    exceeds that walks the dual's direct form, term by term, from the
+    multiplier the running sums picked to its minimum, see
     :func:`_resolve_inexact_cells`), and the witness moves each centre atom
     to an atom attaining its max at the dual optimum, spending the transport
     budget exactly, and attains the value to 1e-9.  KL balls go through the

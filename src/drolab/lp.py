@@ -389,6 +389,10 @@ def solve_lp(
     nonnegative, and ``c`` is one objective vector.  The solve pivots on the
     basis tree, and returns the result of the dense solve with ``a_eq`` the
     stacked row-sum and column-sum indicators and ``b_eq = [a, b]``.
+
+    A dense answer must meet its own rows and ``x >= 0`` within the
+    tolerance of the phase-1 infeasibility test, ``1e-8`` times the largest
+    ``|b|`` (at least 1); one that misses raises :class:`LPFailureError`.
     """
     if marginals is not None:
         if any(block is not None for block in (a_eq, b_eq, a_ub, b_ub)):
@@ -475,6 +479,11 @@ def solve_lp(
             x_full = np.zeros(n_struct)
             x_full[bas] = tab[:, -1]
             x_full[np.abs(x_full) < 1e-14] = 0.0
+            # Pivots on nearly singular rows can end at a "vertex" far off
+            # its own rows (slacks included): a failure, not an optimum.
+            miss = max(float(np.max(np.abs(full @ x_full - b), initial=0.0)), -float(np.min(x_full)))
+            if miss > FEASIBILITY_TOL * scale * 10.0:
+                raise LPFailureError(f"simplex answer misses its rows by {miss:.3g}")
             xs.append(x_full[:n])
     if xs is None:
         return LPResult("unbounded", None, None, iterations)

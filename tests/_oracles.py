@@ -38,16 +38,24 @@ one LP in the mixing share, is kept as :func:`toward_dirac_share_bisection`, and
 ``robustness.pac_robustness`` with Monte-Carlo draws on every instance,
 which the package skips when the level band decides the probability, is
 kept as :func:`pac_robustness_mc`.  ``bayes.prior_from_regularizer``
-with its minimum-L1-residual LP on every instance, which the package now runs
-only after a feasibility LP finds no prior, is kept as
-:func:`prior_from_regularizer_l1`.  ``divergence._upper_envelopes`` as
-it walked before it stopped at its last transition, with one more crossing
-pass that found nothing to move, is kept as
-:func:`upper_envelopes_full_walk`, and its dual minimum read through
+with its minimum-L1-residual LP on every instance, which the package ran
+only after a feasibility LP found no prior until a non-negative
+least-squares solve replaced it there, is kept as
+:func:`prior_from_regularizer_l1`.  The residual of an ``Infeasible``
+verdict, recomputed with SciPy's non-negative least squares, is
+:func:`moment_residual_nnls_scipy`, and the least max-abs residual of a
+moment system, by HiGHS, :func:`moment_residual_highs`.
+``divergence._upper_envelopes`` as it walked before it stopped at its last
+transition, with one more crossing pass that found nothing to move, is kept
+as :func:`upper_envelopes_full_walk`, and its dual minimum read through
 ``np.take_along_axis``, which the package replaced by direct indexing, as
-:func:`wasserstein_dual_minimum_gather`.  ``SupportGrid``'s triangle check
-that looped over the pivots one at a time, which the package replaced by
-blocks of pivots, is kept as :func:`triangle_violated_loop`.  The
+:func:`wasserstein_dual_minimum_gather`.
+``divergence._resolve_inexact_cells`` as it solved a flagged row again at
+every breakpoint at once, which the package replaced by a walk from the
+dual's pick, is kept as :func:`resolve_inexact_cells_every_breakpoint`.
+``SupportGrid``'s triangle check that looped over the pivots one at a time,
+which the package replaced by blocks of pivots, is kept as
+:func:`triangle_violated_loop`.  The
 config validator that ran a JSON Schema (``tests/data/config.schema.json``)
 through ``jsonschema`` and then checked method entries against
 ``experiment.METHODS``, which the package replaced by plain-Python checks, is
@@ -68,11 +76,13 @@ from pathlib import Path
 import jsonschema
 import mpmath
 import numpy as np
-from scipy.optimize import brentq, linprog
+from scipy.optimize import brentq, linprog, nnls
 from scipy.special import logsumexp
 
 from drolab.cost import cost_table
 from drolab.divergence import (
+    _RUNNING_SUM_ERROR_MAX,
+    _UNIT_ROUNDOFF,
     AmbiguityBall,
     DivergenceKind,
     deviations_from,
@@ -877,6 +887,46 @@ def prior_from_regularizer_l1(f, cf, x_constraints, grid, max_entropy: bool = Fa
     return DiscreteDistribution(grid, w)
 
 
+def moment_basis_rows(h: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rows ``bayes.prior_from_regularizer`` solves on: an orthonormal
+    basis of the row space of ``[h; 1]`` (left singular vectors above
+    numpy's ``matrix_rank`` tolerance) applied to ``[h; 1]`` and to
+    ``[targets; 1]``."""
+    c_full = np.vstack([h, np.ones((1, h.shape[1]))])
+    u, s, _ = np.linalg.svd(c_full, full_matrices=False)
+    basis = u[:, s > s[0] * max(c_full.shape) * np.finfo(float).eps].T
+    return basis @ c_full, basis @ np.concatenate([targets, [1.0]])
+
+
+def moment_residual_nnls_scipy(h: np.ndarray, targets: np.ndarray) -> float:
+    """The every-row max-abs moment residual of SciPy's non-negative least
+    squares on :func:`moment_basis_rows`, clamped and renormalised (a zero
+    weight vector's own, the sum row's included): the residual an
+    ``Infeasible`` verdict of ``bayes.prior_from_regularizer`` carries."""
+    x, _ = nnls(*moment_basis_rows(h, targets))
+    if x.sum() <= 0.0:
+        return float(max(1.0, np.max(np.abs(targets))))
+    return float(np.max(np.abs(h @ (x / x.sum()) - targets)))
+
+
+def moment_residual_highs(h: np.ndarray, targets: np.ndarray) -> float:
+    """The least max-abs moment residual any distribution attains, ``min t``
+    with ``|h w - targets| <= t``, ``sum w = 1``, ``w >= 0``, by HiGHS."""
+    k, m = h.shape
+    res = linprog(
+        np.concatenate([np.zeros(m), [1.0]]),
+        A_ub=np.block([[h, -np.ones((k, 1))], [-h, -np.ones((k, 1))]]),
+        b_ub=np.concatenate([targets, -targets]),
+        A_eq=np.concatenate([np.ones(m), [0.0]])[None, :],
+        b_eq=[1.0],
+        bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10},
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
 _CONFIG_SCHEMA = json.loads((Path(__file__).parent / "data" / "config.schema.json").read_text())
 
 
@@ -925,6 +975,33 @@ def wasserstein_dual_minimum_gather(lam, a, s, budgets) -> tuple[np.ndarray, np.
     dual = a[:, :, None] + lam[:, :, None] * (budgets[None, None, :] - s[:, :, None])
     best = np.argmin(dual, axis=1)
     return np.take_along_axis(dual, best[:, None, :], axis=1)[:, 0, :], np.take_along_axis(lam, best, axis=1)
+
+
+def inexact_cells(c, dist_pow, budgets, lam_best) -> np.ndarray:
+    """The cells of a Wasserstein dual read, at multipliers ``lam_best``,
+    that ``divergence._resolve_inexact_cells`` flags and solves again."""
+    reach = lam_best * ((1 + dist_pow.size) * _UNIT_ROUNDOFF * (float(np.max(dist_pow)) + budgets))
+    return reach > _RUNNING_SUM_ERROR_MAX * np.maximum(1.0, np.max(np.abs(c), axis=1))[:, None]
+
+
+def resolve_inexact_cells_every_breakpoint(center, c, dist_pow, budgets, lam, values, lam_best) -> np.ndarray:
+    """``divergence._resolve_inexact_cells`` as it solved a flagged row again
+    before the walk: the direct form ``lam * eps**p + sum_j w_j max_i (c_i -
+    lam * dist_pow[i, j])`` at every breakpoint of the row at once, one
+    (breakpoints x atoms x support) array, and its first least value per
+    flagged cell, written in place.  Returns the mask of flagged cells."""
+    inexact = inexact_cells(c, dist_pow, budgets, lam_best)
+    supp = center.support_indices()
+    w, d = center.weights[supp], dist_pow[:, supp]
+    for k in np.flatnonzero(inexact.any(axis=1)):
+        direct = lam[k][:, None] * budgets[None, :] + (
+            np.max(c[k][None, :, None] - lam[k][:, None, None] * d[None], axis=1) @ w
+        )[:, None]
+        cells = np.flatnonzero(inexact[k])
+        pick = np.argmin(direct[:, cells], axis=0)
+        values[k, cells] = direct[pick, cells]
+        lam_best[k, cells] = lam[k][pick]
+    return inexact
 
 
 def triangle_violated_loop(metric: np.ndarray) -> bool:

@@ -8,9 +8,15 @@ from dataclasses import replace
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
+from scipy.optimize import nnls
 
-from _oracles import prior_from_regularizer_l1
+from _oracles import (
+    moment_basis_rows,
+    moment_residual_highs,
+    moment_residual_nnls_scipy,
+    prior_from_regularizer_l1,
+)
 from conftest import random_distribution, random_grid
 from drolab import bayes
 from drolab.bayes import (
@@ -25,7 +31,7 @@ from drolab.bayes import (
 )
 from drolab.cli import main
 from drolab.cost import DecisionSpace, NonFiniteCostError, Regularizer, builtin_costs, cost_table, make_cost
-from drolab.lp import solve_lp
+from drolab.lp import LPFailureError, solve_lp
 from drolab.solvers import solve_bayes_dp, solve_regularized_saa
 from drolab.support import DiscreteDistribution, SampleSet, SupportGrid, empirical, mixture, sample
 
@@ -239,8 +245,8 @@ def lp_calls(monkeypatch):
 
 
 class TestMomentPath:
-    """The feasibility LP in front of the minimum-L1 LP, against the
-    function that ran the minimum-L1 LP alone."""
+    """The feasibility LP in front of the non-negative least-squares solve,
+    against the function that ran the minimum-L1 LP alone."""
 
     def test_feasible_targets_take_one_lp(self, lp_calls):
         for seed in range(40):
@@ -254,17 +260,18 @@ class TestMomentPath:
             assert lp_calls == [(grid.size, rank)], seed
 
     @pytest.mark.parametrize("target", ["perturbed", "floor"])
-    def test_infeasible_targets_keep_the_min_l1_residual(self, target, lp_calls):
+    def test_infeasible_targets_keep_the_nnls_residual(self, target, lp_calls):
         for seed in range(20):
-            f, cf, space, grid, _, _ = _moment_instance(seed, target)
+            f, cf, space, grid, h, values = _moment_instance(seed, target)
             lp_calls.clear()
             verdict = prior_from_regularizer(f, cf, space, grid)
-            # The minimum-L1 LP reads every moment row.
-            assert [columns for columns, _ in lp_calls] == [grid.size, grid.size + 2 * len(space)], seed
-            assert lp_calls[1][1] == len(space) + 1, seed
-            reference = prior_from_regularizer_l1(f, cf, space, grid)
-            assert isinstance(reference, Infeasible) and isinstance(verdict, Infeasible), seed
-            assert verdict.residual == reference.residual, seed
+            # The feasibility LP is the only LP; the NNLS reads its rows.
+            rank = np.linalg.matrix_rank(np.vstack([h, np.ones(grid.size)]))
+            assert lp_calls == [(grid.size, rank)], seed
+            assert isinstance(prior_from_regularizer_l1(f, cf, space, grid), Infeasible), seed
+            assert isinstance(verdict, Infeasible), seed
+            reference = moment_residual_nnls_scipy(h, values)
+            assert abs(verdict.residual - reference) <= 1e-9 * max(1.0, reference), seed
 
     def test_verdict_type_agrees_with_min_l1_lp(self):
         for seed in range(60):
@@ -330,14 +337,15 @@ class TestRowBasisLP:
     )
     @settings(max_examples=500, deadline=None)
     def test_random_moment_systems(self, seed, name, dim, lattice, k, target):
-        # Line and plane grids, random or regular, with up to 60 decisions.
-        # A prior's moments always give a prior.  Other targets get the
-        # minimum-L1 LP's verdict; on a prior's moments that LP over all
-        # rows can itself stall or misjudge at this size, so it is not the
-        # reference there.
+        # Line and plane grids of up to 40 atoms, random or regular, with up
+        # to 60 decisions.  A prior's moments always give a prior.  Other
+        # targets get the minimum-L1 LP's verdict up to 12 atoms and HiGHS's
+        # least max-abs residual above; on a prior's moments the minimum-L1
+        # LP over all rows can itself stall or misjudge at this size, so it
+        # is not the reference there.
         rng = np.random.default_rng(seed)
         dim = 2 if name == "linreg" else dim
-        m = int(rng.integers(2 if dim == 1 else 3, 13))
+        m = int(rng.integers(2 if dim == 1 else 3, 41))
         if not lattice:
             grid = random_grid(rng, m, dim)
         elif dim == 1:
@@ -355,8 +363,10 @@ class TestRowBasisLP:
         if target == "prior":
             assert not isinstance(verdict, Infeasible)
             assert float(np.max(np.abs(h @ verdict.weights - values))) <= MOMENT_TOL
-        else:
+        elif grid.size <= 12:
             assert type(verdict) is type(prior_from_regularizer_l1(f, cf, list(space), grid))
+        else:
+            assert isinstance(verdict, Infeasible) == (moment_residual_highs(h, values) > MOMENT_TOL)
 
     def test_many_decisions_on_the_plane_stay_fast(self, lp_calls):
         # 401 decisions of linreg on the 3x3 plane: 402 moment rows of rank 4.
@@ -373,6 +383,86 @@ class TestRowBasisLP:
         assert not isinstance(found, Infeasible)
         assert lp_calls == [(9, 4)] * 3
         assert min(times) < 5e-3, times
+
+
+def _desk_prior_instance(seed: int):
+    """A prior's moments at desk scale: up to 39 atoms on a line, a built-in
+    cost, up to 59 decisions, and a Dirichlet prior with about 30% of its
+    atoms empty.  Returns the grid, the cost's name, the decisions, the cost
+    and the prior's regularizer; None when every atom came out empty."""
+    rng = np.random.default_rng(seed)
+    rng.integers(1, 3)
+    m = int(rng.integers(3, 40))
+    grid = SupportGrid.euclidean(np.sort(rng.uniform(-3, 3, m))[:, None])
+    name = str(rng.choice(["absolute", "squared", "huber", "newsvendor"]))
+    space = DecisionSpace.interval(-3, 3, int(rng.integers(1, 60)))
+    cf = make_cost(name, grid=grid, space=space)
+    prior = rng.dirichlet(np.ones(m))
+    prior[rng.random(m) < 0.3] = 0
+    if prior.sum() == 0.0:
+        return None
+    prior /= prior.sum()
+    return grid, name, space, cf, regularizer_from_prior(DiscreteDistribution(grid, prior), cf)
+
+
+class TestDeskScaleMoments:
+    """A prior's moments at up to 39 atoms and 59 decisions, where the
+    row-basis LP can end at a vertex off its own rows and the minimum-L1 LP
+    over all rows misjudged or stalled."""
+
+    @given(seed=st.integers(0, 2**32 - 1))
+    # Newsvendor, 32 atoms, 57 decisions: the basis LP's "optimal" vertex
+    # missed its rows by 123, and the minimum-L1 LP found a residual of 6e-4.
+    @example(seed=234)
+    # Absolute, 31 atoms, 51 decisions: the minimum-L1 LP hit its 39,000-pivot cap.
+    @example(seed=247)
+    @settings(max_examples=150, deadline=None)
+    def test_prior_moments_give_a_prior(self, seed):
+        instance = _desk_prior_instance(seed)
+        assume(instance is not None)
+        grid, _, space, cf, f = instance
+        found = prior_from_regularizer(f, cf, list(space), grid)
+        assert not isinstance(found, Infeasible)
+        assert float(np.max(np.abs(cost_table(cf, grid, space) @ found.weights - f.values(space)))) <= MOMENT_TOL
+
+    @pytest.mark.parametrize("seed", [234, 247])
+    def test_cli_prints_the_prior(self, seed, tmp_path):
+        grid, name, space, cf, f = _desk_prior_instance(seed)
+        doc = {"grid": {"atoms": grid.atoms.tolist()}, "cost": {"name": name},
+               "f_table": {"points": space.points.tolist(), "values": f.values(space).tolist()}}
+        (tmp_path / "spec.json").write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, ["prior-from-reg", str(tmp_path / "spec.json")])
+        assert result.exit_code == 0, result.output
+        payload = json.loads(result.output)
+        assert payload["infeasible"] is False and len(payload["weights"]) == grid.size
+        residual = cost_table(cf, grid, space) @ np.array(payload["weights"]) - f.values(space)
+        assert float(np.max(np.abs(residual))) <= MOMENT_TOL
+
+    def test_basis_lp_off_its_rows_fails(self):
+        # Seed 234's basis LP: the dense simplex's answer misses its rows.
+        grid, _, space, cf, f = _desk_prior_instance(234)
+        a, b = moment_basis_rows(cost_table(cf, grid, space), f.values(space))
+        with pytest.raises(LPFailureError, match="misses its rows"):
+            solve_lp(np.zeros(grid.size), a_eq=a, b_eq=b)
+
+    @given(seed=st.integers(0, 2**32 - 1), shift=st.sampled_from([0.0, 1e-6, 1e-2, 1.0]))
+    @example(seed=234, shift=0.0)
+    @example(seed=247, shift=0.0)
+    @settings(max_examples=150, deadline=None)
+    def test_nnls_residual_matches_scipy(self, seed, shift):
+        # Lawson-Hanson on the basis rows of a prior's moments, moved off
+        # them by ``shift`` in a random direction: the residual norm is
+        # SciPy's to 1e-9 of the target scale, and the weights are >= 0.
+        instance = _desk_prior_instance(seed)
+        assume(instance is not None)
+        grid, _, space, cf, f = instance
+        a, b = moment_basis_rows(cost_table(cf, grid, space), f.values(space))
+        b = b + shift * np.random.default_rng(seed).normal(size=b.size)
+        x = bayes._nnls(a, b)
+        reference, _ = nnls(a, b)
+        assert np.all(x >= 0.0)
+        gap = np.linalg.norm(a @ x - b) - np.linalg.norm(a @ reference - b)
+        assert abs(gap) <= 1e-9 * max(1.0, float(np.linalg.norm(b)))
 
 
 class TestEquivalenceLadder:

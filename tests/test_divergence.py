@@ -2,6 +2,7 @@
 
 import gc
 import math
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -13,10 +14,12 @@ from _oracles import (
     absolute_deviation,
     ball_extremal_lp,
     extremal_oracle_w1,
+    inexact_cells,
     kl_divergence_vec,
     kl_extremal_brentq,
     kl_extremal_mpmath,
     radius_cap_chain,
+    resolve_inexact_cells_every_breakpoint,
     rational_weights,
     transport_grid_search,
     transport_vertex_search,
@@ -657,6 +660,74 @@ class TestWassersteinDualOracle:
                 exact = wasserstein_dual_rational(center.weights, dist_pow, costs, eps**p)
                 value = values[k, r] if k < len(table) else -values[k, r]
                 assert abs(value - exact) <= 1e-10 * max(1.0, float(np.max(np.abs(costs)))), (k, r)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 12),
+        dim=st.sampled_from([1, 2]),
+        p=st.sampled_from([1.0, 1.5, 2.0]),
+        gap=st.sampled_from([1e-3, 1e-4, 1e-5, 1e-6, 1e-7, 1e-8]),
+        pairs=st.integers(1, 2),
+        tied=st.booleans(),
+        rows=st.integers(1, 5),
+        gaps=st.lists(st.sampled_from([0.01, 0.1, 0.3, 1.0, 3.0]), min_size=1, max_size=4),
+        fracs=st.lists(RADIUS_FRACTIONS, max_size=2),
+    )
+    # Atoms 1e-8 apart at p = 2: the running sums pick a multiplier whose
+    # direct-form value is above the least by far more than 1e-14 of the
+    # cost scale, so evaluating at the pick alone is not enough.
+    @example(seed=563614754, m=5, dim=1, p=2.0, gap=1e-8, pairs=1, tied=False, rows=3, gaps=[0.01, 0.1], fracs=[0.3])
+    @settings(max_examples=100, deadline=None)
+    def test_walk_matches_the_every_breakpoint_resolve(self, seed, m, dim, p, gap, pairs, tied, rows, gaps, fracs):
+        # One or two pairs of atoms ``gap`` apart, on a line or a plane, make
+        # the dual optimum large at radii near the gap, so cells are flagged
+        # (in most draws), and the running sums can pick another multiplier
+        # than the direct form's least one.  The walk from that pick must
+        # reach the least direct-form value over every breakpoint, and leave
+        # every unflagged cell's bytes alone.
+        rng = np.random.default_rng(seed)
+        center, table = random_ball_instance(rng, m, dim, 0, tied, rows)
+        atoms = center.grid.atoms.copy()
+        for i in range(min(pairs, m // 2)):
+            atoms[2 * i + 1] = atoms[2 * i]
+            atoms[2 * i + 1, 0] += gap * (1 + 2 * i)
+        center = DiscreteDistribution(SupportGrid.euclidean(atoms), center.weights)
+        c = np.concatenate([table, -table])
+        dist_pow = center.grid.ground_metric**p
+        budgets = np.concatenate([np.array(gaps) * gap, np.array(fracs) * center.grid.diameter]) ** p
+        lam, a, s = divergence._upper_envelopes(c, dist_pow, center.weights)
+        read = divergence._dual_minimum(lam, a, s, budgets)
+        walked, solved = [x.copy() for x in read], [x.copy() for x in read]
+        divergence._resolve_inexact_cells(center, c, dist_pow, budgets, lam, *walked)
+        flagged = resolve_inexact_cells_every_breakpoint(center, c, dist_pow, budgets, lam, *solved)
+        scale = np.maximum(1.0, np.max(np.abs(c), axis=1))[:, None]
+        assert np.all(np.abs(walked[0] - solved[0]) <= 1e-14 * scale)
+        for got, before in zip(walked, read):
+            assert got[~flagged].tobytes() == before[~flagged].tobytes()
+
+    def test_desk_scale_plane_resolves_flagged_cells_in_little_memory(self):
+        # A 14x14 plane with random-normal costs: 41 of its 400 cells, in 5
+        # of its 10 signed rows, are flagged for the re-solve.  Solving each
+        # flagged row at every breakpoint at once traced an 846 MB peak; the
+        # walk from the running sums' pick needs about 14 MB.
+        side = 14
+        grid = SupportGrid.euclidean([[i, j] for i in range(side) for j in range(side)])
+        rng = np.random.default_rng(0)
+        center = DiscreteDistribution(grid, rng.dirichlet(np.ones(side * side)))
+        table = rng.normal(size=(5, side * side))
+        radii = np.geomspace(1e-4, 1, 40) * grid.diameter
+        kind = DivergenceKind.wasserstein_order(1.0)
+        tracemalloc.start()
+        try:
+            extremal_values(center, kind, table, radii)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6
+        signed = np.concatenate([table, -table])
+        lam, a, s = divergence._dual_breakpoints(center, 1.0, signed, grid.ground_metric)
+        _, lam_best = divergence._dual_minimum(lam, a, s, radii)
+        assert np.count_nonzero(inexact_cells(signed, grid.ground_metric, radii, lam_best)) == 41
 
     @given(
         seed=st.integers(0, 2**32 - 1),

@@ -377,6 +377,16 @@ _DIVERGENCE_OPTIONS = [
     *(["--kind", kind, *orientation] for kind in DIVERGENCE_KINDS if kind != "wasserstein"
       for orientation in ([], ["--orientation", "forward"], ["--orientation", "reverse"])),
 ]
+# ``solve`` under every method and ``measure`` under every kind, with the
+# options each needs on ``problem_doc``'s 3-atom setting.
+_PROBLEM_COMMANDS = [
+    ["solve", "--method", "saa"], ["solve", "--method", "reg_saa", "--lam", "0.5"],
+    ["solve", "--method", "bayes_dp", "--alpha", "1.0"], ["solve", "--method", "minmax_dro", "--eps", "0.3"],
+    ["solve", "--method", "abs_dro", "--eps", "0.3"], ["solve", "--method", "satisficing", "--delta", "0.1"],
+    ["measure", "--kind", "absolute", "--eps", "0.3"], ["measure", "--kind", "relative"],
+    ["measure", "--kind", "local"], ["measure", "--kind", "set", "--eps", "0.2", "--budget", "20"],
+    ["measure", "--kind", "pac", "--draws", "200"],
+]
 _VALUES = [
     True, False, None, 0, 1, -1, 2, 2.5, -0.5, 10.0, 0.0, -0.0, "auto", "x", "one", "kl", "tv", "reverse", "saa",
     [], {}, [1.0], [[1.0]], [0.5, 0.5], {"kind": "wasserstein"}, {"kind": "tv"}, {"weights": [1.0]},
@@ -490,7 +500,9 @@ class TestOracleValidator:
 class TestAcceptedDocumentsRun:
     """A mutated config, accepted or not, ends ``run`` and ``verify-bounds``
     with an exit code (0, 1 or 2) and never with a traceback; a rejected one
-    ends ``run`` with exit code 1, one ``error:`` line and nothing written."""
+    ends ``run`` with exit code 1, one ``error:`` line and nothing written.
+    Mutated ``prior-from-reg``, ``divergence`` and problem documents (under
+    ``solve`` and ``measure``) end with 0 or 1, the same way."""
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(single_mutations())
@@ -556,6 +568,22 @@ class TestAcceptedDocumentsRun:
             assert isinstance(value, float) or value == "Infinity", result.output
         else:
             assert result.exit_code == 1 and result.output.startswith("error: "), result.output
+
+    @settings(max_examples=250, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(single_mutations((problem_doc(),)), st.sampled_from(_PROBLEM_COMMANDS))
+    def test_problem_mutations_exit_cleanly(self, tmp_path, doc, command):
+        # ``solve`` or ``measure`` on a mutated problem document: an accepted
+        # one prints a JSON object and exits 0, a rejected one exits 1 with
+        # one ``error:`` line; neither ends in a traceback.
+        path = Path(tempfile.mkdtemp(dir=tmp_path)) / "prob.json"
+        path.write_text(json.dumps(doc))
+        result = CliRunner().invoke(main, [command[0], str(path), *command[1:]])
+        assert result.exception is None or isinstance(result.exception, SystemExit), (command, result.output)
+        if result.exit_code == 0:
+            assert isinstance(json.loads(result.output), dict), result.output
+        else:
+            assert result.exit_code == 1, result.output
+            assert len(result.output.splitlines()) == 1 and result.output.startswith("error: "), result.output
 
 
 class TestRunner:
