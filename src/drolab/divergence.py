@@ -11,9 +11,13 @@ pass, and :func:`deviation_table` the largest two-sided deviation, which
 every robustness measure and the absolute-DRO model read.  Exact results are
 kept on the distribution they were computed from (its ``_memo``), so a
 repeated instance, or a table made of rows of a solved one, costs no second
-solve.  The cost tables that callers pass in are kept in turn on their cost
-function (:func:`drolab.cost.cost_table`), so a repeated report builds no
-table either.
+solve.  The Wasserstein dual's per-atom envelopes depend on the cost table
+and the metric alone, and the centre's weights only weigh them, so their
+walk is kept on the grid (its ``_memo``), over the atoms walked so far: a
+later centre on the grid and table walks only the support atoms no centre
+has walked, and weighs the rest.  The cost tables that callers pass in are
+kept in turn on their cost function (:func:`drolab.cost.cost_table`), so a
+repeated report builds no table either.
 """
 
 from __future__ import annotations
@@ -257,29 +261,31 @@ def membership(ball: AmbiguityBall, q: DiscreteDistribution) -> bool:
     return ball.kind.distance(q, ball.center) <= ball.radius + _MEMBERSHIP_SLACK
 
 
-def _upper_envelopes(c: np.ndarray, dist_pow: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Breakpoints of ``G(lam) = sum_j w_j max_i (c[k, i] - lam * dist_pow[i, j])``.
+def _envelope_walk(c: np.ndarray, dist_pow: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The steps of the per-atom upper envelopes ``max_i (c[k, i] - lam *
+    dist_pow[i, j])`` of the cost rows ``c`` over the metric columns
+    ``dist_pow``, one per atom ``j`` walked.
 
-    Walks every per-atom upper envelope from ``lam = 0`` upward at once, over
-    all cost rows ``k`` and centre atoms ``j``: the active line hands over to
-    the flattest line that overtakes it first, so each envelope takes at most
-    ``m - 1`` steps.  Returns per row, in increasing ``lam`` (starting at 0),
-    the breakpoints and the intercept ``a`` and slope ``s`` sums with
-    ``G(lam) = a - lam * s`` there; rows with fewer breakpoints are padded
-    with ``lam = 0`` and ``a = inf``.
+    Walks every envelope from ``lam = 0`` upward at once, over all rows and
+    columns: the active line hands over to the flattest line that overtakes
+    it first, so each envelope takes at most ``m - 1`` steps.  Each (row,
+    column) is walked alone, and no centre weight enters.  Returns the
+    number of steps per (row, column), and the (rows, 3, steps, columns)
+    events: per step the multiplier ``lam`` where it happens and the
+    changes of intercept and slope it makes.  Step 0 is the first active
+    line, at ``lam = 0``, as changes from nothing; steps past a column's
+    last read ``lam = inf`` and no change.
     """
     rows, cols = np.arange(c.shape[0])[:, None], np.arange(dist_pow.shape[1])[None, :]
     top = np.max(c, axis=1)
     active = np.argmin(np.where((c == top[:, None])[:, :, None], dist_pow[None], np.inf), axis=1)
     c_act, d_act = c[rows, active], dist_pow[active, cols]
     lam_now = np.zeros(active.shape)
-    # (lam, change of a, change of s) per event: the sums at lam = 0, then one
-    # (k, s) block per step.
-    events = [(np.zeros((c.shape[0], 1)), np.sum(w * c_act, axis=1, keepdims=True),
-               np.sum(w * d_act, axis=1, keepdims=True))]
+    # (lam, change of intercept, change of slope) per step, each (k, columns).
+    events = [(lam_now, c_act, d_act)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        # Each centre atom's own line is flat (the metric's diagonal is 0), so
-        # an envelope can still move exactly while its active slope is > 0.
+        # Each atom's own line is flat (the metric's diagonal is 0), so an
+        # envelope can still move exactly while its active slope is > 0.
         while d_act.any():
             # cross[k, i, j]: where line i overtakes the active line of (k, j).
             flatter = dist_pow[None] < d_act[:, None, :]
@@ -294,50 +300,124 @@ def _upper_envelopes(c: np.ndarray, dist_pow: np.ndarray, w: np.ndarray) -> tupl
             lam_now = np.where(live, np.maximum(nxt, lam_now), lam_now)
             events.append((
                 np.where(live, lam_now, np.inf),
-                np.where(live, w * (c_new - c_act), 0.0),
-                np.where(live, w * (d_new - d_act), 0.0),
+                np.where(live, c_new - c_act, 0.0),
+                np.where(live, d_new - d_act, 0.0),
             ))
             c_act, d_act = np.where(live, c_new, c_act), np.where(live, d_new, d_act)
-    lam, d_a, d_s = (np.concatenate(parts, axis=1) for parts in zip(*events))
-    order = np.argsort(lam, axis=1, kind="stable")
-    lam, d_a, d_s = (x[rows, order] for x in (lam, d_a, d_s))
+    events = np.array(events).transpose(2, 1, 0, 3)
+    return np.sum(np.isfinite(events[:, 0, 1:]), axis=1), events
+
+
+def _with_columns(
+    entry: tuple[np.ndarray, ...], c: np.ndarray, dist_pow: np.ndarray, cols: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """A grid entry, :func:`_envelope_walk`'s arrays over every atom with
+    ``-1`` steps at an atom not walked, with the atoms ``cols`` walked as
+    well: new arrays, as deep as the deeper walk."""
+    count, events = entry
+    steps, walked = _envelope_walk(c, dist_pow[:, cols])
+    count = count.copy()
+    count[:, cols] = steps
+    k, _, depth, m = events.shape
+    out = np.empty((k, 3, max(depth, walked.shape[2]), m))
+    out[:, 0], out[:, 1:] = np.inf, 0.0
+    out[:, :, :depth] = events
+    out[:, :, :walked.shape[2], cols] = walked
+    return count, out
+
+
+def _grid_envelopes(
+    grid: SupportGrid, p: float, c: np.ndarray, dist_pow: np.ndarray, supp: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """The :func:`_envelope_walk` arrays of the signed cost table ``c`` over
+    the atoms of ``grid``, walked at least at the atoms ``supp``, from the
+    grid's entry for the order and table (:func:`_kept`; a table made of
+    rows of a kept table is gathered from it).  The walk depends on the table and the metric alone,
+    so every centre on the grid shares the entry.  Only the atoms of
+    ``supp`` that the entry has not walked are walked, and the entry is
+    replaced by one that holds them too, so no centre walks more columns
+    than its own support."""
+    key = ("wasserstein_envelopes", float(p))
+    k, m = c.shape
+    # A new entry starts from no atom walked.
+    entry = _kept(grid, key, lambda: _with_columns((np.full((k, m), -1), np.zeros((k, 3, 0, m))), c, dist_pow, supp), c)
+    missing = supp[np.any(entry[0][:, supp] < 0, axis=0)]
+    if missing.size:
+        entry = _keep(grid, (key, c.shape, c.tobytes()), _with_columns(entry, c, dist_pow, missing))
+    return entry
+
+
+def _weighted_envelopes(entry: tuple[np.ndarray, ...], supp: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Breakpoints of ``G(lam) = sum_j w_j max_i (c[k, i] - lam *
+    dist_pow[i, j])`` over the support ``supp`` of weights ``w``, from the
+    grid's envelope walk ``entry`` of ``c`` (:func:`_grid_envelopes`).
+
+    Returns per row, in increasing ``lam`` (starting at 0), the breakpoints
+    and the intercept ``a`` and slope ``s`` sums with ``G(lam) = a - lam *
+    s`` there; rows with fewer breakpoints are padded with ``lam = 0`` and
+    ``a = inf``.  The events are the sums at ``lam = 0``, then one
+    ``|supp|``-wide block per step, up to the most steps any support
+    column has, stably sorted by ``lam``.
+    """
+    count, events = entry
+    k = count.shape[0]
+    events = np.take(events[:, :, :1 + int(np.max(count[:, supp], initial=0))], supp, axis=3)
+    # Per row, a flat run of events for each of lam and the weighted changes
+    # of a and s.  The sums at lam = 0 add C-ordered runs of |supp|, as a
+    # walk weighted step by step did: np.sum rounds an F-ordered copy
+    # otherwise.
+    flat = np.empty((3, k, 1 + (events.shape[2] - 1) * supp.size))
+    flat[0, :, 0] = 0.0
+    flat[1:, :, 0] = np.sum(w * np.ascontiguousarray(events[:, 1:, 0]), axis=2).T
+    flat[0, :, 1:] = events[:, 0, 1:].reshape(k, -1)
+    flat[1:, :, 1:] = (w * events[:, 1:, 1:]).reshape(k, 2, -1).transpose(1, 0, 2)
+    order = np.argsort(flat[0], axis=1, kind="stable")
+    lam, *sums = flat[:, np.arange(k)[:, None], order]
     pad = np.isinf(lam)
-    return np.where(pad, 0.0, lam), np.where(pad, np.inf, np.cumsum(d_a, axis=1)), np.cumsum(d_s, axis=1)
+    return np.where(pad, 0.0, lam), np.where(pad, np.inf, np.cumsum(sums[0], axis=1)), np.cumsum(sums[1], axis=1)
 
 
 def _kept(
-    center: DiscreteDistribution, key: tuple, solve: Callable[[], tuple], table: np.ndarray | None = None
+    owner, key: tuple, solve: Callable[[], tuple], table: np.ndarray | None = None
 ) -> tuple[np.ndarray, ...]:
-    """``solve()``'s arrays, kept in ``center``'s memo under ``key`` for as
-    long as ``center`` lives, so a later call with that key solves nothing.
-    The memo keeps arrays only (a function closing over ``center`` would tie
-    the centre into a reference cycle); every later call shares them, so
-    they are read-only.  Two threads that miss on one key at once both solve
-    and store equal arrays.
+    """``solve()``'s arrays, kept in ``owner``'s memo (a centre's or a
+    grid's) under ``key`` for as long as ``owner`` lives, so a later call
+    with that key solves nothing.  The memo keeps arrays only (a function
+    closing over a centre would tie it into a reference cycle); every later
+    call shares them, so they are read-only.  Two threads that miss on one
+    key at once both solve and store equal arrays.
 
     With a ``table``, whose row ``i`` alone decides row ``i`` of every
     array, the table's shape and bytes complete the key.  A table whose
     every row is, byte for byte, a row of a table kept under the same
     ``key`` is served from it: those rows of its arrays are gathered, and
-    nothing new is kept.
+    nothing new is kept.  An entry may be replaced by a fuller one under its
+    own key (:func:`_keep`): a grid's envelope entry gains the columns that
+    a later centre walks (:func:`_grid_envelopes`).  Two threads that extend
+    one grid entry at once may each drop the other's columns, which a later
+    centre walks again, to the same bits.
     """
     full = key if table is None else (key, table.shape, table.tobytes())
-    found = center._memo.get(full)
+    found = owner._memo.get(full)
     if found is not None:
         return found
     if table is not None:
         rows = _row_bytes(full[2], table.shape[1])
-        for kept_key, kept in list(center._memo.items()):
+        for kept_key, kept in list(owner._memo.items()):
             if kept_key[0] == key:
                 where = {row: i for i, row in enumerate(_row_bytes(kept_key[2], table.shape[1]))}
                 at = [where.get(row) for row in rows]
                 if None not in at:
                     return tuple(arr[at] for arr in kept)
-    found = solve()
-    for arr in found:
+    return _keep(owner, full, solve())
+
+
+def _keep(owner, full: tuple, arrays: tuple[np.ndarray, ...]) -> tuple[np.ndarray, ...]:
+    """``arrays``, made read-only and kept in ``owner``'s memo under ``full``."""
+    for arr in arrays:
         arr.setflags(write=False)
-    center._memo[full] = found
-    return found
+    owner._memo[full] = arrays
+    return arrays
 
 
 def _row_bytes(data: bytes, m: int) -> list[bytes]:
@@ -349,18 +429,20 @@ def _row_bytes(data: bytes, m: int) -> list[bytes]:
 def _dual_breakpoints(
     center: DiscreteDistribution, p: float, c: np.ndarray, dist_pow: np.ndarray
 ) -> tuple[np.ndarray, ...]:
-    """:func:`_upper_envelopes` of the signed cost table ``c`` (both senses
-    of a table, stacked by :func:`_signed_pass`) over the support of
-    ``center``, walked once per (order, table) for as long as ``center``
-    lives, so it serves every radius grid.  The centre's weights and metric
-    are its own, so the order and the table key it.  A table made of rows of
-    a kept table of the same order is gathered from it with no walk
-    (:func:`_kept`); its rows keep that table's pad columns, at ``a = inf``,
-    which no dual minimum picks.
+    """:func:`_weighted_envelopes` of the signed cost table ``c`` (both
+    senses of a table, stacked by :func:`_signed_pass`) over the support of
+    ``center``, weighted once per (order, table) for as long as ``center``
+    lives, so it serves every radius grid.  The envelope walk it weighs is
+    the grid's (:func:`_grid_envelopes`), shared with every other centre on
+    the grid; the weights are the centre's own, so the order and the table
+    key it.  A table made of rows of a kept table of the same order is
+    gathered from it with no weighting (:func:`_kept`); its rows keep that
+    table's pad columns, at ``a = inf``, which no dual minimum picks.
     """
     supp = center.support_indices()
     return _kept(center, ("wasserstein_breakpoints", float(p)),
-                 lambda: _upper_envelopes(c, dist_pow[:, supp], center.weights[supp]), c)
+                 lambda: _weighted_envelopes(_grid_envelopes(center.grid, p, c, dist_pow, supp), supp,
+                                             center.weights[supp]), c)
 
 
 def _wasserstein_values(
@@ -739,11 +821,13 @@ def extremal_values(
     (kind, radii, table), and the Wasserstein breakpoints of the table for
     its order, which serve every other radius grid; a table whose rows are
     all rows of a kept table is read from that table's arrays, with no new
-    work and no new entry.  A cell's value and witness do not depend on the
-    other cells in the table.  Witnesses are built only for the cells
-    asked for, when they are asked for.  Radius 0 gives the centre's
-    expectation and the centre itself, and is the only radius a kind without
-    an oracle admits.
+    work and no new entry.  The grid keeps the envelope walk those
+    breakpoints weigh, per order and table, so another centre on the grid
+    walks only the support atoms that no centre walked before it.  A cell's
+    value and witness do not depend on the other cells in the table.
+    Witnesses are built only for the cells asked for, when they are asked
+    for.  Radius 0 gives the centre's expectation and the centre itself,
+    and is the only radius a kind without an oracle admits.
     """
     c = np.asarray(table, dtype=float)
     if c.ndim != 2 or c.shape[1] != center.grid.size:

@@ -295,6 +295,13 @@ def _dirac_share(ball: AmbiguityBall, index: int) -> float:
     return share
 
 
+def _candidate_values(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``table @ w`` for each weight row ``w``: one matrix-vector product
+    per row, stacked, so each row has the bits of its own product, where one
+    matrix product may round otherwise."""
+    return (table[None] @ weights[:, :, None])[:, :, 0]
+
+
 def set_robustness(
     ball: AmbiguityBall,
     cf: CostFunction,
@@ -338,8 +345,7 @@ def set_robustness(
         blocks.append(witnesses.weights(0).reshape(2, len(table), -1).swapaxes(0, 1).reshape(-1, ball.grid.size))
     blocks.append(_normalize_rows(mixed.copy()))
     weights = np.concatenate(blocks)
-    # Row by row, as a single matrix product may round differently.
-    values = np.array([table @ w for w in weights])
+    values = _candidate_values(table, weights)
     best_idx = np.argmin(values, axis=1)
     if variant == "objective":
         spreads = np.abs(values[np.arange(len(values)), best_idx] - values[0, best_idx[0]])

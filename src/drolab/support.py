@@ -53,10 +53,17 @@ class SupportGrid:
     ``atoms`` has shape (m, d); ``ground_metric`` is the m-by-m matrix of
     pairwise distances.  The metric must be symmetric with zero diagonal and
     satisfy the triangle inequality (checked on construction for m <= 200).
+    A grid keeps, for as long as it lives, what the distributions on it
+    share: the Wasserstein dual's envelope walk of each cost table, over the
+    atoms that their supports have asked for so far (``_memo``).
     """
 
     atoms: np.ndarray
     ground_metric: np.ndarray
+    # The envelope walk of each (order, signed cost table), as read-only
+    # arrays that never refer back to the grid or to a distribution
+    # (``divergence._grid_envelopes``).
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         atoms = _as_points(self.atoms)
@@ -183,9 +190,10 @@ class DiscreteDistribution:
     # back to it: transport distances to it (``divergence.wasserstein``),
     # both senses of each ball-oracle pass over a cost table and radii
     # (``divergence._signed_pass``), the Wasserstein dual's breakpoints of
-    # each table (``divergence._dual_breakpoints``) and the satisficing radius
-    # grid of each kind (``solvers.satisficing_radius_grid``).  A table whose
-    # rows are all rows of a kept table is served from its arrays and adds no
+    # each table, weighted from the grid's envelope walk (``SupportGrid._memo``,
+    # ``divergence._dual_breakpoints``), and the satisficing radius grid of
+    # each kind (``solvers.satisficing_radius_grid``).  A table whose rows
+    # are all rows of a kept table is served from its arrays and adds no
     # entry (``divergence._kept``).  They live exactly as long as it does.
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 

@@ -32,7 +32,9 @@ whose one caller always asked for the two-sided zero-slack rate, is kept as
 loop of ``robustness.set_robustness`` that built and evaluated one candidate
 distribution at a time, which the package replaced by one batched pass, is
 kept as :func:`set_robustness_loop`, over the distribution it built for
-each random member (:func:`toward_dirac`).  The membership bisection that
+each random member (:func:`toward_dirac`), and the batched pass's scoring
+of its candidate rows by one ``table @ w`` at a time, which the package
+replaced by one stacked product, as :func:`candidate_values_loop`.  The membership bisection that
 found its random ball members on W_p balls, which the package replaced by
 one LP in the mixing share, is kept as :func:`toward_dirac_share_bisection`, and
 ``robustness.pac_robustness`` with Monte-Carlo draws on every instance,
@@ -45,9 +47,11 @@ least-squares solve replaced it there, is kept as
 verdict, recomputed with SciPy's non-negative least squares, is
 :func:`moment_residual_nnls_scipy`, and the least max-abs residual of a
 moment system, by HiGHS, :func:`moment_residual_highs`.
-``divergence._upper_envelopes`` as it walked before it stopped at its last
-transition, with one more crossing pass that found nothing to move, is kept
-as :func:`upper_envelopes_full_walk`, and its dual minimum read through
+The Wasserstein dual's breakpoint walk as it weighed each step by the
+centre's weights while it walked, before it stopped at its last transition,
+with one more crossing pass that found nothing to move, is kept as
+:func:`upper_envelopes_full_walk`, the reference for
+``divergence._dual_breakpoints``, and its dual minimum read through
 ``np.take_along_axis``, which the package replaced by direct indexing, as
 :func:`wasserstein_dual_minimum_gather`.
 ``divergence._resolve_inexact_cells`` as it solved a flagged row again at
@@ -743,6 +747,12 @@ def absolute_dro_lp_sweep(ball: AmbiguityBall, cf, space) -> Solution:
     return Solution(space[idx], idx, value, "absolute_dro", witnesses[idx], value, diagnostics)
 
 
+def candidate_values_loop(table: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``robustness._candidate_values`` as it scored one weight row at a
+    time: ``table @ w`` for each row ``w`` of ``weights``."""
+    return np.array([table @ w for w in weights])
+
+
 def set_robustness_loop(
     ball: AmbiguityBall, cf, space, variant: str = "objective", budget: int = 100, seed: int = 0
 ) -> RobustnessReport:
@@ -931,9 +941,12 @@ _CONFIG_SCHEMA = json.loads((Path(__file__).parent / "data" / "config.schema.jso
 
 
 def upper_envelopes_full_walk(c: np.ndarray, dist_pow: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, ...]:
-    """``divergence._upper_envelopes`` as it walked before it stopped at the
-    last transition: every walk ends with one more crossing pass over all
-    (row, line, atom) cells, which finds no envelope left to move."""
+    """The breakpoints of ``G(lam) = sum_j w_j max_i (c[k, i] - lam *
+    dist_pow[i, j])``, walked with the weights ``w`` on every step, as the
+    package walked them before it stopped at the last transition and before
+    the grid kept the walk without weights: every walk ends with one more
+    crossing pass over all (row, line, atom) cells, which finds no envelope
+    left to move."""
     rows, cols = np.arange(c.shape[0])[:, None], np.arange(dist_pow.shape[1])[None, :]
     top = np.max(c, axis=1)
     active = np.argmin(np.where((c == top[:, None])[:, :, None], dist_pow[None], np.inf), axis=1)

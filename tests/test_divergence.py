@@ -695,7 +695,7 @@ class TestWassersteinDualOracle:
         c = np.concatenate([table, -table])
         dist_pow = center.grid.ground_metric**p
         budgets = np.concatenate([np.array(gaps) * gap, np.array(fracs) * center.grid.diameter]) ** p
-        lam, a, s = divergence._upper_envelopes(c, dist_pow, center.weights)
+        lam, a, s = divergence._dual_breakpoints(center, p, c, dist_pow)
         read = divergence._dual_minimum(lam, a, s, budgets)
         walked, solved = [x.copy() for x in read], [x.copy() for x in read]
         divergence._resolve_inexact_cells(center, c, dist_pow, budgets, lam, *walked)
@@ -728,6 +728,34 @@ class TestWassersteinDualOracle:
         lam, a, s = divergence._dual_breakpoints(center, 1.0, signed, grid.ground_metric)
         _, lam_best = divergence._dual_minimum(lam, a, s, radii)
         assert np.count_nonzero(inexact_cells(signed, grid.ground_metric, radii, lam_best)) == 41
+        # A second centre on the grid and table weighs the grid's walk and
+        # walks nothing.
+        later = DiscreteDistribution(grid, rng.dirichlet(np.ones(side * side)))
+        with pytest.MonkeyPatch.context() as patch:
+            walks = spy_on(patch, divergence, "_envelope_walk")
+            extremal_values(later, kind, table, radii)
+        assert not walks
+
+    def test_a_small_support_walks_its_own_columns(self, spy):
+        # A centre on 10 atoms of a 400-atom line walks those 10 metric
+        # columns: 3.1 MB traced, where a walk of all 400 columns traces
+        # 32 MB.
+        rng = np.random.default_rng(0)
+        grid = SupportGrid.euclidean(np.arange(400.0)[:, None])
+        weights = np.zeros(400)
+        weights[rng.choice(400, 10, replace=False)] = rng.dirichlet(np.ones(10))
+        center = DiscreteDistribution(grid, weights)
+        table = rng.normal(size=(3, 400))
+        radii = np.geomspace(1e-4, 1, 40) * grid.diameter
+        walks = spy(divergence, "_envelope_walk")
+        tracemalloc.start()
+        try:
+            extremal_values(center, DivergenceKind.wasserstein_order(1.0), table, radii)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert [args[1].shape for args, _ in walks] == [(400, 10)]
+        assert peak < 8e6
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -741,14 +769,15 @@ class TestWassersteinDualOracle:
     @settings(max_examples=150, deadline=None)
     def test_envelope_walk_matches_the_full_walk(self, seed, m, dim, p, empty, tied, rows):
         # The walk stops once no envelope can move; the walk that made one
-        # more crossing pass returns the same arrays, bytes and shapes.
+        # more crossing pass, weighted as it walked, returns the same
+        # arrays, bytes and shapes.
         rng = np.random.default_rng(seed)
         center, table = random_ball_instance(rng, m, dim, empty, tied, rows)
         supp = center.support_indices()
         signed = np.concatenate([table, -table])
-        dist_pow = (center.grid.ground_metric**p)[:, supp]
-        got = divergence._upper_envelopes(signed, dist_pow, center.weights[supp])
-        want = upper_envelopes_full_walk(signed, dist_pow, center.weights[supp])
+        dist_pow = center.grid.ground_metric**p
+        got = divergence._dual_breakpoints(center, p, signed, dist_pow)
+        want = upper_envelopes_full_walk(signed, dist_pow[:, supp], center.weights[supp])
         assert [x.shape for x in got] == [x.shape for x in want]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
 
@@ -857,12 +886,14 @@ class TestWassersteinDualOracle:
 
 class TestDualBreakpointMemo:
     """Each centre solves a table's worst and best cases once per (kind,
-    radii), and walks the Wasserstein dual's breakpoints once per (order,
-    table) for every radius; later calls read the arrays it keeps."""
+    radii), and weighs the Wasserstein dual's breakpoints once per (order,
+    table) for every radius; later calls read the arrays it keeps.  The
+    grid keeps each (order, table)'s envelope walk for every centre on it,
+    over the atoms walked so far."""
 
-    # The functions that do an oracle's work: a breakpoint walk, a value
-    # sweep, a KL root search.
-    WORK = ("_upper_envelopes", "_wasserstein_values", "_kl_values", "_kl_tilt_roots")
+    # The functions that do an oracle's work: an envelope walk, its
+    # weighting, a value sweep, a KL root search.
+    WORK = ("_envelope_walk", "_weighted_envelopes", "_wasserstein_values", "_kl_values", "_kl_tilt_roots")
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -879,8 +910,9 @@ class TestDualBreakpointMemo:
         # ``sense`` picks the side of the one-cell warm-up calls.
         rng = np.random.default_rng(seed)
         center, table = random_ball_instance(rng, m, dim, empty, tied)
-        # Two centres built alike have the same weight bits and each its own memo.
-        center, fresh = (DiscreteDistribution(center.grid, center.weights) for _ in range(2))
+        # Two centres built alike have the same weight bits and each its own
+        # memo; the fresh one is on a grid of its own, with its own memo too.
+        center, fresh = (DiscreteDistribution(grid, center.weights) for grid in (center.grid, _fresh_grid(center.grid)))
         if kind == "kl":
             kind, other_kind = DivergenceKind.kl(), DivergenceKind.wasserstein_order(1.0)
         else:
@@ -901,7 +933,7 @@ class TestDualBreakpointMemo:
             work = [spy_on(patch, divergence, name) for name in self.WORK]
             warm_values, warm = extremal_values(center, kind, table, radii)
         assert not any(work)  # the first call's pass answered
-        assert not fresh._memo
+        assert not fresh._memo and not fresh.grid._memo
         cold_values, cold = extremal_values(fresh, kind, table, radii)
         assert warm_values.tobytes() == cold_values.tobytes()
         for r in range(radii.size):
@@ -910,13 +942,14 @@ class TestDualBreakpointMemo:
                 assert warm(k, r).weights.tobytes() == cold(k, r).weights.tobytes()
 
     def test_memoised_breakpoints_are_read_only(self, square_grid, spy):
-        walks, sweeps = spy(divergence, "_upper_envelopes"), spy(divergence, "_wasserstein_values")
+        walks, sweeps = spy(divergence, "_envelope_walk"), spy(divergence, "_wasserstein_values")
         center = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
         table = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 1.0, 2.0, -1.0]])
         for _ in range(2):
             extremal_values(center, DivergenceKind.wasserstein_order(1.0), table, [0.2, 0.7])
         assert (len(walks), len(sweeps)) == (1, 1)
-        for arrays in center._memo.values():
+        assert len(square_grid._memo) == 1
+        for arrays in [*center._memo.values(), *square_grid._memo.values()]:
             for arr in arrays:
                 assert not arr.flags.writeable
                 with pytest.raises(ValueError):
@@ -946,15 +979,37 @@ class TestDualBreakpointMemo:
         finally:
             gc.enable()
 
+    def test_grid_memo_holds_no_reference_to_its_grid_or_a_centre(self):
+        # The grid's envelope walk is arrays only: with the collector off,
+        # a centre goes at once, and then its grid.
+        grid = SupportGrid.euclidean([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
+        center = DiscreteDistribution(grid, [0.1, 0.2, 0.3, 0.4])
+        table = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 1.0, 2.0, -1.0]])
+        gc.disable()
+        try:
+            extremal_values(center, DivergenceKind.wasserstein_order(1.0), table, [0.2, 0.7])
+            assert len(grid._memo) == 1
+            for entry in grid._memo.values():
+                assert all(isinstance(arr, np.ndarray) and not arr.flags.writeable for arr in entry)
+            center_alive, grid_alive = weakref.ref(center), weakref.ref(grid)
+            del center
+            assert center_alive() is None and grid_alive() is not None
+            del grid
+            assert grid_alive() is None
+        finally:
+            gc.enable()
+
     def test_centres_with_other_weights_share_no_entry(self, square_grid, spy):
-        walks = spy(divergence, "_upper_envelopes")
+        # Each centre keeps its own weighted breakpoints; the one envelope
+        # walk they weigh is the grid's, made for the first centre.
+        walks, weighings = spy(divergence, "_envelope_walk"), spy(divergence, "_weighted_envelopes")
         kind = DivergenceKind.wasserstein_order(1.0)
         table = np.array([[1.0, -2.0, 0.5, 3.0], [0.0, 1.0, 2.0, -1.0]])
         a = DiscreteDistribution(square_grid, [0.1, 0.2, 0.3, 0.4])
         b = DiscreteDistribution(square_grid, [0.4, 0.3, 0.2, 0.1])
         a_values, _ = extremal_values(a, kind, table, [0.3])
         b_values, _ = extremal_values(b, kind, table, [0.3])
-        assert len(walks) == 2
+        assert (len(walks), len(weighings)) == (1, 2)
         assert not np.array_equal(a_values, b_values)
         assert a._memo.keys() == b._memo.keys()
         for key in a._memo:
@@ -962,7 +1017,7 @@ class TestDualBreakpointMemo:
         # Each centre answers again from its own entry, with its own values.
         assert np.array_equal(extremal_values(a, kind, table, [0.3])[0], a_values)
         assert np.array_equal(extremal_values(b, kind, table, [0.3])[0], b_values)
-        assert len(walks) == 2
+        assert (len(walks), len(weighings)) == (1, 2)
 
     def test_passes_of_kinds_sharing_family_and_order_share_no_entry(self, square_grid, spy, monkeypatch):
         # Forward chi-square and forward KL are both phi kinds with p = 1; a
@@ -996,7 +1051,7 @@ class TestDualBreakpointMemo:
     def test_rows_of_a_kept_table_match_a_fresh_centre(self, seed, m, dim, kind, empty, tied, fracs, other, pick):
         rng = np.random.default_rng(seed)
         center, table = random_ball_instance(rng, m, dim, empty, tied, rows=4)
-        center, fresh = (DiscreteDistribution(center.grid, center.weights) for _ in range(2))
+        center, fresh = (DiscreteDistribution(grid, center.weights) for grid in (center.grid, _fresh_grid(center.grid)))
         kind = DivergenceKind.kl() if kind == "kl" else DivergenceKind.wasserstein_order(kind)
         cap = kind.radius_cap(center)
         radii = np.array(fracs) * cap
@@ -1017,11 +1072,56 @@ class TestDualBreakpointMemo:
         # Other radii: one sweep, on the kept breakpoints for a Wasserstein
         # ball, and one new entry, the sweep's pass.
         with pytest.MonkeyPatch.context() as patch:
-            walks = spy_on(patch, divergence, "_upper_envelopes")
+            walks = [spy_on(patch, divergence, name) for name in ("_envelope_walk", "_weighted_envelopes")]
             warm = extremal_values(center, kind, sub, other)
-        assert not walks
+        assert not any(walks)
         assert len(center._memo) == kept + 1
         self._assert_same_bits(warm, extremal_values(fresh, kind, sub, other), other.size)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        m=st.integers(2, 9),
+        dim=st.sampled_from([1, 2]),
+        p=st.sampled_from([1.0, 1.5, 2.0]),
+        empties=st.lists(st.integers(0, 8), min_size=2, max_size=3),
+        tied=st.booleans(),
+        rows=st.integers(1, 4),
+        sub_first=st.integers(0, 2),
+        fracs=st.lists(RADIUS_FRACTIONS, min_size=1, max_size=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_centres_in_sequence_match_the_full_walk(self, seed, m, dim, p, empties, tied, rows, sub_first, fracs):
+        # Centres with other supports on one grid and table, in sequence and
+        # in the reverse order on an equal grid: each walks only what the
+        # grid's entry lacks.  One centre asks first for rows of the table,
+        # which the grid gathers from the kept table's walk.  Every centre's
+        # breakpoints are the full walk's, bytes and shapes, and its values
+        # and witnesses a centre's on a fresh grid.
+        rng = np.random.default_rng(seed)
+        center, table = random_ball_instance(rng, m, dim, 0, tied, rows)
+        weights = []
+        for empty in empties:
+            w = rng.dirichlet(np.ones(m))
+            w[rng.choice(m, size=min(empty, m - 1), replace=False)] = 0.0
+            weights.append(w / w.sum())
+        kind = DivergenceKind.wasserstein_order(p)
+        radii = np.array(fracs) * center.grid.diameter
+        dist_pow = center.grid.ground_metric**p
+        sub = table[rng.integers(0, rows, size=2)]
+        for order in (weights, weights[::-1]):
+            grid = _fresh_grid(center.grid)
+            for i, w in enumerate(order):
+                centre = DiscreteDistribution(grid, w)
+                supp = centre.support_indices()
+                for part in ([sub, table] if i == sub_first else [table]):
+                    signed = np.concatenate([part, -part])
+                    got = divergence._dual_breakpoints(centre, p, signed, dist_pow)
+                    want = upper_envelopes_full_walk(signed, dist_pow[:, supp], centre.weights[supp])
+                    assert [x.shape for x in got] == [x.shape for x in want]
+                    assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+                    cold = DiscreteDistribution(_fresh_grid(grid), w)
+                    self._assert_same_bits(extremal_values(centre, kind, part, radii),
+                                           extremal_values(cold, kind, part, radii), radii.size)
 
     @staticmethod
     def _assert_same_bits(warm, cold, radii: int) -> None:
@@ -1045,6 +1145,12 @@ class TestDualBreakpointMemo:
         assert (len(work), len(center._memo)) == (1, entries)
         extremal_values(center, kind, [[-0.0, 1.0, 2.0, -1.0]], [0.2])
         assert (len(work), len(center._memo)) == (2, 2 * entries)
+
+
+def _fresh_grid(grid: SupportGrid) -> SupportGrid:
+    """A grid equal to ``grid`` whose memo is its own: nothing kept on
+    ``grid`` serves a centre on it."""
+    return SupportGrid(grid.atoms, grid.ground_metric)
 
 
 def _saturation_radius(center: DiscreteDistribution, costs: np.ndarray) -> float:

@@ -799,10 +799,10 @@ class TestVerifyBounds:
         # The absolute and one-sided suites read the decision table at the
         # radius, and the relative suite the nominal optimum's row on the
         # satisficing grid, in both senses: one value sweep per (table,
-        # radii), on the one breakpoint walk of the decision table, of which
-        # the nominal optimum's row is a row.  The cost function builds that
-        # table once for every suite and solver.
-        walks, sweeps = spy(divergence, "_upper_envelopes"), spy(divergence, "_wasserstein_values")
+        # radii), on the one envelope walk of the decision table, of which
+        # the nominal optimum's row is a row, over the centre's support.  The
+        # cost function builds that table once for every suite and solver.
+        walks, sweeps = spy(divergence, "_envelope_walk"), spy(divergence, "_wasserstein_values")
         tables = spy(CostFunction, "table")
         ok, _ = verify_bounds(resolve_config(base_config(str(tmp_path))))
         assert ok

@@ -12,6 +12,7 @@ from _oracles import (
     deviation_rate_profile,
     deviation_table_sided,
     pac_robustness_mc,
+    candidate_values_loop,
     set_robustness_loop,
     simplex_grid,
     toward_dirac,
@@ -28,7 +29,7 @@ from conftest import (
     random_grid,
     witness_builds,
 )
-from drolab import bayes, divergence, solvers, support
+from drolab import bayes, divergence, robustness, solvers, support
 from drolab.cost import CostFunction, DecisionSpace, cost_table, expected_cost, make_cost
 from drolab.divergence import AmbiguityBall, DivergenceKind, extremal_values, membership
 from drolab.robustness import (
@@ -435,6 +436,31 @@ class TestSetRobustness:
             assert rep.witness.weights.tobytes() == ref.witness.weights.tobytes()
         assert rep.diagnostics == ref.diagnostics
 
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        rows=st.integers(1, 60),
+        atoms=st.integers(1, 60),
+        candidates=st.integers(1, 60),
+        tied=st.booleans(),
+        scale=st.sampled_from([1e-3, 1.0, 1e3]),
+        empty=st.floats(0.0, 0.9),
+    )
+    @settings(max_examples=200, deadline=None)
+    # The report's own shape: 47 candidates of a 21-decision table on 9 atoms.
+    @example(seed=0, rows=21, atoms=9, candidates=47, tied=False, scale=1.0, empty=0.0)
+    def test_stacked_scores_are_the_loop_bits(self, seed, rows, atoms, candidates, tied, scale, empty):
+        # The candidates are scored by one stacked product; each row must
+        # have the bits of its own ``table @ w``, on tied tables and on
+        # weight rows with empty atoms.
+        rng = np.random.default_rng(seed)
+        table = (rng.integers(-2, 3, size=(rows, atoms)).astype(float) if tied
+                 else rng.normal(size=(rows, atoms))) * scale
+        weights = rng.dirichlet(np.ones(atoms), size=candidates)
+        weights[rng.random(weights.shape) < empty] = 0.0
+        got = robustness._candidate_values(table, weights)
+        want = candidate_values_loop(table, weights)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
 
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
@@ -494,32 +520,35 @@ class TestRatePath:
 def test_report_walks_each_table_once(spy):
     # The Wasserstein sweeps of one robustness report on a 3x3 plane (the
     # 21-row decision table and the SAA decision's row) solve each radius
-    # grid once for both senses, on the one breakpoint walk of the decision
+    # grid once for both senses, on the one envelope walk of the decision
     # table over the shared centre: the SAA row is a row of that table, so
     # the two-sided calls read what the one-sided minmax_dro and
     # satisficing sweeps left, and the three rate measures share one
     # satisficing radius grid.  The cost function builds the decision table
-    # once and serves every later call from its memo.
-    walks, sweeps = spy(divergence, "_upper_envelopes"), spy(divergence, "_wasserstein_values")
+    # once and serves every later call from its memo.  A report of a second
+    # centre on the grid weighs the grid's walk and walks nothing.
+    walks, sweeps = spy(divergence, "_envelope_walk"), spy(divergence, "_wasserstein_values")
     tables = spy(CostFunction, "table")
     grids = spy(np, "geomspace")
     axis = [-1.0, 0.0, 1.0]
     grid = SupportGrid.euclidean([[a, b] for a in axis for b in axis])
     space = DecisionSpace.interval(-2.0, 2.0, 21)
     cf = make_cost("linreg", grid=grid, space=space)
-    center = DiscreteDistribution(grid, np.random.default_rng(7).dirichlet(np.full(9, 3.0)))
-    ball = AmbiguityBall(center, 0.2, W1)
-    saa = solve_saa(center, cf, space)
-    solvers.solve_minmax_dro(ball, cf, space)
-    solvers.solve_robust_satisficing(center, cf, space, W1, sided="one")
-    absolute_measure(saa.x, saa.objective_value, ball, cf)
-    relative_measure(saa.x, saa.objective_value, W1, center, cf)
-    local_measure(space, center, saa.objective_value, cf, W1, "objective")
-    set_robustness(ball, cf, space, "objective", budget=4, seed=3)
-    assert len(sweeps) == 3
-    assert [args[0].shape for args, _ in walks] == [(42, 9)]
-    assert len(grids) == 1
-    assert [args[1].shape for args, _ in tables if len(args[1]) > 1] == [(21, 1)]
+    rng = np.random.default_rng(7)
+    for report in range(2):
+        center = DiscreteDistribution(grid, rng.dirichlet(np.full(9, 3.0)))
+        ball = AmbiguityBall(center, 0.2, W1)
+        saa = solve_saa(center, cf, space)
+        solvers.solve_minmax_dro(ball, cf, space)
+        solvers.solve_robust_satisficing(center, cf, space, W1, sided="one")
+        absolute_measure(saa.x, saa.objective_value, ball, cf)
+        relative_measure(saa.x, saa.objective_value, W1, center, cf)
+        local_measure(space, center, saa.objective_value, cf, W1, "objective")
+        set_robustness(ball, cf, space, "objective", budget=4, seed=3)
+        assert len(sweeps) == 3 * (report + 1)
+        assert [args[0].shape for args, _ in walks] == [(42, 9)]
+        assert len(grids) == report + 1
+        assert [args[1].shape for args, _ in tables if len(args[1]) > 1] == [(21, 1)]
 
 
 class TestWitnessBuiltWhenRead:
